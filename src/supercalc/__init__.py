@@ -1,12 +1,11 @@
 """supercalc: exact finite-generator superalgebra with analysis on top.
 
-Subpackages cover: the coefficient algebra itself (grassmann), functions of
+Modules cover: the coefficient algebra itself (grassmann), functions of
 even/odd variables (superspace), block linear algebra with a multiplicative
 super-determinant (superlinalg), integration over anticommuting variables and
 its change-of-variables subtleties (berezin), Fourier transforms in odd and
-mixed variables (fourier_odd), classical/quantum dynamics built from
-Hamilton-Jacobi data (weyl, qi), Gaussian random-matrix spectral laws (rmt),
-and supersymmetric quantum mechanics checks (susyqm).
+mixed variables (fourier_odd), and super Hamilton flows with propagators built
+from classical data (weyl_dynamics).
 """
 
 from . import berezin, fourier_odd, grassmann, superlinalg, superspace, weyl_dynamics

@@ -11,6 +11,11 @@ exact at coefficient level (floating-point arithmetic on coefficients, no
 truncation): products of generators never grow past 2^L terms and every soul
 power vanishes after finitely many steps.
 
+A coefficient may also be a 1-D complex array with one value per quadrature
+node.  Such a batch runs every node through one sequence of operations, and a
+decision that depends on the coefficients (a zero body, say) is taken for all
+nodes at once.
+
 Conventions
 -----------
 * ``body(X)`` is the coefficient at the empty product (mask 0); ``soul(X)`` is
@@ -28,6 +33,8 @@ import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Mapping, Tuple
+
+import numpy as np
 
 __all__ = [
     "Supernumber",
@@ -89,10 +96,15 @@ class Supernumber:
     """Immutable sparse element of the L-generator algebra.
 
     Do not mutate ``_terms`` after construction; all public operations return
-    new instances.  Coefficients exactly equal to 0 are never stored.
+    new instances.  Coefficients exactly equal to 0 (at every node, for a
+    batch) are never stored.
     """
 
     __slots__ = ("L", "_terms")
+
+    # numpy arrays and scalars on the left of + and * defer to __radd__ and
+    # __rmul__ instead of broadcasting over this object
+    __array_ufunc__ = None
 
     def __init__(self, L: int, terms: Mapping[int, complex] | None = None):
         if L < 0:
@@ -107,7 +119,13 @@ class Supernumber:
                     raise GrassmannError(
                         f"mask {m} out of range for L={self.L} generators"
                     )
-                c = complex(c)
+                if type(c) is not complex:
+                    if isinstance(c, np.ndarray):
+                        c = np.asarray(c, dtype=complex)
+                        if np.count_nonzero(c):
+                            clean[m] = c
+                        continue
+                    c = complex(c)
                 if c != 0:
                     clean[m] = c
         self._terms = clean
@@ -171,11 +189,7 @@ class Supernumber:
             return NotImplemented
         out = dict(a._terms)
         for m, c in b._terms.items():
-            s = out.get(m, 0j) + c
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
+            out[m] = out[m] + c if m in out else c
         return Supernumber(a.L, out)
 
     __radd__ = __add__
@@ -202,18 +216,21 @@ class Supernumber:
                 if mj & mk:
                     continue
                 m = mj | mk
-                v = acc.get(m, 0j) + _reorder_sign(mj, mk) * cj * ck
-                if v == 0:
-                    acc.pop(m, None)
+                v = cj * ck
+                if _reorder_sign(mj, mk) > 0:
+                    acc[m] = acc[m] + v if m in acc else v
                 else:
-                    acc[m] = v
+                    acc[m] = acc[m] - v if m in acc else -v
         return Supernumber(a.L, acc)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
             c = complex(other)
-            return Supernumber(self.L, {m: c * v for m, v in self._terms.items()})
-        return NotImplemented
+        elif isinstance(other, np.ndarray):
+            c = other
+        else:
+            return NotImplemented
+        return Supernumber(self.L, {m: c * v for m, v in self._terms.items()})
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -248,7 +265,8 @@ class Supernumber:
         for m in sorted(self._terms):
             c = self._terms[m]
             mono = "".join(f"s{i}" for i in range(self.L) if m >> i & 1)
-            bits.append(f"{c:.6g}*{mono}" if mono else f"{c:.6g}")
+            text = f"[{c.size} nodes]" if isinstance(c, np.ndarray) else f"{c:.6g}"
+            bits.append(f"{text}*{mono}" if mono else text)
         return f"Supernumber(L={self.L}, " + " + ".join(bits) + ")"
 
 
@@ -271,8 +289,9 @@ def one(L: int) -> Supernumber:
     return Supernumber(L, {0: 1.0 + 0j})
 
 
-def scalar(L: int, c: complex) -> Supernumber:
-    return Supernumber(L, {0: complex(c)})
+def scalar(L: int, c) -> Supernumber:
+    """The constant c; an array c gives one constant per node."""
+    return Supernumber(L, {0: c})
 
 
 def gen(L: int, i: int) -> Supernumber:
@@ -316,6 +335,13 @@ def degree_filter(X: Supernumber, k: int) -> Supernumber:
     return Supernumber(X.L, {m: c for m, c in X._terms.items() if m.bit_count() == k})
 
 
+def _any_zero(b) -> bool:
+    """True when the body b is 0, at any node for a batch."""
+    if isinstance(b, np.ndarray):
+        return not b.all()
+    return b == 0
+
+
 def inverse(X: Supernumber) -> Supernumber:
     """Multiplicative inverse; requires an invertible body.
 
@@ -323,7 +349,7 @@ def inverse(X: Supernumber) -> Supernumber:
     b^{-1} sum_k (-b^{-1} s)^k terminates and is the exact two-sided inverse.
     """
     b = X.body
-    if b == 0:
+    if _any_zero(b):
         raise GrassmannDomainError("element with zero body has no inverse")
     s = soul(X)
     binv = 1.0 / b
@@ -484,6 +510,8 @@ def gen_left_derivative(X: Supernumber, i: int) -> Supernumber:
     On an ascending monomial containing sigma_i the derivative removes it and
     picks up (-1)^(number of generators before position i).
     """
+    if not (0 <= i < X.L):
+        raise GrassmannError(f"generator index {i} out of range for L={X.L}")
     bit = 1 << i
     out: Dict[int, complex] = {}
     for m, c in X._terms.items():
@@ -512,7 +540,12 @@ def chop(X: Supernumber, tol: float) -> Supernumber:
 # ---------------------------------------------------------------------------
 
 def max_abs(X: Supernumber) -> float:
-    return max((abs(c) for c in X._terms.values()), default=0.0)
+    """Largest coefficient modulus, over all nodes for a batch."""
+    return max(
+        (float(np.abs(c).max()) if isinstance(c, np.ndarray) else abs(c)
+         for c in X._terms.values()),
+        default=0.0,
+    )
 
 
 def weighted_dist(X: Supernumber) -> float:

@@ -59,6 +59,28 @@ __all__ = [
 ]
 
 
+def _node_array(values, shape) -> np.ndarray:
+    """Complex array of the given shape from scalars and per-node arrays.
+
+    When some value is a batch of nodes (see grassmann), the node axis is
+    appended last, (*shape, nodes), so that a[i, j] is still one entry.
+    """
+    values = list(values)
+    nodes = next((v.size for v in values if isinstance(v, np.ndarray)), None)
+    if nodes is None:
+        return np.array(values, dtype=complex).reshape(shape)
+    stacked = np.array([np.broadcast_to(v, (nodes,)) for v in values], dtype=complex)
+    return stacked.reshape(*shape, nodes)
+
+
+def _per_node(linalg_fn, a: np.ndarray) -> np.ndarray:
+    """Apply a numpy.linalg function to a square array, node by node if a
+    carries a trailing node axis; the node axis stays last."""
+    if a.ndim == 2:
+        return linalg_fn(a)
+    return np.moveaxis(linalg_fn(np.moveaxis(a, -1, 0)), 0, -1)
+
+
 def _as_super(x, L: int) -> Supernumber:
     if isinstance(x, Supernumber):
         return x if x.L == L else x.embed(L)
@@ -281,7 +303,8 @@ def det_even(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
 
     Leibniz expansion for size <= 4; Gaussian elimination with body-invertible
     pivots above that (entries commute, so ordinary row reduction is exact);
-    Leibniz fallback up to size 6 when no body-invertible pivot exists.
+    Leibniz fallback up to size 6 when no body-invertible pivot exists.  For a
+    batch of nodes a pivot row must be body-invertible at every node.
     """
     rows = [list(r) for r in rows]
     size = len(rows)
@@ -304,7 +327,7 @@ def det_even(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
         pivot_row = None
         best = 0.0
         for r in range(col, size):
-            b = abs(work[r][col].body)
+            b = np.min(np.abs(work[r][col].body))
             if b > best:
                 best = b
                 pivot_row = r
@@ -332,15 +355,16 @@ def mat_inverse_even(rows: Sequence[Sequence[Supernumber]]) -> List[List[Supernu
     """Inverse of a square matrix with even entries and invertible body.
 
     Neumann split: with R = body(rows) and S the soul part,
-    rows^{-1} = (I + R^{-1} S)^{-1} R^{-1}, and the series terminates.
+    rows^{-1} = (I + R^{-1} S)^{-1} R^{-1}, and the series terminates.  For a
+    batch of nodes the body must be invertible at every node.
     """
     size = len(rows)
     L = max((e.L for r in rows for e in r if isinstance(e, Supernumber)), default=0)
     rows = [[_as_super(e, L) for e in r] for r in rows]
-    body = np.array([[e.body for e in r] for r in rows], dtype=complex)
-    if size and abs(np.linalg.det(body)) == 0.0:
+    body = _node_array((e.body for r in rows for e in r), (size, size))
+    if size and np.any(np.abs(_per_node(np.linalg.det, body)) == 0.0):
         raise GrassmannDomainError("matrix body is singular")
-    binv = np.linalg.inv(body) if size else body
+    binv = _per_node(np.linalg.inv, body) if size else body
     # S = rows - body;  T = -R^{-1} S  (supernumber matrix, soul-only entries)
     T = [
         [
@@ -392,13 +416,29 @@ def _mat_sub(P, Q):
     return [[a - b for a, b in zip(rp, rq)] for rp, rq in zip(P, Q)]
 
 
+def _take(X: Supernumber, nodes: np.ndarray) -> Supernumber:
+    """The given nodes of a batch; scalar coefficients are shared by all."""
+    return Supernumber(X.L, {
+        m: c[nodes] if isinstance(c, np.ndarray) else c for m, c in X.terms.items()
+    })
+
+
 def sdet(M: Supermatrix) -> Supernumber:
     """Multiplicative super-determinant of an even matrix.
 
     Uses det(A - C B^{-1} D) det(B)^{-1} when the body of B is invertible,
     otherwise det(A) det(B - D A^{-1} C)^{-1}.
     """
-    if M.parity == "mixed" or M.parity == "odd":
+    return _sdet(M)
+
+
+def _sdet(M: Supermatrix) -> Supernumber:
+    """sdet, also for entries that carry a batch of nodes.
+
+    Each node takes the Schur side sdet would take for it alone; a batch whose
+    nodes need different sides is split in two and the results merged.
+    """
+    if M.parity != "even":
         raise GrassmannDomainError("sdet is defined for even matrices")
     L = M.L
     A, B = M.block("A"), M.block("B")
@@ -407,13 +447,21 @@ def sdet(M: Supermatrix) -> Supernumber:
         return det_even(A)
     if M.m == 0:
         return inverse(det_even(B))
-    bodyB = np.array([[e.body for e in r] for r in B], dtype=complex)
-    if abs(np.linalg.det(bodyB)) > 0.0:
+    bodyB = _node_array((e.body for r in B for e in r), (M.n, M.n))
+    side_b = np.abs(_per_node(np.linalg.det, bodyB)) > 0.0
+    if side_b.ndim and side_b.any() and not side_b.all():
+        out = {}
+        for nodes in (np.flatnonzero(side_b), np.flatnonzero(~side_b)):
+            part = Supermatrix(M.m, M.n, [[_take(e, nodes) for e in r] for r in M.rows], L)
+            for mask, c in _sdet(part).terms.items():
+                out.setdefault(mask, np.zeros(side_b.size, dtype=complex))[nodes] = c
+        return Supernumber(L, out)
+    if np.all(side_b):
         Binv = mat_inverse_even(B)
         Schur = _mat_sub(A, _mat_mul(_mat_mul(C, Binv, L), D, L))
         return det_even(Schur) * inverse(det_even(B))
-    bodyA = np.array([[e.body for e in r] for r in A], dtype=complex)
-    if abs(np.linalg.det(bodyA)) == 0.0:
+    bodyA = _node_array((e.body for r in A for e in r), (M.m, M.m))
+    if np.any(np.abs(_per_node(np.linalg.det, bodyA)) == 0.0):
         raise GrassmannDomainError("both diagonal blocks have singular bodies")
     Ainv = mat_inverse_even(A)
     Schur = _mat_sub(B, _mat_mul(_mat_mul(D, Ainv, L), C, L))

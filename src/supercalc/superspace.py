@@ -37,6 +37,7 @@ from .grassmann import (
     soul,
     zero,
 )
+from .superlinalg import _node_array, _per_node, from_blocks
 
 __all__ = [
     "Expr",
@@ -99,7 +100,8 @@ class _Var(Expr):
         return _Const(1.0 + 0j) if j == self.j else _Const(0j)
 
     def value(self, q):
-        return complex(q[self.j])
+        v = q[self.j]
+        return v if isinstance(v, np.ndarray) else complex(v)
 
 
 def _is_const(e: Expr, c=None) -> bool:
@@ -170,15 +172,20 @@ class _Pow(Expr):
         return _mul(_mul(_Const(complex(self.n)), _Pow(self.base, self.n - 1)), inner)
 
     def value(self, q):
-        return self.base.value(q) ** self.n
+        b = self.base.value(q)
+        if self.n < 0 and isinstance(b, np.ndarray) and not b.all():
+            # what complex ** does at a single node
+            raise ZeroDivisionError("0.0 to a negative power")
+        return b ** self.n
 
 
+# scalar and per-node forms of each function
 _CALL_VALUE = {
-    "sin": cmath.sin,
-    "cos": cmath.cos,
-    "exp": cmath.exp,
-    "log": cmath.log,
-    "sqrt": cmath.sqrt,
+    "sin": (cmath.sin, np.sin),
+    "cos": (cmath.cos, np.cos),
+    "exp": (cmath.exp, np.exp),
+    "log": (cmath.log, np.log),
+    "sqrt": (cmath.sqrt, np.sqrt),
 }
 
 
@@ -204,7 +211,9 @@ class _Call(Expr):
         return _mul(outer, d)
 
     def value(self, q):
-        return _CALL_VALUE[self.name](self.arg.value(q))
+        v = self.arg.value(q)
+        one_node, per_node = _CALL_VALUE[self.name]
+        return per_node(v) if isinstance(v, np.ndarray) else one_node(v)
 
 
 def parse_expression(text: str, m: int) -> Expr:
@@ -323,7 +332,8 @@ class NumericBodyFunction(BodyFunction):
 
     4th-order central differences; mixed/higher orders nest.  Only legal when
     the total requested order stays <= 4 (the step sizes are tuned for that),
-    i.e. when the evaluation point's nilpotent part has degree <= 4.
+    i.e. when the evaluation point's nilpotent part has degree <= 4.  The
+    callable sees one node at a time, also when q holds a batch of nodes.
     """
 
     def __init__(self, fn: Callable[[Sequence[complex]], complex], m: int,
@@ -333,6 +343,10 @@ class NumericBodyFunction(BodyFunction):
         self.base_alpha = tuple(base_alpha or (0,) * m)
 
     def deriv_value(self, alpha, q):
+        size = next((v.size for v in q if isinstance(v, np.ndarray)), None)
+        if size is not None:
+            nodes = zip(*(np.broadcast_to(v, (size,)) for v in q))
+            return np.array([self.deriv_value(alpha, node) for node in nodes], dtype=complex)
         total_alpha = tuple(a + b for a, b in zip(self.base_alpha, alpha))
         order = sum(total_alpha)
         if order > _FD_MAX_ORDER:
@@ -387,7 +401,8 @@ def continue_body(bf: BodyFunction, xs: Sequence[Supernumber], L: int | None = N
     """Finite Taylor continuation of a body function to even arguments.
 
     f(x) = sum_alpha  f^(alpha)(body x) / alpha! * prod_j soul(x_j)^alpha_j,
-    which terminates by nilpotency.
+    which terminates by nilpotency.  A term is skipped only when its
+    derivative vanishes at every node of a batch.
     """
     if len(xs) != bf.m:
         raise GrassmannError(f"expected {bf.m} even arguments, got {len(xs)}")
@@ -417,7 +432,7 @@ def continue_body(bf: BodyFunction, xs: Sequence[Supernumber], L: int | None = N
             for a in alpha:
                 fact *= math.factorial(a)
             df = bf.deriv_value(tuple(alpha), q)
-            if df != 0:
+            if df.any() if isinstance(df, np.ndarray) else df != 0:
                 acc = acc + (df / fact) * prod
             return
         for k in range(len(pow_lists[j])):
@@ -438,7 +453,11 @@ def continue_body(bf: BodyFunction, xs: Sequence[Supernumber], L: int | None = N
 
 @dataclass(frozen=True)
 class SuperPoint:
-    """m even coordinates (real body) and n odd coordinates."""
+    """m even coordinates (real body) and n odd coordinates.
+
+    Coordinates may carry a batch of nodes (see grassmann); the body must then
+    be real at every node.
+    """
 
     x: Tuple[Supernumber, ...]
     theta: Tuple[Supernumber, ...]
@@ -450,7 +469,7 @@ class SuperPoint:
             if v.parity != "even":
                 raise GrassmannError("even slot holds a non-even value")
             b = v.body
-            if abs(b.imag) > 1e-9 * (1.0 + abs(b.real)):
+            if np.any(np.abs(np.imag(b)) > 1e-9 * (1.0 + np.abs(np.real(b)))):
                 raise GrassmannError("even coordinate body must be real")
         for v in self.theta:
             if not (v.parity == "odd" or v.is_zero()):
@@ -600,7 +619,8 @@ def map_body_jacobian(F: SuperMap, P: SuperPoint) -> np.ndarray:
 
     Even columns are extracted from a fresh even nilpotent displacement (a
     product of two unused generators); odd columns from a fresh odd generator
-    (left derivative).  Exact up to the float arithmetic of F itself.
+    (left derivative).  Exact up to the float arithmetic of F itself.  For a
+    batch of nodes the node axis comes last.
     """
     m, n = F.src
     p, q = F.dst
@@ -614,15 +634,12 @@ def map_body_jacobian(F: SuperMap, P: SuperPoint) -> np.ndarray:
     for s in range(n):
         th.append(P.theta[s].embed(Lw) + gen(Lw, L0 + 2 * m + s))
     out = F.evaluate(SuperPoint(tuple(ex), tuple(th)))
-    vals = list(out.x) + list(out.theta)
-    J = np.zeros((p + q, m + n), dtype=complex)
-    for r, v in enumerate(vals):
-        for j in range(m):
-            mask = (1 << (L0 + 2 * j)) | (1 << (L0 + 2 * j + 1))
-            J[r, j] = v.coefficient(mask)
-        for s in range(n):
-            J[r, m + s] = v.coefficient(1 << (L0 + 2 * m + s))
-    return J
+    masks = [(1 << (L0 + 2 * j)) | (1 << (L0 + 2 * j + 1)) for j in range(m)]
+    masks += [1 << (L0 + 2 * m + s) for s in range(n)]
+    return _node_array(
+        (v.coefficient(mask) for v in out.x + out.theta for mask in masks),
+        (p + q, m + n),
+    )
 
 
 def map_super_jacobian(F: SuperMap, P: SuperPoint):
@@ -635,8 +652,6 @@ def map_super_jacobian(F: SuperMap, P: SuperPoint):
     arguments (an unused generator pair per even slot, an unused generator
     per odd slot).  Requires a square map.
     """
-    from .superlinalg import from_blocks
-
     m, n = F.src
     if F.dst != (m, n):
         raise GrassmannError("super-Jacobian assembly expects a square map")
@@ -688,22 +703,30 @@ def invert_map(F: SuperMap, body_inverse: Callable[[np.ndarray], Sequence[float]
     """Inverse of a square map with body-invertible Jacobian.
 
     ``body_inverse`` supplies the classical inverse of the body map (numeric
-    root-finds are fine); the nilpotent part is corrected by a Newton/Picard
-    iteration with the body Jacobian, which terminates in at most L steps.
+    root-finds are fine) at one body point; the nilpotent part is corrected by
+    a Newton/Picard iteration with the body Jacobian, which terminates in at
+    most L steps.  A batch of nodes is solved in one iteration, calling
+    ``body_inverse`` once per node.
     """
     if F.src != F.dst:
         raise GrassmannError("only square maps can be inverted")
     m, n = F.src
 
-    @lru_cache(maxsize=128)
-    def solve(P: SuperPoint) -> SuperPoint:
-        L = max(P.L, 1)
-        q_star = np.array([v.body for v in P.x], dtype=complex)
-        y0 = np.asarray(body_inverse(q_star.real), dtype=complex)
+    def body_root(q: np.ndarray) -> np.ndarray:
+        y0 = np.asarray(body_inverse(q.real), dtype=complex)
         if y0.shape != (m,):
             raise GrassmannError("body inverse returned wrong arity")
+        return y0
+
+    def solve(P: SuperPoint) -> SuperPoint:
+        L = max(P.L, 1)
+        q_star = _node_array((v.body for v in P.x), (m,))
+        if q_star.ndim == 1:
+            y0 = body_root(q_star)
+        else:
+            y0 = np.array([body_root(q) for q in q_star.T]).T
         Y = SuperPoint(
-            tuple(scalar(L, complex(y0[j])) for j in range(m)),
+            tuple(scalar(L, y0[j]) for j in range(m)),
             tuple(zero(L) for _ in range(n)),
         )
         target = P.embed(L)
@@ -721,8 +744,8 @@ def invert_map(F: SuperMap, body_inverse: Callable[[np.ndarray], Sequence[float]
             if resid_max < 1e-12:
                 break
             J = map_body_jacobian(F, Y)
-            Je = np.linalg.inv(J[:m, :m]) if m else np.zeros((0, 0))
-            Jo = np.linalg.inv(J[m:, m:]) if n else np.zeros((0, 0))
+            Je = _per_node(np.linalg.inv, J[:m, :m]) if m else np.zeros((0, 0))
+            Jo = _per_node(np.linalg.inv, J[m:, m:]) if n else np.zeros((0, 0))
             new_x = []
             for j in range(m):
                 upd = Y.x[j].embed(Lc)
@@ -740,11 +763,19 @@ def invert_map(F: SuperMap, body_inverse: Callable[[np.ndarray], Sequence[float]
             raise GrassmannDomainError("inverse iteration did not converge")
         return Y
 
+    solve_cached = lru_cache(maxsize=128)(solve)
+
+    def lookup(P: SuperPoint) -> SuperPoint:
+        # a batch holds arrays, which cannot be hashed into the cache
+        batch = any(isinstance(c, np.ndarray)
+                    for v in P.x + P.theta for c in v.terms.values())
+        return solve(P) if batch else solve_cached(P)
+
     comps: List = []
     for j in range(m):
-        comps.append(_LazyComponent(lambda P, j=j: solve(P).x[j]))
+        comps.append(_LazyComponent(lambda P, j=j: lookup(P).x[j]))
     for s in range(n):
-        comps.append(_LazyComponent(lambda P, s=s: solve(P).theta[s]))
+        comps.append(_LazyComponent(lambda P, s=s: lookup(P).theta[s]))
     return SuperMap((m, n), (m, n), comps)
 
 

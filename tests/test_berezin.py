@@ -24,11 +24,13 @@ from supercalc.grassmann import (
 )
 from supercalc.superlinalg import Supermatrix, from_blocks
 from supercalc.superspace import (
+    NumericBodyFunction,
     SuperFunction,
     SuperMap,
     SuperPoint,
     expr_body,
     identity_map,
+    invert_map,
 )
 from supercalc.berezin import (
     DEFAULT_QUAD,
@@ -48,6 +50,7 @@ from supercalc.berezin import (
     quad_box,
     susy_localize,
 )
+from supercalc.berezin import _fsm_integrand
 
 from helpers import close, random_supernumber, supernumbers
 
@@ -227,6 +230,20 @@ def test_quad_box_supports_algebra_values():
     val = quad_box(lambda q: scalar(1, q[0]) + q[0] ** 2 * g, [(0, 1)],
                    GaussQuadSpec(nodes=8))
     assert max_abs(val - (scalar(1, 0.5) + (1.0 / 3.0) * g)) < 1e-13
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_quad_box_rejects_non_finite_values(bad):
+    with pytest.raises(QuadratureError):
+        quad_box(lambda q: bad, [(0, 1)], GaussQuadSpec(nodes=4))
+
+
+def test_quad_box_rejects_nan_on_the_coarse_grid_alone():
+    # the 3-node rule has a node at the midpoint, the 6-node rule does not,
+    # so the doubling check alone would compare nan with 1
+    with pytest.raises(QuadratureError):
+        quad_box(lambda q: math.nan if q[0] == 0.5 else 1.0, [(0, 1)],
+                 GaussQuadSpec(nodes=3))
 
 
 # ---------------------------------------------------------------------------
@@ -857,3 +874,56 @@ def test_delta_factor_reproduces_point_values():
         lhs = integrate_odd(odd_expand(with_delta, n, La))
         rhs = v.evaluate(tuple(ws))
         assert max_abs(lhs - rhs) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# quadrature on chunks of nodes
+# ---------------------------------------------------------------------------
+
+def test_node_on_a_pole_raises():
+    # the 3-node rule on (-1, 1) puts a node at q = 0
+    u = SuperFunction(1, 2, {0b11: E1("1/q1")})
+    spec = GaussQuadSpec(nodes=3)
+    with pytest.raises((ZeroDivisionError, GrassmannDomainError)):
+        integrate_naive(u, [(-1.0, 1.0)], spec)
+    with pytest.raises((ZeroDivisionError, GrassmannDomainError)):
+        integrate_fsm(FSMPath(((-1.0, 1.0),), identity_map(1, 2)), u, spec)
+
+
+def test_naive_integral_calls_a_numeric_coefficient_at_one_node_at_a_time():
+    seen = []
+
+    def fn(q):
+        seen.append(q)
+        return cmath.exp(q[0])
+
+    u = SuperFunction(1, 2, {0b11: NumericBodyFunction(fn, 1)})
+    val = integrate_naive(u, [(0.0, 1.0)], GaussQuadSpec(nodes=8))
+    assert close(val.body, math.e - 1.0, tol=1e-12)
+    assert len(seen) == 8 + 16
+    assert all(len(q) == 1 and isinstance(q[0], complex) for q in seen)
+
+
+def test_fsm_path_through_invert_map_matches_the_closed_form_inverse():
+    forward, backward = lac_pair()
+    u = PulledBack(forward, normalized_gaussian_22())
+    box = ((1.0, 2.0), (0.5, 1.5))
+    spec = GaussQuadSpec(nodes=4, richardson_tol=1e-3)
+    solved = integrate_fsm(FSMPath(box, invert_map(forward, lambda q: q)), u, spec,
+                           odd_order=(1, 2))
+    closed = integrate_fsm(FSMPath(box, backward), u, spec, odd_order=(1, 2))
+    assert close(closed.body, 0.0170022, tol=1e-7)
+    assert max_abs(solved - closed) < 1e-12
+
+
+def test_fsm_integrand_on_a_chunk_matches_each_node_alone():
+    forward, backward = lac_pair()
+    path = FSMPath(((-4.2, 4.2),) * 2, backward)
+    integrand = _fsm_integrand(path, PulledBack(forward, normalized_gaussian_22()))
+    rng = np.random.default_rng(11)
+    q1, q2 = rng.uniform(-4.2, 4.2, size=(2, 37))
+    chunk = integrand((q1, q2))
+    for k in range(37):
+        alone = integrand((q1[k], q2[k]))
+        assert isinstance(alone, complex)
+        assert abs(chunk[k] - alone) <= 1e-13 * abs(alone)

@@ -243,6 +243,12 @@ def test_gen_left_derivative_signs():
     assert gr.gen_left_derivative(triple, 2) == s0 * s1
 
 
+def test_gen_left_derivative_rejects_index_out_of_range():
+    for i in (2, 5, -1):
+        with pytest.raises(gr.GrassmannError):
+            gr.gen_left_derivative(gr.gen(2, 0), i)
+
+
 def test_embedding_and_promotion():
     a = gr.gen(2, 0)
     b = gr.gen(4, 3)

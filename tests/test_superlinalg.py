@@ -248,6 +248,57 @@ def test_sdet_inverse_is_reciprocal():
     assert gr.max_coeff_diff(sdet(sm_inverse(M)), gr.inverse(sdet(M))) < 1e-9
 
 
+def _with_b_body(M, body):
+    rows = [list(r) for r in M.rows]
+    for i in range(M.n):
+        for j in range(M.n):
+            e = rows[M.m + i][M.m + j]
+            rows[M.m + i][M.m + j] = e - e.body + body[i][j]
+    return Supermatrix(M.m, M.n, rows, M.L)
+
+
+def _stack_nodes(matrices):
+    """One matrix whose coefficients are arrays over the given matrices."""
+    def stack(values):
+        masks = set().union(*(v.terms for v in values))
+        return Supernumber(values[0].L, {
+            m: np.array([v.coefficient(m) for v in values]) for m in masks
+        })
+
+    N = matrices[0].size
+    return Supermatrix(matrices[0].m, matrices[0].n, [
+        [stack([M.entry(i, j) for M in matrices]) for j in range(N)] for i in range(N)
+    ], matrices[0].L)
+
+
+def test_sdet_of_a_batch_matches_each_node_alone():
+    # At nodes 1 and 4 the B body is singular to LU (its numpy determinant is
+    # exactly 0) but not to the Leibniz expansion, so sdet takes the A side
+    # there and the B side elsewhere.
+    lu_singular = [[1.786106414881354, 0.5503783629581965],
+                   [1.5944831696449162, 0.4913307680672878]]
+    assert np.linalg.det(np.array(lu_singular)) == 0.0
+    rng = np.random.default_rng(31)
+    nodes = [random_supermatrix(rng, 2, 2, 4, diag_shift=2.0) for _ in range(6)]
+    for k in (1, 4):
+        nodes[k] = _with_b_body(nodes[k], lu_singular)
+    got = sdet(_stack_nodes(nodes))
+    for k, M in enumerate(nodes):
+        alone = sdet(M)
+        at_k = Supernumber(4, {m: c[k] for m, c in got.terms.items()})
+        assert gr.max_coeff_diff(at_k, alone) <= 1e-13 * gr.max_abs(alone), f"node {k}"
+
+
+def test_sdet_of_a_batch_raises_where_a_node_alone_raises():
+    rng = np.random.default_rng(37)
+    nodes = [random_supermatrix(rng, 1, 2, 3, diag_shift=2.0) for _ in range(4)]
+    nodes[2] = _with_b_body(nodes[2], [[1.0, 2.0], [2.0, 4.0]])
+    with pytest.raises(GrassmannDomainError):
+        sdet(nodes[2])
+    with pytest.raises(GrassmannDomainError):
+        sdet(_stack_nodes(nodes))
+
+
 # ---------------------------------------------------------------------------
 # flow identity
 # ---------------------------------------------------------------------------
