@@ -110,45 +110,10 @@ def _is_finite(value) -> bool:
     return all(cmath.isfinite(c) for c in coeffs)
 
 
-def _tensor_quad(fn, box, spec: GaussQuadSpec):
-    """Tensor Gauss-Legendre over a box at spec.nodes and twice as many nodes
-    per axis; the two sums must be finite and agree.
-
-    fn takes a chunk of up to QUAD_CHUNK grid nodes as a tuple with one array
-    of coordinates per axis, and returns one value per node: an array, a
-    scalar shared by all nodes, or a Supernumber whose coefficients are such
-    values.  Returns the sum on the finer grid.
-    """
-    box = [(float(lo), float(hi)) for lo, hi in box]
-    sums = []
-    for nodes in (spec.nodes, 2 * spec.nodes):
-        x, w = np.polynomial.legendre.leggauss(nodes)
-        axes = [0.5 * (hi - lo) * x + 0.5 * (hi + lo) for lo, hi in box]
-        weights = np.ones(1)
-        for lo, hi in box:
-            weights = np.multiply.outer(weights, 0.5 * (hi - lo) * w).ravel()
-        index = np.indices((nodes,) * len(box)).reshape(len(box), weights.size)
-        grid = [a[i] for a, i in zip(axes, index)]
-        total = 0j
-        for start in range(0, weights.size, QUAD_CHUNK):
-            chunk = slice(start, start + QUAD_CHUNK)
-            total = total + _weighted_sum(weights[chunk], fn(tuple(g[chunk] for g in grid)))
-        if not _is_finite(total):
-            raise QuadratureError(f"quadrature sum over {nodes} nodes per axis is not finite")
-        sums.append(total)
-    coarse, fine = sums
-    gap = coarse - fine
-    size = max_abs(gap) if isinstance(gap, Supernumber) else abs(gap)
-    ref = max_abs(fine) if isinstance(fine, Supernumber) else abs(fine)
-    if size > spec.richardson_tol * (1.0 + ref):
-        raise QuadratureError(
-            f"quadrature not converged: disagreement {size:.3e} at doubled nodes"
-        )
-    return fine
-
-
-def _stack_nodes(values: list):
-    """One per-node value (see _tensor_quad) from a list of node values."""
+def _on_nodes(fn, q):
+    """fn at each node of the chunk q, one node at a time, as one per-node
+    value (see _tensor_quad)."""
+    values = [fn(node) for node in (zip(*q) if q else [()])]
     if not any(isinstance(v, Supernumber) for v in values):
         return np.array(values, dtype=complex)
     L = max(v.L for v in values if isinstance(v, Supernumber))
@@ -160,6 +125,69 @@ def _stack_nodes(values: list):
     return Supernumber(L, terms)
 
 
+def _per_chunk(integrand):
+    """integrand, which takes a chunk of nodes or a single node, on chunks.
+
+    A chunk that raises ArithmeticError, TypeError or ValueError
+    (GrassmannError included) is evaluated again one node at a time, and so
+    is a chunk on which numpy meets a division by zero, an overflow or an
+    invalid operation, which it would otherwise turn into inf or nan.  So an
+    integrand gives the values, or raises the error, that it gives at single
+    nodes, also at a node on a pole and when built on something that cannot
+    take a batch.
+    """
+    def on_chunk(q):
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                return integrand(q)
+        except (ArithmeticError, TypeError, ValueError):
+            pass
+        return _on_nodes(integrand, q)
+
+    return on_chunk
+
+
+def _tensor_quad(fn, box, nodes: int):
+    """Tensor Gauss-Legendre sum of fn over a box, nodes per axis.
+
+    fn takes a chunk of up to QUAD_CHUNK grid nodes as a tuple with one array
+    of coordinates per axis, and returns one value per node: an array, a
+    scalar shared by all nodes, or a Supernumber whose coefficients are such
+    values.
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    axes = [0.5 * (hi - lo) * x + 0.5 * (hi + lo) for lo, hi in box]
+    weights = np.ones(1)
+    for lo, hi in box:
+        weights = np.multiply.outer(weights, 0.5 * (hi - lo) * w).ravel()
+    index = np.indices((nodes,) * len(box)).reshape(len(box), weights.size)
+    grid = [a[i] for a, i in zip(axes, index)]
+    total = 0j
+    for start in range(0, weights.size, QUAD_CHUNK):
+        chunk = slice(start, start + QUAD_CHUNK)
+        total = total + _weighted_sum(weights[chunk], fn(tuple(g[chunk] for g in grid)))
+    return total
+
+
+def _quad(fn, box, spec: GaussQuadSpec):
+    """_tensor_quad at spec.nodes and twice as many nodes per axis; the two
+    sums must be finite and agree.  Returns the sum on the finer grid."""
+    box = [(float(lo), float(hi)) for lo, hi in box]
+    coarse = _tensor_quad(fn, box, spec.nodes)
+    fine = _tensor_quad(fn, box, 2 * spec.nodes)
+    for total in (coarse, fine):
+        if not _is_finite(total):
+            raise QuadratureError("quadrature sum is not finite")
+    gap = coarse - fine
+    size = max_abs(gap) if isinstance(gap, Supernumber) else abs(gap)
+    ref = max_abs(fine) if isinstance(fine, Supernumber) else abs(fine)
+    if size > spec.richardson_tol * (1.0 + ref):
+        raise QuadratureError(
+            f"quadrature not converged: disagreement {size:.3e} at doubled nodes"
+        )
+    return fine
+
+
 def quad_box(fn: Callable[[Tuple[float, ...]], complex],
              box: Sequence[Tuple[float, float]],
              spec: GaussQuadSpec = DEFAULT_QUAD):
@@ -169,11 +197,7 @@ def quad_box(fn: Callable[[Tuple[float, ...]], complex],
     Supernumbers; the doubling check compares the two results with max_abs.
     A sum that is not finite raises QuadratureError.
     """
-    def chunk(q):
-        nodes = zip(*q) if q else [()]
-        return _stack_nodes([fn(node) for node in nodes])
-
-    return _tensor_quad(chunk, box, spec)
+    return _quad(lambda q: _on_nodes(fn, q), box, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +370,7 @@ def integrate_naive(u, box: Sequence[Tuple[float, float]],
     if len(box) != m:
         raise GrassmannError(f"box has {len(box)} axes, function has {m}")
     sign = 1.0 if odd_order is None else _measure_sign(n, odd_order)
-    val = _tensor_quad(lambda q: _top(u.evaluate(_grid_point(q, n)), n), box, quad)
+    val = _quad(_per_chunk(lambda q: _top(u.evaluate(_grid_point(q, n)), n)), box, quad)
     return Supernumber(0, {0: sign * val})
 
 
@@ -380,7 +404,7 @@ def integrate_fsm(path: FSMPath, u,
     """Path integral: Berezin integral over the odd parameters of the
     q-quadrature of sdet J(gamma) times u composed with gamma."""
     sign = 1.0 if odd_order is None else _measure_sign(path.gamma.src[1], odd_order)
-    return Supernumber(0, {0: sign * _tensor_quad(_fsm_integrand(path, u), path.box, quad)})
+    return Supernumber(0, {0: sign * _quad(_per_chunk(_fsm_integrand(path, u)), path.box, quad)})
 
 
 def _fsm_integrand(path: FSMPath, u):

@@ -478,17 +478,24 @@ def apply_analytic(spec: AnalyticSpec, X: Supernumber) -> Supernumber:
     Uses the finite Taylor expansion around the body,
     f(X) = sum_k f^{(k)}(body) / k! * soul^k, which terminates because the
     soul is nilpotent.  The argument must be even so soul powers commute with
-    everything in sight.
+    everything in sight.  For a batch of nodes the derivatives are taken one
+    node at a time.
     """
     if X.parity not in ("even",):
         raise GrassmannDomainError("analytic functions act on even elements only")
     b = X.body
-    if spec.kind in _NEEDS_NONZERO_BODY and b == 0:
+    if spec.kind in _NEEDS_NONZERO_BODY and _any_zero(b):
         raise GrassmannDomainError(f"{spec.kind} requires a nonzero body")
-    if spec.kind == "power" and spec.exponent < 0 and b == 0:
+    if spec.kind == "power" and spec.exponent < 0 and _any_zero(b):
         raise GrassmannDomainError("negative power requires a nonzero body")
+
+    def derivative(k: int):
+        if isinstance(b, np.ndarray):
+            return np.array([spec.derivative(k, z) for z in b], dtype=complex)
+        return spec.derivative(k, b)
+
     s = soul(X)
-    acc = scalar(X.L, spec.derivative(0, b))
+    acc = scalar(X.L, derivative(0))
     power = one(X.L)
     fact = 1.0
     for k in range(1, X.L + 1):
@@ -496,7 +503,7 @@ def apply_analytic(spec: AnalyticSpec, X: Supernumber) -> Supernumber:
         if power.is_zero():
             break
         fact *= k
-        acc = acc + (spec.derivative(k, b) / fact) * power
+        acc = acc + (derivative(k) / fact) * power
     return acc
 
 

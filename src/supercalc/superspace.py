@@ -172,11 +172,7 @@ class _Pow(Expr):
         return _mul(_mul(_Const(complex(self.n)), _Pow(self.base, self.n - 1)), inner)
 
     def value(self, q):
-        b = self.base.value(q)
-        if self.n < 0 and isinstance(b, np.ndarray) and not b.all():
-            # what complex ** does at a single node
-            raise ZeroDivisionError("0.0 to a negative power")
-        return b ** self.n
+        return self.base.value(q) ** self.n
 
 
 # scalar and per-node forms of each function
@@ -283,6 +279,17 @@ class BodyFunction:
     def deriv_value(self, alpha: Tuple[int, ...], q: Sequence[complex]) -> complex:
         raise NotImplementedError
 
+    def deriv_batch(self, alpha: Tuple[int, ...], q: Sequence) -> np.ndarray:
+        """deriv_value at every node of a batch (see grassmann); q holds one
+        array of nodes, or one value shared by all nodes, per variable.
+
+        This default calls deriv_value one node at a time; a subclass whose
+        deriv_value takes arrays directly overrides it.
+        """
+        size = next(v.size for v in q if isinstance(v, np.ndarray))
+        nodes = zip(*(np.broadcast_to(v, (size,)) for v in q))
+        return np.array([self.deriv_value(alpha, node) for node in nodes], dtype=complex)
+
     def diff(self, j: int) -> "BodyFunction":
         raise NotImplementedError
 
@@ -311,6 +318,8 @@ class ExprFunction(BodyFunction):
     def deriv_value(self, alpha, q):
         return self._expr_for(tuple(alpha)).value(q)
 
+    deriv_batch = deriv_value
+
     def diff(self, j):
         return ExprFunction(self.expr.diff(j), self.m)
 
@@ -333,7 +342,7 @@ class NumericBodyFunction(BodyFunction):
     4th-order central differences; mixed/higher orders nest.  Only legal when
     the total requested order stays <= 4 (the step sizes are tuned for that),
     i.e. when the evaluation point's nilpotent part has degree <= 4.  The
-    callable sees one node at a time, also when q holds a batch of nodes.
+    callable sees one node at a time, also for a batch of nodes.
     """
 
     def __init__(self, fn: Callable[[Sequence[complex]], complex], m: int,
@@ -343,10 +352,6 @@ class NumericBodyFunction(BodyFunction):
         self.base_alpha = tuple(base_alpha or (0,) * m)
 
     def deriv_value(self, alpha, q):
-        size = next((v.size for v in q if isinstance(v, np.ndarray)), None)
-        if size is not None:
-            nodes = zip(*(np.broadcast_to(v, (size,)) for v in q))
-            return np.array([self.deriv_value(alpha, node) for node in nodes], dtype=complex)
         total_alpha = tuple(a + b for a, b in zip(self.base_alpha, alpha))
         order = sum(total_alpha)
         if order > _FD_MAX_ORDER:
@@ -389,6 +394,9 @@ class _ScaledBody(BodyFunction):
     def deriv_value(self, alpha, q):
         return self.factor * self.inner.deriv_value(alpha, q)
 
+    def deriv_batch(self, alpha, q):
+        return self.factor * self.inner.deriv_batch(alpha, q)
+
     def diff(self, j):
         return _ScaledBody(self.inner.diff(j), self.factor)
 
@@ -410,6 +418,8 @@ def continue_body(bf: BodyFunction, xs: Sequence[Supernumber], L: int | None = N
         L = max((x.L for x in xs), default=0)
     xs = [x.embed(L) for x in xs]
     q = tuple(x.body for x in xs)
+    batch = any(isinstance(v, np.ndarray) for v in q)
+    deriv = bf.deriv_batch if batch else bf.deriv_value
     pow_lists: List[List[Supernumber]] = []
     for x in xs:
         s = soul(x)
@@ -431,7 +441,7 @@ def continue_body(bf: BodyFunction, xs: Sequence[Supernumber], L: int | None = N
             fact = 1.0
             for a in alpha:
                 fact *= math.factorial(a)
-            df = bf.deriv_value(tuple(alpha), q)
+            df = deriv(tuple(alpha), q)
             if df.any() if isinstance(df, np.ndarray) else df != 0:
                 acc = acc + (df / fact) * prod
             return
@@ -764,12 +774,19 @@ def invert_map(F: SuperMap, body_inverse: Callable[[np.ndarray], Sequence[float]
         return Y
 
     solve_cached = lru_cache(maxsize=128)(solve)
+    last_batch: list = [None, None]
 
     def lookup(P: SuperPoint) -> SuperPoint:
-        # a batch holds arrays, which cannot be hashed into the cache
+        # A batch holds arrays, which cannot be hashed into the cache.  The
+        # components of one SuperMap.evaluate share one point object, so the
+        # last batch is remembered by identity and solved once for all.
         batch = any(isinstance(c, np.ndarray)
                     for v in P.x + P.theta for c in v.terms.values())
-        return solve(P) if batch else solve_cached(P)
+        if not batch:
+            return solve_cached(P)
+        if last_batch[0] is not P:
+            last_batch[:] = [P, solve(P)]
+        return last_batch[1]
 
     comps: List = []
     for j in range(m):

@@ -51,6 +51,7 @@ from supercalc.berezin import (
     susy_localize,
 )
 from supercalc.berezin import _fsm_integrand
+from supercalc.fourier_odd import GaussPolyBody, OddFourierConfig, mixed_transform
 
 from helpers import close, random_supernumber, supernumbers
 
@@ -890,6 +891,17 @@ def test_node_on_a_pole_raises():
         integrate_fsm(FSMPath(((-1.0, 1.0),), identity_map(1, 2)), u, spec)
 
 
+@pytest.mark.parametrize("text", ["log(q1)", "exp(log(q1))"])
+def test_node_on_a_log_singularity_raises_as_at_one_node(text):
+    # numpy gives -inf for log(0), and exp(-inf) = 0 would hide it
+    u = SuperFunction(1, 2, {0b11: E1(text)})
+    spec = GaussQuadSpec(nodes=3)
+    with pytest.raises(ValueError, match="math domain error"):
+        integrate_naive(u, [(-1.0, 1.0)], spec)
+    with pytest.raises(ValueError, match="math domain error"):
+        integrate_fsm(FSMPath(((-1.0, 1.0),), identity_map(1, 2)), u, spec)
+
+
 def test_naive_integral_calls_a_numeric_coefficient_at_one_node_at_a_time():
     seen = []
 
@@ -927,3 +939,73 @@ def test_fsm_integrand_on_a_chunk_matches_each_node_alone():
         alone = integrand((q1[k], q2[k]))
         assert isinstance(alone, complex)
         assert abs(chunk[k] - alone) <= 1e-13 * abs(alone)
+
+
+def test_gauss_poly_coefficient_integrates_on_chunks():
+    # GaussPolyBody takes one node at a time, through BodyFunction.deriv_batch
+    bf = GaussPolyBody(1, 0.5, {(0,): 1.0, (2,): 0.3})
+    u = SuperFunction(1, 2, {0b11: bf})
+    box, spec = [(-3.0, 3.0)], GaussQuadSpec(nodes=10)
+    want = quad_box(bf.value, box, spec)
+    assert close(want, 5.100168510776662, tol=1e-12)
+    naive = integrate_naive(u, box, spec)
+    fsm = integrate_fsm(FSMPath(tuple(box), identity_map(1, 2)), u, spec)
+    for got in (naive, fsm):
+        assert abs(got.body - want) <= 1e-13 * abs(want)
+
+
+def test_mixed_transform_output_integrates_on_chunks():
+    u = SuperFunction(1, 2, {0: GaussPolyBody(1, 1.0, {(0,): 1.0, (1,): 0.5})})
+    F = mixed_transform(u, OddFourierConfig(2, 1.7), hbar=0.9)
+    top = F.coefficients[0b11]
+    # the odd monomial integrates to 0, the tails beyond |q| = 6 to < 1e-9
+    want = top.poly[(0,)] * math.sqrt(TWO_PI / top.decay)
+    box, spec = [(-6.0, 6.0)], GaussQuadSpec(nodes=24)
+    naive = integrate_naive(F, box, spec)
+    fsm = integrate_fsm(FSMPath(tuple(box), identity_map(1, 2)), F, spec)
+    for got in (naive, fsm):
+        assert close(got.body, want, tol=1e-9)
+    assert abs(naive.body - fsm.body) <= 1e-13 * abs(want)
+
+
+class _AnalyticGaussian:
+    """theta_1 theta_2 exp(-x^2), built with algebra operations only."""
+
+    m, n = 1, 2
+
+    def evaluate(self, P):
+        x = P.x[0]
+        return apply_analytic(AnalyticSpec.named("exp"), -x * x) * P.theta[0] * P.theta[1]
+
+
+class _OneNodeGaussian(_AnalyticGaussian):
+    """The same function, read off a body that must be a single number."""
+
+    def evaluate(self, P):
+        b = complex(P.x[0].body)
+        return cmath.exp(-b * b) * P.theta[0] * P.theta[1]
+
+
+@pytest.mark.parametrize("u", [_AnalyticGaussian(), _OneNodeGaussian()])
+def test_duck_typed_integrand_integrates_on_chunks(u):
+    # _OneNodeGaussian raises TypeError on a chunk and is evaluated node by node
+    box, spec = [(-3.0, 3.0)], GaussQuadSpec(nodes=20)
+    want = math.sqrt(math.pi) * math.erf(3.0)
+    assert close(integrate_naive(u, box, spec).body, want, tol=1e-12)
+    path = FSMPath(tuple(box), identity_map(1, 2))
+    assert close(integrate_fsm(path, u, spec).body, want, tol=1e-12)
+
+
+def test_invert_map_solves_a_batch_once_per_evaluation():
+    forward, _ = lac_pair()
+    calls = []
+
+    def body_inverse(q):
+        calls.append(q)
+        return q
+
+    inv = invert_map(forward, body_inverse)
+    q1 = np.linspace(1.0, 2.0, 5)
+    P = SuperPoint((scalar(2, q1), scalar(2, q1 - 0.5)), (gen(2, 0), gen(2, 1)))
+    inv.evaluate(P)
+    assert len(calls) == 5

@@ -249,6 +249,25 @@ def test_gen_left_derivative_rejects_index_out_of_range():
             gr.gen_left_derivative(gr.gen(2, 0), i)
 
 
+def test_apply_analytic_on_a_batch_matches_each_node_alone():
+    import numpy as np
+
+    rng = np.random.default_rng(5)
+    terms = {m: rng.normal(size=4) + 1j * rng.normal(size=4) for m in (0, 0b11, 0b1100, 0b1111)}
+    terms[0] = terms[0] + 3.0
+    X = Supernumber(4, terms)
+    for spec in (AnalyticSpec.named("log"), AnalyticSpec.power(-2),
+                 AnalyticSpec.custom(lambda k, z: 2.0 ** k * cmath.exp(2.0 * z))):
+        got = gr.apply_analytic(spec, X)
+        for k in range(4):
+            alone = gr.apply_analytic(spec, Supernumber(4, {m: c[k] for m, c in terms.items()}))
+            at_k = Supernumber(4, {m: c[k] for m, c in got.terms.items()})
+            assert gr.max_coeff_diff(at_k, alone) <= 1e-13 * gr.max_abs(alone)
+    terms[0] = np.array([1.0, 0.0, 2.0, 1.0])
+    with pytest.raises(GrassmannDomainError):
+        gr.apply_analytic(AnalyticSpec.named("log"), Supernumber(4, terms))
+
+
 def test_embedding_and_promotion():
     a = gr.gen(2, 0)
     b = gr.gen(4, 3)
