@@ -23,10 +23,9 @@ Sign conventions pinned here and relied on elsewhere:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +34,8 @@ from .grassmann import (
     GrassmannDomainError,
     GrassmannError,
     Supernumber,
+    _as_super,
+    _is_finite,
     apply_analytic,
     gen,
     gen_left_derivative,
@@ -42,9 +43,11 @@ from .grassmann import (
     max_abs,
     one,
     scalar,
+    seed,
+    seed_parts,
     zero,
 )
-from .superlinalg import Supermatrix, _sdet, det_even, mat_inverse_even, pfaffian
+from .superlinalg import Supermatrix, _mat_mul, _sdet, det_even, mat_inverse_even, pfaffian
 from .superspace import SuperMap, SuperPoint, map_super_jacobian
 
 __all__ = [
@@ -96,18 +99,17 @@ QUAD_CHUNK = 100
 
 
 def _weighted_sum(weights: np.ndarray, values):
-    """sum_k weights[k] * values[k] for per-node values (see _tensor_quad)."""
-    if isinstance(values, Supernumber):
-        return Supernumber(values.L, {
-            m: np.dot(weights, np.broadcast_to(c, weights.shape))
-            for m, c in values.terms.items()
-        })
-    return complex(np.dot(weights, np.broadcast_to(values, weights.shape)))
+    """sum_k weights[k] * values[k] for per-node values (see _tensor_quad).
 
-
-def _is_finite(value) -> bool:
-    coeffs = value.terms.values() if isinstance(value, Supernumber) else (value,)
-    return all(cmath.isfinite(c) for c in coeffs)
+    An inf value gives a nan sum without a warning; _quad rejects the sum.
+    """
+    with np.errstate(invalid="ignore"):
+        if isinstance(values, Supernumber):
+            return Supernumber(values.L, {
+                m: np.dot(weights, np.broadcast_to(c, weights.shape))
+                for m, c in values.terms.items()
+            })
+        return complex(np.dot(weights, np.broadcast_to(values, weights.shape)))
 
 
 def _on_nodes(fn, q):
@@ -221,8 +223,7 @@ class OddPolynomial:
         for mask, c in coefficients.items():
             if not (0 <= mask < top):
                 raise GrassmannError(f"odd monomial mask {mask} out of range")
-            if not isinstance(c, Supernumber):
-                c = Supernumber(0, {0: complex(c)})
+            c = _as_super(c)
             if not c.is_zero():
                 clean[int(mask)] = c
                 amb = max(amb, c.L)
@@ -278,31 +279,15 @@ def odd_expand(fn: Callable[[Tuple[Supernumber, ...]], Supernumber],
                n: int, ambient_L: int) -> OddPolynomial:
     """Expand a function of n odd arguments into an OddPolynomial.
 
-    Evaluates once at fresh generators placed above the ambient algebra and
-    sorts the resulting coefficients back into theta-monomial form.
+    Evaluates once at fresh generators placed above the ambient algebra
+    (grassmann.seed) and reads the theta-monomial coefficients back with
+    grassmann.seed_parts.
     """
-    Lw = ambient_L + n
-    fresh = tuple(gen(Lw, ambient_L + s) for s in range(n))
-    val = fn(fresh)
-    if not isinstance(val, Supernumber):
-        val = Supernumber(0, {0: complex(val)})
-    if val.L > Lw:
+    _, fresh, _ = seed((), (zero(ambient_L),) * n, ambient_L)
+    val = _as_super(fn(fresh))
+    if val.L > ambient_L + n:
         raise GrassmannError("expansion escaped its working algebra")
-    val = val.embed(Lw)
-    coeffs: Dict[int, Dict[int, complex]] = {}
-    for mask, c in val.terms.items():
-        high = mask >> ambient_L
-        low = mask & ((1 << ambient_L) - 1)
-        # stored monomial has the ambient part left of the theta part; the
-        # polynomial wants theta^a on the left, at the cost of (-1)^{|a||I|}
-        if (high.bit_count() * low.bit_count()) & 1:
-            c = -c
-        coeffs.setdefault(high, {})[low] = c
-    return OddPolynomial(
-        n,
-        {a: Supernumber(ambient_L, d) for a, d in coeffs.items()},
-        L=ambient_L,
-    )
+    return OddPolynomial(n, seed_parts(val, ambient_L), L=ambient_L)
 
 
 def _measure_sign(n: int, order: Sequence[int]) -> float:
@@ -458,21 +443,6 @@ def naive_cvf_discrepancy(phi_map: SuperMap, u,
 # Gaussian integrals
 # ---------------------------------------------------------------------------
 
-def _block_matmul(P: List[List[Supernumber]], Q: List[List[Supernumber]],
-                  L: int) -> List[List[Supernumber]]:
-    rows, inner, cols = len(P), len(Q), len(Q[0]) if Q else 0
-    out = []
-    for r in range(rows):
-        row = []
-        for c in range(cols):
-            acc = zero(L)
-            for k in range(inner):
-                acc = acc + P[r][k].embed(L) * Q[k][c].embed(L)
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def gaussian_super(M: Supermatrix, lam: float) -> Supernumber:
     """Closed form of the Gaussian integral over R^{m|n}.
 
@@ -521,8 +491,8 @@ def gaussian_super(M: Supermatrix, lam: float) -> Supernumber:
         root = apply_analytic(AnalyticSpec.named("sqrt"), det_even(A))
         even_factor = even_factor * inverse(root)
         a_inv = mat_inverse_even(A)
-        corr = _block_matmul(_block_matmul(D, a_inv, L), C, L)
-        raw = [[B[s][t].embed(L) - corr[s][t] for t in range(n)] for s in range(n)]
+        corr = _mat_mul(_mat_mul(D, a_inv, L), C, L)
+        raw = [[B[s][t] - corr[s][t] for t in range(n)] for s in range(n)]
         # antisymmetrize exactly so roundoff cannot trip the Pfaffian's check
         pf_arg = [[0.5 * (raw[s][t] - raw[t][s]) for t in range(n)]
                   for s in range(n)]
@@ -552,8 +522,7 @@ def gaussian_body_moment(gamma: float, beta, n: int = 0) -> Supernumber:
         raise GrassmannDomainError("Gaussian weight must have positive width")
     if n < 0:
         raise GrassmannError("moment order must be nonnegative")
-    if not isinstance(beta, Supernumber):
-        beta = Supernumber(0, {0: complex(beta)})
+    beta = _as_super(beta)
     if beta.parity not in ("even",):
         raise GrassmannDomainError("linear coefficient must be even")
     L = beta.L

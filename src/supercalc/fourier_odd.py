@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
-from .berezin import OddPolynomial, integrate_odd, odd_expand
+from .berezin import OddPolynomial, _double_factorial, integrate_odd, odd_expand
 from .grassmann import (
     AnalyticSpec,
     GrassmannError,
@@ -172,14 +172,6 @@ def odd_pairing(v: OddPolynomial, w: OddPolynomial) -> Supernumber:
 # ---------------------------------------------------------------------------
 # Gaussian-polynomial body class and its closed-form even transform
 # ---------------------------------------------------------------------------
-
-def _double_factorial(k: int) -> int:
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
-
 
 def _check_hbar(hbar: float) -> float:
     h = complex(hbar)

@@ -32,7 +32,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Mapping, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -44,8 +44,6 @@ __all__ = [
     "one",
     "scalar",
     "gen",
-    "mul",
-    "add",
     "inverse",
     "conjugate",
     "apply_analytic",
@@ -56,6 +54,9 @@ __all__ = [
     "degree_filter",
     "gen_left_derivative",
     "shift_generators",
+    "seed",
+    "seed_parts",
+    "rk4_step",
     "chop",
     "max_abs",
     "weighted_dist",
@@ -301,17 +302,17 @@ def gen(L: int, i: int) -> Supernumber:
     return Supernumber(L, {1 << i: 1.0 + 0j})
 
 
+def _as_super(x, L: int | None = None) -> Supernumber:
+    """x as a Supernumber, embedded in L generators when L is given; a number
+    becomes a constant."""
+    if isinstance(x, Supernumber):
+        return x if L is None or x.L == L else x.embed(L)
+    return Supernumber(L or 0, {0: complex(x)})
+
+
 # ---------------------------------------------------------------------------
-# spec-named operations (functional aliases of the methods above)
+# spec-named operations
 # ---------------------------------------------------------------------------
-
-def mul(X: Supernumber, Y: Supernumber) -> Supernumber:
-    return X * Y
-
-
-def add(X: Supernumber, Y: Supernumber) -> Supernumber:
-    return X + Y
-
 
 def body(X: Supernumber) -> complex:
     return X.body
@@ -361,7 +362,10 @@ def inverse(X: Supernumber) -> Supernumber:
             break
         power = -binv * power
         acc = acc + power
-    return binv * acc
+    out = binv * acc
+    if not _is_finite(out):
+        raise GrassmannDomainError("inverse overflows: the body is too small")
+    return out
 
 
 def conjugate(X: Supernumber) -> Supernumber:
@@ -537,6 +541,57 @@ def shift_generators(X: Supernumber, offset: int, L: int) -> Supernumber:
     return Supernumber(L, out)
 
 
+def seed(even: Sequence[Supernumber], odd: Sequence[Supernumber],
+         L: int) -> Tuple[Tuple[Supernumber, ...], Tuple[Supernumber, ...], List[int]]:
+    """Put fresh generators above L on slot values: the place half of seeding.
+
+    Even slot j gets the nilpotent pair sigma_{L+2j} sigma_{L+2j+1} and odd
+    slot s the generator sigma_{L+2m+s}, m = len(even), in an algebra of
+    L + 2m + n generators.  Returns the seeded even and odd values and, per
+    slot, its fresh monomial as a mask relative to L.  In ``seed_parts`` of a
+    function evaluated once at the seeded values, the part at a slot's mask is
+    the derivative along that slot (the left derivative for an odd slot).
+    """
+    m = len(even)
+    Lw = L + 2 * m + len(odd)
+    masks = [0b11 << 2 * j for j in range(m)] + [1 << 2 * m + s for s in range(len(odd))]
+    lifted = [v.embed(Lw) + Supernumber(Lw, {mask << L: 1.0})
+              for v, mask in zip((*even, *odd), masks)]
+    return tuple(lifted[:m]), tuple(lifted[m:]), masks
+
+
+def seed_parts(X: Supernumber, L: int) -> Dict[int, Supernumber]:
+    """Split X by its generators at and above L: the read-back half of seeding.
+
+    Returns {high: X_high} with X = sum_high sigma^(high << L) X_high and each
+    X_high in the L-generator algebra.  Moving the fresh monomial left of the
+    rest costs the sign (-1)^{|high| |low|}.
+    """
+    parts: Dict[int, Dict[int, complex]] = {}
+    below = (1 << L) - 1
+    for mask, c in X._terms.items():
+        high, low = mask >> L, mask & below
+        if (high.bit_count() * low.bit_count()) & 1:
+            c = -c
+        parts.setdefault(high, {})[low] = c
+    return {high: Supernumber(L, d) for high, d in parts.items()}
+
+
+def rk4_step(field: Callable, t: float, y: Tuple[Supernumber, ...],
+             h: float) -> Tuple[Supernumber, ...]:
+    """One classic fourth-order Runge-Kutta step of dy/dt = field(t, y) for a
+    tuple y of supernumbers; field returns a tuple of the same length."""
+    def shifted(k, c):
+        return tuple(a + c * b for a, b in zip(y, k))
+
+    k1 = field(t, y)
+    k2 = field(t + h / 2.0, shifted(k1, h / 2.0))
+    k3 = field(t + h / 2.0, shifted(k2, h / 2.0))
+    k4 = field(t + h, shifted(k3, h))
+    return tuple(a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+
+
 def chop(X: Supernumber, tol: float) -> Supernumber:
     """Drop coefficients with |c| <= tol (for long numerically-driven runs)."""
     return Supernumber(X.L, {m: c for m, c in X._terms.items() if abs(c) > tol})
@@ -545,6 +600,14 @@ def chop(X: Supernumber, tol: float) -> Supernumber:
 # ---------------------------------------------------------------------------
 # diagnostics and comparison
 # ---------------------------------------------------------------------------
+
+def _is_finite(X) -> bool:
+    """True when every coefficient of X (a Supernumber or a number) is finite,
+    at every node for a batch."""
+    coeffs = X._terms.values() if isinstance(X, Supernumber) else (X,)
+    return all(cmath.isfinite(c) if type(c) is complex else np.isfinite(c).all()
+               for c in coeffs)
+
 
 def max_abs(X: Supernumber) -> float:
     """Largest coefficient modulus, over all nodes for a batch."""
@@ -585,7 +648,14 @@ def approx_eq(X: Supernumber, Y: Supernumber, tol: float = 1e-12) -> bool:
 # ---------------------------------------------------------------------------
 
 def to_json(X: Supernumber) -> str:
-    """Serialize as {"L": int, "terms": [{"mask", "re", "im"}]} (masks ascending)."""
+    """Serialize as {"L": int, "terms": [{"mask", "re", "im"}]} (masks ascending).
+
+    Only what from_json reads back: finite coefficients, one node.
+    """
+    if any(isinstance(c, np.ndarray) for c in X._terms.values()):
+        raise GrassmannError("a batch of nodes has no JSON form")
+    if not _is_finite(X):
+        raise GrassmannError("coefficients must be finite")
     terms = [
         {"mask": m, "re": X._terms[m].real, "im": X._terms[m].imag}
         for m in sorted(X._terms)

@@ -33,11 +33,14 @@ from .grassmann import (
     GrassmannDomainError,
     GrassmannError,
     Supernumber,
+    _as_super,
+    _is_finite,
     apply_analytic,
     degree_filter,
     inverse,
     max_abs,
     one,
+    rk4_step,
     scalar,
     zero,
 )
@@ -79,12 +82,6 @@ def _per_node(linalg_fn, a: np.ndarray) -> np.ndarray:
     if a.ndim == 2:
         return linalg_fn(a)
     return np.moveaxis(linalg_fn(np.moveaxis(a, -1, 0)), 0, -1)
-
-
-def _as_super(x, L: int) -> Supernumber:
-    if isinstance(x, Supernumber):
-        return x if x.L == L else x.embed(L)
-    return scalar(L, complex(x))
 
 
 class Supermatrix:
@@ -204,17 +201,7 @@ class Supermatrix:
 
     def __matmul__(self, other: "Supermatrix") -> "Supermatrix":
         L = self._promote(other)
-        N = self.size
-        out = []
-        for i in range(N):
-            row = []
-            for j in range(N):
-                acc = zero(L)
-                for k in range(N):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return Supermatrix(self.m, self.n, out, L)
+        return Supermatrix(self.m, self.n, _mat_mul(self.rows, other.rows, L), L)
 
     def scale(self, c) -> "Supermatrix":
         return Supermatrix(
@@ -365,52 +352,37 @@ def mat_inverse_even(rows: Sequence[Sequence[Supernumber]]) -> List[List[Supernu
     if size and np.any(np.abs(_per_node(np.linalg.det, body)) == 0.0):
         raise GrassmannDomainError("matrix body is singular")
     binv = _per_node(np.linalg.inv, body) if size else body
-    # S = rows - body;  T = -R^{-1} S  (supernumber matrix, soul-only entries)
-    T = [
-        [
-            sum(
-                (scalar(L, -binv[i, k]) * (rows[k][j] - scalar(L, body[k, j]))
-                 for k in range(size)),
-                zero(L),
-            )
-            for j in range(size)
-        ]
-        for i in range(size)
-    ]
+
+    def lift(a):
+        return [[scalar(L, a[i, j]) for j in range(size)] for i in range(size)]
+
+    # T = -R^{-1} S with S = rows - R, a matrix of soul-only entries
+    soul_part = [[rows[i][j] - scalar(L, body[i, j]) for j in range(size)]
+                 for i in range(size)]
+    T = _mat_mul(lift(-binv), soul_part, L)
     # geometric series sum_k T^k applied to R^{-1}
     acc = [[one(L) if i == j else zero(L) for j in range(size)] for i in range(size)]
-    power = [row[:] for row in acc]
+    power = acc
     for _ in range(L):
-        power = [
-            [
-                sum((power[i][k] * T[k][j] for k in range(size)), zero(L))
-                for j in range(size)
-            ]
-            for i in range(size)
-        ]
+        power = _mat_mul(power, T, L)
         if all(e.is_zero() for r in power for e in r):
             break
         acc = [[acc[i][j] + power[i][j] for j in range(size)] for i in range(size)]
-    return [
-        [
-            sum((acc[i][k] * scalar(L, binv[k, j]) for k in range(size)), zero(L))
-            for j in range(size)
-        ]
-        for i in range(size)
-    ]
+    return _mat_mul(acc, lift(binv), L)
 
-
-# ---------------------------------------------------------------------------
-# sdet and the full inverse
-# ---------------------------------------------------------------------------
 
 def _mat_mul(P, Q, L):
+    """Product of nested lists of supernumbers (P: r x k, Q: k x c)."""
     rp, cp, cq = len(P), len(Q), len(Q[0]) if Q else 0
     return [
         [sum((P[i][k] * Q[k][j] for k in range(cp)), zero(L)) for j in range(cq)]
         for i in range(rp)
     ]
 
+
+# ---------------------------------------------------------------------------
+# sdet and the full inverse
+# ---------------------------------------------------------------------------
 
 def _mat_sub(P, Q):
     return [[a - b for a, b in zip(rp, rq)] for rp, rq in zip(P, Q)]
@@ -427,9 +399,13 @@ def sdet(M: Supermatrix) -> Supernumber:
     """Multiplicative super-determinant of an even matrix.
 
     Uses det(A - C B^{-1} D) det(B)^{-1} when the body of B is invertible,
-    otherwise det(A) det(B - D A^{-1} C)^{-1}.
+    otherwise det(A) det(B - D A^{-1} C)^{-1}.  A result that overflows
+    raises GrassmannDomainError.
     """
-    return _sdet(M)
+    out = _sdet(M)
+    if not _is_finite(out):
+        raise GrassmannDomainError("sdet overflows: a Schur block is nearly singular")
+    return out
 
 
 def _sdet(M: Supermatrix) -> Supernumber:
@@ -470,26 +446,7 @@ def _sdet(M: Supermatrix) -> Supernumber:
 
 def sm_inverse(M: Supermatrix) -> Supermatrix:
     """Two-sided inverse via the terminating Neumann series on the full matrix."""
-    N = M.size
-    L = M.L
-    body = M.body_matrix()
-    if N and abs(np.linalg.det(body)) == 0.0:
-        raise GrassmannDomainError("matrix body is singular")
-    binv = np.linalg.inv(body) if N else body
-    Binv = lift_complex(binv, M.m, M.n, L)
-    S = M - lift_complex(body, M.m, M.n, L)
-    T = (Binv @ S).scale(-1.0)
-    acc = identity_sm(M.m, M.n, L)
-    power = identity_sm(M.m, M.n, L)
-    for _ in range(L):
-        power = power @ T
-        if all(e.is_zero() for r in power.rows for e in r):
-            break
-        acc = acc + power
-    # inverse = (I + B^{-1}S)^{-1} B^{-1} = acc @ Binv ... careful with order:
-    # M = body (I + binv S) entrywise-left; (I + X)^{-1} = acc with X = Binv S,
-    # so M^{-1} = (I + X)^{-1} Binv = acc @ Binv
-    return acc @ Binv
+    return Supermatrix(M.m, M.n, mat_inverse_even(M.rows), M.L)
 
 
 # ---------------------------------------------------------------------------
@@ -620,26 +577,29 @@ def sdet_flow_check(
     """
     M0 = M_of_t(0.0)
     m, n, L = M0.m, M0.n, M0.L
+    N = m + n
     steps = max(1, round(t_end / h))
     if steps % 2:
         steps += 1
     dt = t_end / steps
 
-    X = identity_sm(m, n, L)
+    def matrix(y) -> Supermatrix:
+        return Supermatrix(m, n, [y[i * N:(i + 1) * N] for i in range(N)])
+
+    def field(t, y):
+        return sum((M_of_t(t) @ matrix(y)).rows, ())
+
+    y = sum(identity_sm(m, n, L).rows, ())
     t = 0.0
     strs = [str_super(M0)]
     for _ in range(steps):
-        k1 = M_of_t(t) @ X
-        k2 = M_of_t(t + dt / 2) @ (X + k1.scale(dt / 2))
-        k3 = M_of_t(t + dt / 2) @ (X + k2.scale(dt / 2))
-        k4 = M_of_t(t + dt) @ (X + k3.scale(dt))
-        X = X + (k1 + k2.scale(2.0) + k3.scale(2.0) + k4).scale(dt / 6.0)
+        y = rk4_step(field, t, y, dt)
         t += dt
         strs.append(str_super(M_of_t(t)))
     integral = zero(L)
     for i in range(0, steps, 2):
         integral = integral + (dt / 3.0) * (strs[i] + 4.0 * strs[i + 1] + strs[i + 2])
-    return sdet(X), apply_analytic(AnalyticSpec.named("exp"), integral)
+    return sdet(matrix(y)), apply_analytic(AnalyticSpec.named("exp"), integral)
 
 
 # ---------------------------------------------------------------------------

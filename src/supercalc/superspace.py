@@ -8,10 +8,11 @@ fallback limited to total order 4).  Evaluation continues each coefficient off
 the body by its finite Taylor series in the nilpotent part, so the result is
 exact in the finite-generator algebra whenever the derivative oracle is exact.
 
-Maps between such coordinate systems compose by evaluation, their body
-Jacobians are extracted exactly by seeding fresh nilpotent directions, and a
-map with invertible body Jacobian is inverted by a Newton/Picard iteration
-that terminates on the nilpotent part after at most L steps.
+Maps between such coordinate systems compose by evaluation, and their
+Jacobians are read exactly from one evaluation in which every source slot is
+seeded with fresh nilpotent generators (grassmann.seed).  A map with
+invertible body Jacobian is inverted by a Newton/Picard iteration that
+terminates on the nilpotent part after at most L steps.
 """
 
 from __future__ import annotations
@@ -29,15 +30,15 @@ from .grassmann import (
     GrassmannDomainError,
     GrassmannError,
     Supernumber,
-    gen,
     max_abs,
-    max_coeff_diff,
     one,
     scalar,
+    seed,
+    seed_parts,
     soul,
     zero,
 )
-from .superlinalg import _node_array, _per_node, from_blocks
+from .superlinalg import Supermatrix, _node_array, _per_node
 
 __all__ = [
     "Expr",
@@ -624,32 +625,26 @@ def compose(g: SuperMap, f: SuperMap) -> SuperMap:
 # Jacobians by nilpotent seeding
 # ---------------------------------------------------------------------------
 
-def map_body_jacobian(F: SuperMap, P: SuperPoint) -> np.ndarray:
-    """Body of the super-Jacobian dF at P, columns = source slots.
+def _seeded_derivatives(F: SuperMap, P: SuperPoint) -> List[List[Supernumber]]:
+    """J[r][c] = d F_c / d z_r at P, z_r the source slots (even first, odd
+    derivatives from the left), in P's algebra, from one evaluation of F at
+    arguments seeded by grassmann.seed."""
+    L0 = max(P.L, 1)
+    ex, th, masks = seed(P.x, P.theta, L0)
+    out = F.evaluate(SuperPoint(ex, th))
+    parts = [seed_parts(v, L0) for v in out.x + out.theta]
+    return [[p.get(mask, zero(L0)) for p in parts] for mask in masks]
 
-    Even columns are extracted from a fresh even nilpotent displacement (a
-    product of two unused generators); odd columns from a fresh odd generator
-    (left derivative).  Exact up to the float arithmetic of F itself.  For a
+
+def map_body_jacobian(F: SuperMap, P: SuperPoint) -> np.ndarray:
+    """Body of the super-Jacobian dF at P, rows = target components, columns
+    = source slots.  Exact up to the float arithmetic of F itself.  For a
     batch of nodes the node axis comes last.
     """
-    m, n = F.src
-    p, q = F.dst
-    L0 = max(P.L, 1)
-    Lw = L0 + 2 * m + n
-    ex = []
-    for j in range(m):
-        eta = gen(Lw, L0 + 2 * j) * gen(Lw, L0 + 2 * j + 1)
-        ex.append(P.x[j].embed(Lw) + eta)
-    th = []
-    for s in range(n):
-        th.append(P.theta[s].embed(Lw) + gen(Lw, L0 + 2 * m + s))
-    out = F.evaluate(SuperPoint(tuple(ex), tuple(th)))
-    masks = [(1 << (L0 + 2 * j)) | (1 << (L0 + 2 * j + 1)) for j in range(m)]
-    masks += [1 << (L0 + 2 * m + s) for s in range(n)]
-    return _node_array(
-        (v.coefficient(mask) for v in out.x + out.theta for mask in masks),
-        (p + q, m + n),
-    )
+    J = _seeded_derivatives(F, P)
+    rows, cols = sum(F.dst), sum(F.src)
+    return _node_array((J[c][r].body for r in range(rows) for c in range(cols)),
+                       (rows, cols))
 
 
 def map_super_jacobian(F: SuperMap, P: SuperPoint):
@@ -658,51 +653,13 @@ def map_super_jacobian(F: SuperMap, P: SuperPoint):
     Rows are indexed by the source variables (even q's first, then odd
     parameters), columns by the target components, every derivative taken
     from the left:  J[r][c] = d F_c / d z_r.  Entries are exact Supernumbers
-    in P's algebra, extracted from one evaluation at nilpotently seeded
-    arguments (an unused generator pair per even slot, an unused generator
-    per odd slot).  Requires a square map.
+    in P's algebra, read from one evaluation at nilpotently seeded arguments.
+    Requires a square map.
     """
     m, n = F.src
     if F.dst != (m, n):
         raise GrassmannError("super-Jacobian assembly expects a square map")
-    L0 = max(P.L, 1)
-    Lw = L0 + 2 * m + n
-    seed_mask = 0
-    ex = []
-    for j in range(m):
-        eta = gen(Lw, L0 + 2 * j) * gen(Lw, L0 + 2 * j + 1)
-        seed_mask |= (1 << (L0 + 2 * j)) | (1 << (L0 + 2 * j + 1))
-        ex.append(P.x[j].embed(Lw) + eta)
-    th = []
-    for s in range(n):
-        seed_mask |= 1 << (L0 + 2 * m + s)
-        th.append(P.theta[s].embed(Lw) + gen(Lw, L0 + 2 * m + s))
-    out = F.evaluate(SuperPoint(tuple(ex), tuple(th)))
-    vals = list(out.x) + list(out.theta)
-
-    def extract(v: Supernumber, want: int, odd_seed: bool) -> Supernumber:
-        terms = {}
-        for mask, c in v.terms.items():
-            if mask & seed_mask != want:
-                continue
-            rest = mask & ~seed_mask
-            if odd_seed and rest.bit_count() & 1:
-                c = -c
-            terms[rest] = c
-        return Supernumber(L0, terms)
-
-    rows = []
-    for j in range(m):  # derivatives along even variables
-        want = (1 << (L0 + 2 * j)) | (1 << (L0 + 2 * j + 1))
-        rows.append([extract(v, want, False) for v in vals])
-    for s in range(n):  # left derivatives along odd variables
-        want = 1 << (L0 + 2 * m + s)
-        rows.append([extract(v, want, True) for v in vals])
-    A = [[rows[r][c] for c in range(m)] for r in range(m)]
-    C = [[rows[r][m + c] for c in range(n)] for r in range(m)]
-    D = [[rows[m + r][c] for c in range(m)] for r in range(n)]
-    B = [[rows[m + r][m + c] for c in range(n)] for r in range(n)]
-    return from_blocks(A, C, D, B, L=L0)
+    return Supermatrix(m, n, _seeded_derivatives(F, P), max(P.L, 1))
 
 
 # ---------------------------------------------------------------------------

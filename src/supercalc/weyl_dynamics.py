@@ -36,11 +36,14 @@ from .grassmann import (
     GrassmannDomainError,
     GrassmannError,
     Supernumber,
+    _as_super,
     apply_analytic,
     gen,
-    gen_left_derivative,
     inverse,
+    rk4_step,
     scalar,
+    seed,
+    seed_parts,
     zero,
 )
 
@@ -79,12 +82,6 @@ _SQRT = AnalyticSpec.named("sqrt")
 # coercion helpers
 # ---------------------------------------------------------------------------
 
-def _as_super(v) -> Supernumber:
-    if isinstance(v, Supernumber):
-        return v
-    return Supernumber(0, {0: complex(v)})
-
-
 def _coerce_tuple(vals, count: int, label: str) -> Tuple[Supernumber, ...]:
     vals = tuple(vals)
     if len(vals) != count:
@@ -104,11 +101,6 @@ def _check_parity(group: Sequence[Supernumber], want: str, label: str) -> None:
     for v in group:
         if not v.is_zero() and v.parity != want:
             raise GrassmannDomainError(f"{label} components must be {want}")
-
-
-def _restrict(X: Supernumber, L: int) -> Supernumber:
-    """Drop into the L-generator subalgebra (all masks must already fit)."""
-    return X.embed(L)
 
 
 def _sinc(z: complex) -> complex:
@@ -411,9 +403,9 @@ class SuperHamiltonian:
     ``fn(t, x, xi, theta, pi)`` receives tuples of supernumbers in a shared
     algebra and must return an even supernumber of that algebra (it may not
     introduce new generators).  Odd-slot derivatives follow the left
-    convention.  ``partials`` optionally supplies closed forms; otherwise
-    each derivative is extracted exactly from one evaluation seeded with
-    fresh nilpotent generators.
+    convention.  ``partials`` optionally supplies closed forms; otherwise the
+    whole gradient is read from one evaluation of ``fn`` in which every slot
+    is seeded with fresh nilpotent generators (grassmann.seed).
     """
 
     def __init__(self, fn: Callable, even_count: int, odd_count: int,
@@ -450,86 +442,28 @@ class SuperHamiltonian:
 
     # -- derivatives --------------------------------------------------------
 
-    def _seeded_even(self, t, groups, L, gi: int, j: int) -> Supernumber:
-        """d/d(slot) for an even slot, one evaluation with a nilpotent seed."""
-        Lw = L + 2
-        seed = gen(Lw, L) * gen(Lw, L + 1)
-        lifted = [list(_embed_all(g, Lw)) for g in groups]
-        lifted[gi][j] = lifted[gi][j] + seed
-        val = _as_super(self.fn(t, *(tuple(g) for g in lifted)))
-        if val.L > Lw:
-            raise GrassmannError("Hamiltonian escaped the seeded algebra")
-        val = val.embed(Lw)
-        hi = (1 << L) | (1 << (L + 1))
-        picked = {m ^ hi: c for m, c in val.terms.items() if (m & hi) == hi}
-        return _restrict(Supernumber(Lw, picked), L)
-
-    def _seeded_odd(self, t, groups, L, gi: int, j: int) -> Supernumber:
-        """Left derivative for an odd slot via one fresh-generator seed."""
-        Lw = L + 1
-        seed = gen(Lw, L)
-        lifted = [list(_embed_all(g, Lw)) for g in groups]
-        lifted[gi][j] = lifted[gi][j] + seed
-        val = _as_super(self.fn(t, *(tuple(g) for g in lifted)))
-        if val.L > Lw:
-            raise GrassmannError("Hamiltonian escaped the seeded algebra")
-        return _restrict(gen_left_derivative(val.embed(Lw), L), L)
-
     def gradient(self, t: float, x, xi, theta, pi) -> _Deriv:
         """(dH/dx, dH/dxi, dH/dtheta, dH/dpi), odd slots in left convention."""
+        if self.partials is None:
+            return self.seeded_gradient(t, x, xi, theta, pi)
         (xs, xis, ths, pis), L = self._prepare(x, xi, theta, pi)
-        if self.partials is not None:
-            out = self.partials(t, xs, xis, ths, pis)
-            return tuple(
-                tuple(_as_super(v).embed(L) for v in grp) for grp in out
-            )  # type: ignore[return-value]
-        groups = (xs, xis, ths, pis)
-        d_x = tuple(self._seeded_even(t, groups, L, 0, j) for j in range(self.even_count))
-        d_xi = tuple(self._seeded_even(t, groups, L, 1, j) for j in range(self.even_count))
-        d_th = tuple(self._seeded_odd(t, groups, L, 2, j) for j in range(self.odd_count))
-        d_pi = tuple(self._seeded_odd(t, groups, L, 3, j) for j in range(self.odd_count))
-        return d_x, d_xi, d_th, d_pi
+        out = self.partials(t, xs, xis, ths, pis)
+        return tuple(
+            tuple(_as_super(v).embed(L) for v in grp) for grp in out
+        )  # type: ignore[return-value]
 
     def seeded_gradient(self, t: float, x, xi, theta, pi) -> _Deriv:
-        """Always-seeded gradient (bypasses closed-form partials)."""
-        saved, self.partials = self.partials, None
-        try:
-            return self.gradient(t, x, xi, theta, pi)
-        finally:
-            self.partials = saved
-
-
-def _hamilton_field(h: SuperHamiltonian, t: float, s: FlowState) -> _Deriv:
-    """Canonical vector field: (H_xi, -H_x, -H_pi, -H_theta)."""
-    d_x, d_xi, d_th, d_pi = h.gradient(t, s.x, s.xi, s.theta, s.pi)
-    return (d_xi,
-            tuple(-v for v in d_x),
-            tuple(-v for v in d_pi),
-            tuple(-v for v in d_th))
-
-
-def _shift_state(s: FlowState, d: _Deriv, h: float, t: float) -> FlowState:
-    return FlowState(
-        t=t,
-        x=tuple(a + h * b for a, b in zip(s.x, d[0])),
-        xi=tuple(a + h * b for a, b in zip(s.xi, d[1])),
-        theta=tuple(a + h * b for a, b in zip(s.theta, d[2])),
-        pi=tuple(a + h * b for a, b in zip(s.pi, d[3])),
-    )
-
-
-def _rk4_next(s: FlowState, k1: _Deriv, k2: _Deriv, k3: _Deriv, k4: _Deriv,
-              h: float, t_next: float) -> FlowState:
-    def comb(a, b1, b2, b3, b4):
-        return a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-
-    return FlowState(
-        t=t_next,
-        x=tuple(comb(*z) for z in zip(s.x, k1[0], k2[0], k3[0], k4[0])),
-        xi=tuple(comb(*z) for z in zip(s.xi, k1[1], k2[1], k3[1], k4[1])),
-        theta=tuple(comb(*z) for z in zip(s.theta, k1[2], k2[2], k3[2], k4[2])),
-        pi=tuple(comb(*z) for z in zip(s.pi, k1[3], k2[3], k3[3], k4[3])),
-    )
+        """Gradient read from one seeded evaluation of fn, ignoring
+        closed-form partials."""
+        (xs, xis, ths, pis), L = self._prepare(x, xi, theta, pi)
+        k, o = self.even_count, self.odd_count
+        even, odd, masks = seed(xs + xis, ths + pis, L)
+        val = _as_super(self.fn(t, even[:k], even[k:], odd[:o], odd[o:]))
+        if val.L > L + 4 * k + 2 * o:
+            raise GrassmannError("Hamiltonian escaped the seeded algebra")
+        parts = seed_parts(val, L)
+        d = [parts.get(mask, zero(L)) for mask in masks]
+        return tuple(d[:k]), tuple(d[k:2 * k]), tuple(d[2 * k:2 * k + o]), tuple(d[2 * k + o:])
 
 
 def super_hamilton_flow(hamiltonian: SuperHamiltonian, initial: FlowState,
@@ -550,21 +484,25 @@ def super_hamilton_flow(hamiltonian: SuperHamiltonian, initial: FlowState,
     if abs(grid[0] - initial.t) > 1e-12:
         raise GrassmannError("t_grid must start at the initial time")
     hamiltonian.value_at(initial)  # parity / wellformedness guard
+    k, o = initial.even_count, initial.odd_count
+
+    def groups(y):
+        """(x, xi, theta, pi) of a flat state x + xi + theta + pi."""
+        return y[:k], y[k:2 * k], y[2 * k:2 * k + o], y[2 * k + o:]
+
+    def field(t, y):
+        # canonical vector field (H_xi, -H_x, -H_pi, -H_theta)
+        d_x, d_xi, d_th, d_pi = hamiltonian.gradient(t, *groups(y))
+        return d_xi + tuple(-v for v in d_x + d_pi + d_th)
+
     out = [initial]
-    cur = initial
     for t_next in grid[1:]:
+        cur = out[-1]
         h = t_next - cur.t
         if not (h > 0) or not math.isfinite(h):
             raise GrassmannError("t_grid must increase strictly")
-        k1 = _hamilton_field(hamiltonian, cur.t, cur)
-        mid1 = _shift_state(cur, k1, h / 2.0, cur.t + h / 2.0)
-        k2 = _hamilton_field(hamiltonian, mid1.t, mid1)
-        mid2 = _shift_state(cur, k2, h / 2.0, cur.t + h / 2.0)
-        k3 = _hamilton_field(hamiltonian, mid2.t, mid2)
-        end = _shift_state(cur, k3, h, cur.t + h)
-        k4 = _hamilton_field(hamiltonian, end.t, end)
-        cur = _rk4_next(cur, k1, k2, k3, k4, h, t_next)
-        out.append(cur)
+        y = rk4_step(field, cur.t, cur.x + cur.xi + cur.theta + cur.pi, h)
+        out.append(FlowState(t_next, *groups(y)))
     return out
 
 

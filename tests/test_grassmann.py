@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -321,3 +322,29 @@ def test_json_schema_shape_and_validation():
         gr.from_json("not json")
     with pytest.raises(GrassmannError):
         gr.from_json('{"terms": []}')
+
+
+# ---------------------------------------------------------------------------
+# nilpotent seeding, overflow, JSON of what from_json cannot read
+# ---------------------------------------------------------------------------
+
+def test_seed_places_fresh_generators_and_reads_them_back_on_the_left():
+    even, odd, masks = gr.seed((gr.scalar(1, 0.5),), (gr.gen(1, 0),), 1)
+    assert masks == [0b011, 0b100]
+    assert even == (Supernumber(4, {0: 0.5, 0b0110: 1.0}),)
+    assert odd == (Supernumber(4, {0b0001: 1.0, 0b1000: 1.0}),)
+    # sigma_0 sigma_2 = -sigma_2 sigma_0, so over L=1 the sigma_2 part is -sigma_0
+    parts = gr.seed_parts(gr.gen(3, 0) * gr.gen(3, 2), 1)
+    assert parts == {0b10: Supernumber(1, {0b1: -1.0})}
+
+
+def test_inverse_that_overflows_raises():
+    with pytest.raises(GrassmannDomainError):
+        gr.inverse(Supernumber(2, {0: 1e-200, 0b11: 1.0}))
+
+
+def test_to_json_rejects_values_from_json_cannot_read():
+    with pytest.raises(GrassmannError):
+        gr.to_json(Supernumber(2, {0: math.nan, 1: math.inf}))
+    with pytest.raises(GrassmannError):
+        gr.to_json(Supernumber(1, {0: np.array([1.0, 2.0])}))

@@ -378,3 +378,9 @@ def test_pfaffian_odd_size_and_validation():
         pfaffian([[z, b], [b, z]])  # symmetric, not antisymmetric
     with pytest.raises(GrassmannDomainError):
         pfaffian([[z, gr.gen(L, 0)], [-1.0 * gr.gen(L, 0), z]])  # odd entries
+
+
+def test_sdet_that_overflows_raises():
+    s0, s1 = gr.gen(2, 0), gr.gen(2, 1)
+    with pytest.raises(GrassmannDomainError):
+        sdet(from_blocks([[1.0]], [[s0]], [[s1]], [[1e-300]], L=2))

@@ -37,6 +37,7 @@ from supercalc.superspace import (
     identity_map,
     invert_map,
     map_body_jacobian,
+    map_super_jacobian,
     parse_expression,
     partial,
 )
@@ -569,3 +570,11 @@ def test_supermap_shape_checks():
         fwd.evaluate(sample_point(rng, 1, 2, 4))
     with pytest.raises(GrassmannError):
         SuperMap((1, 1), (1, 1), [])
+
+
+def test_body_jacobian_is_the_transposed_body_of_the_super_jacobian():
+    rng = np.random.default_rng(37)
+    for F in (*chain_maps(), *lac_pair()):
+        P = sample_point(rng, 2, 2, 4)
+        J = map_super_jacobian(F, P)
+        assert np.array_equal(map_body_jacobian(F, P), J.body_matrix().T)
