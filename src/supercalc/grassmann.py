@@ -16,6 +16,24 @@ node.  Such a batch runs every node through one sequence of operations, and a
 decision that depends on the coefficients (a zero body, say) is taken for all
 nodes at once.
 
+Products
+--------
+A product takes one of two paths, chosen from its operands alone; both give
+the same coefficients up to the order of summation.
+
+* The dict loop visits every pair of terms, skips the overlapping ones and
+  adds the rest with their sort sign.  Its cost grows with the pair count
+  len(X) * len(Y).
+* The table kernel scatters both operands into length-2^L vectors and takes
+  all 3^L disjoint mask pairs (J, K) at once from a per-L table, built on first
+  use and cached: x[J] * y[K] * sign, summed into J|K.  Its cost grows with
+  3^L, whatever the operands' density.
+
+The kernel takes a product when L <= 12 and its pair count is at least 512
+and at least 3^L / 4; these are where the two paths measured even.  Larger L
+never builds a table (it would hold 3^L pairs).  Products with a batch
+coefficient or a non-finite one take the dict loop.
+
 Conventions
 -----------
 * ``body(X)`` is the coefficient at the empty product (mask 0); ``soul(X)`` is
@@ -29,6 +47,7 @@ Conventions
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -91,6 +110,68 @@ def _reorder_sign(mj: int, mk: int) -> int:
         count += (mj >> low.bit_length()).bit_count()
         kk ^= low
     return -1 if (count & 1) else 1
+
+
+# Where a product goes to the table kernel (see "Products" above): L at most
+# _TABLE_MAX_L, and a term-pair count at least _TABLE_MIN_PAIRS and at least
+# 3^L / _TABLE_ENTRIES_PER_PAIR.  Picked from per-product timings.
+_TABLE_MAX_L = 12
+_TABLE_MIN_PAIRS = 512
+_TABLE_ENTRIES_PER_PAIR = 4
+
+
+@functools.cache
+def _pair_table(L: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Every disjoint pair (J, K) of L-generator masks, 3^L of them.
+
+    Returns J, K, the bins 2(J|K) and 2(J|K) + 1 of each pair's real and
+    imaginary part, interleaved, and the count of pairs whose sort sign
+    (that of ``_reorder_sign``) is +1; those pairs come first.  The arrays are
+    uint16 (L <= _TABLE_MAX_L) and read-only.
+    """
+    J = K = np.zeros(1, dtype=np.uint16)
+    for i in range(L):
+        bit = np.uint16(1 << i)
+        J, K = np.concatenate([J, J | bit, J]), np.concatenate([K, K, K | bit])
+    negative = np.zeros(J.size, dtype=np.uint16)
+    for i in range(L):
+        negative ^= (K >> i) & np.bitwise_count(J >> (i + 1)) & 1
+    order = np.argsort(negative, kind="stable")
+    J, K = J[order], K[order]
+    bins = np.repeat(2 * (J | K), 2)
+    bins[1::2] += 1
+    for a in (J, K, bins):
+        a.flags.writeable = False
+    return J, K, bins, J.size - int(np.count_nonzero(negative))
+
+
+def _dense_coefficients(X: Supernumber) -> np.ndarray | None:
+    """X as a length-2^L vector, or None when a coefficient is a batch or not
+    finite (inf times an absent 0 would put NaN where the dict loop puts nothing)."""
+    values = X._terms.values()
+    if not {complex}.issuperset(map(type, values)):
+        return None
+    n = len(values)
+    out = np.zeros(1 << X.L, dtype=complex)
+    out[np.fromiter(X._terms, dtype=np.intp, count=n)] = np.fromiter(values, dtype=complex, count=n)
+    return out if np.isfinite(out).all() else None
+
+
+def _table_product(a: Supernumber, b: Supernumber) -> Supernumber | None:
+    """a * b (same L) over the pair table: x[J] y[K] times the sort sign, summed
+    into J|K.  None when an operand cannot be written as one dense vector."""
+    x = _dense_coefficients(a)
+    y = None if x is None else _dense_coefficients(b)
+    if y is None:
+        return None
+    J, K, bins, positive = _pair_table(a.L)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, as in the dict loop
+        t = np.take(x, J)
+        t *= np.take(y, K)
+        np.negative(t[positive:], out=t[positive:])
+        out = np.bincount(bins, weights=t.view(np.float64), minlength=2 << a.L).view(complex)
+    nonzero = np.flatnonzero(out)
+    return Supernumber(a.L, dict(zip(nonzero.tolist(), out[nonzero].tolist())))
 
 
 class Supernumber:
@@ -211,6 +292,12 @@ class Supernumber:
         a, b = self._promote(other)
         if b is NotImplemented:
             return NotImplemented
+        pairs = len(a._terms) * len(b._terms)
+        if (pairs >= _TABLE_MIN_PAIRS and a.L <= _TABLE_MAX_L
+                and pairs * _TABLE_ENTRIES_PER_PAIR >= 3 ** a.L):
+            out = _table_product(a, b)
+            if out is not None:
+                return out
         acc: Dict[int, complex] = {}
         for mj, cj in a._terms.items():
             for mk, ck in b._terms.items():
@@ -254,7 +341,11 @@ class Supernumber:
             other = Supernumber(self.L, {0: complex(other)})
         if not isinstance(other, Supernumber):
             return NotImplemented
-        return self._terms == other._terms
+        mine, theirs = self._terms, other._terms
+        if mine.keys() != theirs.keys():
+            return False
+        return all(c == theirs[m] if type(c) is complex and type(theirs[m]) is complex
+                   else np.array_equal(c, theirs[m]) for m, c in mine.items())
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
@@ -593,8 +684,9 @@ def rk4_step(field: Callable, t: float, y: Tuple[Supernumber, ...],
 
 
 def chop(X: Supernumber, tol: float) -> Supernumber:
-    """Drop coefficients with |c| <= tol (for long numerically-driven runs)."""
-    return Supernumber(X.L, {m: c for m, c in X._terms.items() if abs(c) > tol})
+    """Drop coefficients with |c| <= tol, at every node for a batch (for long
+    numerically-driven runs)."""
+    return Supernumber(X.L, {m: c for m, c in X._terms.items() if _modulus(c) > tol})
 
 
 # ---------------------------------------------------------------------------
@@ -609,32 +701,35 @@ def _is_finite(X) -> bool:
                for c in coeffs)
 
 
+def _modulus(c) -> float:
+    """|c|, the largest over the nodes of a batch."""
+    return float(np.abs(c).max()) if isinstance(c, np.ndarray) else abs(c)
+
+
 def max_abs(X: Supernumber) -> float:
     """Largest coefficient modulus, over all nodes for a batch."""
-    return max(
-        (float(np.abs(c).max()) if isinstance(c, np.ndarray) else abs(c)
-         for c in X._terms.values()),
-        default=0.0,
-    )
+    return max(map(_modulus, X._terms.values()), default=0.0)
 
 
 def weighted_dist(X: Supernumber) -> float:
     """Diagnostic weighted norm sum_I 2^{-mask(I)} |X_I| / (1 + |X_I|).
 
     Only a diagnostic: every series in this package terminates, so no
-    convergence decision is ever based on this value.
+    convergence decision is ever based on this value.  For a batch, |X_I| is
+    the largest over the nodes.
     """
     total = 0.0
     for m, c in X._terms.items():
-        a = abs(c)
+        a = _modulus(c)
         total += math.ldexp(a / (1.0 + a), -min(m, 1074))
     return total
 
 
 def max_coeff_diff(X: Supernumber, Y: Supernumber) -> float:
+    """Largest coefficient difference, over all nodes for a batch."""
     masks = set(X._terms) | set(Y._terms)
     return max(
-        (abs(X._terms.get(m, 0j) - Y._terms.get(m, 0j)) for m in masks),
+        (_modulus(X._terms.get(m, 0j) - Y._terms.get(m, 0j)) for m in masks),
         default=0.0,
     )
 

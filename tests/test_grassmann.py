@@ -292,6 +292,38 @@ def test_chop_and_diagnostics():
     assert abs(gr.weighted_dist(x) - expect) < 1e-16
 
 
+def _batch(c0, c1):
+    return Supernumber(2, {0: np.array(c0), 1: np.array(c1)})
+
+
+def test_chop_on_a_batch_drops_a_mask_only_when_every_node_is_small():
+    x = _batch([1.0, 2.0], [1e-20, 3.0])
+    assert gr.chop(x, 1e-12) == x
+    assert gr.chop(x, 2.5) == Supernumber(2, {1: np.array([1e-20, 3.0])})
+    assert gr.chop(_batch([1.0, 2.0], [1e-20, -1e-15]), 1e-12) == Supernumber(
+        2, {0: np.array([1.0, 2.0])})
+
+
+def test_distances_on_a_batch_take_the_largest_node():
+    x = _batch([1.0, 2.0], [1e-20, 3.0])
+    y = _batch([1.0, 2.5], [1e-20, 3.0])
+    assert gr.max_coeff_diff(x, y) == 0.5
+    assert gr.max_coeff_diff(x, x) == 0.0
+    assert gr.approx_eq(x, x) and not gr.approx_eq(x, y)
+    assert gr.max_coeff_diff(x, Supernumber(2, {0: 2.0})) == 3.0
+    # weights: mask 0 at |c| = 2, mask 1 at |c| = 3
+    assert abs(gr.weighted_dist(x) - (2.0 / 3.0 + (3.0 / 4.0) / 2)) < 1e-16
+
+
+def test_batches_compare_equal_node_by_node():
+    x = _batch([1.0, 2.0], [1e-20, 3.0])
+    assert x == _batch([1.0, 2.0], [1e-20, 3.0])
+    assert not x == _batch([1.0, 2.0], [1e-20, 4.0])
+    assert x != _batch([1.0, 2.0], [1e-20, 4.0])
+    assert x != Supernumber(2, {0: np.array([1.0, 2.0])})
+    assert Supernumber(2, {0: np.array([2.0, 2.0])}) != 2
+
+
 # ---------------------------------------------------------------------------
 # JSON round trip
 # ---------------------------------------------------------------------------
