@@ -34,6 +34,7 @@ from .grassmann import (
     GrassmannDomainError,
     GrassmannError,
     Supernumber,
+    _DROP_ZEROS,
     _as_super,
     _is_finite,
     apply_analytic,
@@ -106,9 +107,9 @@ def _weighted_sum(weights: np.ndarray, values):
     with np.errstate(invalid="ignore"):
         if isinstance(values, Supernumber):
             return Supernumber(values.L, {
-                m: np.dot(weights, np.broadcast_to(c, weights.shape))
-                for m, c in values.terms.items()
-            })
+                m: complex(np.dot(weights, np.broadcast_to(c, weights.shape)))
+                for m, c in values._terms.items()
+            }, _DROP_ZEROS)
         return complex(np.dot(weights, np.broadcast_to(values, weights.shape)))
 
 
@@ -121,10 +122,10 @@ def _on_nodes(fn, q):
     L = max(v.L for v in values if isinstance(v, Supernumber))
     terms: Dict[int, np.ndarray] = {}
     for k, v in enumerate(values):
-        node = v.terms if isinstance(v, Supernumber) else {0: v}
+        node = v._terms if isinstance(v, Supernumber) else {0: v}
         for mask, c in node.items():
             terms.setdefault(mask, np.zeros(len(values), dtype=complex))[k] = c
-    return Supernumber(L, terms)
+    return Supernumber(L, terms, _DROP_ZEROS)
 
 
 def _per_chunk(integrand):

@@ -34,6 +34,19 @@ and at least 3^L / 4; these are where the two paths measured even.  Larger L
 never builds a table (it would hold 3^L pairs).  Products with a batch
 coefficient or a non-finite one take the dict loop.
 
+Construction
+------------
+Every element keeps three invariants: masks lie in [0, 2^L), coefficients
+are exactly ``complex`` or 1-D complex arrays, and no coefficient is 0 (at
+every node, for a batch).  Input from outside is validated:
+``Supernumber(L, terms)``, ``make``, ``scalar``, ``gen`` and ``from_json``
+check the masks, convert the coefficients and drop zeros.  Results the
+package computes from elements that already keep the invariants (sums,
+products, negation, scaling, ``embed``, ``soul``, ``seed_parts`` and the
+like) take a trusted branch of the constructor that only drops zeros, or
+stores the dict as given when it cannot hold one; the ``Supernumber``
+docstring lists which operation takes which.
+
 Conventions
 -----------
 * ``body(X)`` is the coefficient at the empty product (mask 0); ``soul(X)`` is
@@ -171,15 +184,53 @@ def _table_product(a: Supernumber, b: Supernumber) -> Supernumber | None:
         np.negative(t[positive:], out=t[positive:])
         out = np.bincount(bins, weights=t.view(np.float64), minlength=2 << a.L).view(complex)
     nonzero = np.flatnonzero(out)
-    return Supernumber(a.L, dict(zip(nonzero.tolist(), out[nonzero].tolist())))
+    return Supernumber(a.L, dict(zip(nonzero.tolist(), out[nonzero].tolist())), _AS_IS)
+
+
+def _generator_count(L) -> int:
+    if L < 0:
+        raise GrassmannError("generator count L must be >= 0")
+    return int(L)
+
+
+# The private third argument of Supernumber(L, terms, trust): how far terms
+# computed inside the package are taken as given (see the class docstring).
+_VALIDATE = 0
+_DROP_ZEROS = 1
+_AS_IS = 2
 
 
 class Supernumber:
     """Immutable sparse element of the L-generator algebra.
 
     Do not mutate ``_terms`` after construction; all public operations return
-    new instances.  Coefficients exactly equal to 0 (at every node, for a
-    batch) are never stored.
+    new instances.  Every stored element keeps three invariants: each mask is
+    in [0, 2^L); each coefficient is exactly ``complex`` or a complex
+    ``ndarray`` (a batch); no coefficient is 0 (at every node, for a batch).
+
+    ``Supernumber(L, terms)`` validates its input: it checks each mask's range,
+    converts each coefficient to ``complex`` (an array to a complex array) and
+    drops zeros.  So do ``make``, ``scalar``, ``gen`` and ``from_json``, which
+    build through it.
+
+    Results the package computes itself from elements that already keep the
+    invariants pass a private third argument and skip the checks:
+
+    * ``_DROP_ZEROS`` keeps every mask and coefficient as given and drops only
+      the zeros (a batch only when it is 0 at every node): ``+``, ``-`` between
+      elements, the dict-loop product, a number or array times an element,
+      division by a number, a number promoted to a constant, and
+      ``gen_left_derivative``;
+    * ``_AS_IS`` stores the dict itself, which must already be clean: ``-X``,
+      ``embed``, the table-kernel product, ``zero``, ``one``, ``soul``,
+      ``degree_filter``, ``conjugate``, ``chop``, ``seed`` and ``seed_parts``.
+
+    The caller of either branch guarantees the masks are in range and the
+    coefficients are exactly ``complex`` or complex arrays: a ``np.complex128``
+    stored here would send later products back to the dict loop (see
+    ``_dense_coefficients``).  Arithmetic on clean coefficients stays clean
+    (complex op complex is complex; complex op complex array is a complex
+    array); a value from numpy, such as ``np.dot``, is converted first.
     """
 
     __slots__ = ("L", "_terms")
@@ -188,10 +239,17 @@ class Supernumber:
     # __rmul__ instead of broadcasting over this object
     __array_ufunc__ = None
 
-    def __init__(self, L: int, terms: Mapping[int, complex] | None = None):
-        if L < 0:
-            raise GrassmannError("generator count L must be >= 0")
-        self.L = int(L)
+    def __init__(self, L: int, terms: Mapping[int, complex] | None = None,
+                 _trust: int = _VALIDATE):
+        if _trust:
+            self.L = L
+            if _trust == _AS_IS:
+                self._terms = terms
+            else:
+                self._terms = {m: c for m, c in terms.items()
+                               if (c != 0 if type(c) is complex else np.count_nonzero(c))}
+            return
+        self.L = _generator_count(L)
         clean: Dict[int, complex] = {}
         if terms:
             top = 1 << self.L
@@ -254,16 +312,17 @@ class Supernumber:
             L = max(self.L, other.L)
             return self.embed(L), other.embed(L)
         if isinstance(other, (int, float, complex)):
-            return self, Supernumber(self.L, {0: complex(other)})
+            return self, Supernumber(self.L, {0: complex(other)}, _DROP_ZEROS)
         return self, NotImplemented  # type: ignore[return-value]
 
     def embed(self, L: int) -> "Supernumber":
         """Reinterpret in an algebra with L >= self.L generators."""
+        L = _generator_count(L)
         if L < self.L:
             for m in self._terms:
                 if m >> L:
                     raise GrassmannError("cannot shrink below occupied generators")
-        return Supernumber(L, self._terms)
+        return Supernumber(L, self._terms, _AS_IS)
 
     def __add__(self, other):
         a, b = self._promote(other)
@@ -272,12 +331,12 @@ class Supernumber:
         out = dict(a._terms)
         for m, c in b._terms.items():
             out[m] = out[m] + c if m in out else c
-        return Supernumber(a.L, out)
+        return Supernumber(a.L, out, _DROP_ZEROS)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Supernumber(self.L, {m: -c for m, c in self._terms.items()})
+        return Supernumber(self.L, {m: -c for m, c in self._terms.items()}, _AS_IS)
 
     def __sub__(self, other):
         a, b = self._promote(other)
@@ -309,21 +368,22 @@ class Supernumber:
                     acc[m] = acc[m] + v if m in acc else v
                 else:
                     acc[m] = acc[m] - v if m in acc else -v
-        return Supernumber(a.L, acc)
+        return Supernumber(a.L, acc, _DROP_ZEROS)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
             c = complex(other)
         elif isinstance(other, np.ndarray):
-            c = other
+            # a 0-d array times a coefficient would give a numpy scalar
+            c = complex(other) if other.ndim == 0 else np.asarray(other, dtype=complex)
         else:
             return NotImplemented
-        return Supernumber(self.L, {m: c * v for m, v in self._terms.items()})
+        return Supernumber(self.L, {m: c * v for m, v in self._terms.items()}, _DROP_ZEROS)
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, complex)):
             c = complex(other)
-            return Supernumber(self.L, {m: v / c for m, v in self._terms.items()})
+            return Supernumber(self.L, {m: v / c for m, v in self._terms.items()}, _DROP_ZEROS)
         if isinstance(other, Supernumber):
             return self * inverse(other)
         return NotImplemented
@@ -338,7 +398,7 @@ class Supernumber:
 
     def __eq__(self, other):
         if isinstance(other, (int, float, complex)):
-            other = Supernumber(self.L, {0: complex(other)})
+            other = Supernumber(self.L, {0: complex(other)}, _DROP_ZEROS)
         if not isinstance(other, Supernumber):
             return NotImplemented
         mine, theirs = self._terms, other._terms
@@ -374,11 +434,11 @@ def make(L: int, terms: Mapping[int, complex] | Iterable[Tuple[int, complex]]) -
 
 
 def zero(L: int) -> Supernumber:
-    return Supernumber(L, {})
+    return Supernumber(_generator_count(L), {}, _AS_IS)
 
 
 def one(L: int) -> Supernumber:
-    return Supernumber(L, {0: 1.0 + 0j})
+    return Supernumber(_generator_count(L), {0: 1.0 + 0j}, _AS_IS)
 
 
 def scalar(L: int, c) -> Supernumber:
@@ -398,7 +458,7 @@ def _as_super(x, L: int | None = None) -> Supernumber:
     becomes a constant."""
     if isinstance(x, Supernumber):
         return x if L is None or x.L == L else x.embed(L)
-    return Supernumber(L or 0, {0: complex(x)})
+    return Supernumber(_generator_count(L or 0), {0: complex(x)}, _DROP_ZEROS)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +470,7 @@ def body(X: Supernumber) -> complex:
 
 
 def soul(X: Supernumber) -> Supernumber:
-    return Supernumber(X.L, {m: c for m, c in X._terms.items() if m != 0})
+    return Supernumber(X.L, {m: c for m, c in X._terms.items() if m != 0}, _AS_IS)
 
 
 def parity(X: Supernumber) -> str:
@@ -424,7 +484,7 @@ def project(X: Supernumber, mask: int) -> complex:
 
 def degree_filter(X: Supernumber, k: int) -> Supernumber:
     """Part of X whose monomials have exactly k generators."""
-    return Supernumber(X.L, {m: c for m, c in X._terms.items() if m.bit_count() == k})
+    return Supernumber(X.L, {m: c for m, c in X._terms.items() if m.bit_count() == k}, _AS_IS)
 
 
 def _any_zero(b) -> bool:
@@ -470,7 +530,7 @@ def conjugate(X: Supernumber) -> Supernumber:
         k = m.bit_count()
         sgn = -1 if (k * (k - 1) // 2) & 1 else 1
         out[m] = sgn * c.conjugate()
-    return Supernumber(X.L, out)
+    return Supernumber(X.L, out, _AS_IS)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +681,7 @@ def gen_left_derivative(X: Supernumber, i: int) -> Supernumber:
             continue
         below = (m & (bit - 1)).bit_count()
         out[m ^ bit] = out.get(m ^ bit, 0j) + (-c if below & 1 else c)
-    return Supernumber(X.L, out)
+    return Supernumber(X.L, out, _DROP_ZEROS)
 
 
 def shift_generators(X: Supernumber, offset: int, L: int) -> Supernumber:
@@ -646,7 +706,7 @@ def seed(even: Sequence[Supernumber], odd: Sequence[Supernumber],
     m = len(even)
     Lw = L + 2 * m + len(odd)
     masks = [0b11 << 2 * j for j in range(m)] + [1 << 2 * m + s for s in range(len(odd))]
-    lifted = [v.embed(Lw) + Supernumber(Lw, {mask << L: 1.0})
+    lifted = [v.embed(Lw) + Supernumber(Lw, {mask << L: 1.0 + 0j}, _AS_IS)
               for v, mask in zip((*even, *odd), masks)]
     return tuple(lifted[:m]), tuple(lifted[m:]), masks
 
@@ -665,7 +725,7 @@ def seed_parts(X: Supernumber, L: int) -> Dict[int, Supernumber]:
         if (high.bit_count() * low.bit_count()) & 1:
             c = -c
         parts.setdefault(high, {})[low] = c
-    return {high: Supernumber(L, d) for high, d in parts.items()}
+    return {high: Supernumber(L, d, _AS_IS) for high, d in parts.items()}
 
 
 def rk4_step(field: Callable, t: float, y: Tuple[Supernumber, ...],
@@ -686,7 +746,7 @@ def rk4_step(field: Callable, t: float, y: Tuple[Supernumber, ...],
 def chop(X: Supernumber, tol: float) -> Supernumber:
     """Drop coefficients with |c| <= tol, at every node for a batch (for long
     numerically-driven runs)."""
-    return Supernumber(X.L, {m: c for m, c in X._terms.items() if _modulus(c) > tol})
+    return Supernumber(X.L, {m: c for m, c in X._terms.items() if _modulus(c) > tol}, _AS_IS)
 
 
 # ---------------------------------------------------------------------------

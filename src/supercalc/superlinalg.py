@@ -33,6 +33,8 @@ from .grassmann import (
     GrassmannDomainError,
     GrassmannError,
     Supernumber,
+    _AS_IS,
+    _DROP_ZEROS,
     _as_super,
     _is_finite,
     apply_analytic,
@@ -391,8 +393,8 @@ def _mat_sub(P, Q):
 def _take(X: Supernumber, nodes: np.ndarray) -> Supernumber:
     """The given nodes of a batch; scalar coefficients are shared by all."""
     return Supernumber(X.L, {
-        m: c[nodes] if isinstance(c, np.ndarray) else c for m, c in X.terms.items()
-    })
+        m: c[nodes] if isinstance(c, np.ndarray) else c for m, c in X._terms.items()
+    }, _DROP_ZEROS)
 
 
 def sdet(M: Supermatrix) -> Supernumber:
@@ -429,9 +431,9 @@ def _sdet(M: Supermatrix) -> Supernumber:
         out = {}
         for nodes in (np.flatnonzero(side_b), np.flatnonzero(~side_b)):
             part = Supermatrix(M.m, M.n, [[_take(e, nodes) for e in r] for r in M.rows], L)
-            for mask, c in _sdet(part).terms.items():
+            for mask, c in _sdet(part)._terms.items():
                 out.setdefault(mask, np.zeros(side_b.size, dtype=complex))[nodes] = c
-        return Supernumber(L, out)
+        return Supernumber(L, out, _AS_IS)
     if np.all(side_b):
         Binv = mat_inverse_even(B)
         Schur = _mat_sub(A, _mat_mul(_mat_mul(C, Binv, L), D, L))

@@ -351,7 +351,12 @@ def propagator_matrix_from_classical(t: float, p, hbar: float = 1.0,
 
 @dataclass(frozen=True)
 class FlowState:
-    """Phase point: time, even position/momentum, odd position/momentum."""
+    """Phase point: time, even position/momentum, odd position/momentum.
+
+    Any coefficient of x, xi, theta and pi may be a batch: a 1-D complex array
+    with one value per initial condition, the same length throughout (build
+    one with ``scalar(L, array)``).  The time t is one number shared by all.
+    """
 
     t: float
     x: Tuple[Supernumber, ...]
@@ -474,6 +479,13 @@ def super_hamilton_flow(hamiltonian: SuperHamiltonian, initial: FlowState,
     start at the initial time and increase strictly.  Degree bookkeeping
     needs no special handling: the graded arithmetic keeps lower-degree
     components independent of higher-degree initial data automatically.
+
+    A batch in ``initial`` (see FlowState) runs every initial condition
+    through one sequence of steps; each node equals its own run up to
+    rounding.  ``t_grid`` and the Hamiltonian are shared by all nodes, and
+    the Hamiltonian's callables (``fn``, ``partials``, potentials) receive
+    batch elements and must act node by node.  A check on the coefficients,
+    such as a nonzero body under a square root, must hold at every node.
     """
     if hamiltonian.even_count != initial.even_count or \
             hamiltonian.odd_count != initial.odd_count:

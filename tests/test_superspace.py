@@ -42,6 +42,8 @@ from supercalc.superspace import (
     partial,
 )
 
+from supercalc.berezin import integrate_odd, odd_expand
+
 from helpers import close
 
 
@@ -430,6 +432,20 @@ def test_chain_rule_body_jacobian():
         assert np.max(np.abs(J_gof - J_g @ J_f)) < 1e-9
         # and the independent finite-difference oracle agrees
         assert np.max(np.abs(fd_body_jacobian(gof, P) - J_gof)) < 1e-7
+
+
+def test_seeding_nested_inside_a_seeded_evaluation():
+    # the map's component seeds fresh odd generators of its own (odd_expand)
+    # inside the evaluation that map_super_jacobian seeds: d(x^2)/dx at 1.5
+    class SquareViaBerezin:
+        def evaluate(self, P):
+            x = P.x[0]
+            expanded = odd_expand(lambda th: x * x * th[0] * th[1], 2, P.L)
+            return integrate_odd(expanded)
+
+    F = SuperMap((1, 0), (1, 0), [SquareViaBerezin()])
+    J = map_super_jacobian(F, SuperPoint((scalar(1, 1.5),), ()))
+    assert J.entry(0, 0) == scalar(1, 3.0)
 
 
 def test_compose_shape_mismatch_raises():

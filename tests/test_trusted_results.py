@@ -1,0 +1,138 @@
+"""Results the package builds without validation keep the element invariants.
+
+Internal results skip the public constructor's checks (see the Supernumber
+docstring), so every such result is checked here directly: each mask below
+2^L, each coefficient exactly ``complex`` or a 1-D complex array, and no
+coefficient 0 (at every node, for a batch).
+"""
+
+import numpy as np
+import pytest
+
+from supercalc import grassmann as gr
+from supercalc.berezin import _weighted_sum
+from supercalc.grassmann import Supernumber
+from supercalc.superlinalg import _take
+
+NODES = 5
+
+
+def assert_clean(X):
+    assert type(X) is Supernumber and type(X.L) is int and X.L >= 0
+    for m, c in X._terms.items():
+        assert type(m) is int and 0 <= m < 1 << X.L, m
+        if isinstance(c, np.ndarray):
+            assert c.dtype == complex and c.shape == (NODES,), c
+            assert c.any(), m
+        else:
+            assert type(c) is complex, type(c)
+            assert c != 0, m
+
+
+def random_element(rng, L, batch, density=0.5):
+    """Random element built through the public constructor; with batch set,
+    about half its coefficients carry NODES nodes."""
+    terms = {}
+    for m in range(1 << L):
+        if rng.random() < density:
+            if batch and rng.random() < 0.5:
+                terms[m] = rng.standard_normal(NODES) + 1j * rng.standard_normal(NODES)
+            else:
+                terms[m] = complex(rng.standard_normal(), rng.standard_normal())
+    return Supernumber(L, terms)
+
+
+def dict_loop_product(monkeypatch, a, b):
+    with monkeypatch.context() as m:
+        m.setattr(gr, "_TABLE_MAX_L", -1)
+        return a * b
+
+
+def trusted_results(X, Y, monkeypatch):
+    """Every internally built result of X and Y (same L) that the invariant covers."""
+    L = X.L
+    out = [X + Y, X - Y, Y - X, -X, X + 2, 3.5 - X, X + (-X),
+           dict_loop_product(monkeypatch, X, Y), X * Y, Y * X, X * 0,
+           2 * X, 1.5j * X, np.float64(0.5) * X, np.complex128(2 - 1j) * X,
+           np.array(3.0) * X, np.arange(NODES) * X, np.zeros(NODES) * X, 0 * X,
+           X / 4, X / np.float64(-2.0), X / (1 + 1j),
+           gr.soul(X), gr.conjugate(X), X.embed(L + 2), X.embed(L),
+           gr.chop(X, 0.5), gr.zero(L), gr.one(L)]
+    out += [gr.degree_filter(X, k) for k in range(L + 1)]
+    out += [gr.gen_left_derivative(X, i) for i in range(L)]
+    for low in range(L + 1):
+        out += list(gr.seed_parts(X, low).values())
+    even, odd, _ = gr.seed([X, Y], [X], L)
+    return out + list(even) + list(odd)
+
+
+@pytest.mark.parametrize("L", range(9))
+@pytest.mark.parametrize("batch", [False, True])
+def test_trusted_results_keep_the_invariants(L, batch, monkeypatch):
+    rng = np.random.default_rng([L, batch])
+    for _ in range(3):
+        X = random_element(rng, L, batch)
+        Y = random_element(rng, L, batch)
+        assert_clean(X)
+        assert_clean(Y)
+        for R in trusted_results(X, Y, monkeypatch):
+            assert_clean(R)
+
+
+def test_table_kernel_results_keep_the_invariants():
+    rng = np.random.default_rng(17)
+    for L in (6, 7, 8):
+        X = random_element(rng, L, False, density=0.9)
+        Y = random_element(rng, L, False, density=0.9)
+        kernel = gr._table_product(X, Y)
+        assert kernel is not None
+        assert_clean(kernel)
+        assert_clean(X * Y)
+        # a product that is 0 at every mask stores nothing
+        assert gr._table_product(X, gr.zero(L)).is_zero()
+
+
+def test_cancelling_sums_store_nothing():
+    rng = np.random.default_rng(19)
+    for batch in (False, True):
+        X = random_element(rng, 5, batch, density=1.0)
+        assert (X + (-X)).is_zero()
+        assert (X - X).is_zero()
+        assert gr.gen_left_derivative(X - X, 0).is_zero()
+
+
+def test_batch_that_cancels_at_every_node_is_dropped():
+    a = np.arange(1.0, NODES + 1)
+    X = Supernumber(3, {0: 1.0, 0b011: a, 0b101: 2.0})
+    Y = Supernumber(3, {0b011: -a})
+    total = X + Y
+    assert_clean(total)
+    assert set(total._terms) == {0, 0b101}
+    assert (np.zeros(NODES) * X).is_zero()
+
+
+def test_batch_that_cancels_at_some_nodes_is_kept():
+    a = np.arange(1.0, NODES + 1)
+    partial = np.where(np.arange(NODES) < 2, -a, 0.0)
+    X = Supernumber(3, {0b011: a})
+    total = X + Supernumber(3, {0b011: partial})
+    assert_clean(total)
+    assert np.array_equal(total.coefficient(0b011), [0, 0, 3, 4, 5])
+    mask = np.arange(NODES) % 2
+    assert np.array_equal((mask * X).coefficient(0b011), mask * a)
+
+
+def test_batch_helpers_of_other_modules_keep_the_invariants():
+    rng = np.random.default_rng(23)
+    X = random_element(rng, 4, True, density=0.8)
+    weights = rng.standard_normal(NODES)
+    summed = _weighted_sum(weights, X)
+    assert_clean(summed)
+    assert all(type(c) is complex for c in summed._terms.values())
+    assert _weighted_sum(np.zeros(NODES), X).is_zero()
+    # the nodes that are 0 in every batch coefficient select an empty element
+    zero_nodes = Supernumber(2, {1: np.array([0, 0, 1, 2, 3], dtype=complex)})
+    assert _take(zero_nodes, np.array([0, 1])).is_zero()
+    picked = _take(X, np.arange(NODES))
+    assert picked == X
+    assert_clean(picked)
