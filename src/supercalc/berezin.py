@@ -93,9 +93,11 @@ DEFAULT_QUAD = GaussQuadSpec()
 # Grid nodes per integrand call.  A larger chunk runs fewer interpreted
 # operations per node, but the allocator's high-water mark grows with it.  On
 # the transported (2|2) Gaussian path integral at 20 nodes per axis (2-vCPU
-# Xeon, medians of ten 30-s runs of repeated solves), 100 nodes per call
-# took 0.096 s per integral and 1.0 MB more peak RSS than one node per call;
-# 200 nodes took 0.055 s and 1.5 MB more, up to 2.2 MB more in some runs.
+# Xeon, repeated solves), 200 nodes per call took about 0.6 times the time
+# per integral of 100 nodes (0.037-0.040 s against 0.064-0.066 s, two 10-s
+# runs each).  Peak RSS, from ten 30-s runs each measured before
+# continuations shared a Taylor basis: 100 nodes took 1.0 MB more than one
+# node per call and 200 nodes 1.5 MB more, up to 2.2 MB more in some runs.
 QUAD_CHUNK = 100
 
 

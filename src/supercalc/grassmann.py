@@ -40,12 +40,13 @@ Every element keeps three invariants: masks lie in [0, 2^L), coefficients
 are exactly ``complex`` or 1-D complex arrays, and no coefficient is 0 (at
 every node, for a batch).  Input from outside is validated:
 ``Supernumber(L, terms)``, ``make``, ``scalar``, ``gen`` and ``from_json``
-check the masks, convert the coefficients and drop zeros.  Results the
-package computes from elements that already keep the invariants (sums,
-products, negation, scaling, ``embed``, ``soul``, ``seed_parts`` and the
-like) take a trusted branch of the constructor that only drops zeros, or
-stores the dict as given when it cannot hold one; the ``Supernumber``
-docstring lists which operation takes which.
+check the masks, convert the coefficients, reject NaN and inf (at any node,
+for a batch) with ``GrassmannError`` and drop zeros.  Results the package
+computes from elements that already keep the invariants (sums, products,
+negation, scaling, ``embed``, ``soul``, ``seed_parts`` and the like) take a
+trusted branch of the constructor that only drops zeros, or stores the dict
+as given when it cannot hold one; the ``Supernumber`` docstring lists which
+operation takes which.
 
 Conventions
 -----------
@@ -193,6 +194,17 @@ def _generator_count(L) -> int:
     return int(L)
 
 
+def _coefficient(x):
+    """A number or array as a clean coefficient factor: exactly ``complex``, or
+    a complex array for a batch; None for anything else.  A 0-d array becomes a
+    ``complex``, since a 0-d array times a coefficient gives a numpy scalar."""
+    if isinstance(x, (int, float, complex)):
+        return complex(x)
+    if isinstance(x, np.ndarray):
+        return complex(x) if x.ndim == 0 else np.asarray(x, dtype=complex)
+    return None
+
+
 # The private third argument of Supernumber(L, terms, trust): how far terms
 # computed inside the package are taken as given (see the class docstring).
 _VALIDATE = 0
@@ -209,9 +221,10 @@ class Supernumber:
     ``ndarray`` (a batch); no coefficient is 0 (at every node, for a batch).
 
     ``Supernumber(L, terms)`` validates its input: it checks each mask's range,
-    converts each coefficient to ``complex`` (an array to a complex array) and
-    drops zeros.  So do ``make``, ``scalar``, ``gen`` and ``from_json``, which
-    build through it.
+    converts each coefficient to ``complex`` (an array to a complex array),
+    raises ``GrassmannError`` on a NaN or inf coefficient (on any node of a
+    batch) and drops zeros.  So do ``make``, ``scalar``, ``gen`` and
+    ``from_json``, which build through it.
 
     Results the package computes itself from elements that already keep the
     invariants pass a private third argument and skip the checks:
@@ -262,10 +275,16 @@ class Supernumber:
                 if type(c) is not complex:
                     if isinstance(c, np.ndarray):
                         c = np.asarray(c, dtype=complex)
+                        if not np.isfinite(c).all():
+                            raise GrassmannError(
+                                f"coefficient of mask {m} is not finite at some node"
+                            )
                         if np.count_nonzero(c):
                             clean[m] = c
                         continue
                     c = complex(c)
+                if not cmath.isfinite(c):
+                    raise GrassmannError(f"coefficient {c} of mask {m} is not finite")
                 if c != 0:
                     clean[m] = c
         self._terms = clean
@@ -371,12 +390,9 @@ class Supernumber:
         return Supernumber(a.L, acc, _DROP_ZEROS)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            c = complex(other)
-        elif isinstance(other, np.ndarray):
-            # a 0-d array times a coefficient would give a numpy scalar
-            c = complex(other) if other.ndim == 0 else np.asarray(other, dtype=complex)
-        else:
+        # numbers inline: this is a hot path, and a call costs more than the test
+        c = complex(other) if isinstance(other, (int, float, complex)) else _coefficient(other)
+        if c is None:
             return NotImplemented
         return Supernumber(self.L, {m: c * v for m, v in self._terms.items()}, _DROP_ZEROS)
 

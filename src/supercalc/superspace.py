@@ -8,6 +8,14 @@ fallback limited to total order 4).  Evaluation continues each coefficient off
 the body by its finite Taylor series in the nilpotent part, so the result is
 exact in the finite-generator algebra whenever the derivative oracle is exact.
 
+The part of a continuation that depends on the point alone, its Taylor basis
+(the soul monomials prod_j soul(x_j)^alpha_j with their factorials, and the
+odd monomials theta^a), is cached on the SuperPoint object the first time a
+SuperFunction is evaluated there.  Every coefficient of every function
+evaluated at that object reuses it for as long as the object lives; it takes
+no part in the point's equality, hash or repr.  ``continue_body``, which takes
+bare even arguments rather than a point, builds the basis afresh per call.
+
 Maps between such coordinate systems compose by evaluation, and their
 Jacobians are read exactly from one evaluation in which every source slot is
 seeded with fresh nilpotent generators (grassmann.seed).  A map with
@@ -30,6 +38,8 @@ from .grassmann import (
     GrassmannDomainError,
     GrassmannError,
     Supernumber,
+    _DROP_ZEROS,
+    _coefficient,
     max_abs,
     one,
     scalar,
@@ -406,21 +416,31 @@ class _ScaledBody(BodyFunction):
 # Grassmann continuation
 # ---------------------------------------------------------------------------
 
-def continue_body(bf: BodyFunction, xs: Sequence[Supernumber], L: int | None = None) -> Supernumber:
-    """Finite Taylor continuation of a body function to even arguments.
+class _TaylorBasis:
+    """Everything of a Taylor continuation that depends on the point alone.
 
-    f(x) = sum_alpha  f^(alpha)(body x) / alpha! * prod_j soul(x_j)^alpha_j,
-    which terminates by nilpotency.  A term is skipped only when its
-    derivative vanishes at every node of a batch.
+    ``L`` is the generator count of its algebra, ``q`` holds the node bodies
+    of the even arguments, ``batch`` says whether any of them is an array, and
+    ``terms`` lists (alpha, alpha!, monomial
+    terms) for every multi-index alpha whose monomial prod_j soul(x_j)^alpha_j
+    is nonzero, in the order of the recursion that built them.  ``thetas``
+    holds the odd monomial theta^a of each mask a once SuperFunction.evaluate
+    has built it.
     """
-    if len(xs) != bf.m:
-        raise GrassmannError(f"expected {bf.m} even arguments, got {len(xs)}")
-    if L is None:
-        L = max((x.L for x in xs), default=0)
+
+    __slots__ = ("L", "q", "batch", "terms", "thetas")
+
+    def __init__(self, L, q, terms):
+        self.L = L
+        self.q = q
+        self.batch = any(isinstance(v, np.ndarray) for v in q)
+        self.terms = terms
+        self.thetas: Dict[int, Supernumber] = {}
+
+
+def _taylor_basis(xs: Sequence[Supernumber], L: int) -> _TaylorBasis:
+    """The Taylor basis of even arguments xs in the L-generator algebra."""
     xs = [x.embed(L) for x in xs]
-    q = tuple(x.body for x in xs)
-    batch = any(isinstance(v, np.ndarray) for v in q)
-    deriv = bf.deriv_batch if batch else bf.deriv_value
     pow_lists: List[List[Supernumber]] = []
     for x in xs:
         s = soul(x)
@@ -433,18 +453,15 @@ def continue_body(bf: BodyFunction, xs: Sequence[Supernumber], L: int | None = N
             plist.append(p)
         pow_lists.append(plist)
 
-    acc = zero(L)
-    alpha = [0] * bf.m
+    terms: List[Tuple[Tuple[int, ...], float, Dict[int, complex]]] = []
+    alpha = [0] * len(xs)
 
     def rec(j: int, prod: Supernumber):
-        nonlocal acc
-        if j == bf.m:
+        if j == len(xs):
             fact = 1.0
             for a in alpha:
                 fact *= math.factorial(a)
-            df = deriv(tuple(alpha), q)
-            if df.any() if isinstance(df, np.ndarray) else df != 0:
-                acc = acc + (df / fact) * prod
+            terms.append((tuple(alpha), fact, prod._terms))
             return
         for k in range(len(pow_lists[j])):
             alpha[j] = k
@@ -455,7 +472,43 @@ def continue_body(bf: BodyFunction, xs: Sequence[Supernumber], L: int | None = N
         alpha[j] = 0
 
     rec(0, one(L))
-    return acc
+    return _TaylorBasis(L, tuple(x.body for x in xs), terms)
+
+
+def _continue(bf: BodyFunction, basis: _TaylorBasis) -> Supernumber:
+    """sum_alpha bf^(alpha)(q) / alpha! * monomial_alpha over a Taylor basis,
+    summed into one dict.  A term is skipped only when its derivative vanishes
+    at every node of a batch."""
+    deriv = bf.deriv_batch if basis.batch else bf.deriv_value
+    q = basis.q
+    out: Dict[int, complex] = {}
+    for alpha, fact, mono in basis.terms:
+        df = deriv(alpha, q)
+        if not (np.count_nonzero(df) if isinstance(df, np.ndarray) else df != 0):
+            continue
+        c = _coefficient(df / fact)
+        for m, v in mono.items():
+            cv = c * v
+            out[m] = out[m] + cv if m in out else cv
+    return Supernumber(basis.L, out, _DROP_ZEROS)
+
+
+def continue_body(bf: BodyFunction, xs: Sequence[Supernumber], L: int | None = None) -> Supernumber:
+    """Finite Taylor continuation of a body function to even arguments.
+
+    f(x) = sum_alpha  f^(alpha)(body x) / alpha! * prod_j soul(x_j)^alpha_j,
+    which terminates by nilpotency.  A term is skipped only when its
+    derivative vanishes at every node of a batch.
+
+    This builds the Taylor basis of xs (the soul monomials and factorials)
+    afresh on each call; SuperFunction.evaluate instead reads the one cached
+    on its SuperPoint, shared by every coefficient evaluated there.
+    """
+    if len(xs) != bf.m:
+        raise GrassmannError(f"expected {bf.m} even arguments, got {len(xs)}")
+    if L is None:
+        L = max((x.L for x in xs), default=0)
+    return _continue(bf, _taylor_basis(xs, L))
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +521,15 @@ class SuperPoint:
 
     Coordinates may carry a batch of nodes (see grassmann); the body must then
     be real at every node.
+
+    The point caches the Taylor basis of its even coordinates in the working
+    algebra of SuperFunction.evaluate (L = max(self.L, 1)): the soul monomials
+    every continuation at the point sums over, plus the odd monomials built so
+    far.  It is built on the first evaluation, shared by every coefficient of
+    every function evaluated at this object afterwards, and lives as long as
+    the object does.  It is not a dataclass field: ``==``, ``hash`` and
+    ``repr`` see only ``x`` and ``theta``, so equal points stay equal (and
+    interchangeable as cache keys) whether or not either has evaluated.
     """
 
     x: Tuple[Supernumber, ...]
@@ -499,6 +561,14 @@ class SuperPoint:
             tuple(v.embed(L) for v in self.x),
             tuple(v.embed(L) for v in self.theta),
         )
+
+    def _basis(self) -> _TaylorBasis:
+        """The cached Taylor basis (see the class docstring)."""
+        basis = self.__dict__.get("_basis_cache")
+        if basis is None:
+            basis = _taylor_basis(self.x, max(self.L, 1))
+            object.__setattr__(self, "_basis_cache", basis)
+        return basis
 
 
 def _theta_monomial(mask: int, thetas: Sequence[Supernumber], L: int) -> Supernumber:
@@ -532,13 +602,16 @@ class SuperFunction:
     def evaluate(self, P: SuperPoint) -> Supernumber:
         if P.shape != (self.m, self.n):
             raise GrassmannError(f"point shape {P.shape} != ({self.m},{self.n})")
-        L = max(P.L, 1)
+        basis = P._basis()
+        L = basis.L
         acc = zero(L)
         for mask in sorted(self.coefficients):
-            cont = continue_body(self.coefficients[mask], P.x, L)
+            cont = _continue(self.coefficients[mask], basis)
             if cont.is_zero():
                 continue
-            mono = _theta_monomial(mask, P.theta, L)
+            mono = basis.thetas.get(mask)
+            if mono is None:
+                mono = basis.thetas[mask] = _theta_monomial(mask, P.theta, L)
             if mono.is_zero():
                 continue
             acc = acc + mono * cont
@@ -738,7 +811,7 @@ def invert_map(F: SuperMap, body_inverse: Callable[[np.ndarray], Sequence[float]
         # components of one SuperMap.evaluate share one point object, so the
         # last batch is remembered by identity and solved once for all.
         batch = any(isinstance(c, np.ndarray)
-                    for v in P.x + P.theta for c in v.terms.values())
+                    for v in P.x + P.theta for c in v._terms.values())
         if not batch:
             return solve_cached(P)
         if last_batch[0] is not P:

@@ -380,3 +380,25 @@ def test_to_json_rejects_values_from_json_cannot_read():
         gr.to_json(Supernumber(2, {0: math.nan, 1: math.inf}))
     with pytest.raises(GrassmannError):
         gr.to_json(Supernumber(1, {0: np.array([1.0, 2.0])}))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan),
+                                 complex(math.inf, 0.0)])
+def test_public_constructors_reject_nan_and_inf(bad):
+    with pytest.raises(GrassmannError):
+        Supernumber(2, {0b11: bad})
+    with pytest.raises(GrassmannError):  # one bad node of a batch
+        Supernumber(2, {0: np.array([1.0, 2.0]), 0b01: np.array([0.5, bad, 3.0])})
+    with pytest.raises(GrassmannError):
+        gr.make(2, [(0, 1.0), (0b10, bad)])
+    with pytest.raises(GrassmannError):
+        gr.scalar(2, bad)
+    with pytest.raises(GrassmannError):
+        gr.scalar(2, np.array([bad, 1.0]))
+
+
+def test_to_json_rejects_a_coefficient_that_overflowed():
+    X = 1e200 * Supernumber(1, {0: 1.0, 1: 1e200})
+    assert not np.isfinite(X.coefficient(1))
+    with pytest.raises(GrassmannError):
+        gr.to_json(X)

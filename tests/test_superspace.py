@@ -18,9 +18,12 @@ from supercalc.grassmann import (
     max_abs,
     one,
     scalar,
+    seed,
+    seed_parts,
     soul,
     zero,
 )
+from supercalc import superspace
 from supercalc.superspace import (
     ExprFunction,
     NumericBodyFunction,
@@ -594,3 +597,90 @@ def test_body_jacobian_is_the_transposed_body_of_the_super_jacobian():
         P = sample_point(rng, 2, 2, 4)
         J = map_super_jacobian(F, P)
         assert np.array_equal(map_body_jacobian(F, P), J.body_matrix().T)
+
+
+# ---------------------------------------------------------------------------
+# the Taylor basis a point shares between its evaluations
+# ---------------------------------------------------------------------------
+
+def batch_point(rng, nodes, L):
+    """A (2|2) point with one value per node in every coefficient."""
+    def coeffs(lo, hi, imag=True):
+        c = rng.uniform(lo, hi, nodes)
+        return c + 1j * rng.uniform(lo, hi, nodes) if imag else c
+
+    xs = tuple(make(L, {0: coeffs(0.3, 1.5, imag=False),
+                        0b0011 << 2 * j: coeffs(-0.5, 0.5),
+                        0b1001: coeffs(-0.5, 0.5)}) for j in range(2))
+    ths = tuple(make(L, {1 << s: coeffs(-0.7, 0.7), 1 << (s + 2): coeffs(-0.7, 0.7)})
+                for s in range(2))
+    return SuperPoint(xs, ths)
+
+
+def identical(a: Supernumber, b: Supernumber) -> bool:
+    """Same L, masks in the same order, equal coefficients of the same type."""
+    return (a.L == b.L and list(a.terms) == list(b.terms)
+            and [type(c) for c in a.terms.values()] == [type(c) for c in b.terms.values()]
+            and a == b)
+
+
+@pytest.mark.parametrize("nodes", [None, 7])
+def test_shared_basis_gives_exactly_the_values_of_fresh_points(nodes):
+    rng = np.random.default_rng(43)
+    P = sample_point(rng, 2, 2, 4) if nodes is None else batch_point(rng, nodes, 4)
+    L = max(P.L, 1)
+    for F in lac_pair():
+        first, second = F.evaluate(P), F.evaluate(P)  # the second reads P's cache
+        fresh = [c.evaluate(SuperPoint(P.x, P.theta)) for c in F.components]
+        for a, b, want in zip(first.x + first.theta, second.x + second.theta, fresh):
+            assert identical(a, want) and identical(b, want)
+        # the seeded evaluation shares one basis between the four components;
+        # the reference evaluates each at a point of its own
+        J = map_super_jacobian(F, P)
+        ex, th, masks = seed(P.x, P.theta, L)
+        parts = [seed_parts(c.evaluate(SuperPoint(ex, th)), L) for c in F.components]
+        for r, mask in enumerate(masks):
+            for c, p in enumerate(parts):
+                assert identical(J.rows[r][c], p.get(mask, zero(L)))
+
+
+def test_one_map_evaluation_builds_the_basis_once_per_point(monkeypatch):
+    built = []
+    build = superspace._taylor_basis
+    monkeypatch.setattr(superspace, "_taylor_basis",
+                        lambda xs, L: built.append(L) or build(xs, L))
+    fwd, _ = lac_pair()
+    P = sample_point(np.random.default_rng(47), 2, 2, 4)
+    fwd.evaluate(P)
+    assert built == [4]
+    fwd.evaluate(P)
+    assert built == [4]
+    map_super_jacobian(fwd, P)  # one seeded point, 4 + 2*2 + 2 generators
+    assert built == [4, 10]
+
+
+def test_cached_basis_is_no_part_of_point_identity():
+    fwd, _ = lac_pair()
+    P = sample_point(np.random.default_rng(53), 2, 2, 4)
+    Q = SuperPoint(P.x, P.theta)
+    fwd.evaluate(P)
+    assert P == Q and hash(P) == hash(Q) and repr(P) == repr(Q)
+    calls = []
+
+    def body_inverse(q):  # the body of fwd is the identity map
+        calls.append(q)
+        return q
+
+    inv = invert_map(fwd, body_inverse)
+    assert inv.evaluate(P) == inv.evaluate(Q)
+    assert len(calls) == 1
+
+
+def test_numeric_coefficient_beyond_order_four_raises_through_evaluate():
+    f = SuperFunction(1, 0, {0: NumericBodyFunction(lambda q: cmath.exp(q[0]), 1)})
+    L = 10
+    s = zero(L)
+    for k in range(5):
+        s = s + gen(L, 2 * k) * gen(L, 2 * k + 1)
+    with pytest.raises(OrderError):
+        f.evaluate(SuperPoint((scalar(L, 0.1) + s,), ()))
