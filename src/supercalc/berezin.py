@@ -23,6 +23,7 @@ Sign conventions pinned here and relied on elsewhere:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple
@@ -36,6 +37,7 @@ from .grassmann import (
     Supernumber,
     _DROP_ZEROS,
     _as_super,
+    _coefficient,
     _is_finite,
     apply_analytic,
     gen,
@@ -91,14 +93,16 @@ class GaussQuadSpec:
 DEFAULT_QUAD = GaussQuadSpec()
 
 # Grid nodes per integrand call.  A larger chunk runs fewer interpreted
-# operations per node, but the allocator's high-water mark grows with it.  On
-# the transported (2|2) Gaussian path integral at 20 nodes per axis (2-vCPU
-# Xeon, repeated solves), 200 nodes per call took about 0.6 times the time
-# per integral of 100 nodes (0.037-0.040 s against 0.064-0.066 s, two 10-s
-# runs each).  Peak RSS, from ten 30-s runs each measured before
-# continuations shared a Taylor basis: 100 nodes took 1.0 MB more than one
-# node per call and 200 nodes 1.5 MB more, up to 2.2 MB more in some runs.
-QUAD_CHUNK = 100
+# operations per node, but the allocator's high-water mark grows with it.
+# Time per transported (2|2) Gaussian path integral at 20 nodes per axis and
+# peak RSS of the process, 2-vCPU Xeon, two 30-s runs of repeated solves each:
+#    100 nodes   0.061-0.062 s   41.28-41.31 MB
+#    200 nodes   0.034-0.036 s   41.41-41.46 MB
+#    400 nodes   0.021-0.025 s   41.59-41.72 MB
+#    800 nodes   0.017 s         42.76-42.79 MB
+# 400 holds a whole 20 x 20 grid at +1% RSS over 100; 800 saves 20% more time
+# for +3.6% RSS.
+QUAD_CHUNK = 400
 
 
 def _weighted_sum(weights: np.ndarray, values):
@@ -152,15 +156,28 @@ def _per_chunk(integrand):
     return on_chunk
 
 
+@functools.cache
+def _gauss_legendre(nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per node count.
+    Every caller shares the two arrays, so they are read-only."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _tensor_quad(fn, box, nodes: int):
     """Tensor Gauss-Legendre sum of fn over a box, nodes per axis.
 
     fn takes a chunk of up to QUAD_CHUNK grid nodes as a tuple with one array
     of coordinates per axis, and returns one value per node: an array, a
     scalar shared by all nodes, or a Supernumber whose coefficients are such
-    values.
+    values.  On a d-axis box fn runs ceil(nodes^d / QUAD_CHUNK) times: once on
+    a 20 x 20 grid and 4 times on 40 x 40, which at 400 nodes per chunk makes
+    a transported (2|2) path integral 2.5-3 times faster than at 100 (see
+    QUAD_CHUNK).  The rule on [-1, 1] is built once per node count.
     """
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _gauss_legendre(nodes)
     axes = [0.5 * (hi - lo) * x + 0.5 * (hi + lo) for lo, hi in box]
     weights = np.ones(1)
     for lo, hi in box:
@@ -178,6 +195,8 @@ def _quad(fn, box, spec: GaussQuadSpec):
     """_tensor_quad at spec.nodes and twice as many nodes per axis; the two
     sums must be finite and agree.  Returns the sum on the finer grid."""
     box = [(float(lo), float(hi)) for lo, hi in box]
+    if not all(math.isfinite(e) for edge in box for e in edge):
+        raise QuadratureError("box bounds must be finite")
     coarse = _tensor_quad(fn, box, spec.nodes)
     fine = _tensor_quad(fn, box, 2 * spec.nodes)
     for total in (coarse, fine):
@@ -331,10 +350,11 @@ def integrate_odd(v: OddPolynomial,
 
 def _grid_point(q, n: int) -> SuperPoint:
     """Body coordinates q (one array of nodes per axis, or one node) with the
-    n odd coordinates set to fresh generators."""
+    n odd coordinates set to fresh generators.  The nodes are finite (_quad
+    checks the box), so the constants skip the constructor's checks."""
     L = max(n, 1)
     return SuperPoint(
-        tuple(scalar(L, c) for c in q),
+        tuple(Supernumber(L, {0: _coefficient(c)}, _DROP_ZEROS) for c in q),
         tuple(gen(L, s) for s in range(n)),
     )
 

@@ -399,6 +399,8 @@ class Supernumber:
     def __truediv__(self, other):
         if isinstance(other, (int, float, complex)):
             c = complex(other)
+            if c == 0:
+                raise GrassmannDomainError("division by zero")
             return Supernumber(self.L, {m: v / c for m, v in self._terms.items()}, _DROP_ZEROS)
         if isinstance(other, Supernumber):
             return self * inverse(other)
@@ -650,7 +652,8 @@ def apply_analytic(spec: AnalyticSpec, X: Supernumber) -> Supernumber:
     f(X) = sum_k f^{(k)}(body) / k! * soul^k, which terminates because the
     soul is nilpotent.  The argument must be even so soul powers commute with
     everything in sight.  For a batch of nodes the derivatives are taken one
-    node at a time.
+    node at a time.  A derivative that overflows, or divides by a body that
+    underflows to 0, raises GrassmannDomainError.
     """
     if X.parity not in ("even",):
         raise GrassmannDomainError("analytic functions act on even elements only")
@@ -661,9 +664,13 @@ def apply_analytic(spec: AnalyticSpec, X: Supernumber) -> Supernumber:
         raise GrassmannDomainError("negative power requires a nonzero body")
 
     def derivative(k: int):
-        if isinstance(b, np.ndarray):
-            return np.array([spec.derivative(k, z) for z in b], dtype=complex)
-        return spec.derivative(k, b)
+        try:
+            if isinstance(b, np.ndarray):
+                return np.array([spec.derivative(k, z) for z in b], dtype=complex)
+            return spec.derivative(k, b)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise GrassmannDomainError(
+                f"derivative {k} of {spec.kind} overflows at the body") from exc
 
     s = soul(X)
     acc = scalar(X.L, derivative(0))

@@ -36,6 +36,7 @@ from .grassmann import (
     _AS_IS,
     _DROP_ZEROS,
     _as_super,
+    _coefficient,
     _is_finite,
     apply_analytic,
     degree_filter,
@@ -351,17 +352,20 @@ def mat_inverse_even(rows: Sequence[Sequence[Supernumber]]) -> List[List[Supernu
     L = max((e.L for r in rows for e in r if isinstance(e, Supernumber)), default=0)
     rows = [[_as_super(e, L) for e in r] for r in rows]
     body = _node_array((e.body for r in rows for e in r), (size, size))
+    if not np.isfinite(body).all():
+        raise GrassmannDomainError("matrix body is not finite")
     if size and np.any(np.abs(_per_node(np.linalg.det, body)) == 0.0):
         raise GrassmannDomainError("matrix body is singular")
     binv = _per_node(np.linalg.inv, body) if size else body
+    if not np.isfinite(binv).all():
+        raise GrassmannDomainError("matrix body inverse overflows: the body is nearly singular")
 
     def lift(a):
-        return [[scalar(L, a[i, j]) for j in range(size)] for i in range(size)]
+        return [[Supernumber(L, {0: _coefficient(a[i, j])}, _DROP_ZEROS) for j in range(size)]
+                for i in range(size)]
 
     # T = -R^{-1} S with S = rows - R, a matrix of soul-only entries
-    soul_part = [[rows[i][j] - scalar(L, body[i, j]) for j in range(size)]
-                 for i in range(size)]
-    T = _mat_mul(lift(-binv), soul_part, L)
+    T = _mat_mul(lift(-binv), _mat_sub(rows, lift(body)), L)
     # geometric series sum_k T^k applied to R^{-1}
     acc = [[one(L) if i == j else zero(L) for j in range(size)] for i in range(size)]
     power = acc

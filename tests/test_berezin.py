@@ -50,7 +50,8 @@ from supercalc.berezin import (
     quad_box,
     susy_localize,
 )
-from supercalc.berezin import _fsm_integrand
+from supercalc import berezin
+from supercalc.berezin import _fsm_integrand, _gauss_legendre, _tensor_quad
 from supercalc.fourier_odd import GaussPolyBody, OddFourierConfig, mixed_transform
 
 from helpers import close, random_supernumber, supernumbers
@@ -939,6 +940,77 @@ def test_fsm_integrand_on_a_chunk_matches_each_node_alone():
         alone = integrand((q1[k], q2[k]))
         assert isinstance(alone, complex)
         assert abs(chunk[k] - alone) <= 1e-13 * abs(alone)
+
+
+# chunk sizes around the 12 x 12 and 24 x 24 grids below: one node, a partial
+# last chunk, a chunk wider than the coarse grid, one wider than both grids
+CHUNKS = [1, 7, 400, 10_000]
+
+
+def _integrals_on_chunks():
+    """integrate_fsm on the transported pair, integrate_naive and quad_box, at
+    12 and 24 nodes per axis (the values only, not convergence, are compared)."""
+    forward, backward = lac_pair()
+    u = normalized_gaussian_22()
+    spec = GaussQuadSpec(nodes=12, richardson_tol=1.0)
+    box = ((-4.2, 4.2),) * 2
+    fsm = integrate_fsm(FSMPath(box, backward), PulledBack(forward, u), spec, odd_order=(1, 2))
+    naive = integrate_naive(u, box, spec, odd_order=(1, 2))
+    summed = quad_box(lambda q: cmath.exp(-q[0] ** 2 - 0.5 * q[1] ** 2) * (1 + q[0] * q[1]),
+                      box, spec)
+    return fsm.body, naive.body, summed
+
+
+@pytest.fixture(scope="module")
+def integrals_at_100_per_chunk():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(berezin, "QUAD_CHUNK", 100)
+        return _integrals_on_chunks()
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_integrals_do_not_depend_on_the_chunk_size(chunk, integrals_at_100_per_chunk,
+                                                   monkeypatch):
+    monkeypatch.setattr(berezin, "QUAD_CHUNK", chunk)
+    for got, want in zip(_integrals_on_chunks(), integrals_at_100_per_chunk):
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_tensor_quad_calls_fn_once_per_chunk(chunk, monkeypatch):
+    monkeypatch.setattr(berezin, "QUAD_CHUNK", chunk)
+    for nodes, box in ((12, [(0.0, 1.0)] * 2), (24, [(0.0, 1.0)] * 2), (5, [(0.0, 2.0)] * 3)):
+        sizes = []
+
+        def fn(q):
+            sizes.append(q[0].size)
+            return np.ones(q[0].size)
+
+        total = _tensor_quad(fn, box, nodes)
+        assert len(sizes) == math.ceil(nodes ** len(box) / chunk)
+        assert sum(sizes) == nodes ** len(box)
+        assert close(total, math.prod(hi - lo for lo, hi in box), tol=1e-12)
+
+
+def test_gauss_legendre_rule_is_built_once_and_read_only():
+    x, w = _gauss_legendre(20)
+    again = _gauss_legendre(20)
+    assert again[0] is x and again[1] is w
+    want_x, want_w = np.polynomial.legendre.leggauss(20)
+    assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+    for a in (x, w):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_quadrature_rejects_a_box_that_is_not_finite(bad):
+    box = [(-1.0, 1.0), (0.0, bad)]
+    with pytest.raises(QuadratureError):
+        quad_box(lambda q: 1.0, box)
+    with pytest.raises(QuadratureError):
+        integrate_naive(normalized_gaussian_22(), box)
 
 
 def test_gauss_poly_coefficient_integrates_on_chunks():

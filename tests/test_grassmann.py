@@ -122,6 +122,11 @@ def test_inverse_requires_body():
         gr.inverse(gr.gen(3, 1))
 
 
+def test_division_by_zero_number_raises_domain_error():
+    with pytest.raises(GrassmannDomainError):
+        Supernumber(2, {0: 1, 3: 2}) / 0
+
+
 # ---------------------------------------------------------------------------
 # conjugation
 # ---------------------------------------------------------------------------
@@ -213,6 +218,16 @@ def test_apply_analytic_domain_errors():
         gr.apply_analytic(AnalyticSpec.named("log"), soul_only)
     with pytest.raises(GrassmannDomainError):
         gr.apply_analytic(AnalyticSpec.named("sqrt"), soul_only)
+
+
+def test_apply_analytic_exp_that_overflows_raises_domain_error():
+    with pytest.raises(GrassmannDomainError):
+        gr.apply_analytic(AnalyticSpec.named("exp"), Supernumber(2, {0: 1000.0, 0b11: 1.0}))
+
+
+def test_apply_analytic_negative_power_of_a_subnormal_body_raises_domain_error():
+    with pytest.raises(GrassmannDomainError):
+        gr.apply_analytic(AnalyticSpec.power(-1), Supernumber(2, {0: 1e-320, 0b11: 1.0}))
 
 
 # ---------------------------------------------------------------------------

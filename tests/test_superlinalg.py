@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from supercalc import grassmann as gr
-from supercalc.grassmann import AnalyticSpec, GrassmannDomainError, Supernumber
+from supercalc.grassmann import AnalyticSpec, GrassmannDomainError, GrassmannError, Supernumber
 from supercalc.superlinalg import (
     Supermatrix,
     det_even,
@@ -384,3 +384,18 @@ def test_sdet_that_overflows_raises():
     s0, s1 = gr.gen(2, 0), gr.gen(2, 1)
     with pytest.raises(GrassmannDomainError):
         sdet(from_blocks([[1.0]], [[s0]], [[s1]], [[1e-300]], L=2))
+
+
+def test_mat_inverse_even_whose_body_inverse_overflows_raises():
+    # det 1e-310 is not 0, but its inverse overflows to inf
+    s0s1 = Supernumber(2, {0b11: 1.0})
+    with pytest.raises(GrassmannError):
+        mat_inverse_even([[1e-310 + s0s1, gr.zero(2)], [gr.zero(2), gr.one(2)]])
+
+
+def test_mat_inverse_even_of_a_body_that_overflowed_raises():
+    # the public constructor rejects inf, but a product can overflow to it
+    big = 1e200 * Supernumber(2, {0: 1e200, 0b11: 1.0})
+    with pytest.raises(GrassmannDomainError):
+        mat_inverse_even([[big, gr.zero(2)], [gr.zero(2), gr.one(2)]])
+
