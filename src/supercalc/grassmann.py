@@ -18,21 +18,28 @@ nodes at once.
 
 Products
 --------
-A product takes one of two paths, chosen from its operands alone; both give
+A product takes one of three paths, chosen from its operands alone; all give
 the same coefficients up to the order of summation.
 
+* A factor whose one term is the body (a ``complex`` or a batch) scales the
+  other term by term, c * v, as the dict loop would but without visiting
+  pairs or signs.  An element times a number takes this path too; a number
+  times an element scales the same way in ``__rmul__``.
+* The table kernel, ``_dense_product``, scatters both operands into
+  length-2^L vectors and takes all 3^L disjoint mask pairs (J, K) at once from
+  a per-L table, built on first use and cached: x[J] * y[K] * sign, summed
+  into J|K.  Its cost grows with 3^L, whatever the operands' density.
 * The dict loop visits every pair of terms, skips the overlapping ones and
   adds the rest with their sort sign.  Its cost grows with the pair count
   len(X) * len(Y).
-* The table kernel scatters both operands into length-2^L vectors and takes
-  all 3^L disjoint mask pairs (J, K) at once from a per-L table, built on first
-  use and cached: x[J] * y[K] * sign, summed into J|K.  Its cost grows with
-  3^L, whatever the operands' density.
 
 The kernel takes a product when L <= 12 and its pair count is at least 512
-and at least 3^L / 4; these are where the two paths measured even.  Larger L
-never builds a table (it would hold 3^L pairs).  Products with a batch
-coefficient or a non-finite one take the dict loop.
+and at least 3^L / 4 (``_table_takes``); these are where the kernel and the
+loop measured even.  Larger L never builds a table (it would hold 3^L pairs).
+Products with a batch coefficient or a non-finite one take the dict loop.
+``superlinalg._mat_mul`` calls the kernel itself for a block product whose
+every entry product would take it, and sums each output entry's products as
+vectors before it builds the element.
 
 Construction
 ------------
@@ -171,21 +178,39 @@ def _dense_coefficients(X: Supernumber) -> np.ndarray | None:
     return out if np.isfinite(out).all() else None
 
 
+def _dense_product(x: np.ndarray, y: np.ndarray, L: int) -> np.ndarray:
+    """The product of two length-2^L coefficient vectors, as one: x[J] y[K]
+    times the sort sign, summed into J|K over the pair table.  Overflow gives
+    inf (and inf - inf NaN), quietly, as in the dict loop."""
+    J, K, bins, positive = _pair_table(L)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.take(x, J)
+        t *= np.take(y, K)
+        np.negative(t[positive:], out=t[positive:])
+        return np.bincount(bins, weights=t.view(np.float64), minlength=2 << L).view(complex)
+
+
+def _from_dense(v: np.ndarray, L: int) -> Supernumber:
+    """The element whose length-2^L coefficient vector is v, zeros dropped."""
+    nonzero = np.flatnonzero(v)
+    return Supernumber(L, dict(zip(nonzero.tolist(), v[nonzero].tolist())), _AS_IS)
+
+
 def _table_product(a: Supernumber, b: Supernumber) -> Supernumber | None:
-    """a * b (same L) over the pair table: x[J] y[K] times the sort sign, summed
-    into J|K.  None when an operand cannot be written as one dense vector."""
+    """a * b (same L) over the pair table.  None when an operand cannot be
+    written as one dense vector."""
     x = _dense_coefficients(a)
     y = None if x is None else _dense_coefficients(b)
     if y is None:
         return None
-    J, K, bins, positive = _pair_table(a.L)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, as in the dict loop
-        t = np.take(x, J)
-        t *= np.take(y, K)
-        np.negative(t[positive:], out=t[positive:])
-        out = np.bincount(bins, weights=t.view(np.float64), minlength=2 << a.L).view(complex)
-    nonzero = np.flatnonzero(out)
-    return Supernumber(a.L, dict(zip(nonzero.tolist(), out[nonzero].tolist())), _AS_IS)
+    return _from_dense(_dense_product(x, y, a.L), a.L)
+
+
+def _table_takes(pairs: int, L: int) -> bool:
+    """True when a product of `pairs` term pairs at L generators goes to the
+    table kernel (see "Products" above)."""
+    return (pairs >= _TABLE_MIN_PAIRS and L <= _TABLE_MAX_L
+            and pairs * _TABLE_ENTRIES_PER_PAIR >= 3 ** L)
 
 
 def _generator_count(L) -> int:
@@ -231,11 +256,12 @@ class Supernumber:
 
     * ``_DROP_ZEROS`` keeps every mask and coefficient as given and drops only
       the zeros (a batch only when it is 0 at every node): ``+``, ``-`` between
-      elements, the dict-loop product, a number or array times an element,
-      division by a number, a number promoted to a constant, and
-      ``gen_left_derivative``;
+      elements, the dict-loop product, the product with a body-only factor, a
+      number or array times an element, division by a number, a number
+      promoted to a constant, and ``gen_left_derivative``;
     * ``_AS_IS`` stores the dict itself, which must already be clean: ``-X``,
-      ``embed``, the table-kernel product, ``zero``, ``one``, ``soul``,
+      ``embed``, the table-kernel product and each entry of a dense block
+      product (both through ``_from_dense``), ``zero``, ``one``, ``soul``,
       ``degree_filter``, ``conjugate``, ``chop``, ``seed`` and ``seed_parts``.
 
     The caller of either branch guarantees the masks are in range and the
@@ -370,15 +396,22 @@ class Supernumber:
         a, b = self._promote(other)
         if b is NotImplemented:
             return NotImplemented
-        pairs = len(a._terms) * len(b._terms)
-        if (pairs >= _TABLE_MIN_PAIRS and a.L <= _TABLE_MAX_L
-                and pairs * _TABLE_ENTRIES_PER_PAIR >= 3 ** a.L):
+        x, y = a._terms, b._terms
+        # a factor whose one term is the body scales the other term by term;
+        # the factors keep the dict loop's order, so the values are its own
+        if len(x) == 1 and 0 in x:
+            c = x[0]
+            return Supernumber(a.L, {m: c * v for m, v in y.items()}, _DROP_ZEROS)
+        if len(y) == 1 and 0 in y:
+            c = y[0]
+            return Supernumber(a.L, {m: v * c for m, v in x.items()}, _DROP_ZEROS)
+        if _table_takes(len(x) * len(y), a.L):
             out = _table_product(a, b)
             if out is not None:
                 return out
         acc: Dict[int, complex] = {}
-        for mj, cj in a._terms.items():
-            for mk, ck in b._terms.items():
+        for mj, cj in x.items():
+            for mk, ck in y.items():
                 if mj & mk:
                     continue
                 m = mj | mk
@@ -401,7 +434,10 @@ class Supernumber:
             c = complex(other)
             if c == 0:
                 raise GrassmannDomainError("division by zero")
-            return Supernumber(self.L, {m: v / c for m, v in self._terms.items()}, _DROP_ZEROS)
+            out = Supernumber(self.L, {m: v / c for m, v in self._terms.items()}, _DROP_ZEROS)
+            if not _is_finite(out):
+                raise GrassmannDomainError("quotient overflows: the divisor is too small")
+            return out
         if isinstance(other, Supernumber):
             return self * inverse(other)
         return NotImplemented
@@ -653,7 +689,8 @@ def apply_analytic(spec: AnalyticSpec, X: Supernumber) -> Supernumber:
     soul is nilpotent.  The argument must be even so soul powers commute with
     everything in sight.  For a batch of nodes the derivatives are taken one
     node at a time.  A derivative that overflows, or divides by a body that
-    underflows to 0, raises GrassmannDomainError.
+    underflows to 0, raises GrassmannDomainError, and so does a result with a
+    coefficient that is not finite.
     """
     if X.parity not in ("even",):
         raise GrassmannDomainError("analytic functions act on even elements only")
@@ -682,6 +719,8 @@ def apply_analytic(spec: AnalyticSpec, X: Supernumber) -> Supernumber:
             break
         fact *= k
         acc = acc + (derivative(k) / fact) * power
+    if not _is_finite(acc):
+        raise GrassmannDomainError(f"{spec.kind} overflows: a coefficient is not finite")
     return acc
 
 

@@ -37,7 +37,11 @@ from .grassmann import (
     _DROP_ZEROS,
     _as_super,
     _coefficient,
+    _dense_coefficients,
+    _dense_product,
+    _from_dense,
     _is_finite,
+    _table_takes,
     apply_analytic,
     degree_filter,
     inverse,
@@ -85,6 +89,15 @@ def _per_node(linalg_fn, a: np.ndarray) -> np.ndarray:
     if a.ndim == 2:
         return linalg_fn(a)
     return np.moveaxis(linalg_fn(np.moveaxis(a, -1, 0)), 0, -1)
+
+
+def _negligible(value, rows: np.ndarray) -> np.ndarray:
+    """Where |value| <= n eps prod_i ||rows[i]||, node by node: the body
+    determinant of the square rows, or a pivot with its one row, is 0 to
+    working precision at the scale of the rows.  rows is (k, n), or
+    (k, n, nodes) for a batch."""
+    scale = np.prod(np.linalg.norm(rows, axis=1), axis=0)
+    return np.abs(value) <= rows.shape[1] * np.finfo(float).eps * scale
 
 
 class Supermatrix:
@@ -293,8 +306,9 @@ def det_even(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
 
     Leibniz expansion for size <= 4; Gaussian elimination with body-invertible
     pivots above that (entries commute, so ordinary row reduction is exact);
-    Leibniz fallback up to size 6 when no body-invertible pivot exists.  For a
-    batch of nodes a pivot row must be body-invertible at every node.
+    Leibniz fallback up to size 6 when no body-invertible pivot exists.  A
+    pivot counts as invertible when its body is not negligible against its
+    row (``_negligible``), at every node for a batch.
     """
     rows = [list(r) for r in rows]
     size = len(rows)
@@ -314,14 +328,9 @@ def det_even(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
     work = [row[:] for row in rows]
     det = one(L)
     for col in range(size):
-        pivot_row = None
-        best = 0.0
-        for r in range(col, size):
-            b = np.min(np.abs(work[r][col].body))
-            if b > best:
-                best = b
-                pivot_row = r
-        if pivot_row is None or best == 0.0:
+        pivot_row = max(range(col, size), key=lambda r: np.min(np.abs(work[r][col].body)))
+        scale = _node_array((e.body for e in work[pivot_row]), (1, size))
+        if np.any(_negligible(work[pivot_row][col].body, scale)):
             if size <= 6:
                 return _det_leibniz(rows, L)
             raise GrassmannDomainError(
@@ -345,8 +354,9 @@ def mat_inverse_even(rows: Sequence[Sequence[Supernumber]]) -> List[List[Supernu
     """Inverse of a square matrix with even entries and invertible body.
 
     Neumann split: with R = body(rows) and S the soul part,
-    rows^{-1} = (I + R^{-1} S)^{-1} R^{-1}, and the series terminates.  For a
-    batch of nodes the body must be invertible at every node.
+    rows^{-1} = (I + R^{-1} S)^{-1} R^{-1}, and the series terminates.  A body
+    singular to working precision (``_negligible``), at any node for a batch,
+    raises GrassmannDomainError.
     """
     size = len(rows)
     L = max((e.L for r in rows for e in r if isinstance(e, Supernumber)), default=0)
@@ -354,8 +364,8 @@ def mat_inverse_even(rows: Sequence[Sequence[Supernumber]]) -> List[List[Supernu
     body = _node_array((e.body for r in rows for e in r), (size, size))
     if not np.isfinite(body).all():
         raise GrassmannDomainError("matrix body is not finite")
-    if size and np.any(np.abs(_per_node(np.linalg.det, body)) == 0.0):
-        raise GrassmannDomainError("matrix body is singular")
+    if size and np.any(_negligible(_per_node(np.linalg.det, body), body)):
+        raise GrassmannDomainError("matrix body is singular to working precision")
     binv = _per_node(np.linalg.inv, body) if size else body
     if not np.isfinite(binv).all():
         raise GrassmannDomainError("matrix body inverse overflows: the body is nearly singular")
@@ -378,12 +388,61 @@ def mat_inverse_even(rows: Sequence[Sequence[Supernumber]]) -> List[List[Supernu
 
 
 def _mat_mul(P, Q, L):
-    """Product of nested lists of supernumbers (P: r x k, Q: k x c)."""
-    rp, cp, cq = len(P), len(Q), len(Q[0]) if Q else 0
-    return [
-        [sum((P[i][k] * Q[k][j] for k in range(cp)), zero(L)) for j in range(cq)]
-        for i in range(rp)
-    ]
+    """Product of nested lists of supernumbers (P: r x k, Q: k x c), every
+    entry in L generators.
+
+    A dense block product, one whose every product P[i][k] Q[k][j] would take
+    the table kernel (see ``_dense_blocks``), turns each entry of P and Q into
+    a coefficient vector once, sums each output entry's k kernel products as
+    vectors and builds one element per output entry, through the ``_AS_IS``
+    branch.  Any other block product takes the per-entry loop: each product
+    chooses its own path in ``Supernumber.__mul__``, and each sum starts from
+    the first product.  Both give the same coefficients bit for bit: the same
+    kernel products, summed in the same order.
+    """
+    rp, cq = len(P), len(Q[0]) if Q else 0
+    vectors = _dense_blocks(P, Q, L)
+    if vectors is not None:
+        X, Y = vectors
+        out = []
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN as in the loop
+            for i in range(rp):
+                row = []
+                for j in range(cq):
+                    v = _dense_product(X[i][0], Y[0][j], L)
+                    for k in range(1, len(Q)):
+                        v += _dense_product(X[i][k], Y[k][j], L)
+                    row.append(_from_dense(v, L))
+                out.append(row)
+        return out
+    out = []
+    for i in range(rp):
+        row = []
+        for j in range(cq):
+            acc = P[i][0] * Q[0][j]
+            for k in range(1, len(Q)):
+                acc = acc + P[i][k] * Q[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _dense_blocks(P, Q, L):
+    """P and Q with each entry as its length-2^L coefficient vector, or None
+    unless every product P[i][k] Q[k][j] meets the table crossover and every
+    entry has L generators and finite ``complex`` coefficients.  The cheap
+    tests come first, so a batch or a small entry costs no per-pair work."""
+    if not (P and Q and Q[0]):
+        return None
+    for k, row in enumerate(Q):
+        pairs = min(len(r[k]._terms) for r in P) * min(len(e._terms) for e in row)
+        if not _table_takes(pairs, L):
+            return None
+    X = [[_dense_coefficients(e) if e.L == L else None for e in r] for r in P]
+    Y = [[_dense_coefficients(e) if e.L == L else None for e in r] for r in Q]
+    if any(v is None for r in X + Y for v in r):
+        return None
+    return X, Y
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +478,12 @@ def _sdet(M: Supermatrix) -> Supernumber:
 
     Each node takes the Schur side sdet would take for it alone; a batch whose
     nodes need different sides is split in two and the results merged.
+
+    A node takes the B side unless numpy's determinant of its B body is
+    exactly 0.  A B body singular only to working precision takes the B side
+    as well, where ``mat_inverse_even`` raises: B - D A^{-1} C has the body of
+    B, so on the A side such a body would give the reciprocal of a rounding
+    error instead of an error.
     """
     if M.parity != "even":
         raise GrassmannDomainError("sdet is defined for even matrices")
@@ -442,9 +507,6 @@ def _sdet(M: Supermatrix) -> Supernumber:
         Binv = mat_inverse_even(B)
         Schur = _mat_sub(A, _mat_mul(_mat_mul(C, Binv, L), D, L))
         return det_even(Schur) * inverse(det_even(B))
-    bodyA = _node_array((e.body for r in A for e in r), (M.m, M.m))
-    if np.any(np.abs(_per_node(np.linalg.det, bodyA)) == 0.0):
-        raise GrassmannDomainError("both diagonal blocks have singular bodies")
     Ainv = mat_inverse_even(A)
     Schur = _mat_sub(B, _mat_mul(_mat_mul(D, Ainv, L), C, L))
     return det_even(A) * inverse(det_even(Schur))

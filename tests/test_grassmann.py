@@ -417,3 +417,16 @@ def test_to_json_rejects_a_coefficient_that_overflowed():
     assert not np.isfinite(X.coefficient(1))
     with pytest.raises(GrassmannError):
         gr.to_json(X)
+
+
+def test_division_whose_quotient_overflows_raises_domain_error():
+    # the divisor is not 0, but 1 / 1e-320 is inf
+    with pytest.raises(GrassmannDomainError):
+        Supernumber(1, {0: 1.0}) / 1e-320
+
+
+def test_apply_analytic_whose_soul_coefficient_overflows_raises_domain_error():
+    # exp(700) is finite, but its product with the soul coefficient 1e10 is not
+    X = Supernumber(2, {0: 700.0, 0b11: 1e10})
+    with pytest.raises(GrassmannDomainError):
+        gr.apply_analytic(AnalyticSpec.named("exp"), X)

@@ -1,0 +1,239 @@
+"""Which path a product takes, and that each path gives the answer of the one
+it stands in for.
+
+* A factor whose one term is the body scales the other factor term by term in
+  ``Supernumber.__mul__``; checked against the per-term dict loop, written out
+  here with its sort sign taken from the independent helper.
+* A dense block product in ``superlinalg._mat_mul`` sums each output entry as
+  one coefficient vector; checked against the per-entry loop
+  sum_k P[i][k] * Q[k][j].
+"""
+
+import numpy as np
+import pytest
+
+from supercalc import grassmann as gr
+from supercalc import superlinalg as sl
+from supercalc.grassmann import Supernumber
+from supercalc.superlinalg import from_blocks, sdet
+
+from helpers import bits_of, perm_sign_by_sort
+
+PARITIES = ("even", "odd", "mixed")
+NODES = 4
+
+
+def dense(rng, L, parity, body=None, scale=1.0):
+    """Every mask of the given parity with a random coefficient."""
+    masks = [m for m in range(1 << L)
+             if parity == "mixed" or m.bit_count() % 2 == (parity == "odd")]
+    coeffs = scale * (rng.standard_normal(len(masks)) + 1j * rng.standard_normal(len(masks)))
+    terms = dict(zip(masks, coeffs.tolist()))
+    if body is not None:
+        terms[0] = body
+    return Supernumber(L, terms)
+
+
+def same_terms(X, L, terms):
+    """X has L generators and exactly these terms: masks in the same order,
+    the same coefficient types and the same bytes."""
+    return (X.L == L and list(X._terms) == list(terms)
+            and all(type(c) is type(terms[m])
+                    and np.asarray(c).tobytes() == np.asarray(terms[m]).tobytes()
+                    for m, c in X._terms.items()))
+
+
+def same(X, Y):
+    return same_terms(X, Y.L, Y._terms)
+
+
+# ---------------------------------------------------------------------------
+# body-only factors
+# ---------------------------------------------------------------------------
+
+def dict_loop(a, b):
+    """The per-term product of a and b as the dict loop forms it: every
+    disjoint pair, its sort sign, sums in pair order, zeros dropped."""
+    L = max(a.L, b.L)
+    acc = {}
+    for mj, cj in a._terms.items():
+        for mk, ck in b._terms.items():
+            if mj & mk:
+                continue
+            m = mj | mk
+            v = cj * ck
+            if perm_sign_by_sort(bits_of(mj) + bits_of(mk)) > 0:
+                acc[m] = acc[m] + v if m in acc else v
+            else:
+                acc[m] = acc[m] - v if m in acc else -v
+    return L, {m: c for m, c in acc.items() if np.count_nonzero(c)}
+
+
+@pytest.fixture
+def loop_pairs(monkeypatch):
+    """Mask pairs the dict loop signs; a scaling signs none."""
+    pairs = []
+    sign = gr._reorder_sign
+
+    def counted(mj, mk):
+        pairs.append((mj, mk))
+        return sign(mj, mk)
+
+    monkeypatch.setattr(gr, "_reorder_sign", counted)
+    return pairs
+
+
+def mixed_element(rng, L, batch):
+    """Random mixed-parity element; with batch set, every other coefficient
+    carries NODES nodes."""
+    terms = {}
+    for i, m in enumerate(range(1, 1 << L, 3)):
+        if batch and i % 2:
+            terms[m] = rng.standard_normal(NODES) + 1j * rng.standard_normal(NODES)
+        else:
+            terms[m] = complex(rng.standard_normal(), rng.standard_normal())
+    return Supernumber(L, terms)
+
+
+@pytest.mark.parametrize("body_batch", [False, True])
+@pytest.mark.parametrize("other_batch", [False, True])
+def test_body_only_factor_equals_the_dict_loop_on_either_side(body_batch, other_batch,
+                                                             loop_pairs):
+    rng = np.random.default_rng([body_batch, other_batch])
+    c = rng.standard_normal(NODES) + 1j * rng.standard_normal(NODES) if body_batch \
+        else complex(-1.25, 0.5)
+    B = Supernumber(6, {0: c})
+    X = mixed_element(rng, 6, other_batch)
+    for a, b in ((B, X), (X, B)):
+        got = a * b
+        assert not loop_pairs
+        assert same_terms(got, *dict_loop(a, b))
+
+
+def test_body_only_factor_with_fewer_generators_is_promoted(loop_pairs):
+    rng = np.random.default_rng(5)
+    small = Supernumber(3, {0: complex(2.0, -1.0)})
+    big = mixed_element(rng, 6, True)
+    for a, b in ((small, big), (big, small)):
+        got = a * b
+        assert got.L == 6
+        assert same_terms(got, *dict_loop(a.embed(6), b.embed(6)))
+    # and the other way round: the body-only factor has more generators
+    got = mixed_element(rng, 3, False) * Supernumber(6, {0: np.arange(1.0, NODES + 1)})
+    assert got.L == 6
+    assert not loop_pairs
+
+
+def test_a_number_factor_scales_like_the_dict_loop(loop_pairs):
+    X = mixed_element(np.random.default_rng(6), 5, True)
+    for n in (3, -0.5, 1.5 - 2j):
+        got = X * n
+        assert same_terms(got, *dict_loop(X, Supernumber(5, {0: complex(n)})))
+    assert not loop_pairs
+
+
+def test_body_only_product_that_underflows_is_dropped(loop_pairs):
+    tiny, s0 = Supernumber(2, {0: 1e-200}), Supernumber(2, {1: 1e-200})
+    assert (tiny * s0).is_zero()
+    assert (s0 * tiny).is_zero()
+    # a batch is dropped only when it underflows at every node
+    assert (Supernumber(2, {0: np.full(NODES, 1e-200)}) * s0).is_zero()
+    some = Supernumber(2, {0: np.array([1e-200, 1.0, 1e-200, 2.0])}) * s0
+    assert list(some.terms) == [1]
+    assert np.array_equal(some.coefficient(1), [0.0, 1e-200, 0.0, 2e-200])
+    assert not loop_pairs
+
+
+# ---------------------------------------------------------------------------
+# dense block products
+# ---------------------------------------------------------------------------
+
+L = 8
+
+
+def entry_loop(P, Q):
+    """The per-entry loop: sum_k P[i][k] * Q[k][j], one product at a time."""
+    return [[sum((P[i][k] * Q[k][j] for k in range(len(Q))), gr.zero(L))
+             for j in range(len(Q[0]))] for i in range(len(P))]
+
+
+@pytest.fixture
+def block_paths(monkeypatch):
+    """For each _mat_mul call, whether it took the dense block path."""
+    taken = []
+    decide = sl._dense_blocks
+
+    def spy(P, Q, L):
+        out = decide(P, Q, L)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(sl, "_dense_blocks", spy)
+    return taken
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (2, 1, 2), (1, 2, 1)])
+def test_dense_block_product_matches_the_per_entry_loop(shape, block_paths):
+    r, k, c = shape
+    rng = np.random.default_rng(list(shape))
+    for left in PARITIES:
+        for right in PARITIES:
+            P = [[dense(rng, L, left) for _ in range(k)] for _ in range(r)]
+            Q = [[dense(rng, L, right) for _ in range(c)] for _ in range(k)]
+            got = sl._mat_mul(P, Q, L)
+            want = entry_loop(P, Q)
+            assert (len(got), len(got[0])) == (r, c)
+            for i in range(r):
+                for j in range(c):
+                    scale = gr.max_abs(want[i][j])
+                    assert got[i][j].L == L
+                    assert gr.max_coeff_diff(got[i][j], want[i][j]) <= 1e-14 * scale
+    assert block_paths == [True] * len(PARITIES) ** 2
+
+
+def spoil(case, P, Q, rng):
+    """Put one entry in P or Q that the dense block path cannot take."""
+    if case == "batch":
+        P[0][1] = P[0][1] + Supernumber(L, {0b11: np.arange(1.0, NODES + 1)})
+    elif case == "inf":
+        P[1][0] = P[1][0] + 1e200 * Supernumber(L, {0b11: 1e200})  # overflows to inf
+    elif case == "zero":
+        Q[1][1] = gr.zero(L)
+    elif case == "mixed_L":
+        P[0][0] = dense(rng, L - 2, "even")
+
+
+@pytest.mark.parametrize("case", ["batch", "inf", "zero", "mixed_L"])
+def test_block_the_dense_path_cannot_take_gives_the_loops_answer(case, block_paths):
+    rng = np.random.default_rng(len(case))
+    P = [[dense(rng, L, "even") for _ in range(2)] for _ in range(2)]
+    Q = [[dense(rng, L, "odd") for _ in range(2)] for _ in range(2)]
+    spoil(case, P, Q, rng)
+    got = sl._mat_mul(P, Q, L)
+    assert block_paths == [False]
+    want = entry_loop(P, Q)
+    for i in range(2):
+        for j in range(2):
+            assert same(got[i][j], want[i][j]), (i, j)
+
+
+def dense_even_matrix(rng):
+    """(2|2) even matrix with dense L=8 souls and invertible diagonal bodies."""
+    def block(parity, shift):
+        body = rng.standard_normal((2, 2)) + shift * np.eye(2)
+        return [[dense(rng, L, parity, body=complex(body[i, j]) if shift else None, scale=0.3)
+                 for j in range(2)] for i in range(2)]
+
+    return from_blocks(block("even", 2.0), block("odd", 0.0), block("odd", 0.0),
+                       block("even", 2.0), L=L)
+
+
+def test_sdet_of_a_dense_product_equals_the_per_entry_loop_bit_for_bit(monkeypatch,
+                                                                         block_paths):
+    rng = np.random.default_rng(88)
+    M, N = dense_even_matrix(rng), dense_even_matrix(rng)
+    fast = sdet(M @ N)
+    assert block_paths and all(block_paths[:1]) and any(block_paths[1:])
+    monkeypatch.setattr(sl, "_dense_blocks", lambda P, Q, L: None)
+    slow = sdet(M @ N)
+    assert same(fast, slow)

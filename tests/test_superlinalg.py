@@ -399,3 +399,65 @@ def test_mat_inverse_even_of_a_body_that_overflowed_raises():
     with pytest.raises(GrassmannDomainError):
         mat_inverse_even([[big, gr.zero(2)], [gr.zero(2), gr.one(2)]])
 
+
+# ---------------------------------------------------------------------------
+# singular to working precision
+# ---------------------------------------------------------------------------
+
+# Exactly rank 1 (row 2 is 3 x row 1), but numpy's determinant is 3.3e-17,
+# not 0.
+RANK_ONE = [[0.1, 0.7], [0.3, 2.1]]
+
+
+def test_mat_inverse_even_of_a_rank_one_body_raises():
+    assert np.linalg.det(np.array(RANK_ONE)) != 0.0
+    s0s1 = Supernumber(2, {0b11: 1.0})
+    rows = [[gr.scalar(2, RANK_ONE[i][j]) + (s0s1 if i == j else 0) for j in range(2)]
+            for i in range(2)]
+    with pytest.raises(GrassmannDomainError, match="singular"):
+        mat_inverse_even(rows)
+
+
+def test_sdet_with_a_rank_one_b_body_raises():
+    L = 2
+    A = [[gr.scalar(L, 2.0) + Supernumber(L, {0b11: 1.0})]]
+    B = [[gr.scalar(L, v) for v in row] for row in RANK_ONE]
+    C = [[gr.zero(L), gr.zero(L)]]
+    D = [[gr.zero(L)], [gr.zero(L)]]
+    with pytest.raises(GrassmannDomainError, match="singular"):
+        sdet(from_blocks(A, C, D, B, L=L))
+
+
+def test_singular_body_test_is_per_node():
+    L = 2
+    regular = [[2.0, 0.5], [0.25, 1.0]]
+
+    def entry(i, j, values):
+        return Supernumber(L, {0: np.array([v[i][j] for v in values]), 0b11: 0.1})
+
+    fine = [[entry(i, j, [regular, regular]) for j in range(2)] for i in range(2)]
+    want = mat_inverse_even([[gr.scalar(L, regular[i][j]) + Supernumber(L, {0b11: 0.1})
+                              for j in range(2)] for i in range(2)])
+    got = mat_inverse_even(fine)
+    for i in range(2):
+        for j in range(2):
+            at_1 = Supernumber(L, {m: c[1] for m, c in got[i][j].terms.items()})
+            assert gr.max_coeff_diff(at_1, want[i][j]) < 1e-14
+    one_bad = [[entry(i, j, [regular, RANK_ONE]) for j in range(2)] for i in range(2)]
+    with pytest.raises(GrassmannDomainError, match="singular"):
+        mat_inverse_even(one_bad)
+
+
+def test_det_even_with_a_negligible_pivot_takes_the_leibniz_expansion():
+    # The body's first two columns are proportional, so after the first
+    # elimination step every candidate pivot is a rounding error, not 0.
+    # Dividing by one (as an exact == 0 test allowed) got coefficients wrong
+    # by 20 on values of about 47.
+    rng = np.random.default_rng(41)
+    L = 4
+    body = rng.standard_normal((5, 5)) + 3.0 * np.eye(5)
+    body[:, 1] = 0.7 * body[:, 0]
+    rows = [[random_supernumber(rng, L, "even", body=body[i, j]) for j in range(5)]
+            for i in range(5)]
+    want = _dense_det_oracle(rows, L)
+    assert gr.max_coeff_diff(det_even(rows), want) < 1e-12 * gr.max_abs(want)
