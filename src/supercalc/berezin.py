@@ -303,7 +303,9 @@ def odd_expand(fn: Callable[[Tuple[Supernumber, ...]], Supernumber],
 
     Evaluates once at fresh generators placed above the ambient algebra
     (grassmann.seed) and reads the theta-monomial coefficients back with
-    grassmann.seed_parts.
+    grassmann.seed_parts.  Every monomial is read, so this seeding does not
+    truncate; inside a first-order seeded evaluation its values keep the
+    outer cut, whose window lies below the generators seeded here.
     """
     _, fresh, _ = seed((), (zero(ambient_L),) * n, ambient_L)
     val = _as_super(fn(fresh))

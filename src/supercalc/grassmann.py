@@ -63,16 +63,51 @@ Conventions
 * Conjugation reverses products: ``conjugate(X*Y) == conjugate(Y)*conjugate(X)``;
   on a single monomial it contributes the reversal sign (-1)^{k(k-1)/2} of a
   k-generator product, together with complex conjugation of the coefficient.
+
+Seeding
+-------
+``seed`` puts fresh generators above L on slot values, one fresh monomial
+(its slot mask) per slot, and ``seed_parts`` reads a value computed from them
+back by its fresh part: the part at a slot mask is the derivative along that
+slot.  A caller that reads first derivatives only (``seed(...,
+first_order=True)``) never needs a term whose fresh part is not one slot
+mask, and every product spends most of its pairs on such terms.  So a
+first-order seeding attaches a cut to the seeded values: the window of the
+seeding (its base L and its width) and the fresh parts it allows, 0 and each
+slot mask.  The dict-loop product skips a pair whose union has a fresh part
+``(mask >> base) & window`` that is not allowed.  The test reads the window
+only, so the generators of a seeding nested above it are never dropped by the
+outer cut.  Every result computed from a value with a cut carries it on: ``+``,
+``-``, negation, number or array times element, ``/`` by a number, ``embed``,
+``soul``, ``superspace``'s Taylor continuation, and through their products
+``inverse`` and ``apply_analytic``.  When both operands carry different cuts
+either one is kept, since each is valid alone.  ``seed_parts`` clears the cut
+of the window it reads back.
+
+A cut is a permission to drop terms, never a duty: the table kernel and any
+result built through the validating constructor keep every term, which costs
+time and nothing else.  Products only ever add mask bits, so a dropped term
+never feeds a kept coefficient, and every kept coefficient sums the same
+pairs in the same order as without the cut: the derivatives read back are
+the same bit for bit.  (A product whose operands the cut has thinned may
+fall below the table kernel's crossover and take the dict loop; its kept
+coefficients then agree up to the order of summation.)  All of this holds
+only while fresh parts stay unions of slot masks, so an evaluation at
+first-order seeded values must not differentiate by a fresh generator
+(``gen_left_derivative``) or integrate over one.  Equality and hashing
+ignore the cut.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -230,6 +265,21 @@ def _coefficient(x):
     return None
 
 
+class _Cut(NamedTuple):
+    """The window of one first-order seeding (see "Seeding" above): terms
+    whose fresh part ``(mask >> base) & window`` is not in ``allowed`` may be
+    dropped."""
+
+    base: int
+    window: int
+    allowed: FrozenSet[int]
+
+
+def _cut_of(values: Iterable[Supernumber]) -> _Cut | None:
+    """The first cut carried by one of values, or None."""
+    return next((v._cut for v in values if v._cut is not None), None)
+
+
 # The private third argument of Supernumber(L, terms, trust): how far terms
 # computed inside the package are taken as given (see the class docstring).
 _VALIDATE = 0
@@ -270,18 +320,23 @@ class Supernumber:
     ``_dense_coefficients``).  Arithmetic on clean coefficients stays clean
     (complex op complex is complex; complex op complex array is a complex
     array); a value from numpy, such as ``np.dot``, is converted first.
+
+    A trusted branch also takes a private fourth argument, the ``_cut`` of a
+    first-order seeding the result carries (see "Seeding" in the module
+    docstring); a validated element has none.
     """
 
-    __slots__ = ("L", "_terms")
+    __slots__ = ("L", "_terms", "_cut")
 
     # numpy arrays and scalars on the left of + and * defer to __radd__ and
     # __rmul__ instead of broadcasting over this object
     __array_ufunc__ = None
 
     def __init__(self, L: int, terms: Mapping[int, complex] | None = None,
-                 _trust: int = _VALIDATE):
+                 _trust: int = _VALIDATE, _cut: _Cut | None = None):
         if _trust:
             self.L = L
+            self._cut = _cut
             if _trust == _AS_IS:
                 self._terms = terms
             else:
@@ -289,6 +344,7 @@ class Supernumber:
                                if (c != 0 if type(c) is complex else np.count_nonzero(c))}
             return
         self.L = _generator_count(L)
+        self._cut = None
         clean: Dict[int, complex] = {}
         if terms:
             top = 1 << self.L
@@ -367,7 +423,7 @@ class Supernumber:
             for m in self._terms:
                 if m >> L:
                     raise GrassmannError("cannot shrink below occupied generators")
-        return Supernumber(L, self._terms, _AS_IS)
+        return Supernumber(L, self._terms, _AS_IS, self._cut)
 
     def __add__(self, other):
         a, b = self._promote(other)
@@ -376,12 +432,12 @@ class Supernumber:
         out = dict(a._terms)
         for m, c in b._terms.items():
             out[m] = out[m] + c if m in out else c
-        return Supernumber(a.L, out, _DROP_ZEROS)
+        return Supernumber(a.L, out, _DROP_ZEROS, a._cut or b._cut)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Supernumber(self.L, {m: -c for m, c in self._terms.items()}, _AS_IS)
+        return Supernumber(self.L, {m: -c for m, c in self._terms.items()}, _AS_IS, self._cut)
 
     def __sub__(self, other):
         a, b = self._promote(other)
@@ -397,22 +453,38 @@ class Supernumber:
         if b is NotImplemented:
             return NotImplemented
         x, y = a._terms, b._terms
+        cut = a._cut or b._cut
         # a factor whose one term is the body scales the other term by term;
         # the factors keep the dict loop's order, so the values are its own
         if len(x) == 1 and 0 in x:
             c = x[0]
-            return Supernumber(a.L, {m: c * v for m, v in y.items()}, _DROP_ZEROS)
+            return Supernumber(a.L, {m: c * v for m, v in y.items()}, _DROP_ZEROS, cut)
         if len(y) == 1 and 0 in y:
             c = y[0]
-            return Supernumber(a.L, {m: v * c for m, v in x.items()}, _DROP_ZEROS)
+            return Supernumber(a.L, {m: v * c for m, v in x.items()}, _DROP_ZEROS, cut)
         if _table_takes(len(x) * len(y), a.L):
             out = _table_product(a, b)
             if out is not None:
-                return out
+                return out if cut is None else Supernumber(a.L, out._terms, _AS_IS, cut)
         acc: Dict[int, complex] = {}
+        if cut is not None:
+            base, window, allowed = cut
+            fresh = window << base
+            kept = [(mk, ck) for mk, ck in y.items() if (mk & fresh) >> base in allowed]
         for mj, cj in x.items():
-            for mk, ck in y.items():
-                if mj & mk:
+            # block: the bits a partner of mj must not have
+            block, partners = mj, y.items()
+            if cut is not None:
+                # the pair's fresh part must be allowed: 0 or one slot mask
+                fj = (mj & fresh) >> base
+                if not fj:
+                    partners = kept
+                elif fj in allowed:
+                    block = mj | fresh  # slot masks are disjoint: no other fresh bit
+                else:
+                    continue  # two or more slot masks, and so every union with it
+            for mk, ck in partners:
+                if block & mk:
                     continue
                 m = mj | mk
                 v = cj * ck
@@ -420,21 +492,24 @@ class Supernumber:
                     acc[m] = acc[m] + v if m in acc else v
                 else:
                     acc[m] = acc[m] - v if m in acc else -v
-        return Supernumber(a.L, acc, _DROP_ZEROS)
+        return Supernumber(a.L, acc, _DROP_ZEROS, cut)
 
     def __rmul__(self, other):
         # numbers inline: this is a hot path, and a call costs more than the test
         c = complex(other) if isinstance(other, (int, float, complex)) else _coefficient(other)
         if c is None:
             return NotImplemented
-        return Supernumber(self.L, {m: c * v for m, v in self._terms.items()}, _DROP_ZEROS)
+        return Supernumber(self.L, {m: c * v for m, v in self._terms.items()}, _DROP_ZEROS,
+                           self._cut)
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, complex)):
             c = complex(other)
             if c == 0:
                 raise GrassmannDomainError("division by zero")
-            out = Supernumber(self.L, {m: v / c for m, v in self._terms.items()}, _DROP_ZEROS)
+            with _overflow_quietly(self):
+                out = Supernumber(self.L, {m: v / c for m, v in self._terms.items()},
+                                  _DROP_ZEROS, self._cut)
             if not _is_finite(out):
                 raise GrassmannDomainError("quotient overflows: the divisor is too small")
             return out
@@ -524,7 +599,7 @@ def body(X: Supernumber) -> complex:
 
 
 def soul(X: Supernumber) -> Supernumber:
-    return Supernumber(X.L, {m: c for m, c in X._terms.items() if m != 0}, _AS_IS)
+    return Supernumber(X.L, {m: c for m, c in X._terms.items() if m != 0}, _AS_IS, X._cut)
 
 
 def parity(X: Supernumber) -> str:
@@ -539,6 +614,15 @@ def project(X: Supernumber, mask: int) -> complex:
 def degree_filter(X: Supernumber, k: int) -> Supernumber:
     """Part of X whose monomials have exactly k generators."""
     return Supernumber(X.L, {m: c for m, c in X._terms.items() if m.bit_count() == k}, _AS_IS)
+
+
+def _overflow_quietly(X: Supernumber):
+    """A context in which arithmetic on a batch coefficient of X overflows to
+    inf (or NaN) without numpy's warning, so that the finite check after it
+    raises GrassmannDomainError; a no-op when X holds no batch."""
+    if all(type(c) is complex for c in X._terms.values()):
+        return contextlib.nullcontext()
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _any_zero(b) -> bool:
@@ -558,16 +642,17 @@ def inverse(X: Supernumber) -> Supernumber:
     if _any_zero(b):
         raise GrassmannDomainError("element with zero body has no inverse")
     s = soul(X)
-    binv = 1.0 / b
-    acc = one(X.L)
-    power = one(X.L)
-    for _ in range(X.L):
-        power = power * s
-        if power.is_zero():
-            break
-        power = -binv * power
-        acc = acc + power
-    out = binv * acc
+    with _overflow_quietly(X):
+        binv = 1.0 / b
+        acc = one(X.L)
+        power = one(X.L)
+        for _ in range(X.L):
+            power = power * s
+            if power.is_zero():
+                break
+            power = -binv * power
+            acc = acc + power
+        out = binv * acc
     if not _is_finite(out):
         raise GrassmannDomainError("inverse overflows: the body is too small")
     return out
@@ -713,12 +798,13 @@ def apply_analytic(spec: AnalyticSpec, X: Supernumber) -> Supernumber:
     acc = scalar(X.L, derivative(0))
     power = one(X.L)
     fact = 1.0
-    for k in range(1, X.L + 1):
-        power = power * s
-        if power.is_zero():
-            break
-        fact *= k
-        acc = acc + (derivative(k) / fact) * power
+    with _overflow_quietly(X):
+        for k in range(1, X.L + 1):
+            power = power * s
+            if power.is_zero():
+                break
+            fact *= k
+            acc = acc + (derivative(k) / fact) * power
     if not _is_finite(acc):
         raise GrassmannDomainError(f"{spec.kind} overflows: a coefficient is not finite")
     return acc
@@ -754,8 +840,9 @@ def shift_generators(X: Supernumber, offset: int, L: int) -> Supernumber:
     return Supernumber(L, out)
 
 
-def seed(even: Sequence[Supernumber], odd: Sequence[Supernumber],
-         L: int) -> Tuple[Tuple[Supernumber, ...], Tuple[Supernumber, ...], List[int]]:
+def seed(even: Sequence[Supernumber], odd: Sequence[Supernumber], L: int, *,
+         first_order: bool = False
+         ) -> Tuple[Tuple[Supernumber, ...], Tuple[Supernumber, ...], List[int]]:
     """Put fresh generators above L on slot values: the place half of seeding.
 
     Even slot j gets the nilpotent pair sigma_{L+2j} sigma_{L+2j+1} and odd
@@ -764,12 +851,25 @@ def seed(even: Sequence[Supernumber], odd: Sequence[Supernumber],
     slot, its fresh monomial as a mask relative to L.  In ``seed_parts`` of a
     function evaluated once at the seeded values, the part at a slot's mask is
     the derivative along that slot (the left derivative for an odd slot).
+
+    Seeding: with ``first_order`` the seeded values carry the cut of this
+    window (base L, width 2m + n, allowed fresh parts 0 and each slot mask),
+    so products computed from them may drop every term whose fresh part is not
+    allowed, the terms with two or more seeds among them (see "Seeding" in the
+    module docstring).  The parts at 0 and at each slot mask come out the same
+    bit for bit; the others may be missing.  The function evaluated there must
+    not differentiate by a fresh generator or integrate over one.  Without it
+    every monomial is kept, and each value keeps the cut, if any, of the value
+    it was placed on.
     """
     m = len(even)
     Lw = L + 2 * m + len(odd)
     masks = [0b11 << 2 * j for j in range(m)] + [1 << 2 * m + s for s in range(len(odd))]
     lifted = [v.embed(Lw) + Supernumber(Lw, {mask << L: 1.0 + 0j}, _AS_IS)
               for v, mask in zip((*even, *odd), masks)]
+    if first_order:
+        cut = _Cut(L, (1 << (Lw - L)) - 1, frozenset([0, *masks]))
+        lifted = [Supernumber(Lw, v._terms, _AS_IS, cut) for v in lifted]
     return tuple(lifted[:m]), tuple(lifted[m:]), masks
 
 
@@ -779,7 +879,16 @@ def seed_parts(X: Supernumber, L: int) -> Dict[int, Supernumber]:
     Returns {high: X_high} with X = sum_high sigma^(high << L) X_high and each
     X_high in the L-generator algebra.  Moving the fresh monomial left of the
     rest costs the sign (-1)^{|high| |low|}.
+
+    Seeding: the parts keep a cut of X only when its window lies below L (a
+    seeding the one read back here is nested in); the cut of the window read
+    back here, or of one above it, is cleared.  When X was computed at
+    first-order seeded values, only the parts at 0 and at each slot mask are
+    complete.
     """
+    cut = X._cut
+    if cut is not None and cut.base + cut.window.bit_length() > L:
+        cut = None
     parts: Dict[int, Dict[int, complex]] = {}
     below = (1 << L) - 1
     for mask, c in X._terms.items():
@@ -787,7 +896,7 @@ def seed_parts(X: Supernumber, L: int) -> Dict[int, Supernumber]:
         if (high.bit_count() * low.bit_count()) & 1:
             c = -c
         parts.setdefault(high, {})[low] = c
-    return {high: Supernumber(L, d, _AS_IS) for high, d in parts.items()}
+    return {high: Supernumber(L, d, _AS_IS, cut) for high, d in parts.items()}
 
 
 def rk4_step(field: Callable, t: float, y: Tuple[Supernumber, ...],

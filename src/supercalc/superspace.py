@@ -40,6 +40,7 @@ from .grassmann import (
     Supernumber,
     _DROP_ZEROS,
     _coefficient,
+    _cut_of,
     max_abs,
     one,
     scalar,
@@ -425,17 +426,20 @@ class _TaylorBasis:
     terms) for every multi-index alpha whose monomial prod_j soul(x_j)^alpha_j
     is nonzero, in the order of the recursion that built them.  ``thetas``
     holds the odd monomial theta^a of each mask a once SuperFunction.evaluate
-    has built it.
+    has built it.  ``cut`` is the seeding cut the arguments carry, if any
+    (see "Seeding" in grassmann): the monomials were built under it, and a
+    continuation over them carries it on.
     """
 
-    __slots__ = ("L", "q", "batch", "terms", "thetas")
+    __slots__ = ("L", "q", "batch", "terms", "thetas", "cut")
 
-    def __init__(self, L, q, terms):
+    def __init__(self, L, q, terms, cut):
         self.L = L
         self.q = q
         self.batch = any(isinstance(v, np.ndarray) for v in q)
         self.terms = terms
         self.thetas: Dict[int, Supernumber] = {}
+        self.cut = cut
 
 
 def _taylor_basis(xs: Sequence[Supernumber], L: int) -> _TaylorBasis:
@@ -472,7 +476,7 @@ def _taylor_basis(xs: Sequence[Supernumber], L: int) -> _TaylorBasis:
         alpha[j] = 0
 
     rec(0, one(L))
-    return _TaylorBasis(L, tuple(x.body for x in xs), terms)
+    return _TaylorBasis(L, tuple(x.body for x in xs), terms, _cut_of(xs))
 
 
 def _continue(bf: BodyFunction, basis: _TaylorBasis) -> Supernumber:
@@ -490,7 +494,7 @@ def _continue(bf: BodyFunction, basis: _TaylorBasis) -> Supernumber:
         for m, v in mono.items():
             cv = c * v
             out[m] = out[m] + cv if m in out else cv
-    return Supernumber(basis.L, out, _DROP_ZEROS)
+    return Supernumber(basis.L, out, _DROP_ZEROS, basis.cut)
 
 
 def continue_body(bf: BodyFunction, xs: Sequence[Supernumber], L: int | None = None) -> Supernumber:
@@ -701,9 +705,10 @@ def compose(g: SuperMap, f: SuperMap) -> SuperMap:
 def _seeded_derivatives(F: SuperMap, P: SuperPoint) -> List[List[Supernumber]]:
     """J[r][c] = d F_c / d z_r at P, z_r the source slots (even first, odd
     derivatives from the left), in P's algebra, from one evaluation of F at
-    arguments seeded by grassmann.seed."""
+    arguments seeded first-order by grassmann.seed (terms with two or more
+    seeds are dropped on the way)."""
     L0 = max(P.L, 1)
-    ex, th, masks = seed(P.x, P.theta, L0)
+    ex, th, masks = seed(P.x, P.theta, L0, first_order=True)
     out = F.evaluate(SuperPoint(ex, th))
     parts = [seed_parts(v, L0) for v in out.x + out.theta]
     return [[p.get(mask, zero(L0)) for p in parts] for mask in masks]
@@ -728,6 +733,13 @@ def map_super_jacobian(F: SuperMap, P: SuperPoint):
     from the left:  J[r][c] = d F_c / d z_r.  Entries are exact Supernumbers
     in P's algebra, read from one evaluation at nilpotently seeded arguments.
     Requires a square map.
+
+    The seeding is first order (see "Seeding" in grassmann): the evaluation
+    of F drops the terms that carry two or more seeds, which no entry reads,
+    and the entries equal those of a full seeded evaluation bit for bit.  So
+    F must not differentiate by the seeded generators or integrate over them;
+    seeding of its own above them (``odd_expand``, ``seeded_gradient``) is
+    fine.
     """
     m, n = F.src
     if F.dst != (m, n):
@@ -803,7 +815,9 @@ def invert_map(F: SuperMap, body_inverse: Callable[[np.ndarray], Sequence[float]
             raise GrassmannDomainError("inverse iteration did not converge")
         return Y
 
-    solve_cached = lru_cache(maxsize=128)(solve)
+    # a point's seeding cut is part of the key: the solution at a point with
+    # a cut may lack terms that the same point without one needs
+    solve_cached = lru_cache(maxsize=128)(lambda P, cut: solve(P))
     last_batch: list = [None, None]
 
     def lookup(P: SuperPoint) -> SuperPoint:
@@ -813,7 +827,7 @@ def invert_map(F: SuperMap, body_inverse: Callable[[np.ndarray], Sequence[float]
         batch = any(isinstance(c, np.ndarray)
                     for v in P.x + P.theta for c in v._terms.values())
         if not batch:
-            return solve_cached(P)
+            return solve_cached(P, _cut_of(P.x + P.theta))
         if last_batch[0] is not P:
             last_batch[:] = [P, solve(P)]
         return last_batch[1]

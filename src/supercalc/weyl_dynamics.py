@@ -411,6 +411,12 @@ class SuperHamiltonian:
     convention.  ``partials`` optionally supplies closed forms; otherwise the
     whole gradient is read from one evaluation of ``fn`` in which every slot
     is seeded with fresh nilpotent generators (grassmann.seed).
+
+    That seeding is first order (see "Seeding" in grassmann): ``fn`` runs on
+    values whose products drop the terms with two or more seeds, which no
+    gradient entry reads, and the gradient equals that of a full seeded
+    evaluation bit for bit.  So ``fn`` must not differentiate by the seeded
+    generators or integrate over them.
     """
 
     def __init__(self, fn: Callable, even_count: int, odd_count: int,
@@ -462,7 +468,7 @@ class SuperHamiltonian:
         closed-form partials."""
         (xs, xis, ths, pis), L = self._prepare(x, xi, theta, pi)
         k, o = self.even_count, self.odd_count
-        even, odd, masks = seed(xs + xis, ths + pis, L)
+        even, odd, masks = seed(xs + xis, ths + pis, L, first_order=True)
         val = _as_super(self.fn(t, even[:k], even[k:], odd[:o], odd[o:]))
         if val.L > L + 4 * k + 2 * o:
             raise GrassmannError("Hamiltonian escaped the seeded algebra")

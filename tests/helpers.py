@@ -55,6 +55,13 @@ def dense_mul_oracle(a: list[complex], b: list[complex], L: int) -> list[complex
     return out
 
 
+def identical(a: Supernumber, b: Supernumber) -> bool:
+    """Same L, masks in the same order, equal coefficients of the same type."""
+    return (a.L == b.L and list(a.terms) == list(b.terms)
+            and [type(c) for c in a.terms.values()] == [type(c) for c in b.terms.values()]
+            and a == b)
+
+
 def dense_max_diff(a: list[complex], b: list[complex]) -> float:
     return max(abs(x - y) for x, y in zip(a, b))
 

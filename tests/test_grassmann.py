@@ -21,6 +21,7 @@ from helpers import (
     dense_from,
     dense_max_diff,
     dense_mul_oracle,
+    identical,
     supernumbers,
 )
 
@@ -430,3 +431,89 @@ def test_apply_analytic_whose_soul_coefficient_overflows_raises_domain_error():
     X = Supernumber(2, {0: 700.0, 0b11: 1e10})
     with pytest.raises(GrassmannDomainError):
         gr.apply_analytic(AnalyticSpec.named("exp"), X)
+
+
+# batches overflow quietly and raise through the finite checks (warnings are
+# errors in this suite, so numpy's RuntimeWarning would surface instead)
+
+def test_batch_quotient_that_overflows_raises_domain_error():
+    with pytest.raises(GrassmannDomainError):
+        Supernumber(1, {0: np.array([1.0, 1e300])}) / 1e-10
+
+
+def test_batch_apply_analytic_whose_soul_coefficient_overflows_raises_domain_error():
+    X = Supernumber(2, {0: np.array([1.0, 700.0]), 0b11: 1e10})
+    with pytest.raises(GrassmannDomainError):
+        gr.apply_analytic(AnalyticSpec.named("exp"), X)
+
+
+def test_batch_inverse_that_overflows_raises_domain_error():
+    with pytest.raises(GrassmannDomainError):
+        gr.inverse(Supernumber(2, {0: np.array([1.0, 1e-200]), 0b11: 1.0}))
+
+
+# ---------------------------------------------------------------------------
+# first-order seeding: the cut
+# ---------------------------------------------------------------------------
+
+def _slot_values(L):
+    rng = np.random.default_rng(1049)
+
+    def c():
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+    even = (Supernumber(L, {0: 0.7, 0b011: c(), 0b110: c()}),
+            Supernumber(L, {0: np.array([1.2, -0.4]), 0b101: c()}))
+    odd = (Supernumber(L, {0b001: c(), 0b100: c(), 0b111: c()}),)
+    return even, odd
+
+
+def test_first_order_products_drop_exactly_the_terms_with_two_or_more_seeds():
+    L = 3
+    even, odd = _slot_values(L)
+    cut_even, cut_odd, masks = gr.seed(even, odd, L, first_order=True)
+    full_even, full_odd, full_masks = gr.seed(even, odd, L)
+    assert masks == full_masks
+    allowed = {0, *masks}
+
+    def fresh(mask):
+        return mask >> L
+
+    cut_vals, full_vals = cut_even + cut_odd, full_even + full_odd
+    for a, b in [(0, 1), (1, 0), (0, 2), (2, 1), (1, 1)]:
+        got = cut_vals[a] * cut_vals[b]
+        want = full_vals[a] * full_vals[b]
+        if a != b:
+            assert any(fresh(m) not in allowed for m in want.terms)
+        assert all(fresh(m) in allowed for m in got.terms)
+        kept = Supernumber(want.L, {m: c for m, c in want.terms.items() if fresh(m) in allowed})
+        assert identical(got, kept)
+    # a chain of products, sums and scalings keeps the rule; so does a product
+    # with an operand that has no cut and holds terms with two seeds
+    two_seeds = full_vals[0] * full_vals[1]
+    for got, want in [
+        (2.0 * (cut_vals[0] * cut_vals[1] - cut_vals[2] * cut_vals[2]) * cut_vals[0],
+         2.0 * (full_vals[0] * full_vals[1] - full_vals[2] * full_vals[2]) * full_vals[0]),
+        (two_seeds * cut_vals[2], two_seeds * full_vals[2]),
+        (cut_vals[2] * two_seeds, full_vals[2] * two_seeds),
+    ]:
+        kept = Supernumber(want.L, {m: c for m, c in want.terms.items() if fresh(m) in allowed})
+        assert identical(got, kept)
+
+
+def test_seed_parts_clears_the_cut_it_reads_back_and_keeps_an_outer_one():
+    L = 3
+    even, odd = _slot_values(L)
+    cut_even, cut_odd, masks = gr.seed(even, odd, L, first_order=True)
+    X = cut_even[0] * cut_even[1] * cut_odd[0]
+    assert X._cut is not None
+    assert all(p._cut is None for p in gr.seed_parts(X, L).values())
+    # an untruncated seeding nested above the window (as odd_expand seeds):
+    # the outer cut rides on, leaves the nested generators alone (the part
+    # with both of them survives), and outlives the nested read-back
+    Lw = X.L
+    _, inner, _ = gr.seed((), (gr.zero(Lw),) * 2, Lw)
+    Y = X * inner[0] * inner[1]
+    parts = gr.seed_parts(Y, Lw)
+    assert parts[0b11]._cut is X._cut
+    assert identical(parts[0b11], X)

@@ -46,8 +46,9 @@ from supercalc.superspace import (
 )
 
 from supercalc.berezin import integrate_odd, odd_expand
+from supercalc.weyl_dynamics import SuperHamiltonian
 
-from helpers import close
+from helpers import close, identical
 
 
 # ---------------------------------------------------------------------------
@@ -617,13 +618,6 @@ def batch_point(rng, nodes, L):
     return SuperPoint(xs, ths)
 
 
-def identical(a: Supernumber, b: Supernumber) -> bool:
-    """Same L, masks in the same order, equal coefficients of the same type."""
-    return (a.L == b.L and list(a.terms) == list(b.terms)
-            and [type(c) for c in a.terms.values()] == [type(c) for c in b.terms.values()]
-            and a == b)
-
-
 @pytest.mark.parametrize("nodes", [None, 7])
 def test_shared_basis_gives_exactly_the_values_of_fresh_points(nodes):
     rng = np.random.default_rng(43)
@@ -684,3 +678,109 @@ def test_numeric_coefficient_beyond_order_four_raises_through_evaluate():
         s = s + gen(L, 2 * k) * gen(L, 2 * k + 1)
     with pytest.raises(OrderError):
         f.evaluate(SuperPoint((scalar(L, 0.1) + s,), ()))
+
+
+# ---------------------------------------------------------------------------
+# first-order seeding: terms with two or more seeds are dropped on the way
+# ---------------------------------------------------------------------------
+
+def hand_seeded(F: SuperMap, P: SuperPoint):
+    """J[r][c] from one evaluation of F at seeded arguments that keep every
+    term, and the seeded output values."""
+    L = max(P.L, 1)
+    ex, th, masks = seed(P.x, P.theta, L)
+    out = F.evaluate(SuperPoint(ex, th))
+    parts = [seed_parts(v, L) for v in out.x + out.theta]
+    return [[p.get(mask, zero(L)) for p in parts] for mask in masks], out
+
+
+def fresh_parts(values, L):
+    return {m >> L for v in values for m in v.terms}
+
+
+@pytest.mark.parametrize("nodes", [None, 7])
+def test_truncated_jacobian_equals_the_full_seeded_one_bit_for_bit(nodes):
+    rng = np.random.default_rng(59)
+    P = sample_point(rng, 2, 2, 4) if nodes is None else batch_point(rng, nodes, 4)
+    L = max(P.L, 1)
+    for F in lac_pair():
+        want, full = hand_seeded(F, P)
+        J = map_super_jacobian(F, P)
+        for r in range(4):
+            for c in range(4):
+                assert identical(J.rows[r][c], want[r][c])
+        # the full evaluation has terms with two or more seeds, the first-order
+        # one has none
+        ex, th, masks = seed(P.x, P.theta, L, first_order=True)
+        out = F.evaluate(SuperPoint(ex, th))
+        allowed = {0, *masks}
+        assert not fresh_parts(full.x + full.theta, L) <= allowed
+        assert fresh_parts(out.x + out.theta, L) <= allowed
+
+
+def gradient_map():
+    """(2|2) -> (2|2): the gradient (H_x, H_xi, H_th, H_pi) of
+    H = exp(x) xi^2 + x^2 xi + 0.6 x th pi, each component read by
+    SuperHamiltonian.seeded_gradient, and its body Jacobian in closed form."""
+    exp = AnalyticSpec.named("exp")
+
+    def fn(t, x, xi, th, pi):
+        return (apply_analytic(exp, x[0]) * xi[0] * xi[0] + x[0] * x[0] * xi[0]
+                + 0.6 * x[0] * th[0] * pi[0])
+
+    H = SuperHamiltonian(fn, 1, 1)
+
+    class Component:
+        def __init__(self, group):
+            self.group = group
+
+        def evaluate(self, P):
+            grad = H.seeded_gradient(0.0, P.x[:1], P.x[1:], P.theta[:1], P.theta[1:])
+            return grad[self.group][0]
+
+    def body_jacobian(x, xi):
+        e = math.exp(x)
+        even = [[e * xi * xi + 2 * xi, 2 * e * xi + 2 * x],
+                [2 * e * xi + 2 * x, 2 * e]]
+        return even, [[0.0, 0.6 * x], [-0.6 * x, 0.0]]
+
+    return SuperMap((2, 2), (2, 2), [Component(g) for g in range(4)]), body_jacobian
+
+
+def test_jacobian_of_a_map_whose_components_seed_their_own_gradients():
+    # two first-order windows interleave: map_super_jacobian seeds above P's
+    # generators, and each component seeds again above those
+    F, body_jacobian = gradient_map()
+    rng = np.random.default_rng(61)
+    for _ in range(3):
+        P = sample_point(rng, 2, 2, 4)
+        J_fd = fd_body_jacobian(F, P)
+        assert np.max(np.abs(map_body_jacobian(F, P) - J_fd)) < 1e-7
+        even, odd = body_jacobian(P.x[0].body.real, P.x[1].body.real)
+        assert np.max(np.abs(J_fd[:2, :2] - np.array(even))) < 1e-7
+        assert np.max(np.abs(J_fd[2:, 2:] - np.array(odd))) < 1e-7
+        want, _ = hand_seeded(F, P)
+        J = map_super_jacobian(F, P)
+        for r in range(4):
+            for c in range(4):
+                assert identical(J.rows[r][c], want[r][c])
+
+
+def test_invert_map_keeps_a_truncated_solution_apart_from_a_full_one():
+    # y = (th1 - th1 th2 th3, th2, th3) inverts F = (th1 + th1 th2 th3, th2, th3).
+    # Seeding the Jacobian at zero odd slots and expanding in three fresh odd
+    # generators build equal points; the first solves under a cut, which drops
+    # the three-seed term the expansion reads.
+    one_ = const_body(1.0, 0)
+    F = SuperMap((0, 3), (0, 3), [
+        SuperFunction(0, 3, {0b001: one_, 0b111: one_}),
+        SuperFunction(0, 3, {0b010: one_}),
+        SuperFunction(0, 3, {0b100: one_}),
+    ])
+    inv = invert_map(F, lambda q: q)
+    L = 1
+    P = SuperPoint((), (zero(L),) * 3)
+    map_super_jacobian(inv, P)
+    expanded = odd_expand(lambda th: inv.evaluate(SuperPoint((), th)).theta[0], 3, L)
+    assert expanded.coefficients[0b111] == scalar(L, -1.0)
+    assert expanded.coefficients[0b001] == scalar(L, 1.0)

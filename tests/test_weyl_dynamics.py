@@ -37,8 +37,11 @@ from supercalc.grassmann import (
     max_abs,
     max_coeff_diff,
     scalar,
+    seed,
+    seed_parts,
     zero,
 )
+from supercalc import weyl_dynamics
 from supercalc.superlinalg import from_blocks, sdet
 from supercalc.weyl_dynamics import (
     FlowState,
@@ -62,6 +65,8 @@ from supercalc.weyl_dynamics import (
     van_vleck,
     van_vleck_amplitude,
 )
+
+from helpers import identical
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -931,6 +936,53 @@ def test_seeded_gradient_evaluates_the_hamiltonian_once():
     assert max_coeff_diff(d_x[2], scalar(4, 0.7)) < 1e-15
     assert all(max_coeff_diff(a, b) < 1e-15
                for a, b in zip(d_xi, pauli_odd_symbols(th, pp, 1.0)))
+
+
+# the potentials of the spin-transport flow: the benchmark's linear one, a
+# quadratic one (a product of two scaled seeded slots) and a vector potential
+SPIN_POTENTIALS = {
+    "linear": dict(scalar_potential=lambda t, x: x[2]),
+    "quadratic": dict(scalar_potential=lambda t, x: (0.3 * x[0]) * (0.2 * x[1]) + x[2]),
+    "vector": dict(vector_potential=lambda t, x: (-0.5 * x[1], 0.5 * x[0], 0.0 * x[2])),
+}
+
+
+def spin_state(ham, steps=3):
+    """A spin-transport phase point a few RK4 steps into the flow, so that
+    every slot has a soul."""
+    th, pp = bare_odd_phase_point()
+    state = FlowState(0.0, tuple(scalar(4, v) for v in (0.3, -0.8, 0.5)),
+                      tuple(scalar(4, v) for v in (0.6, 0.4, -0.7)), th, pp)
+    return super_hamilton_flow(ham, state, np.linspace(0.0, 0.05 * steps, steps + 1))[-1]
+
+
+@pytest.mark.parametrize("potential", sorted(SPIN_POTENTIALS))
+def test_seeded_gradient_equals_the_full_seeded_one_bit_for_bit(potential):
+    ham = em_weyl_hamiltonian(WeylSymbolParams(), 0.9, **SPIN_POTENTIALS[potential])
+    st = spin_state(ham)
+    got = ham.seeded_gradient(st.t, st.x, st.xi, st.theta, st.pi)
+    even, odd, masks = seed(st.x + st.xi, st.theta + st.pi, 4)
+    parts = seed_parts(ham.fn(st.t, even[:3], even[3:], odd[:2], odd[2:]), 4)
+    want = [parts.get(mask, zero(4)) for mask in masks]
+    for a, b in zip((v for grp in got for v in grp), want):
+        assert identical(a, b)
+
+
+@pytest.mark.parametrize("potential", sorted(SPIN_POTENTIALS))
+def test_truncation_reaches_the_seeded_hamiltonian_value(monkeypatch, potential):
+    # every term of the value read back has a fresh part that one slot at most
+    # contributes to
+    ham = em_weyl_hamiltonian(WeylSymbolParams(), 0.9, **SPIN_POTENTIALS[potential])
+    st = spin_state(ham)
+    read = []
+    monkeypatch.setattr(weyl_dynamics, "seed_parts",
+                        lambda X, L: read.append(X) or seed_parts(X, L))
+    ham.seeded_gradient(st.t, st.x, st.xi, st.theta, st.pi)
+    (value,) = read
+    even, odd, masks = seed(st.x + st.xi, st.theta + st.pi, 4)
+    assert {m >> 4 for m in value.terms} <= {0, *masks}
+    full = ham.fn(st.t, even[:3], even[3:], odd[:2], odd[2:])
+    assert not {m >> 4 for m in full.terms} <= {0, *masks}
 
 
 # ---------------------------------------------------------------------------
