@@ -50,7 +50,16 @@ from .grassmann import (
     seed_parts,
     zero,
 )
-from .superlinalg import Supermatrix, _mat_mul, _sdet, det_even, mat_inverse_even, pfaffian
+from .superlinalg import (
+    Supermatrix,
+    _mat_mul,
+    _mat_sub,
+    _negligible,
+    _sdet,
+    det_even,
+    mat_inverse_even,
+    pfaffian,
+)
 from .superspace import SuperMap, SuperPoint, map_super_jacobian
 
 __all__ = [
@@ -412,24 +421,9 @@ def integrate_fsm(path: FSMPath, u,
                   quad: GaussQuadSpec = DEFAULT_QUAD,
                   odd_order: Sequence[int] | None = None) -> Supernumber:
     """Path integral: Berezin integral over the odd parameters of the
-    q-quadrature of sdet J(gamma) times u composed with gamma."""
-    sign = 1.0 if odd_order is None else _measure_sign(path.gamma.src[1], odd_order)
-    return Supernumber(0, {0: sign * _quad(_per_chunk(_fsm_integrand(path, u)), path.box, quad)})
-
-
-def _fsm_integrand(path: FSMPath, u):
-    """q -> top odd coefficient of sdet J(gamma) (u after gamma) at the body
-    nodes q (one array per axis, or one node)."""
-    n = path.gamma.src[1]
-
-    def integrand(q):
-        P = _grid_point(q, n)
-        sd = _sdet(map_super_jacobian(path.gamma, P))
-        if np.any(np.abs(sd.body) < 1e-12):
-            raise GrassmannDomainError("path Jacobian is body-singular on the box")
-        return _top(sd * u.evaluate(path.gamma.evaluate(P)), n)
-
-    return integrand
+    q-quadrature of sdet J(gamma) times u composed with gamma, which is the
+    naive integral of the pull-back of u through gamma."""
+    return integrate_naive(PulledBack(path.gamma, u), path.box, quad, odd_order)
 
 
 class PulledBack:
@@ -437,7 +431,8 @@ class PulledBack:
 
     This is the integrand the change-of-variables formula transports: a
     function on the source domain of phi whose path integral over
-    phi^{-1}(domain) matches the integral of u over the original domain.
+    phi^{-1}(domain) matches the integral of u over the original domain.  A
+    Jacobian whose sdet has a vanishing body raises GrassmannDomainError.
     """
 
     def __init__(self, phi: SuperMap, u):
@@ -446,8 +441,10 @@ class PulledBack:
         self.m, self.n = phi.src
 
     def evaluate(self, P: SuperPoint) -> Supernumber:
-        J = map_super_jacobian(self.phi, P)
-        return _sdet(J) * self.u.evaluate(self.phi.evaluate(P))
+        sd = _sdet(map_super_jacobian(self.phi, P))
+        if np.any(np.abs(sd.body) < 1e-12):
+            raise GrassmannDomainError("path Jacobian is body-singular on the box")
+        return sd * self.u.evaluate(self.phi.evaluate(P))
 
 
 def naive_cvf_discrepancy(phi_map: SuperMap, u,
@@ -508,16 +505,14 @@ def gaussian_super(M: Supermatrix, lam: float) -> Supernumber:
         # an antisymmetric odd-dimension block is always body-singular, so the
         # zero value must take precedence over the regularity requirement
         return zero(L)
-    if n and abs(np.linalg.det(body[m:, m:])) < 1e-12:
+    if n and _negligible(np.linalg.det(body[m:, m:]), body[m:, m:]):
         raise GrassmannDomainError("odd block body must be regular")
 
     even_factor = scalar(L, (2 * math.pi * lam) ** (m / 2))
     if m:
         root = apply_analytic(AnalyticSpec.named("sqrt"), det_even(A))
         even_factor = even_factor * inverse(root)
-        a_inv = mat_inverse_even(A)
-        corr = _mat_mul(_mat_mul(D, a_inv, L), C, L)
-        raw = [[B[s][t] - corr[s][t] for t in range(n)] for s in range(n)]
+        raw = _mat_sub(B, _mat_mul(_mat_mul(D, mat_inverse_even(A), L), C, L))
         # antisymmetrize exactly so roundoff cannot trip the Pfaffian's check
         pf_arg = [[0.5 * (raw[s][t] - raw[t][s]) for t in range(n)]
                   for s in range(n)]

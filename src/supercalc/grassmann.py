@@ -55,6 +55,20 @@ trusted branch of the constructor that only drops zeros, or stores the dict
 as given when it cannot hold one; the ``Supernumber`` docstring lists which
 operation takes which.
 
+Overflow
+--------
+Sums and products do not check their results, since they are the hot path:
+``Supernumber(2, {0: 1e300, 3: 1}) * Supernumber(2, {0: 1e300})`` has an inf
+body, and inf - inf is NaN.  Such a value is caught at the exits instead:
+``inverse``, ``/``, ``apply_analytic`` and ``superlinalg``'s ``det_even``,
+``mat_inverse_even`` and ``sdet`` return finite coefficients or raise
+``GrassmannDomainError``, ``to_json`` raises ``GrassmannError`` and the
+quadratures of ``berezin`` (``quad_box`` and the mixed integrals) raise
+``QuadratureError``.  ``inverse`` and ``apply_analytic`` test the body
+first, since 1/inf is 0 and would give a finite, wrong result.  On a batch,
+``/``, ``inverse`` and ``apply_analytic`` overflow without numpy's warning
+before their check.
+
 Conventions
 -----------
 * ``body(X)`` is the coefficient at the empty product (mask 0); ``soul(X)`` is
@@ -510,12 +524,15 @@ class Supernumber:
             with _overflow_quietly(self):
                 out = Supernumber(self.L, {m: v / c for m, v in self._terms.items()},
                                   _DROP_ZEROS, self._cut)
-            if not _is_finite(out):
-                raise GrassmannDomainError("quotient overflows: the divisor is too small")
-            return out
-        if isinstance(other, Supernumber):
-            return self * inverse(other)
-        return NotImplemented
+        elif isinstance(other, Supernumber):
+            reciprocal = inverse(other)
+            with _overflow_quietly(self, reciprocal):
+                out = self * reciprocal
+        else:
+            return NotImplemented
+        if not _is_finite(out):
+            raise GrassmannDomainError("quotient overflows: a coefficient is not finite")
+        return out
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -616,11 +633,12 @@ def degree_filter(X: Supernumber, k: int) -> Supernumber:
     return Supernumber(X.L, {m: c for m, c in X._terms.items() if m.bit_count() == k}, _AS_IS)
 
 
-def _overflow_quietly(X: Supernumber):
-    """A context in which arithmetic on a batch coefficient of X overflows to
-    inf (or NaN) without numpy's warning, so that the finite check after it
-    raises GrassmannDomainError; a no-op when X holds no batch."""
-    if all(type(c) is complex for c in X._terms.values()):
+def _overflow_quietly(*values: Supernumber):
+    """A context in which arithmetic on a batch coefficient of the values
+    overflows to inf (or NaN) without numpy's warning, so that the finite
+    check after it raises GrassmannDomainError; a no-op when no value holds a
+    batch."""
+    if all(type(c) is complex for X in values for c in X._terms.values()):
         return contextlib.nullcontext()
     return np.errstate(over="ignore", invalid="ignore")
 
@@ -637,8 +655,12 @@ def inverse(X: Supernumber) -> Supernumber:
 
     X = b(1 + b^{-1} s) with s nilpotent, so the finite geometric series
     b^{-1} sum_k (-b^{-1} s)^k terminates and is the exact two-sided inverse.
+    A body that is not finite raises GrassmannDomainError (1/inf would give 0),
+    and so does a result that is not.
     """
     b = X.body
+    if not _is_finite(b):
+        raise GrassmannDomainError("element with a body that is not finite has no inverse")
     if _any_zero(b):
         raise GrassmannDomainError("element with zero body has no inverse")
     s = soul(X)
@@ -654,7 +676,7 @@ def inverse(X: Supernumber) -> Supernumber:
             acc = acc + power
         out = binv * acc
     if not _is_finite(out):
-        raise GrassmannDomainError("inverse overflows: the body is too small")
+        raise GrassmannDomainError("inverse overflows: a coefficient is not finite")
     return out
 
 
@@ -773,13 +795,15 @@ def apply_analytic(spec: AnalyticSpec, X: Supernumber) -> Supernumber:
     f(X) = sum_k f^{(k)}(body) / k! * soul^k, which terminates because the
     soul is nilpotent.  The argument must be even so soul powers commute with
     everything in sight.  For a batch of nodes the derivatives are taken one
-    node at a time.  A derivative that overflows, or divides by a body that
-    underflows to 0, raises GrassmannDomainError, and so does a result with a
-    coefficient that is not finite.
+    node at a time.  A body that is not finite, a derivative that overflows or
+    divides by a body that underflows to 0, and a result with a coefficient
+    that is not finite raise GrassmannDomainError.
     """
     if X.parity not in ("even",):
         raise GrassmannDomainError("analytic functions act on even elements only")
     b = X.body
+    if not _is_finite(b):
+        raise GrassmannDomainError(f"{spec.kind} needs a finite body")
     if spec.kind in _NEEDS_NONZERO_BODY and _any_zero(b):
         raise GrassmannDomainError(f"{spec.kind} requires a nonzero body")
     if spec.kind == "power" and spec.exponent < 0 and _any_zero(b):

@@ -13,11 +13,13 @@ the super-determinant
 
     str M  = tr A - tr B            (even M)
     sdet M = det(A - C B^{-1} D) * det(B)^{-1}
-           = det(A) * det(B - D A^{-1} C)^{-1}
 
 are the multiplicative/additive invariants: sdet(MN) = sdet(M) sdet(N) and
 sdet respects the flow identity d/dt log sdet X(t) = str M(t) along
-dX/dt = M(t) X.
+dX/dt = M(t) X.  sdet is computed on this B side only, and is defined only
+where the body of B is invertible: the other Schur form
+det(A) det(B - D A^{-1} C)^{-1} needs the inverse of B - D A^{-1} C, which
+has the body of B, so it exists nowhere the B side does not.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .grassmann import (
     GrassmannDomainError,
     GrassmannError,
     Supernumber,
-    _AS_IS,
     _DROP_ZEROS,
     _as_super,
     _coefficient,
@@ -308,7 +309,8 @@ def det_even(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
     pivots above that (entries commute, so ordinary row reduction is exact);
     Leibniz fallback up to size 6 when no body-invertible pivot exists.  A
     pivot counts as invertible when its body is not negligible against its
-    row (``_negligible``), at every node for a batch.
+    row (``_negligible``), at every node for a batch.  A result that is not
+    finite raises GrassmannDomainError.
     """
     rows = [list(r) for r in rows]
     size = len(rows)
@@ -322,9 +324,15 @@ def det_even(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
                 raise GrassmannDomainError("det_even needs even entries")
     if size == 0:
         return one(L)
-    if size <= 4:
-        return _det_leibniz(rows, L)
+    det = _det_leibniz(rows, L) if size <= 4 else _det_eliminate(rows, L)
+    if not _is_finite(det):
+        raise GrassmannDomainError("det_even overflows: a coefficient is not finite")
+    return det
 
+
+def _det_eliminate(rows: List[List[Supernumber]], L: int) -> Supernumber:
+    """Gaussian elimination for det_even, with its Leibniz fallback."""
+    size = len(rows)
     work = [row[:] for row in rows]
     det = one(L)
     for col in range(size):
@@ -356,7 +364,7 @@ def mat_inverse_even(rows: Sequence[Sequence[Supernumber]]) -> List[List[Supernu
     Neumann split: with R = body(rows) and S the soul part,
     rows^{-1} = (I + R^{-1} S)^{-1} R^{-1}, and the series terminates.  A body
     singular to working precision (``_negligible``), at any node for a batch,
-    raises GrassmannDomainError.
+    raises GrassmannDomainError, and so does a result that is not finite.
     """
     size = len(rows)
     L = max((e.L for r in rows for e in r if isinstance(e, Supernumber)), default=0)
@@ -364,8 +372,15 @@ def mat_inverse_even(rows: Sequence[Sequence[Supernumber]]) -> List[List[Supernu
     body = _node_array((e.body for r in rows for e in r), (size, size))
     if not np.isfinite(body).all():
         raise GrassmannDomainError("matrix body is not finite")
-    if size and np.any(_negligible(_per_node(np.linalg.det, body), body)):
-        raise GrassmannDomainError("matrix body is singular to working precision")
+    if size:
+        # the test is the same for any multiple of the body; on entries of at
+        # most 1 neither the determinant nor the row norms overflow (the parts
+        # are scaled apart, since a complex quotient by a subnormal peak can)
+        peak = np.abs(body).max(axis=(0, 1))
+        peak = np.where(peak > 0, peak, 1.0)
+        unit = body.real / peak + 1j * (body.imag / peak)
+        if np.any(_negligible(_per_node(np.linalg.det, unit), unit)):
+            raise GrassmannDomainError("matrix body is singular to working precision")
     binv = _per_node(np.linalg.inv, body) if size else body
     if not np.isfinite(binv).all():
         raise GrassmannDomainError("matrix body inverse overflows: the body is nearly singular")
@@ -384,7 +399,10 @@ def mat_inverse_even(rows: Sequence[Sequence[Supernumber]]) -> List[List[Supernu
         if all(e.is_zero() for r in power for e in r):
             break
         acc = [[acc[i][j] + power[i][j] for j in range(size)] for i in range(size)]
-    return _mat_mul(acc, lift(binv), L)
+    out = _mat_mul(acc, lift(binv), L)
+    if not all(_is_finite(e) for r in out for e in r):
+        raise GrassmannDomainError("matrix inverse overflows: a coefficient is not finite")
+    return out
 
 
 def _mat_mul(P, Q, L):
@@ -453,19 +471,13 @@ def _mat_sub(P, Q):
     return [[a - b for a, b in zip(rp, rq)] for rp, rq in zip(P, Q)]
 
 
-def _take(X: Supernumber, nodes: np.ndarray) -> Supernumber:
-    """The given nodes of a batch; scalar coefficients are shared by all."""
-    return Supernumber(X.L, {
-        m: c[nodes] if isinstance(c, np.ndarray) else c for m, c in X._terms.items()
-    }, _DROP_ZEROS)
-
-
 def sdet(M: Supermatrix) -> Supernumber:
-    """Multiplicative super-determinant of an even matrix.
+    """Multiplicative super-determinant of an even matrix,
+    det(A - C B^{-1} D) det(B)^{-1}.
 
-    Uses det(A - C B^{-1} D) det(B)^{-1} when the body of B is invertible,
-    otherwise det(A) det(B - D A^{-1} C)^{-1}.  A result that overflows
-    raises GrassmannDomainError.
+    Defined only where the body of B is invertible: a B body singular to
+    working precision raises GrassmannDomainError (see ``mat_inverse_even``),
+    and so does a result that overflows.
     """
     out = _sdet(M)
     if not _is_finite(out):
@@ -474,17 +486,8 @@ def sdet(M: Supermatrix) -> Supernumber:
 
 
 def _sdet(M: Supermatrix) -> Supernumber:
-    """sdet, also for entries that carry a batch of nodes.
-
-    Each node takes the Schur side sdet would take for it alone; a batch whose
-    nodes need different sides is split in two and the results merged.
-
-    A node takes the B side unless numpy's determinant of its B body is
-    exactly 0.  A B body singular only to working precision takes the B side
-    as well, where ``mat_inverse_even`` raises: B - D A^{-1} C has the body of
-    B, so on the A side such a body would give the reciprocal of a rounding
-    error instead of an error.
-    """
+    """sdet, also for entries that carry a batch of nodes; a B body singular
+    at any node raises for the whole batch."""
     if M.parity != "even":
         raise GrassmannDomainError("sdet is defined for even matrices")
     L = M.L
@@ -492,24 +495,9 @@ def _sdet(M: Supermatrix) -> Supernumber:
     C, D = M.block("C"), M.block("D")
     if M.n == 0:
         return det_even(A)
-    if M.m == 0:
-        return inverse(det_even(B))
-    bodyB = _node_array((e.body for r in B for e in r), (M.n, M.n))
-    side_b = np.abs(_per_node(np.linalg.det, bodyB)) > 0.0
-    if side_b.ndim and side_b.any() and not side_b.all():
-        out = {}
-        for nodes in (np.flatnonzero(side_b), np.flatnonzero(~side_b)):
-            part = Supermatrix(M.m, M.n, [[_take(e, nodes) for e in r] for r in M.rows], L)
-            for mask, c in _sdet(part)._terms.items():
-                out.setdefault(mask, np.zeros(side_b.size, dtype=complex))[nodes] = c
-        return Supernumber(L, out, _AS_IS)
-    if np.all(side_b):
-        Binv = mat_inverse_even(B)
-        Schur = _mat_sub(A, _mat_mul(_mat_mul(C, Binv, L), D, L))
-        return det_even(Schur) * inverse(det_even(B))
-    Ainv = mat_inverse_even(A)
-    Schur = _mat_sub(B, _mat_mul(_mat_mul(D, Ainv, L), C, L))
-    return det_even(A) * inverse(det_even(Schur))
+    Binv = mat_inverse_even(B)
+    Schur = _mat_sub(A, _mat_mul(_mat_mul(C, Binv, L), D, L))
+    return det_even(Schur) * inverse(det_even(B))
 
 
 def sm_inverse(M: Supermatrix) -> Supermatrix:

@@ -135,6 +135,15 @@ def random_supermatrix(rng, m, n, L, diag_shift=None, soul_scale=0.6):
     return Supermatrix(m, n, rows, L)
 
 
+def overflowed(part: str) -> Supernumber:
+    """An even element with an inf body (part "body") or an inf soul
+    coefficient (part "soul"), made by a product that overflows: the public
+    constructors reject inf, but products do not check their results."""
+    if part == "body":
+        return Supernumber(2, {0: 1e300, 0b11: 1.0}) * Supernumber(2, {0: 1e300})
+    return Supernumber(4, {0: 1.0, 0b0011: 1e200}) * Supernumber(4, {0: 1.0, 0b1100: 1e200})
+
+
 def rel_err(a: float, b: float) -> float:
     denom = max(abs(a), abs(b), 1e-300)
     return abs(a - b) / denom

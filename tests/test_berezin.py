@@ -51,10 +51,10 @@ from supercalc.berezin import (
     susy_localize,
 )
 from supercalc import berezin
-from supercalc.berezin import _fsm_integrand, _gauss_legendre, _tensor_quad
+from supercalc.berezin import _gauss_legendre, _grid_point, _tensor_quad, _top
 from supercalc.fourier_odd import GaussPolyBody, OddFourierConfig, mixed_transform
 
-from helpers import close, random_supernumber, supernumbers
+from helpers import close, overflowed, random_supernumber, supernumbers
 
 TWO_PI = 2.0 * math.pi
 
@@ -646,6 +646,22 @@ def test_gaussian_super_validates_inputs():
         gaussian_super(mismatched, 1.0)
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_gaussian_super_of_a_small_odd_block_scales_as_its_pfaffian(n):
+    # det of the odd body is s^n det(B0) < 1e-12 at s = 1e-7, but the block is
+    # regular relative to its scale: the value is s^{n/2} times the unscaled one
+    L, s = 2, 1e-7
+    s12 = gen(L, 0) * gen(L, 1)
+    r = np.random.default_rng(n).uniform(-1, 1, (n, n))
+    anti = r - r.T + np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1)
+    B0 = [[scalar(L, anti[i][j]) + (0.2 * (j - i)) * s12 for j in range(n)] for i in range(n)]
+    none = [[] for _ in range(n)]
+    unscaled = gaussian_super(from_blocks([], [], none, B0), 0.8)
+    scaled = gaussian_super(from_blocks([], [], none, [[s * e for e in row] for row in B0]), 0.8)
+    want = s ** (n // 2) * unscaled
+    assert max_abs(scaled - want) <= 1e-14 * max_abs(want)
+
+
 # ---------------------------------------------------------------------------
 # shifted body Gaussian moments
 # ---------------------------------------------------------------------------
@@ -931,8 +947,11 @@ def test_fsm_path_through_invert_map_matches_the_closed_form_inverse():
 
 def test_fsm_integrand_on_a_chunk_matches_each_node_alone():
     forward, backward = lac_pair()
-    path = FSMPath(((-4.2, 4.2),) * 2, backward)
-    integrand = _fsm_integrand(path, PulledBack(forward, normalized_gaussian_22()))
+    pulled = PulledBack(backward, PulledBack(forward, normalized_gaussian_22()))
+
+    def integrand(q):
+        return _top(pulled.evaluate(_grid_point(q, 2)), 2)
+
     rng = np.random.default_rng(11)
     q1, q2 = rng.uniform(-4.2, 4.2, size=(2, 37))
     chunk = integrand((q1, q2))
@@ -940,6 +959,31 @@ def test_fsm_integrand_on_a_chunk_matches_each_node_alone():
         alone = integrand((q1[k], q2[k]))
         assert isinstance(alone, complex)
         assert abs(chunk[k] - alone) <= 1e-13 * abs(alone)
+
+
+def test_fsm_on_the_transported_pair_never_falls_back_to_single_nodes(monkeypatch):
+    # a chunk that raises is evaluated again node by node (_per_chunk): right
+    # values, hundreds of times slower, so a batch-path error would hide
+    calls = []
+    original = berezin._on_nodes
+
+    def on_nodes(fn, q):
+        calls.append(q)
+        return original(fn, q)
+
+    monkeypatch.setattr(berezin, "_on_nodes", on_nodes)
+    forward, backward = lac_pair()
+    spec = GaussQuadSpec(nodes=12, richardson_tol=1.0)
+    integrate_fsm(FSMPath(((-4.2, 4.2),) * 2, backward),
+                  PulledBack(forward, normalized_gaussian_22()), spec, odd_order=(1, 2))
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("part", ["body", "soul"])
+def test_overflowed_integrand_is_caught_by_quad_box(part):
+    x = overflowed(part)
+    with pytest.raises(QuadratureError):
+        quad_box(lambda q: x, [(0.0, 1.0)], GaussQuadSpec(nodes=2))
 
 
 # chunk sizes around the 12 x 12 and 24 x 24 grids below: one node, a partial

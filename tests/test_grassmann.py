@@ -22,6 +22,7 @@ from helpers import (
     dense_max_diff,
     dense_mul_oracle,
     identical,
+    overflowed,
     supernumbers,
 )
 
@@ -433,8 +434,46 @@ def test_apply_analytic_whose_soul_coefficient_overflows_raises_domain_error():
         gr.apply_analytic(AnalyticSpec.named("exp"), X)
 
 
+# products do not check for overflow; every exit does (module docstring)
+
+@pytest.mark.parametrize("part", ["body", "soul"])
+def test_overflowed_operand_is_caught_by_inverse(part):
+    x = overflowed(part)
+    assert not gr._is_finite(x.body if part == "body" else x)
+    with pytest.raises(GrassmannDomainError):  # 1/inf would give the zero element
+        gr.inverse(x)
+
+
+@pytest.mark.parametrize("part", ["body", "soul"])
+def test_overflowed_operand_is_caught_by_division(part):
+    x = overflowed(part)
+    one = gr.one(x.L)
+    for quotient in (lambda: x / one, lambda: one / x, lambda: x / 2):
+        with pytest.raises(GrassmannDomainError):
+            quotient()
+
+
+@pytest.mark.parametrize("part", ["body", "soul"])
+@pytest.mark.parametrize("spec", [AnalyticSpec.named(name) for name in
+                                  ("exp", "log", "sin", "cos", "sqrt", "reciprocal")]
+                         + [AnalyticSpec.power(-2), AnalyticSpec.power(3)])
+def test_overflowed_operand_is_caught_by_apply_analytic(part, spec):
+    with pytest.raises(GrassmannDomainError):
+        gr.apply_analytic(spec, overflowed(part))
+
+
+@pytest.mark.parametrize("part", ["body", "soul"])
+def test_overflowed_operand_is_caught_by_to_json(part):
+    with pytest.raises(GrassmannError):
+        gr.to_json(overflowed(part))
+
+
 # batches overflow quietly and raise through the finite checks (warnings are
 # errors in this suite, so numpy's RuntimeWarning would surface instead)
+
+def test_batch_quotient_by_an_element_that_overflows_raises_domain_error():
+    with pytest.raises(GrassmannDomainError):
+        Supernumber(1, {0: np.array([1.0, 1e300])}) / Supernumber(1, {0: 1e-10})
 
 def test_batch_quotient_that_overflows_raises_domain_error():
     with pytest.raises(GrassmannDomainError):

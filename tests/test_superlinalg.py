@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supercalc import grassmann as gr
 from supercalc.grassmann import AnalyticSpec, GrassmannDomainError, GrassmannError, Supernumber
@@ -22,7 +24,7 @@ from supercalc.superlinalg import (
     str_super,
 )
 
-from helpers import random_supermatrix, random_supernumber
+from helpers import overflowed, random_supermatrix, random_supernumber, supernumbers
 
 
 def _dense_det_oracle(rows, L):
@@ -273,8 +275,9 @@ def _stack_nodes(matrices):
 
 def test_sdet_of_a_batch_matches_each_node_alone():
     # At nodes 1 and 4 the B body is singular to LU (its numpy determinant is
-    # exactly 0) but not to the Leibniz expansion, so sdet takes the A side
-    # there and the B side elsewhere.
+    # exactly 0); its Leibniz determinant is a rounding error.  sdet is
+    # defined only where the B body is invertible, so those nodes raise, alone
+    # and in the batch, and the other nodes as a batch match each node alone.
     lu_singular = [[1.786106414881354, 0.5503783629581965],
                    [1.5944831696449162, 0.4913307680672878]]
     assert np.linalg.det(np.array(lu_singular)) == 0.0
@@ -282,8 +285,13 @@ def test_sdet_of_a_batch_matches_each_node_alone():
     nodes = [random_supermatrix(rng, 2, 2, 4, diag_shift=2.0) for _ in range(6)]
     for k in (1, 4):
         nodes[k] = _with_b_body(nodes[k], lu_singular)
-    got = sdet(_stack_nodes(nodes))
-    for k, M in enumerate(nodes):
+        with pytest.raises(GrassmannDomainError):
+            sdet(nodes[k])
+    with pytest.raises(GrassmannDomainError):
+        sdet(_stack_nodes(nodes))
+    regular = [M for k, M in enumerate(nodes) if k not in (1, 4)]
+    got = sdet(_stack_nodes(regular))
+    for k, M in enumerate(regular):
         alone = sdet(M)
         at_k = Supernumber(4, {m: c[k] for m, c in got.terms.items()})
         assert gr.max_coeff_diff(at_k, alone) <= 1e-13 * gr.max_abs(alone), f"node {k}"
@@ -461,3 +469,135 @@ def test_det_even_with_a_negligible_pivot_takes_the_leibniz_expansion():
             for i in range(5)]
     want = _dense_det_oracle(rows, L)
     assert gr.max_coeff_diff(det_even(rows), want) < 1e-12 * gr.max_abs(want)
+
+
+# ---------------------------------------------------------------------------
+# overflow: each exit returns finite coefficients or raises
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("part", ["body", "soul"])
+def test_overflowed_entry_is_caught_by_det_even(part):
+    x = overflowed(part)
+    z, one = gr.zero(x.L), gr.one(x.L)
+    with pytest.raises(GrassmannDomainError):
+        det_even([[x, z], [z, one]])
+
+
+@pytest.mark.parametrize("part", ["body", "soul"])
+def test_overflowed_entry_is_caught_by_mat_inverse_even(part):
+    x = overflowed(part)
+    z, one = gr.zero(x.L), gr.one(x.L)
+    with pytest.raises(GrassmannDomainError):
+        mat_inverse_even([[x, z], [z, one]])
+
+
+@pytest.mark.parametrize("part", ["body", "soul"])
+def test_overflowed_entry_is_caught_by_sdet(part):
+    x = overflowed(part)
+    one, g = gr.one(x.L), gr.gen(x.L, 0)
+    for M in (from_blocks([[x]], [[g]], [[g]], [[one]]),
+              from_blocks([[one]], [[g]], [[g]], [[x]])):
+        with pytest.raises(GrassmannDomainError):
+            sdet(M)
+
+
+def test_mat_inverse_even_of_a_body_far_from_unit_scale():
+    # det(1e200 I) is inf and det(1e-200 I) is 0 in floating point, but both
+    # bodies are far from singular: the test runs on the body scaled to 1
+    L = 2
+    for c in (1e200, 1e-200):
+        rows = [[gr.scalar(L, c) + Supernumber(L, {0b11: c}), gr.zero(L)],
+                [gr.zero(L), gr.scalar(L, c)]]
+        got = mat_inverse_even(rows)
+        assert gr.max_coeff_diff(got[0][0], Supernumber(L, {0: 1 / c, 0b11: -1 / c})) \
+            <= 1e-15 / c
+        assert gr.max_coeff_diff(got[1][1], gr.scalar(L, 1 / c)) <= 1e-15 / c
+
+
+# Bodies for the property below: random, rank-deficient (one row a multiple
+# of another, or a zero row) and badly scaled (rows scaled by up to 1e+-300).
+_SCALES = [1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300]
+_complex = st.complex_numbers(min_magnitude=0.25, max_magnitude=4.0, allow_nan=False,
+                              allow_infinity=False)
+
+
+@st.composite
+def _body(draw, size):
+    body = np.array([[draw(_complex) for _ in range(size)] for _ in range(size)])
+    kind = draw(st.sampled_from(["random", "rank_deficient", "zero_row", "scaled"]))
+    if size > 1 and kind == "rank_deficient":
+        body[1] = draw(_complex) * body[0]
+    elif size and kind == "zero_row":
+        body[0] = 0.0
+    elif kind == "scaled":
+        body *= np.array([[draw(st.sampled_from(_SCALES))] for _ in range(size)])
+    return body
+
+
+def _overflow(L, parity):
+    """Terms a product overflowed to inf: at the body and at s0s1 for an even
+    entry, at s0 for an odd one."""
+    masks = {"even": [0, 0b11], "odd": [0b1]}[parity]
+    return [Supernumber(L, {mask: 1e300}) * Supernumber(L, {0: 1e300}) for mask in masks]
+
+
+@st.composite
+def _entry(draw, L, parity, body=0.0):
+    """An entry: a soul of the given parity scaled by 1e-20, 1 or 1e20, a
+    body, and with a small chance a term that overflowed to inf, or
+    inf - inf = NaN, added."""
+    soul = gr.soul(draw(supernumbers(L=L, parity=parity, max_terms=3)))
+    x = draw(st.sampled_from(_SCALES[2:5])) * soul + complex(body)
+    spoil = draw(st.sampled_from([None] * 20 + _overflow(L, parity)))
+    if spoil is not None:
+        x = x + (spoil - spoil if draw(st.booleans()) else spoil)
+    return x
+
+
+@st.composite
+def _even_square(draw, size, L):
+    body = draw(_body(size))
+    return [[draw(_entry(L, "even", body[i, j])) for j in range(size)] for i in range(size)]
+
+
+@st.composite
+def _supermatrices(draw):
+    m, n = draw(st.sampled_from([(0, 1), (1, 0), (1, 1), (0, 2), (2, 0), (1, 2), (2, 1),
+                                 (2, 2)]))
+    L = draw(st.integers(min_value=2, max_value=4))
+    A, B = draw(_even_square(m, L)), draw(_even_square(n, L))
+    C = [[draw(_entry(L, "odd")) for _ in range(n)] for _ in range(m)]
+    D = [[draw(_entry(L, "odd")) for _ in range(m)] for _ in range(n)]
+    return from_blocks(A, C, D, B, L=L)
+
+
+def _finite_or_grassmann_error(fn, *args):
+    try:
+        out = fn(*args)
+    except GrassmannError:
+        return
+    values = [out] if isinstance(out, Supernumber) else [e for row in out for e in row]
+    assert all(gr._is_finite(v) for v in values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_supermatrices())
+def test_sdet_is_finite_or_raises(M):
+    _finite_or_grassmann_error(sdet, M)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_det_even_and_mat_inverse_even_are_finite_or_raise(data):
+    size = data.draw(st.integers(min_value=1, max_value=4))
+    rows = data.draw(_even_square(size, data.draw(st.integers(min_value=2, max_value=4))))
+    _finite_or_grassmann_error(det_even, rows)
+    _finite_or_grassmann_error(mat_inverse_even, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_inverse_is_finite_or_raises(data):
+    L = data.draw(st.integers(min_value=2, max_value=4))
+    body = data.draw(_complex) * data.draw(st.sampled_from(_SCALES))
+    _finite_or_grassmann_error(gr.inverse, data.draw(_entry(L, "even", body)))

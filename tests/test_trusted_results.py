@@ -12,7 +12,6 @@ import pytest
 from supercalc import grassmann as gr
 from supercalc.berezin import _weighted_sum
 from supercalc.grassmann import Supernumber
-from supercalc.superlinalg import _take
 
 NODES = 5
 
@@ -130,9 +129,3 @@ def test_batch_helpers_of_other_modules_keep_the_invariants():
     assert_clean(summed)
     assert all(type(c) is complex for c in summed._terms.values())
     assert _weighted_sum(np.zeros(NODES), X).is_zero()
-    # the nodes that are 0 in every batch coefficient select an empty element
-    zero_nodes = Supernumber(2, {1: np.array([0, 0, 1, 2, 3], dtype=complex)})
-    assert _take(zero_nodes, np.array([0, 1])).is_zero()
-    picked = _take(X, np.arange(NODES))
-    assert picked == X
-    assert_clean(picked)
