@@ -38,6 +38,7 @@ from .grassmann import (
     _DROP_ZEROS,
     _as_super,
     _coefficient,
+    _in_one_algebra,
     _is_finite,
     apply_analytic,
     gen,
@@ -250,16 +251,13 @@ class OddPolynomial:
         self.n = int(n)
         top = 1 << self.n
         clean = {}
-        amb = 0
         for mask, c in coefficients.items():
             if not (0 <= mask < top):
                 raise GrassmannError(f"odd monomial mask {mask} out of range")
-            c = _as_super(c)
-            if not c.is_zero():
+            if c != 0:
                 clean[int(mask)] = c
-                amb = max(amb, c.L)
-        self.L = amb if L is None else max(int(L), amb)
-        self.coefficients = {m: c.embed(self.L) for m, c in clean.items()}
+        (values,), self.L = _in_one_algebra(clean.values(), L=int(L or 0))
+        self.coefficients = dict(zip(clean, values))
 
     @property
     def top(self) -> Supernumber:
@@ -282,7 +280,7 @@ class OddPolynomial:
     def evaluate(self, thetas: Sequence[Supernumber]) -> Supernumber:
         if len(thetas) != self.n:
             raise GrassmannError(f"expected {self.n} odd arguments")
-        L = max([self.L] + [t.L for t in thetas])
+        (thetas,), L = _in_one_algebra(thetas, L=self.L)
         acc = zero(L)
         for a, c in self.coefficients.items():
             mono = one(L)
@@ -505,7 +503,7 @@ def gaussian_super(M: Supermatrix, lam: float) -> Supernumber:
         # an antisymmetric odd-dimension block is always body-singular, so the
         # zero value must take precedence over the regularity requirement
         return zero(L)
-    if n and _negligible(np.linalg.det(body[m:, m:]), body[m:, m:]):
+    if n and _negligible(body[m:, m:]):
         raise GrassmannDomainError("odd block body must be regular")
 
     even_factor = scalar(L, (2 * math.pi * lam) ** (m / 2))
@@ -580,7 +578,6 @@ def hubbard_stratonovich_check(A: Supermatrix, J: float = 1.0, N: float = 1.0,
     t2 = A.block("D")[0][0]
     b = A.block("B")[0][0]
     La = A.L
-    a, b, t1, t2 = (v.embed(La) for v in (a, b, t1, t2))
 
     gam = N / (J * J)
     str_a2 = a * a - b * b + 2.0 * (t1 * t2)
@@ -591,7 +588,7 @@ def hubbard_stratonovich_check(A: Supermatrix, J: float = 1.0, N: float = 1.0,
     def odd_integrand(rho):
         r1, r2 = rho
         expo = (-gam) * (r1 * r2) \
-            + (sign * 1j) * (r1 * t2.embed(r1.L) - r2 * t1.embed(r1.L))
+            + (sign * 1j) * (r1 * t2 - r2 * t1)
         return apply_analytic(AnalyticSpec.named("exp"), expo)
 
     odd_value = integrate_odd(odd_expand(odd_integrand, 2, La), order=(1, 2))

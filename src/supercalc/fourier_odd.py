@@ -135,8 +135,7 @@ def _odd_transform(v: OddPolynomial, cfg: OddFourierConfig,
             L2 = L1 + n
             pairing = zero(L2)
             for j in range(n):
-                t = tgt[j].embed(L2)
-                s = src[j]
+                t, s = tgt[j], src[j]
                 pairing = pairing + ((t * s) if inverse else (s * t))
             kern = apply_analytic(_EXP, pairing * factor)
             return kern * v.evaluate(src)
@@ -160,12 +159,11 @@ def odd_pairing(v: OddPolynomial, w: OddPolynomial) -> Supernumber:
         raise GrassmannError("pairing expects OddPolynomial operands")
     if v.n != w.n:
         raise GrassmannError("pairing operands must share the variable count")
-    L = max(v.L, w.L)
-    acc = zero(L)
+    acc = zero(max(v.L, w.L))
     for a, c in v.coefficients.items():
         d = w.coefficients.get(a)
         if d is not None:
-            acc = acc + conjugate(c).embed(L) * d.embed(L)
+            acc = acc + conjugate(c) * d
     return acc
 
 

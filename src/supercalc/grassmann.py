@@ -55,14 +55,24 @@ trusted branch of the constructor that only drops zeros, or stores the dict
 as given when it cannot hold one; the ``Supernumber`` docstring lists which
 operation takes which.
 
+One algebra
+-----------
+An operation on several values first brings them into one algebra, the
+smallest that holds them all: ``_in_one_algebra`` takes groups of numbers
+and elements (a matrix row, the slots of a phase point), makes each number a
+constant and embeds each element there.  ``embed`` to an element's own L is
+the element itself, so a value already in place costs no copy.  ``+`` and
+``*`` promote an operand with fewer generators the same way, so no operation
+embeds a value only to pass it to a sum or a product.
+
 Overflow
 --------
 Sums and products do not check their results, since they are the hot path:
 ``Supernumber(2, {0: 1e300, 3: 1}) * Supernumber(2, {0: 1e300})`` has an inf
 body, and inf - inf is NaN.  Such a value is caught at the exits instead:
 ``inverse``, ``/``, ``apply_analytic`` and ``superlinalg``'s ``det_even``,
-``mat_inverse_even`` and ``sdet`` return finite coefficients or raise
-``GrassmannDomainError``, ``to_json`` raises ``GrassmannError`` and the
+``mat_inverse_even``, ``sdet`` and ``pfaffian`` return finite coefficients or
+raise ``GrassmannDomainError``, ``to_json`` raises ``GrassmannError`` and the
 quadratures of ``berezin`` (``quad_box`` and the mixed integrals) raise
 ``QuadratureError``.  ``inverse`` and ``apply_analytic`` test the body
 first, since 1/inf is 0 and would give a finite, wrong result.  On a batch,
@@ -324,9 +334,10 @@ class Supernumber:
       number or array times an element, division by a number, a number
       promoted to a constant, and ``gen_left_derivative``;
     * ``_AS_IS`` stores the dict itself, which must already be clean: ``-X``,
-      ``embed``, the table-kernel product and each entry of a dense block
-      product (both through ``_from_dense``), ``zero``, ``one``, ``soul``,
-      ``degree_filter``, ``conjugate``, ``chop``, ``seed`` and ``seed_parts``.
+      ``embed`` to another L, the table-kernel product and each entry of a
+      dense block product (both through ``_from_dense``), ``zero``, ``one``,
+      ``soul``, ``degree_filter``, ``conjugate``, ``chop``, ``seed`` and
+      ``seed_parts``.
 
     The caller of either branch guarantees the masks are in range and the
     coefficients are exactly ``complex`` or complex arrays: a ``np.complex128``
@@ -431,8 +442,12 @@ class Supernumber:
         return self, NotImplemented  # type: ignore[return-value]
 
     def embed(self, L: int) -> "Supernumber":
-        """Reinterpret in an algebra with L >= self.L generators."""
+        """Reinterpret in an algebra with L generators; L below self.L only when
+        the generators above it are unoccupied.  At L == self.L this is self,
+        which is immutable, so the hot paths embed without building a copy."""
         L = _generator_count(L)
+        if L == self.L:
+            return self
         if L < self.L:
             for m in self._terms:
                 if m >> L:
@@ -603,8 +618,19 @@ def _as_super(x, L: int | None = None) -> Supernumber:
     """x as a Supernumber, embedded in L generators when L is given; a number
     becomes a constant."""
     if isinstance(x, Supernumber):
-        return x if L is None or x.L == L else x.embed(L)
+        return x if L is None else x.embed(L)
     return Supernumber(_generator_count(L or 0), {0: complex(x)}, _DROP_ZEROS)
+
+
+def _in_one_algebra(*groups: Iterable, L: int = 0
+                    ) -> Tuple[Tuple[Tuple[Supernumber, ...], ...], int]:
+    """Each group (an iterable of numbers and elements, such as a matrix row)
+    as a tuple of elements of one algebra, the smallest with at least L
+    generators that holds them all, and that algebra's generator count.  A
+    number becomes a constant; an element already there is itself."""
+    groups = [tuple(g) for g in groups]
+    L = max([L, *(v.L for g in groups for v in g if isinstance(v, Supernumber))])
+    return tuple(tuple(_as_super(v, L) for v in g) for g in groups), L
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .grassmann import (
     _dense_coefficients,
     _dense_product,
     _from_dense,
+    _in_one_algebra,
     _is_finite,
     _table_takes,
     apply_analytic,
@@ -92,13 +93,26 @@ def _per_node(linalg_fn, a: np.ndarray) -> np.ndarray:
     return np.moveaxis(linalg_fn(np.moveaxis(a, -1, 0)), 0, -1)
 
 
-def _negligible(value, rows: np.ndarray) -> np.ndarray:
-    """Where |value| <= n eps prod_i ||rows[i]||, node by node: the body
-    determinant of the square rows, or a pivot with its one row, is 0 to
-    working precision at the scale of the rows.  rows is (k, n), or
-    (k, n, nodes) for a batch."""
-    scale = np.prod(np.linalg.norm(rows, axis=1), axis=0)
-    return np.abs(value) <= rows.shape[1] * np.finfo(float).eps * scale
+def _negligible(rows: np.ndarray, pivot: int | None = None) -> np.ndarray:
+    """Where the body determinant of the square rows, or with ``pivot`` the
+    entry rows[0, pivot] of one row, is 0 to working precision at the scale
+    of the rows, node by node: |value| <= n eps prod_i ||rows[i]||.  rows is
+    (k, n), or (k, n, nodes) for a batch.
+
+    The test is the same for any multiple of the rows, and it runs on the
+    rows scaled to entries of at most 1, where neither the determinant nor
+    the row norms overflow or underflow; the parts are scaled apart, since a
+    complex quotient by a subnormal peak can overflow.  An entry that is not
+    finite makes its node not negligible, and leaves the caller's finite
+    checks to raise.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = np.abs(rows).max(axis=(0, 1))
+        peak = np.where(peak > 0, peak, 1.0)
+        unit = rows.real / peak + 1j * (rows.imag / peak)
+        value = _per_node(np.linalg.det, unit) if pivot is None else unit[0, pivot]
+        scale = np.prod(np.linalg.norm(unit, axis=1), axis=0)
+        return np.abs(value) <= rows.shape[1] * np.finfo(float).eps * scale
 
 
 class Supermatrix:
@@ -111,10 +125,7 @@ class Supermatrix:
         if len(rows) != N or any(len(r) != N for r in rows):
             raise GrassmannError(f"need a {N}x{N} array of entries")
         if L is None:
-            L = max(
-                (e.L for r in rows for e in r if isinstance(e, Supernumber)),
-                default=0,
-            )
+            rows, L = _in_one_algebra(*rows)
         self.m = m
         self.n = n
         self.L = L
@@ -228,9 +239,8 @@ class Supermatrix:
 
     def max_coeff_diff(self, other: "Supermatrix") -> float:
         from .grassmann import max_coeff_diff as mcd
-        L = max(self.L, other.L)
         return max(
-            mcd(self.rows[i][j].embed(L), other.rows[i][j].embed(L))
+            mcd(self.rows[i][j], other.rows[i][j])
             for i in range(self.size) for j in range(self.size)
         )
 
@@ -283,7 +293,7 @@ def str_super(M: Supermatrix) -> Supernumber:
 # determinants of even-entry matrices
 # ---------------------------------------------------------------------------
 
-def _det_leibniz(rows: List[List[Supernumber]], L: int) -> Supernumber:
+def _det_leibniz(rows: Sequence[Sequence[Supernumber]], L: int) -> Supernumber:
     size = len(rows)
     acc = zero(L)
     for perm in itertools.permutations(range(size)):
@@ -312,12 +322,10 @@ def det_even(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
     row (``_negligible``), at every node for a batch.  A result that is not
     finite raises GrassmannDomainError.
     """
-    rows = [list(r) for r in rows]
+    rows, L = _in_one_algebra(*rows)
     size = len(rows)
     if any(len(r) != size for r in rows):
         raise GrassmannError("det_even needs a square matrix")
-    L = max((e.L for r in rows for e in r if isinstance(e, Supernumber)), default=0)
-    rows = [[_as_super(e, L) for e in r] for r in rows]
     for r in rows:
         for e in r:
             if e.parity not in ("even",):
@@ -330,15 +338,15 @@ def det_even(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
     return det
 
 
-def _det_eliminate(rows: List[List[Supernumber]], L: int) -> Supernumber:
+def _det_eliminate(rows: Sequence[Sequence[Supernumber]], L: int) -> Supernumber:
     """Gaussian elimination for det_even, with its Leibniz fallback."""
     size = len(rows)
-    work = [row[:] for row in rows]
+    work = list(rows)
     det = one(L)
     for col in range(size):
         pivot_row = max(range(col, size), key=lambda r: np.min(np.abs(work[r][col].body)))
-        scale = _node_array((e.body for e in work[pivot_row]), (1, size))
-        if np.any(_negligible(work[pivot_row][col].body, scale)):
+        row = _node_array((e.body for e in work[pivot_row]), (1, size))
+        if np.any(_negligible(row, pivot=col)):
             if size <= 6:
                 return _det_leibniz(rows, L)
             raise GrassmannDomainError(
@@ -366,21 +374,13 @@ def mat_inverse_even(rows: Sequence[Sequence[Supernumber]]) -> List[List[Supernu
     singular to working precision (``_negligible``), at any node for a batch,
     raises GrassmannDomainError, and so does a result that is not finite.
     """
+    rows, L = _in_one_algebra(*rows)
     size = len(rows)
-    L = max((e.L for r in rows for e in r if isinstance(e, Supernumber)), default=0)
-    rows = [[_as_super(e, L) for e in r] for r in rows]
     body = _node_array((e.body for r in rows for e in r), (size, size))
     if not np.isfinite(body).all():
         raise GrassmannDomainError("matrix body is not finite")
-    if size:
-        # the test is the same for any multiple of the body; on entries of at
-        # most 1 neither the determinant nor the row norms overflow (the parts
-        # are scaled apart, since a complex quotient by a subnormal peak can)
-        peak = np.abs(body).max(axis=(0, 1))
-        peak = np.where(peak > 0, peak, 1.0)
-        unit = body.real / peak + 1j * (body.imag / peak)
-        if np.any(_negligible(_per_node(np.linalg.det, unit), unit)):
-            raise GrassmannDomainError("matrix body is singular to working precision")
+    if size and np.any(_negligible(body)):
+        raise GrassmannDomainError("matrix body is singular to working precision")
     binv = _per_node(np.linalg.inv, body) if size else body
     if not np.isfinite(binv).all():
         raise GrassmannDomainError("matrix body inverse overflows: the body is nearly singular")
@@ -665,13 +665,13 @@ def sdet_flow_check(
 def pfaffian(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
     """Pfaffian of an antisymmetric even-entry matrix via first-row expansion.
 
-    Odd size returns 0.  Satisfies pfaffian(B)^2 = det_even(B).
+    Odd size returns 0.  Satisfies pfaffian(B)^2 = det_even(B).  A result
+    that is not finite raises GrassmannDomainError.
     """
+    rows, L = _in_one_algebra(*rows)
     size = len(rows)
     if any(len(r) != size for r in rows):
         raise GrassmannError("pfaffian needs a square matrix")
-    L = max((e.L for r in rows for e in r if isinstance(e, Supernumber)), default=0)
-    rows = [[_as_super(e, L) for e in r] for r in rows]
     for i in range(size):
         for j in range(size):
             if not (rows[i][j] + rows[j][i]).is_zero():
@@ -694,4 +694,7 @@ def pfaffian(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
             acc = acc + (term if pos % 2 == 1 else -1.0 * term)
         return acc
 
-    return rec(tuple(range(size)))
+    pf = rec(tuple(range(size)))
+    if not _is_finite(pf):
+        raise GrassmannDomainError("pfaffian overflows: a coefficient is not finite")
+    return pf

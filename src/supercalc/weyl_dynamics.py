@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
@@ -36,7 +37,9 @@ from .grassmann import (
     GrassmannDomainError,
     GrassmannError,
     Supernumber,
+    _any_zero,
     _as_super,
+    _in_one_algebra,
     apply_analytic,
     gen,
     inverse,
@@ -78,23 +81,9 @@ _COS = AnalyticSpec.named("cos")
 _SQRT = AnalyticSpec.named("sqrt")
 
 
-# ---------------------------------------------------------------------------
-# coercion helpers
-# ---------------------------------------------------------------------------
-
-def _coerce_tuple(vals, count: int, label: str) -> Tuple[Supernumber, ...]:
-    vals = tuple(vals)
-    if len(vals) != count:
+def _check_count(group: Sequence[Supernumber], count: int, label: str) -> None:
+    if len(group) != count:
         raise GrassmannError(f"{label} needs exactly {count} components")
-    return tuple(_as_super(v) for v in vals)
-
-
-def _common_L(*groups: Sequence[Supernumber]) -> int:
-    return max((v.L for g in groups for v in g), default=0)
-
-
-def _embed_all(group: Sequence[Supernumber], L: int) -> Tuple[Supernumber, ...]:
-    return tuple(v.embed(L) for v in group)
 
 
 def _check_parity(group: Sequence[Supernumber], want: str, label: str) -> None:
@@ -154,12 +143,11 @@ class WeylSymbolParams:
 
     def momentum_norm(self, xi) -> Supernumber:
         """Euclidean norm of the momentum triple (principal square root)."""
-        xs = _coerce_tuple(xi, 3, "momentum")
-        L = _common_L(xs)
-        xs = _embed_all(xs, L)
+        (xs,), _ = _in_one_algebra(xi)
+        _check_count(xs, 3, "momentum")
         _check_parity(xs, "even", "momentum")
         sq = xs[0] * xs[0] + xs[1] * xs[1] + xs[2] * xs[2]
-        if sq.body == 0:
+        if _any_zero(sq.body):
             raise GrassmannDomainError("momentum norm needs |xi|^2 with nonzero body")
         return apply_analytic(_SQRT, sq)
 
@@ -169,31 +157,32 @@ class WeylSymbolParams:
 
     def transverse(self, xi) -> Supernumber:
         """xi_1 + i xi_2."""
-        xs = _coerce_tuple(xi, 3, "momentum")
+        (xs,), _ = _in_one_algebra(xi)
+        _check_count(xs, 3, "momentum")
         return xs[0] + 1j * xs[1]
 
     def transverse_mirror(self, xi) -> Supernumber:
         """xi_1 - i xi_2 (literal sign flip, not complex conjugation)."""
-        xs = _coerce_tuple(xi, 3, "momentum")
+        (xs,), _ = _in_one_algebra(xi)
+        _check_count(xs, 3, "momentum")
         return xs[0] - 1j * xs[1]
 
     def dispersion_minus(self, t: float, xi) -> Supernumber:
         """|xi| cos(angle) - i xi_3 sin(angle): the caustic denominator."""
-        xs = _coerce_tuple(xi, 3, "momentum")
-        norm = self.momentum_norm(xs)
-        L = max(norm.L, _common_L(xs))
-        xs = _embed_all(xs, L)
-        ang = self.rotation_angle(t, xs).embed(L)
-        return norm.embed(L) * apply_analytic(_COS, ang) - 1j * xs[2] * apply_analytic(_SIN, ang)
+        return self._dispersion(t, xi, operator.sub)
 
     def dispersion_plus(self, t: float, xi) -> Supernumber:
         """|xi| cos(angle) + i xi_3 sin(angle)."""
-        xs = _coerce_tuple(xi, 3, "momentum")
-        norm = self.momentum_norm(xs)
-        L = max(norm.L, _common_L(xs))
-        xs = _embed_all(xs, L)
-        ang = self.rotation_angle(t, xs).embed(L)
-        return norm.embed(L) * apply_analytic(_COS, ang) + 1j * xs[2] * apply_analytic(_SIN, ang)
+        return self._dispersion(t, xi, operator.add)
+
+    def _dispersion(self, t: float, xi, sign: Callable) -> Supernumber:
+        """sign(|xi| cos(angle), i xi_3 sin(angle)): sign is the operator, not a
+        factor -1, so that signed zeros come out as a subtraction gives them."""
+        (xs,), _ = _in_one_algebra(xi)
+        _check_count(xs, 3, "momentum")
+        ang = self.rotation_angle(t, xs)
+        return sign(self.momentum_norm(xs) * apply_analytic(_COS, ang),
+                    1j * xs[2] * apply_analytic(_SIN, ang))
 
 
 # ---------------------------------------------------------------------------
@@ -236,26 +225,23 @@ def hj_action(t: float, x, xi, theta, pi, params: WeylSymbolParams,
     """
     if route not in _ACTION_ROUTES:
         raise GrassmannError(f"route must be one of {_ACTION_ROUTES}")
-    xs = _coerce_tuple(x, 3, "position")
-    xis = _coerce_tuple(xi, 3, "momentum")
-    ths = _coerce_tuple(theta, 2, "odd position")
-    pis = _coerce_tuple(pi, 2, "odd momentum")
-    L = _common_L(xs, xis, ths, pis)
-    xs, xis, ths, pis = (_embed_all(g, L) for g in (xs, xis, ths, pis))
-    _check_parity(xs, "even", "position")
-    _check_parity(xis, "even", "momentum")
-    _check_parity(ths, "odd", "odd position")
-    _check_parity(pis, "odd", "odd momentum")
+    (xs, xis, ths, pis), _ = _in_one_algebra(x, xi, theta, pi)
+    for group, count, parity, label in ((xs, 3, "even", "position"),
+                                        (xis, 3, "even", "momentum"),
+                                        (ths, 2, "odd", "odd position"),
+                                        (pis, 2, "odd", "odd momentum")):
+        _check_count(group, count, label)
+        _check_parity(group, parity, label)
 
     a = complex(params.pair_weight)
     kk = complex(params.kernel_scale)
-    norm = params.momentum_norm(xis).embed(L)
-    denom = params.dispersion_minus(t, xis).embed(L)
+    norm = params.momentum_norm(xis)
+    denom = params.dispersion_minus(t, xis)
     # the caustic set is where the denominator body vanishes; floating point
     # never lands on it exactly, so flag anything below a relative threshold
     if abs(denom.body) <= 1e-12 * max(abs(norm.body), 1e-300):
         raise GrassmannDomainError("caustic: dispersion denominator has zero body")
-    sin_ang = apply_analytic(_SIN, params.rotation_angle(t, xis).embed(L))
+    sin_ang = apply_analytic(_SIN, params.rotation_angle(t, xis))
     zeta = xis[0] + 1j * xis[1]
     zeta_m = xis[0] - 1j * xis[1]
 
@@ -275,15 +261,14 @@ def hj_action(t: float, x, xi, theta, pi, params: WeylSymbolParams,
 
 def van_vleck(t: float, xi, params: WeylSymbolParams) -> Supernumber:
     """Super-determinant of the mixed second derivatives of the action."""
-    xis = _coerce_tuple(xi, 3, "momentum")
-    L = _common_L(xis)
-    xis = _embed_all(xis, L)
+    (xis,), _ = _in_one_algebra(xi)
+    _check_count(xis, 3, "momentum")
     _check_parity(xis, "even", "momentum")
     sq = xis[0] * xis[0] + xis[1] * xis[1] + xis[2] * xis[2]
-    if sq.body == 0:
+    if _any_zero(sq.body):
         raise GrassmannDomainError("van Vleck determinant needs |xi|^2 with nonzero body")
     a = complex(params.pair_weight)
-    denom = params.dispersion_minus(t, xis).embed(L)
+    denom = params.dispersion_minus(t, xis)
     return (1.0 / (a * a)) * inverse(sq) * denom * denom
 
 
@@ -292,12 +277,10 @@ def van_vleck_amplitude(t: float, xi, params: WeylSymbolParams) -> Supernumber:
 
     Its square is exactly ``van_vleck`` (no branch ambiguity).
     """
-    xis = _coerce_tuple(xi, 3, "momentum")
-    L = _common_L(xis)
-    xis = _embed_all(xis, L)
+    (xis,), _ = _in_one_algebra(xi)
     a = complex(params.pair_weight)
-    norm = params.momentum_norm(xis).embed(L)
-    denom = params.dispersion_minus(t, xis).embed(L)
+    norm = params.momentum_norm(xis)
+    denom = params.dispersion_minus(t, xis)
     return (1.0 / a) * denom * inverse(norm)
 
 
@@ -328,8 +311,7 @@ def propagator_from_classical(t: float, p, u0: complex, u1: complex,
     phase_scale = 1j / hbar
 
     def kernel(pis: Tuple[Supernumber, ...]) -> Supernumber:
-        act = hj_action(t, (0.0, 0.0, 0.0), mom,
-                        tuple(th.embed(pis[0].L) for th in thetas), pis, params)
+        act = hj_action(t, (0.0, 0.0, 0.0), mom, thetas, pis, params)
         return apply_analytic(_EXP, phase_scale * act) * fu.evaluate(pis)
 
     integral = integrate_odd(odd_expand(kernel, 2, 2))
@@ -365,16 +347,11 @@ class FlowState:
     pi: Tuple[Supernumber, ...]
 
     def __post_init__(self):
-        x = tuple(_as_super(v) for v in self.x)
-        xi = tuple(_as_super(v) for v in self.xi)
-        theta = tuple(_as_super(v) for v in self.theta)
-        pi = tuple(_as_super(v) for v in self.pi)
+        (x, xi, theta, pi), _ = _in_one_algebra(self.x, self.xi, self.theta, self.pi)
         if len(x) != len(xi):
             raise GrassmannError("x and xi must have the same length")
         if len(theta) != len(pi):
             raise GrassmannError("theta and pi must have the same length")
-        L = _common_L(x, xi, theta, pi)
-        x, xi, theta, pi = (_embed_all(g, L) for g in (x, xi, theta, pi))
         _check_parity(x, "even", "x")
         _check_parity(xi, "even", "xi")
         _check_parity(theta, "odd", "theta")
@@ -387,7 +364,7 @@ class FlowState:
 
     @property
     def L(self) -> int:
-        return _common_L(self.x, self.xi, self.theta, self.pi)
+        return next((v.L for v in self.x + self.xi + self.theta + self.pi), 0)
 
     @property
     def even_count(self) -> int:
@@ -431,12 +408,11 @@ class SuperHamiltonian:
     # -- evaluation ---------------------------------------------------------
 
     def _prepare(self, x, xi, theta, pi):
-        xs = _coerce_tuple(x, self.even_count, "x")
-        xis = _coerce_tuple(xi, self.even_count, "xi")
-        ths = _coerce_tuple(theta, self.odd_count, "theta")
-        pis = _coerce_tuple(pi, self.odd_count, "pi")
-        L = _common_L(xs, xis, ths, pis)
-        return tuple(_embed_all(g, L) for g in (xs, xis, ths, pis)), L
+        groups, L = _in_one_algebra(x, xi, theta, pi)
+        k, o = self.even_count, self.odd_count
+        for group, count, label in zip(groups, (k, k, o, o), ("x", "xi", "theta", "pi")):
+            _check_count(group, count, label)
+        return groups, L
 
     def value(self, t: float, x, xi, theta, pi) -> Supernumber:
         (xs, xis, ths, pis), L = self._prepare(x, xi, theta, pi)
@@ -460,7 +436,7 @@ class SuperHamiltonian:
         (xs, xis, ths, pis), L = self._prepare(x, xi, theta, pi)
         out = self.partials(t, xs, xis, ths, pis)
         return tuple(
-            tuple(_as_super(v).embed(L) for v in grp) for grp in out
+            tuple(_as_super(v, L) for v in grp) for grp in out
         )  # type: ignore[return-value]
 
     def seeded_gradient(self, t: float, x, xi, theta, pi) -> _Deriv:
@@ -535,10 +511,9 @@ def pauli_odd_symbols(theta: Sequence[Supernumber], pi: Sequence[Supernumber],
     s1 = th1 th2 + k^-2 pi1 pi2, s2 = i(th1 th2 - k^-2 pi1 pi2),
     s3 = -i k^-1 (th1 pi1 + th2 pi2).
     """
-    th = _coerce_tuple(theta, 2, "theta")
-    pp = _coerce_tuple(pi, 2, "pi")
-    L = _common_L(th, pp)
-    th, pp = _embed_all(th, L), _embed_all(pp, L)
+    (th, pp), _ = _in_one_algebra(theta, pi)
+    _check_count(th, 2, "theta")
+    _check_count(pp, 2, "pi")
     kk = complex(kernel_scale)
     if kk == 0:
         raise GrassmannError("kernel_scale must be nonzero")
@@ -555,34 +530,10 @@ def free_weyl_hamiltonian(params: WeylSymbolParams) -> SuperHamiltonian:
     """Complete even symbol of the free spin-transport generator.
 
     c (xi1 + i xi2) th1 th2 + c k^-2 (xi1 - i xi2) pi1 pi2
-    - i c k^-1 xi3 (th1 pi1 + th2 pi2); no constant term.
+    - i c k^-1 xi3 (th1 pi1 + th2 pi2); no constant term.  This is
+    ``em_weyl_hamiltonian`` with charge 0 and no potentials.
     """
-    c = params.speed
-    kk = complex(params.kernel_scale)
-
-    def fn(t, x, xi, theta, pi):
-        s1, s2, s3 = pauli_odd_symbols(theta, pi, kk)
-        return c * (xi[0] * s1 + xi[1] * s2 + xi[2] * s3)
-
-    def partials(t, x, xi, theta, pi):
-        L = _common_L(x, xi, theta, pi)
-        s1, s2, s3 = pauli_odd_symbols(theta, pi, kk)
-        zr = zero(L)
-        zeta = xi[0] + 1j * xi[1]
-        zeta_m = xi[0] - 1j * xi[1]
-        d_x = (zr, zr, zr)
-        d_xi = (c * s1.embed(L), c * s2.embed(L), c * s3.embed(L))
-        d_th = (
-            c * zeta * theta[1] - (1j * c / kk) * xi[2] * pi[0],
-            -c * zeta * theta[0] - (1j * c / kk) * xi[2] * pi[1],
-        )
-        d_pi = (
-            (c / (kk * kk)) * zeta_m * pi[1] + (1j * c / kk) * xi[2] * theta[0],
-            -(c / (kk * kk)) * zeta_m * pi[0] + (1j * c / kk) * xi[2] * theta[1],
-        )
-        return d_x, d_xi, d_th, d_pi
-
-    return SuperHamiltonian(fn, 3, 2, partials=partials)
+    return em_weyl_hamiltonian(params, 0.0)
 
 
 def susy_oscillator_hamiltonian(omega: float, kernel_scale: complex = 1.0
@@ -643,24 +594,17 @@ def em_weyl_hamiltonian(params: WeylSymbolParams, charge: float,
     )
 
     def partials(t, x, xi, theta, pi):
-        L = _common_L(x, xi, theta, pi)
         s = pauli_odd_symbols(theta, pi, kk)
-        s = tuple(v.embed(L) for v in s)
-        av = tuple(v.embed(L) for v in avec(t, x))
+        av = avec(t, x)
         eta = tuple(xi[j] - (e / c) * av[j] for j in range(3))
         zeta = eta[0] + 1j * eta[1]
         zeta_m = eta[0] - 1j * eta[1]
-        if scalar_potential_grad is not None:
-            grad0 = tuple(_as_super(v).embed(L) for v in scalar_potential_grad(t, x))
-        else:
-            grad0 = (zero(L),) * 3
-        if vector_potential_jacobian is not None:
-            jac = vector_potential_jacobian(t, x)
-            jac = tuple(tuple(_as_super(v).embed(L) for v in row) for row in jac)
-        else:
-            jac = ((zero(L),) * 3,) * 3
+        # a potential's derivative may be a number; gradient puts each
+        # partial in the state's algebra
+        grad0 = scalar_potential_grad(t, x) if scalar_potential_grad else (0.0,) * 3
+        jac = vector_potential_jacobian(t, x) if vector_potential_jacobian else ((0.0,) * 3,) * 3
         d_x = tuple(
-            e * grad0[j] - e * sum((s[k] * jac[k][j] for k in range(3)), zero(L))
+            e * grad0[j] - e * sum(s[k] * jac[k][j] for k in range(3))
             for j in range(3)
         )
         d_xi = tuple(c * s[j] for j in range(3))

@@ -662,6 +662,16 @@ def test_gaussian_super_of_a_small_odd_block_scales_as_its_pfaffian(n):
     assert max_abs(scaled - want) <= 1e-14 * max_abs(want)
 
 
+@pytest.mark.parametrize("c", [1e200, 1e-200])
+def test_gaussian_super_of_an_odd_block_far_from_unit_scale(c):
+    # det of the odd body is inf (or 0) in floating point, and its row norms
+    # overflow (or underflow), but the block is regular: the value is its
+    # Pfaffian c over lam
+    lam = 0.8
+    M = from_blocks([], [], [[], []], [[zero(0), scalar(0, c)], [scalar(0, -c), zero(0)]])
+    assert close(gaussian_super(M, lam).body / (c / lam), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # shifted body Gaussian moments
 # ---------------------------------------------------------------------------

@@ -298,6 +298,29 @@ def test_embedding_and_promotion():
     assert shifted == gr.gen(6, 2)
 
 
+def test_embed_at_the_same_L_is_the_element_itself():
+    X = Supernumber(3, {0: 1.0, 0b101: 2.0})
+    assert X.embed(3) is X
+    wider = X.embed(5)
+    assert wider is not X and wider.L == 5 and wider == X
+    with pytest.raises(GrassmannError):
+        X.embed(-1)
+
+
+def test_in_one_algebra_puts_numbers_and_elements_in_the_largest_L():
+    a, b = gr.gen(2, 1), gr.gen(5, 4)
+    (first, second), L = gr._in_one_algebra((a, 2.0), [b, 0, np.float64(1.5)])
+    assert L == 5
+    assert all(isinstance(v, Supernumber) and v.L == 5 for v in first + second)
+    assert first == (Supernumber(5, {0b10: 1.0}), gr.scalar(5, 2.0))
+    assert second[0] is b and second[1].is_zero() and second[2] == gr.scalar(5, 1.5)
+    (only,), L = gr._in_one_algebra(iter([a, 3]), L=7)
+    assert L == 7 and [v.L for v in only] == [7, 7]
+    (numbers,), L = gr._in_one_algebra([1, 2j])
+    assert L == 0 and numbers == (gr.scalar(0, 1), gr.scalar(0, 2j))
+    assert gr._in_one_algebra() == ((), 0)
+
+
 def test_chop_and_diagnostics():
     L = 2
     x = Supernumber(L, {0: 1.0, 0b01: 1e-15, 0b11: 3.0})

@@ -471,6 +471,34 @@ def test_det_even_with_a_negligible_pivot_takes_the_leibniz_expansion():
     assert gr.max_coeff_diff(det_even(rows), want) < 1e-12 * gr.max_abs(want)
 
 
+def test_det_even_of_size_five_far_from_unit_scale():
+    # Upper bidiagonal, so the determinant is the product of the diagonal,
+    # exactly 1 here; the first row's norm overflows unless it is scaled
+    # first, and the second pivot is negligible against its row
+    L = 2
+    diag = (1e155, 1e-155, 1.0, 1.0, 1.0)
+    rows = [[gr.scalar(L, diag[i]) if j == i else gr.scalar(L, 1.0) if j == i + 1
+             else gr.zero(L) for j in range(5)] for i in range(5)]
+    got = det_even(rows)
+    assert abs(got.body - 1.0) <= 1e-15 and got == gr.scalar(L, got.body)
+    with pytest.raises(GrassmannDomainError, match="overflows"):
+        det_even([[gr.scalar(L, 1e200 if i == j else 1e199) for j in range(5)]
+                  for i in range(5)])
+
+
+def test_supermatrix_with_an_explicit_L_puts_every_entry_there():
+    small, wide = gr.gen(2, 0), Supernumber(6, {0b11: 1.0})
+    rows = [[1.0, small], [small, wide]]
+    M = Supermatrix(1, 1, rows, L=4)
+    assert M.L == 4 and all(e.L == 4 for r in M.rows for e in r)
+    assert M.rows[1][1] == wide and M.rows[0][0] == gr.one(4)
+    with pytest.raises(GrassmannError):
+        Supermatrix(1, 1, [[1.0, small], [small, gr.gen(6, 5)]], L=4)
+    auto = Supermatrix(1, 1, rows)
+    assert auto.L == 6 and all(e.L == 6 for r in auto.rows for e in r)
+    assert Supermatrix(1, 1, [[1.0, 0.0], [0.0, 2.0]]).L == 0
+
+
 # ---------------------------------------------------------------------------
 # overflow: each exit returns finite coefficients or raises
 # ---------------------------------------------------------------------------
@@ -499,6 +527,13 @@ def test_overflowed_entry_is_caught_by_sdet(part):
               from_blocks([[one]], [[g]], [[g]], [[x]])):
         with pytest.raises(GrassmannDomainError):
             sdet(M)
+
+
+def test_pfaffian_that_overflows_raises():
+    L = 2
+    z, big = gr.zero(L), gr.scalar(L, 1e300)
+    with pytest.raises(GrassmannDomainError, match="overflows"):
+        pfaffian([[z, big, z, z], [-big, z, z, z], [z, z, z, big], [z, z, -big, z]])
 
 
 def test_mat_inverse_even_of_a_body_far_from_unit_scale():
@@ -571,6 +606,17 @@ def _supermatrices(draw):
     return from_blocks(A, C, D, B, L=L)
 
 
+@st.composite
+def _antisymmetric(draw, size, L):
+    body = draw(_body(size))
+    rows = [[gr.zero(L)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            rows[i][j] = draw(_entry(L, "even", body[i, j]))
+            rows[j][i] = -rows[i][j]
+    return rows
+
+
 def _finite_or_grassmann_error(fn, *args):
     try:
         out = fn(*args)
@@ -601,3 +647,30 @@ def test_inverse_is_finite_or_raises(data):
     L = data.draw(st.integers(min_value=2, max_value=4))
     body = data.draw(_complex) * data.draw(st.sampled_from(_SCALES))
     _finite_or_grassmann_error(gr.inverse, data.draw(_entry(L, "even", body)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_supermatrices())
+def test_sm_inverse_is_finite_or_raises(M):
+    _finite_or_grassmann_error(lambda M: sm_inverse(M).rows, M)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pfaffian_is_finite_or_raises(data):
+    size = data.draw(st.integers(min_value=1, max_value=4))
+    rows = data.draw(_antisymmetric(size, data.draw(st.integers(min_value=2, max_value=4))))
+    _finite_or_grassmann_error(pfaffian, rows)
+
+
+_SPECS = [AnalyticSpec.named(name) for name in ("exp", "log", "sin", "cos", "sqrt", "reciprocal")]
+_SPECS += [AnalyticSpec.power(n) for n in (-3, 5)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_apply_analytic_is_finite_or_raises(data):
+    L = data.draw(st.integers(min_value=2, max_value=4))
+    body = data.draw(_complex) * data.draw(st.sampled_from([0.0, *_SCALES]))
+    spec = data.draw(st.sampled_from(_SPECS))
+    _finite_or_grassmann_error(gr.apply_analytic, spec, data.draw(_entry(L, "even", body)))

@@ -885,6 +885,22 @@ class TestWeylSymbolParams:
         assert abs(p.dispersion_minus(0.6, xi).body - dm) < 1e-12
         assert abs(p.dispersion_plus(0.6, xi).body - dp) < 1e-12
 
+    @pytest.mark.parametrize("quantity", ["momentum_norm", "van_vleck"])
+    def test_batched_momenta_match_each_node_alone(self, quantity):
+        p = WeylSymbolParams(speed=1.3, kernel_scale=0.9)
+        L, soul = 2, Supernumber(2, {0b11: 0.3})
+        evaluate = {"momentum_norm": p.momentum_norm,
+                    "van_vleck": lambda xi: van_vleck(0.6, xi, p)}[quantity]
+        nodes = np.array([[0.4, -0.7, 0.9], [1.1, 0.3, -0.2]])
+        got = evaluate(tuple(scalar(L, nodes[:, j]) + soul for j in range(3)))
+        for k in range(2):
+            alone = evaluate(tuple(scalar(L, nodes[k, j]) + soul for j in range(3)))
+            at_k = Supernumber(L, {m: c[k] for m, c in got.terms.items()})
+            assert max_coeff_diff(at_k, alone) <= 1e-14 * max_abs(alone)
+        nodes[1] = 0.0
+        with pytest.raises(GrassmannDomainError):
+            evaluate(tuple(scalar(L, nodes[:, j]) + soul for j in range(3)))
+
 
 # ---------------------------------------------------------------------------
 # seeded gradients
