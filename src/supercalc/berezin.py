@@ -474,7 +474,8 @@ def gaussian_super(M: Supermatrix, lam: float) -> Supernumber:
         (2 pi lam)^{m/2} lam^{-n/2} det(A)^{-1/2} Pf(B - D A^{-1} C)
 
     for even n, and 0 for odd n; Pf is the perfect-matchings Pfaffian with
-    Pf([[0, 1], [-1, 0]]) = 1.
+    Pf([[0, 1], [-1, 0]]) = 1.  A result that is not finite raises
+    GrassmannDomainError.
     """
     if lam <= 0:
         raise GrassmannDomainError("scale must be positive")
@@ -482,6 +483,8 @@ def gaussian_super(M: Supermatrix, lam: float) -> Supernumber:
     A, C, D, B = M.block("A"), M.block("C"), M.block("D"), M.block("B")
 
     body = M.body_matrix()
+    if not np.isfinite(body).all():
+        raise GrassmannDomainError("matrix body is not finite")
     Ab = body[:m, :m]
     if m:
         if np.max(np.abs(Ab.imag)) > 1e-10:
@@ -506,7 +509,11 @@ def gaussian_super(M: Supermatrix, lam: float) -> Supernumber:
     if n and _negligible(body[m:, m:]):
         raise GrassmannDomainError("odd block body must be regular")
 
-    even_factor = scalar(L, (2 * math.pi * lam) ** (m / 2))
+    try:
+        even_scale, odd_scale = (2 * math.pi * lam) ** (m / 2), lam ** (-n / 2)
+    except OverflowError:
+        raise GrassmannDomainError("gaussian_super overflows: lam is out of range") from None
+    even_factor = scalar(L, even_scale)
     if m:
         root = apply_analytic(AnalyticSpec.named("sqrt"), det_even(A))
         even_factor = even_factor * inverse(root)
@@ -517,7 +524,10 @@ def gaussian_super(M: Supermatrix, lam: float) -> Supernumber:
     else:
         pf_arg = B
     pf = pfaffian(pf_arg) if n else one(L)
-    return even_factor * scalar(L, lam ** (-n / 2)) * pf
+    out = even_factor * scalar(L, odd_scale) * pf
+    if not _is_finite(out):
+        raise GrassmannDomainError("gaussian_super overflows: a coefficient is not finite")
+    return out
 
 
 def _double_factorial(k: int) -> int:

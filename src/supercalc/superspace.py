@@ -738,8 +738,8 @@ def map_super_jacobian(F: SuperMap, P: SuperPoint):
     of F drops the terms that carry two or more seeds, which no entry reads,
     and the entries equal those of a full seeded evaluation bit for bit.  So
     F must not differentiate by the seeded generators or integrate over them;
-    seeding of its own above them (``odd_expand``, ``seeded_gradient``) is
-    fine.
+    seeding of its own above them (``odd_expand``,
+    ``SuperHamiltonian.gradient``) is fine.
     """
     m, n = F.src
     if F.dst != (m, n):

@@ -26,7 +26,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .grassmann import (
     gen,
     inverse,
     rk4_step,
-    scalar,
     seed,
     seed_parts,
     zero,
@@ -143,17 +142,11 @@ class WeylSymbolParams:
 
     def momentum_norm(self, xi) -> Supernumber:
         """Euclidean norm of the momentum triple (principal square root)."""
-        (xs,), _ = _in_one_algebra(xi)
-        _check_count(xs, 3, "momentum")
-        _check_parity(xs, "even", "momentum")
-        sq = xs[0] * xs[0] + xs[1] * xs[1] + xs[2] * xs[2]
-        if _any_zero(sq.body):
-            raise GrassmannDomainError("momentum norm needs |xi|^2 with nonzero body")
-        return apply_analytic(_SQRT, sq)
+        return self._norm(xi)[2]
 
     def rotation_angle(self, t: float, xi) -> Supernumber:
         """Spin precession angle: speed * t * |xi| / kernel_scale."""
-        return (self.speed * float(t) / complex(self.kernel_scale)) * self.momentum_norm(xi)
+        return self._angle(t, self.momentum_norm(xi))
 
     def transverse(self, xi) -> Supernumber:
         """xi_1 + i xi_2."""
@@ -169,20 +162,45 @@ class WeylSymbolParams:
 
     def dispersion_minus(self, t: float, xi) -> Supernumber:
         """|xi| cos(angle) - i xi_3 sin(angle): the caustic denominator."""
-        return self._dispersion(t, xi, operator.sub)
+        return self._polar(t, xi).dispersion(operator.sub)
 
     def dispersion_plus(self, t: float, xi) -> Supernumber:
         """|xi| cos(angle) + i xi_3 sin(angle)."""
-        return self._dispersion(t, xi, operator.add)
+        return self._polar(t, xi).dispersion(operator.add)
 
-    def _dispersion(self, t: float, xi, sign: Callable) -> Supernumber:
-        """sign(|xi| cos(angle), i xi_3 sin(angle)): sign is the operator, not a
-        factor -1, so that signed zeros come out as a subtraction gives them."""
+    def _norm(self, xi):
+        """(xi triple, |xi|^2, |xi|), with |xi|^2 nonzero at every node."""
         (xs,), _ = _in_one_algebra(xi)
         _check_count(xs, 3, "momentum")
-        ang = self.rotation_angle(t, xs)
-        return sign(self.momentum_norm(xs) * apply_analytic(_COS, ang),
-                    1j * xs[2] * apply_analytic(_SIN, ang))
+        _check_parity(xs, "even", "momentum")
+        sq = xs[0] * xs[0] + xs[1] * xs[1] + xs[2] * xs[2]
+        if _any_zero(sq.body):
+            raise GrassmannDomainError("momentum norm needs |xi|^2 with nonzero body")
+        return xs, sq, apply_analytic(_SQRT, sq)
+
+    def _angle(self, t: float, norm: Supernumber) -> Supernumber:
+        return (self.speed * float(t) / complex(self.kernel_scale)) * norm
+
+    def _polar(self, t: float, xi) -> _Polar:
+        xs, sq, norm = self._norm(xi)
+        ang = self._angle(t, norm)
+        return _Polar(xs, sq, norm, apply_analytic(_COS, ang), apply_analytic(_SIN, ang))
+
+
+class _Polar(NamedTuple):
+    """A momentum with |xi|^2, |xi| and the angle's cos and sin, from one
+    continuation of sqrt, for callers that read several of them."""
+
+    xi: Tuple[Supernumber, ...]
+    sq: Supernumber
+    norm: Supernumber
+    cos: Supernumber
+    sin: Supernumber
+
+    def dispersion(self, sign: Callable) -> Supernumber:
+        """sign(|xi| cos(angle), i xi_3 sin(angle)): sign is the operator, not a
+        factor -1, so that signed zeros come out as a subtraction gives them."""
+        return sign(self.norm * self.cos, 1j * self.xi[2] * self.sin)
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +253,12 @@ def hj_action(t: float, x, xi, theta, pi, params: WeylSymbolParams,
 
     a = complex(params.pair_weight)
     kk = complex(params.kernel_scale)
-    norm = params.momentum_norm(xis)
-    denom = params.dispersion_minus(t, xis)
+    polar = params._polar(t, xis)
+    denom = polar.dispersion(operator.sub)
     # the caustic set is where the denominator body vanishes; floating point
-    # never lands on it exactly, so flag anything below a relative threshold
-    if abs(denom.body) <= 1e-12 * max(abs(norm.body), 1e-300):
+    # never lands on it exactly, so flag any node below a relative threshold
+    if np.any(np.abs(denom.body) <= 1e-12 * np.maximum(np.abs(polar.norm.body), 1e-300)):
         raise GrassmannDomainError("caustic: dispersion denominator has zero body")
-    sin_ang = apply_analytic(_SIN, params.rotation_angle(t, xis))
     zeta = xis[0] + 1j * xis[1]
     zeta_m = xis[0] - 1j * xis[1]
 
@@ -252,24 +269,19 @@ def hj_action(t: float, x, xi, theta, pi, params: WeylSymbolParams,
 
     even_part = xs[0] * xis[0] + xs[1] * xis[1] + xs[2] * xis[2]
     odd_part = inverse(denom) * (
-        a * norm * pairing
-        - kk * zeta * sin_ang * theta_top
-        - pi_weight * zeta_m * sin_ang * pi_top
+        a * polar.norm * pairing
+        - kk * zeta * polar.sin * theta_top
+        - pi_weight * zeta_m * polar.sin * pi_top
     )
     return even_part + odd_part
 
 
 def van_vleck(t: float, xi, params: WeylSymbolParams) -> Supernumber:
     """Super-determinant of the mixed second derivatives of the action."""
-    (xis,), _ = _in_one_algebra(xi)
-    _check_count(xis, 3, "momentum")
-    _check_parity(xis, "even", "momentum")
-    sq = xis[0] * xis[0] + xis[1] * xis[1] + xis[2] * xis[2]
-    if _any_zero(sq.body):
-        raise GrassmannDomainError("van Vleck determinant needs |xi|^2 with nonzero body")
     a = complex(params.pair_weight)
-    denom = params.dispersion_minus(t, xis)
-    return (1.0 / (a * a)) * inverse(sq) * denom * denom
+    polar = params._polar(t, xi)
+    denom = polar.dispersion(operator.sub)
+    return (1.0 / (a * a)) * inverse(polar.sq) * denom * denom
 
 
 def van_vleck_amplitude(t: float, xi, params: WeylSymbolParams) -> Supernumber:
@@ -277,11 +289,9 @@ def van_vleck_amplitude(t: float, xi, params: WeylSymbolParams) -> Supernumber:
 
     Its square is exactly ``van_vleck`` (no branch ambiguity).
     """
-    (xis,), _ = _in_one_algebra(xi)
     a = complex(params.pair_weight)
-    norm = params.momentum_norm(xis)
-    denom = params.dispersion_minus(t, xis)
-    return (1.0 / a) * denom * inverse(norm)
+    polar = params._polar(t, xi)
+    return (1.0 / a) * polar.dispersion(operator.sub) * inverse(polar.norm)
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +390,14 @@ _Deriv = Tuple[Tuple[Supernumber, ...], Tuple[Supernumber, ...],
 
 
 class SuperHamiltonian:
-    """Even scalar function of (t, x, xi, theta, pi) with slot derivatives.
+    """Even scalar function of (t, x, xi, theta, pi) and its graded gradient.
 
     ``fn(t, x, xi, theta, pi)`` receives tuples of supernumbers in a shared
     algebra and must return an even supernumber of that algebra (it may not
-    introduce new generators).  Odd-slot derivatives follow the left
-    convention.  ``partials`` optionally supplies closed forms; otherwise the
-    whole gradient is read from one evaluation of ``fn`` in which every slot
-    is seeded with fresh nilpotent generators (grassmann.seed).
+    introduce new generators).  ``gradient`` reads every slot derivative from
+    one evaluation of ``fn`` in which each slot is seeded with fresh nilpotent
+    generators (grassmann.seed); odd-slot derivatives follow the left
+    convention.
 
     That seeding is first order (see "Seeding" in grassmann): ``fn`` runs on
     values whose products drop the terms with two or more seeds, which no
@@ -396,16 +406,12 @@ class SuperHamiltonian:
     generators or integrate over them.
     """
 
-    def __init__(self, fn: Callable, even_count: int, odd_count: int,
-                 partials: Callable | None = None):
+    def __init__(self, fn: Callable, even_count: int, odd_count: int):
         self.fn = fn
         self.even_count = int(even_count)
         self.odd_count = int(odd_count)
-        self.partials = partials
         if self.even_count < 0 or self.odd_count < 0:
             raise GrassmannError("slot counts must be nonnegative")
-
-    # -- evaluation ---------------------------------------------------------
 
     def _prepare(self, x, xi, theta, pi):
         groups, L = _in_one_algebra(x, xi, theta, pi)
@@ -427,21 +433,8 @@ class SuperHamiltonian:
     def value_at(self, state: FlowState) -> Supernumber:
         return self.value(state.t, state.x, state.xi, state.theta, state.pi)
 
-    # -- derivatives --------------------------------------------------------
-
     def gradient(self, t: float, x, xi, theta, pi) -> _Deriv:
         """(dH/dx, dH/dxi, dH/dtheta, dH/dpi), odd slots in left convention."""
-        if self.partials is None:
-            return self.seeded_gradient(t, x, xi, theta, pi)
-        (xs, xis, ths, pis), L = self._prepare(x, xi, theta, pi)
-        out = self.partials(t, xs, xis, ths, pis)
-        return tuple(
-            tuple(_as_super(v, L) for v in grp) for grp in out
-        )  # type: ignore[return-value]
-
-    def seeded_gradient(self, t: float, x, xi, theta, pi) -> _Deriv:
-        """Gradient read from one seeded evaluation of fn, ignoring
-        closed-form partials."""
         (xs, xis, ths, pis), L = self._prepare(x, xi, theta, pi)
         k, o = self.even_count, self.odd_count
         even, odd, masks = seed(xs + xis, ths + pis, L, first_order=True)
@@ -465,7 +458,7 @@ def super_hamilton_flow(hamiltonian: SuperHamiltonian, initial: FlowState,
     A batch in ``initial`` (see FlowState) runs every initial condition
     through one sequence of steps; each node equals its own run up to
     rounding.  ``t_grid`` and the Hamiltonian are shared by all nodes, and
-    the Hamiltonian's callables (``fn``, ``partials``, potentials) receive
+    the Hamiltonian's callables (``fn`` and any potentials it calls) receive
     batch elements and must act node by node.  A check on the coefficients,
     such as a nonzero body under a square root, must hold at every node.
     """
@@ -548,77 +541,33 @@ def susy_oscillator_hamiltonian(omega: float, kernel_scale: complex = 1.0
         return (-0.5) * xi[0] * xi[0] - 0.5 * w * w * x[0] * x[0] \
             - (w / kk) * theta[0] * pi[0]
 
-    def partials(t, x, xi, theta, pi):
-        return ((-(w * w) * x[0],), (-xi[0],),
-                (-(w / kk) * pi[0],), ((w / kk) * theta[0],))
-
-    return SuperHamiltonian(fn, 1, 1, partials=partials)
+    return SuperHamiltonian(fn, 1, 1)
 
 
 def em_weyl_hamiltonian(params: WeylSymbolParams, charge: float,
                         scalar_potential: Callable | None = None,
-                        vector_potential: Callable | None = None,
-                        scalar_potential_grad: Callable | None = None,
-                        vector_potential_jacobian: Callable | None = None
+                        vector_potential: Callable | None = None
                         ) -> SuperHamiltonian:
     """Spin-transport symbol minimally coupled to an external field.
 
     sum_j c s_j(theta,pi) (xi_j - (e/c) A_j(t,x)) + e A0(t,x).  Potentials
-    are callables of (t, x-triple of supernumbers); when their derivative
-    callables (gradient of A0; Jacobian dA_k/dx_j as jac(t,x)[k][j]) are
-    omitted, slot derivatives fall back to exact nilpotent seeding.
+    are callables of (t, x-triple of supernumbers) built from supercalc
+    arithmetic; the gradient differentiates them through its seeded
+    evaluation, so they need no derivative of their own.
     """
     c = params.speed
     kk = complex(params.kernel_scale)
     e = float(charge)
 
-    def a0(t, x):
-        return _as_super(scalar_potential(t, x)) if scalar_potential else scalar(0, 0.0)
-
-    def avec(t, x):
-        if vector_potential is None:
-            return (scalar(0, 0.0),) * 3
-        return tuple(_as_super(v) for v in vector_potential(t, x))
-
     def fn(t, x, xi, theta, pi):
         s = pauli_odd_symbols(theta, pi, kk)
-        av = avec(t, x)
-        acc = e * a0(t, x)
+        av = vector_potential(t, x) if vector_potential else (0.0,) * 3
+        acc = e * _as_super(scalar_potential(t, x) if scalar_potential else 0.0)
         for j in range(3):
-            acc = acc + c * s[j] * (xi[j] - (e / c) * av[j])
+            acc = acc + c * s[j] * (xi[j] - (e / c) * _as_super(av[j]))
         return acc
 
-    have_grads = (
-        (scalar_potential is None or scalar_potential_grad is not None)
-        and (vector_potential is None or vector_potential_jacobian is not None)
-    )
-
-    def partials(t, x, xi, theta, pi):
-        s = pauli_odd_symbols(theta, pi, kk)
-        av = avec(t, x)
-        eta = tuple(xi[j] - (e / c) * av[j] for j in range(3))
-        zeta = eta[0] + 1j * eta[1]
-        zeta_m = eta[0] - 1j * eta[1]
-        # a potential's derivative may be a number; gradient puts each
-        # partial in the state's algebra
-        grad0 = scalar_potential_grad(t, x) if scalar_potential_grad else (0.0,) * 3
-        jac = vector_potential_jacobian(t, x) if vector_potential_jacobian else ((0.0,) * 3,) * 3
-        d_x = tuple(
-            e * grad0[j] - e * sum(s[k] * jac[k][j] for k in range(3))
-            for j in range(3)
-        )
-        d_xi = tuple(c * s[j] for j in range(3))
-        d_th = (
-            c * zeta * theta[1] - (1j * c / kk) * eta[2] * pi[0],
-            -c * zeta * theta[0] - (1j * c / kk) * eta[2] * pi[1],
-        )
-        d_pi = (
-            (c / (kk * kk)) * zeta_m * pi[1] + (1j * c / kk) * eta[2] * theta[0],
-            -(c / (kk * kk)) * zeta_m * pi[0] + (1j * c / kk) * eta[2] * theta[1],
-        )
-        return d_x, d_xi, d_th, d_pi
-
-    return SuperHamiltonian(fn, 3, 2, partials=partials if have_grads else None)
+    return SuperHamiltonian(fn, 3, 2)
 
 
 # ---------------------------------------------------------------------------

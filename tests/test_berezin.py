@@ -672,6 +672,15 @@ def test_gaussian_super_of_an_odd_block_far_from_unit_scale(c):
     assert close(gaussian_super(M, lam).body / (c / lam), 1.0)
 
 
+def test_gaussian_super_that_overflows_raises_domain_error():
+    # lam^(-n/2) = 1e300 times the Pfaffian 1e10 is inf; at lam = 1e-320 the
+    # power itself is out of range
+    M = from_blocks([], [], [[], []], [[zero(2), scalar(2, 1e10)], [scalar(2, -1e10), zero(2)]])
+    for lam in (1e-300, 1e-320):
+        with pytest.raises(GrassmannDomainError):
+            gaussian_super(M, lam)
+
+
 # ---------------------------------------------------------------------------
 # shifted body Gaussian moments
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supercalc import grassmann as gr
+from supercalc.berezin import gaussian_super
 from supercalc.grassmann import AnalyticSpec, GrassmannDomainError, GrassmannError, Supernumber
 from supercalc.superlinalg import (
     Supermatrix,
@@ -661,6 +662,31 @@ def test_pfaffian_is_finite_or_raises(data):
     size = data.draw(st.integers(min_value=1, max_value=4))
     rows = data.draw(_antisymmetric(size, data.draw(st.integers(min_value=2, max_value=4))))
     _finite_or_grassmann_error(pfaffian, rows)
+
+
+@st.composite
+def _gaussian_matrices(draw):
+    """Supermatrices of gaussian_super's shape: a symmetric even block whose
+    body is positive definite before a row scale that may break it, an
+    antisymmetric odd block and couplings with D = -C^T."""
+    m, n = draw(st.sampled_from([(1, 0), (2, 0), (0, 2), (1, 1), (1, 2), (2, 2)]))
+    L = draw(st.integers(min_value=2, max_value=4))
+    root = np.array([[draw(_complex).real for _ in range(m)] for _ in range(m)]).reshape(m, m)
+    body = (root @ root.T + np.eye(m)) * draw(st.sampled_from(_SCALES))
+    A = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            A[i][j] = A[j][i] = draw(_entry(L, "even", body[i, j]))
+    B = draw(_antisymmetric(n, L))
+    C = [[draw(_entry(L, "odd")) for _ in range(n)] for _ in range(m)]
+    D = [[-C[j][i] for j in range(m)] for i in range(n)]
+    return from_blocks(A, C, D, B, L=L)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gaussian_matrices(), st.sampled_from([1e-320, *_SCALES, 1e308]))
+def test_gaussian_super_is_finite_or_raises(M, lam):
+    _finite_or_grassmann_error(gaussian_super, M, lam)
 
 
 _SPECS = [AnalyticSpec.named(name) for name in ("exp", "log", "sin", "cos", "sqrt", "reciprocal")]

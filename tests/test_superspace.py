@@ -721,7 +721,7 @@ def test_truncated_jacobian_equals_the_full_seeded_one_bit_for_bit(nodes):
 def gradient_map():
     """(2|2) -> (2|2): the gradient (H_x, H_xi, H_th, H_pi) of
     H = exp(x) xi^2 + x^2 xi + 0.6 x th pi, each component read by
-    SuperHamiltonian.seeded_gradient, and its body Jacobian in closed form."""
+    SuperHamiltonian.gradient, and its body Jacobian in closed form."""
     exp = AnalyticSpec.named("exp")
 
     def fn(t, x, xi, th, pi):
@@ -735,7 +735,7 @@ def gradient_map():
             self.group = group
 
         def evaluate(self, P):
-            grad = H.seeded_gradient(0.0, P.x[:1], P.x[1:], P.theta[:1], P.theta[1:])
+            grad = H.gradient(0.0, P.x[:1], P.x[1:], P.theta[:1], P.theta[1:])
             return grad[self.group][0]
 
     def body_jacobian(x, xi):

@@ -16,10 +16,14 @@ Oracle policy, written before the assertions below were frozen:
 * Linear odd-sector flows are compared against the matrix exponential of
   their coefficient matrix, assembled here by hand from the Hamiltonian's
   closed-form partial derivatives.
+* Seeded Hamiltonian gradients are compared against closed-form slot
+  derivatives of the builders' symbols, written here, and a seeded flow
+  against RK4 steps of the canonical field of those closed forms.
 """
 
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -36,6 +40,7 @@ from supercalc.grassmann import (
     gen_left_derivative,
     max_abs,
     max_coeff_diff,
+    rk4_step,
     scalar,
     seed,
     seed_parts,
@@ -145,6 +150,50 @@ def odd_sector_generator(xi, c=1.0, kernel_scale=1.0):
         ],
         dtype=complex,
     )
+
+
+def em_weyl_gradient_oracle(params, charge, vector_potential=None,
+                            scalar_potential_grad=None, vector_potential_jacobian=None):
+    """Closed-form slot derivatives (H_x, H_xi, H_theta, H_pi) of
+    em_weyl_hamiltonian's symbol, odd slots in left convention.
+
+    The potentials' derivatives are given in closed form: the gradient of A0
+    as grad(t, x)[j] and the Jacobian dA_k/dx_j as jac(t, x)[k][j]; an absent
+    one is zero.  Numbers are lifted into the state's algebra.
+    """
+    c, kk, e = params.speed, complex(params.kernel_scale), float(charge)
+
+    def gradient(t, x, xi, theta, pi):
+        L = x[0].L
+        s = pauli_odd_symbols(theta, pi, kk)
+        av = vector_potential(t, x) if vector_potential else (0.0,) * 3
+        eta = tuple(xi[j] - (e / c) * av[j] for j in range(3))
+        zeta = eta[0] + 1j * eta[1]
+        zeta_m = eta[0] - 1j * eta[1]
+        grad0 = scalar_potential_grad(t, x) if scalar_potential_grad else (0.0,) * 3
+        jac = vector_potential_jacobian(t, x) if vector_potential_jacobian else ((0.0,) * 3,) * 3
+        d_x = tuple(e * grad0[j] - e * sum(s[k] * jac[k][j] for k in range(3))
+                    for j in range(3))
+        d_xi = tuple(c * s[j] for j in range(3))
+        d_th = (c * zeta * theta[1] - (1j * c / kk) * eta[2] * pi[0],
+                -c * zeta * theta[0] - (1j * c / kk) * eta[2] * pi[1])
+        d_pi = ((c / (kk * kk)) * zeta_m * pi[1] + (1j * c / kk) * eta[2] * theta[0],
+                -(c / (kk * kk)) * zeta_m * pi[0] + (1j * c / kk) * eta[2] * theta[1])
+        return tuple(tuple(v if isinstance(v, Supernumber) else scalar(L, v) for v in grp)
+                     for grp in (d_x, d_xi, d_th, d_pi))
+
+    return gradient
+
+
+def oscillator_gradient_oracle(omega, kernel_scale=1.0):
+    """Closed-form slot derivatives of susy_oscillator_hamiltonian's symbol."""
+    w, kk = float(omega), complex(kernel_scale)
+
+    def gradient(t, x, xi, theta, pi):
+        return ((-(w * w) * x[0],), (-xi[0],),
+                (-(w / kk) * pi[0],), ((w / kk) * theta[0],))
+
+    return gradient
 
 
 def spectral_system_solution(k, phi, t_final, n=512, domain=32.0, steps=400):
@@ -464,24 +513,26 @@ class TestSuperHamiltonian:
         th, pp = bare_odd_phase_point()
         x = tuple(scalar(4, float(v)) for v in rng.normal(size=3))
         xi = tuple(scalar(4, float(v)) for v in rng.normal(size=3))
-        hams = [
-            free_weyl_hamiltonian(WeylSymbolParams(speed=1.2, kernel_scale=0.8)),
-            em_weyl_hamiltonian(
-                WeylSymbolParams(),
-                0.6,
-                scalar_potential=lambda t, x: x[2] + x[0] * x[1],
-                vector_potential=lambda t, x: (x[1], -x[0], scalar(x[0].L, 0.3)),
-                scalar_potential_grad=lambda t, x: (x[1], x[0], 1.0),
-                vector_potential_jacobian=lambda t, x: (
-                    (0.0, 1.0, 0.0),
-                    (-1.0, 0.0, 0.0),
-                    (0.0, 0.0, 0.0),
-                ),
-            ),
+        free_params = WeylSymbolParams(speed=1.2, kernel_scale=0.8)
+        potentials = dict(
+            scalar_potential=lambda t, x: x[2] + x[0] * x[1],
+            vector_potential=lambda t, x: (x[1], -x[0], scalar(x[0].L, 0.3)),
+        )
+        cases = [
+            (free_weyl_hamiltonian(free_params), em_weyl_gradient_oracle(free_params, 0.0)),
+            (em_weyl_hamiltonian(WeylSymbolParams(), 0.6, **potentials),
+             em_weyl_gradient_oracle(
+                 WeylSymbolParams(), 0.6, potentials["vector_potential"],
+                 scalar_potential_grad=lambda t, x: (x[1], x[0], 1.0),
+                 vector_potential_jacobian=lambda t, x: (
+                     (0.0, 1.0, 0.0),
+                     (-1.0, 0.0, 0.0),
+                     (0.0, 0.0, 0.0),
+                 ))),
         ]
-        for ham in hams:
-            closed = ham.gradient(0.4, x, xi, th, pp)
-            seeded = ham.seeded_gradient(0.4, x, xi, th, pp)
+        for ham, oracle in cases:
+            closed = oracle(0.4, x, xi, th, pp)
+            seeded = ham.gradient(0.4, x, xi, th, pp)
             for grp_c, grp_s in zip(closed, seeded):
                 for a, b in zip(grp_c, grp_s):
                     assert max_coeff_diff(a, b) < 1e-12
@@ -490,8 +541,9 @@ class TestSuperHamiltonian:
         ham = susy_oscillator_hamiltonian(1.3, 0.8)
         th = (gen(2, 0),)
         pp = (gen(2, 1),)
-        closed = ham.gradient(0.0, (0.5,), (-0.2,), th, pp)
-        seeded = ham.seeded_gradient(0.0, (0.5,), (-0.2,), th, pp)
+        x, xi = (scalar(2, 0.5),), (scalar(2, -0.2),)
+        closed = oscillator_gradient_oracle(1.3, 0.8)(0.0, x, xi, th, pp)
+        seeded = ham.gradient(0.0, x, xi, th, pp)
         for grp_c, grp_s in zip(closed, seeded):
             for a, b in zip(grp_c, grp_s):
                 assert max_coeff_diff(a, b) < 1e-14
@@ -641,11 +693,7 @@ class TestSuperHamiltonFlow:
     def test_em_static_linear_potential_drift_and_conservation(self):
         params = WeylSymbolParams()
         e = 0.7
-        ham = em_weyl_hamiltonian(
-            params, e,
-            scalar_potential=lambda t, x: x[2],
-            scalar_potential_grad=lambda t, x: (0.0, 0.0, 1.0),
-        )
+        ham = em_weyl_hamiltonian(params, e, scalar_potential=lambda t, x: x[2])
         th, pp = bare_odd_phase_point()
         init = FlowState(t=0.0, x=(0.1, -0.2, 0.3), xi=(0.4, 0.8, -0.5),
                          theta=th, pi=pp)
@@ -661,32 +709,33 @@ class TestSuperHamiltonFlow:
         ) < 1e-8
 
     def test_seeded_potentials_integrate_like_closed_gradients(self):
+        # the oracle steps the canonical field of the closed-form gradient
+        # with the same RK4 stepper on the same grid
         params = WeylSymbolParams()
-        kwargs = dict(
-            scalar_potential=lambda t, x: x[2] + x[0] * x[1],
-        )
-        with_grad = em_weyl_hamiltonian(
-            params, 0.7, scalar_potential_grad=lambda t, x: (x[1], x[0], 1.0), **kwargs
-        )
-        seeded = em_weyl_hamiltonian(params, 0.7, **kwargs)
-        assert seeded.partials is None and with_grad.partials is not None
+        seeded = em_weyl_hamiltonian(params, 0.7,
+                                     scalar_potential=lambda t, x: x[2] + x[0] * x[1])
+        closed = em_weyl_gradient_oracle(
+            params, 0.7, scalar_potential_grad=lambda t, x: (x[1], x[0], 1.0))
+
+        def field(t, y):
+            d_x, d_xi, d_th, d_pi = closed(t, y[:3], y[3:6], y[6:8], y[8:])
+            return d_xi + tuple(-v for v in d_x + d_pi + d_th)
+
         th, pp = bare_odd_phase_point()
         init = FlowState(t=0.0, x=(0.1, -0.2, 0.3), xi=(0.4, 0.8, -0.5),
                          theta=th, pi=pp)
         grid = np.linspace(0.0, 0.2, 11)
-        end_a = super_hamilton_flow(with_grad, init, grid)[-1]
-        end_b = super_hamilton_flow(seeded, init, grid)[-1]
-        for a, b in zip(end_a.x + end_a.xi + end_a.theta + end_a.pi,
-                        end_b.x + end_b.xi + end_b.theta + end_b.pi):
+        want = init.x + init.xi + init.theta + init.pi
+        for t0, t1 in zip(grid[:-1], grid[1:]):
+            want = rk4_step(field, t0, want, t1 - t0)
+        end = super_hamilton_flow(seeded, init, grid)[-1]
+        for a, b in zip(want, end.x + end.xi + end.theta + end.pi):
             assert max_coeff_diff(a, b) < 1e-12
 
     def test_lower_degrees_blind_to_higher_degree_initial_data(self):
         params = WeylSymbolParams()
         ham = em_weyl_hamiltonian(
-            params, 0.7,
-            scalar_potential=lambda t, x: x[2] + x[0] * x[1],
-            scalar_potential_grad=lambda t, x: (x[1], x[0], 1.0),
-        )
+            params, 0.7, scalar_potential=lambda t, x: x[2] + x[0] * x[1])
         L = 6
         th = (gen(L, 0), gen(L, 1))
         pp = (gen(L, 2), gen(L, 3))
@@ -885,21 +934,45 @@ class TestWeylSymbolParams:
         assert abs(p.dispersion_minus(0.6, xi).body - dm) < 1e-12
         assert abs(p.dispersion_plus(0.6, xi).body - dp) < 1e-12
 
-    @pytest.mark.parametrize("quantity", ["momentum_norm", "van_vleck"])
+    @pytest.mark.parametrize("quantity", ["momentum_norm", "van_vleck", "van_vleck_amplitude",
+                                          "hj_action"])
     def test_batched_momenta_match_each_node_alone(self, quantity):
         p = WeylSymbolParams(speed=1.3, kernel_scale=0.9)
         L, soul = 2, Supernumber(2, {0b11: 0.3})
+        th, pp = bare_odd_phase_point()
         evaluate = {"momentum_norm": p.momentum_norm,
-                    "van_vleck": lambda xi: van_vleck(0.6, xi, p)}[quantity]
+                    "van_vleck": lambda xi: van_vleck(0.6, xi, p),
+                    "van_vleck_amplitude": lambda xi: van_vleck_amplitude(0.6, xi, p),
+                    "hj_action": lambda xi: hj_action(0.6, (0.2, -0.5, 0.7), xi, th, pp, p),
+                    }[quantity]
         nodes = np.array([[0.4, -0.7, 0.9], [1.1, 0.3, -0.2]])
         got = evaluate(tuple(scalar(L, nodes[:, j]) + soul for j in range(3)))
         for k in range(2):
             alone = evaluate(tuple(scalar(L, nodes[k, j]) + soul for j in range(3)))
-            at_k = Supernumber(L, {m: c[k] for m, c in got.terms.items()})
-            assert max_coeff_diff(at_k, alone) <= 1e-14 * max_abs(alone)
+            assert max_coeff_diff(_node(got, k), alone) <= 1e-14 * max_abs(alone)
         nodes[1] = 0.0
         with pytest.raises(GrassmannDomainError):
             evaluate(tuple(scalar(L, nodes[:, j]) + soul for j in range(3)))
+
+    def test_hj_action_raises_on_a_batch_with_one_caustic_node(self):
+        # xi = (1, 0, 0) at the angle pi/2 sits on the caustic
+        p = WeylSymbolParams(speed=1.3, kernel_scale=0.9)
+        th, pp = bare_odd_phase_point()
+        nodes = np.array([[0.4, -0.7, 0.9], [1.0, 0.0, 0.0]])
+        xi = tuple(scalar(4, nodes[:, j]) for j in range(3))
+        with pytest.raises(GrassmannDomainError, match="caustic"):
+            hj_action(0.5 * math.pi * 0.9 / 1.3, (0.0,) * 3, xi, th, pp, p)
+
+
+def test_reconstructed_propagator_continues_sqrt_once_per_classical_quantity(monkeypatch):
+    # the amplitude and the action each take |xi| and the angle's cos and sin
+    # from one continuation; exp makes the phase; two columns
+    kinds = []
+    apply_analytic = weyl_dynamics.apply_analytic
+    monkeypatch.setattr(weyl_dynamics, "apply_analytic",
+                        lambda spec, X: kinds.append(spec.kind) or apply_analytic(spec, X))
+    propagator_matrix_from_classical(0.7, (0.4, -0.7, 0.9))
+    assert Counter(kinds) == {"sqrt": 4, "cos": 4, "sin": 4, "exp": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -907,15 +980,10 @@ class TestWeylSymbolParams:
 # ---------------------------------------------------------------------------
 
 
-def test_seeded_gradient_leaves_closed_partials_in_place():
+def test_gradient_nested_in_the_first_evaluation_equals_the_outer_one():
     oscillator = susy_oscillator_hamiltonian(1.3, 0.8)
     th, pp = (gen(2, 0),), (gen(2, 1),)
-    partial_calls = []
     nested = []
-
-    def partials(*args):
-        partial_calls.append(args)
-        return oscillator.partials(*args)
 
     def fn(*args):
         # the first evaluation re-enters the object through gradient
@@ -924,18 +992,16 @@ def test_seeded_gradient_leaves_closed_partials_in_place():
             nested[0] = ham.gradient(0.0, (0.5,), (-0.2,), th, pp)
         return oscillator.fn(*args)
 
-    ham = SuperHamiltonian(fn, 1, 1, partials=partials)
-    seeded = ham.seeded_gradient(0.0, (0.5,), (-0.2,), th, pp)
-    assert len(partial_calls) == 1
-    for grp_n, grp_s in zip(nested[0], seeded):
-        for a, b in zip(grp_n, grp_s):
+    ham = SuperHamiltonian(fn, 1, 1)
+    outer = ham.gradient(0.0, (0.5,), (-0.2,), th, pp)
+    for grp_n, grp_o in zip(nested[0], outer):
+        for a, b in zip(grp_n, grp_o):
             assert max_coeff_diff(a, b) < 1e-14
 
 
 def test_seeded_gradient_evaluates_the_hamiltonian_once():
     ham = em_weyl_hamiltonian(WeylSymbolParams(), 0.7,
                               scalar_potential=lambda t, x: x[2])
-    assert ham.partials is None
     calls = []
     fn = ham.fn
 
@@ -976,7 +1042,7 @@ def spin_state(ham, steps=3):
 def test_seeded_gradient_equals_the_full_seeded_one_bit_for_bit(potential):
     ham = em_weyl_hamiltonian(WeylSymbolParams(), 0.9, **SPIN_POTENTIALS[potential])
     st = spin_state(ham)
-    got = ham.seeded_gradient(st.t, st.x, st.xi, st.theta, st.pi)
+    got = ham.gradient(st.t, st.x, st.xi, st.theta, st.pi)
     even, odd, masks = seed(st.x + st.xi, st.theta + st.pi, 4)
     parts = seed_parts(ham.fn(st.t, even[:3], even[3:], odd[:2], odd[2:]), 4)
     want = [parts.get(mask, zero(4)) for mask in masks]
@@ -993,7 +1059,7 @@ def test_truncation_reaches_the_seeded_hamiltonian_value(monkeypatch, potential)
     read = []
     monkeypatch.setattr(weyl_dynamics, "seed_parts",
                         lambda X, L: read.append(X) or seed_parts(X, L))
-    ham.seeded_gradient(st.t, st.x, st.xi, st.theta, st.pi)
+    ham.gradient(st.t, st.x, st.xi, st.theta, st.pi)
     (value,) = read
     even, odd, masks = seed(st.x + st.xi, st.theta + st.pi, 4)
     assert {m >> 4 for m in value.terms} <= {0, *masks}
