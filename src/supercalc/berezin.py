@@ -35,11 +35,11 @@ from .grassmann import (
     GrassmannDomainError,
     GrassmannError,
     Supernumber,
-    _DROP_ZEROS,
+    _AS_IS,
     _as_super,
-    _coefficient,
     _in_one_algebra,
     _is_finite,
+    _nonzero,
     apply_analytic,
     gen,
     gen_left_derivative,
@@ -56,6 +56,7 @@ from .superlinalg import (
     _mat_mul,
     _mat_sub,
     _negligible,
+    _node_array,
     _sdet,
     det_even,
     mat_inverse_even,
@@ -123,9 +124,9 @@ def _weighted_sum(weights: np.ndarray, values):
     with np.errstate(invalid="ignore"):
         if isinstance(values, Supernumber):
             return Supernumber(values.L, {
-                m: complex(np.dot(weights, np.broadcast_to(c, weights.shape)))
-                for m, c in values._terms.items()
-            }, _DROP_ZEROS)
+                m: s for m, c in values._terms.items()
+                if _nonzero(s := complex(np.dot(weights, np.broadcast_to(c, weights.shape))))
+            }, _AS_IS)
         return complex(np.dot(weights, np.broadcast_to(values, weights.shape)))
 
 
@@ -141,7 +142,7 @@ def _on_nodes(fn, q):
         node = v._terms if isinstance(v, Supernumber) else {0: v}
         for mask, c in node.items():
             terms.setdefault(mask, np.zeros(len(values), dtype=complex))[k] = c
-    return Supernumber(L, terms, _DROP_ZEROS)
+    return Supernumber(L, {m: c for m, c in terms.items() if _nonzero(c)}, _AS_IS)
 
 
 def _per_chunk(integrand):
@@ -363,7 +364,7 @@ def _grid_point(q, n: int) -> SuperPoint:
     checks the box), so the constants skip the constructor's checks."""
     L = max(n, 1)
     return SuperPoint(
-        tuple(Supernumber(L, {0: _coefficient(c)}, _DROP_ZEROS) for c in q),
+        tuple(_as_super(c, L) for c in q),
         tuple(gen(L, s) for s in range(n)),
     )
 
@@ -430,7 +431,8 @@ class PulledBack:
     This is the integrand the change-of-variables formula transports: a
     function on the source domain of phi whose path integral over
     phi^{-1}(domain) matches the integral of u over the original domain.  A
-    Jacobian whose sdet has a vanishing body raises GrassmannDomainError.
+    Jacobian whose even block is body-singular at its own scale (``_negligible``,
+    at any node), where the sdet body is 0, raises GrassmannDomainError.
     """
 
     def __init__(self, phi: SuperMap, u):
@@ -439,10 +441,11 @@ class PulledBack:
         self.m, self.n = phi.src
 
     def evaluate(self, P: SuperPoint) -> Supernumber:
-        sd = _sdet(map_super_jacobian(self.phi, P))
-        if np.any(np.abs(sd.body) < 1e-12):
+        J = map_super_jacobian(self.phi, P)
+        even = _node_array((e.body for r in J.block("A") for e in r), (self.m, self.m))
+        if self.m and np.any(_negligible(even)):
             raise GrassmannDomainError("path Jacobian is body-singular on the box")
-        return sd * self.u.evaluate(self.phi.evaluate(P))
+        return _sdet(J) * self.u.evaluate(self.phi.evaluate(P))
 
 
 def naive_cvf_discrepancy(phi_map: SuperMap, u,
@@ -509,13 +512,17 @@ def gaussian_super(M: Supermatrix, lam: float) -> Supernumber:
     if n and _negligible(body[m:, m:]):
         raise GrassmannDomainError("odd block body must be regular")
 
+    # det(A) far from unit scale over- or underflows, so it is taken of 2^-2k A,
+    # whose largest body entry is near 1; det(A)^(-1/2) gets the exact 2^(-km)
+    k = math.frexp(np.abs(Ab).max())[1] // 2 if m else 0
     try:
-        even_scale, odd_scale = (2 * math.pi * lam) ** (m / 2), lam ** (-n / 2)
+        even_scale, odd_scale = math.ldexp((2 * math.pi * lam) ** (m / 2), -k * m), lam ** (-n / 2)
     except OverflowError:
-        raise GrassmannDomainError("gaussian_super overflows: lam is out of range") from None
+        raise GrassmannDomainError("gaussian_super overflows: a scale is out of range") from None
     even_factor = scalar(L, even_scale)
     if m:
-        root = apply_analytic(AnalyticSpec.named("sqrt"), det_even(A))
+        scaled = [[math.ldexp(1.0, -2 * k) * e for e in row] for row in A]
+        root = apply_analytic(AnalyticSpec.named("sqrt"), det_even(scaled))
         even_factor = even_factor * inverse(root)
         raw = _mat_sub(B, _mat_mul(_mat_mul(D, mat_inverse_even(A), L), C, L))
         # antisymmetrize exactly so roundoff cannot trip the Pfaffian's check

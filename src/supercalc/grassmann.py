@@ -49,11 +49,10 @@ every node, for a batch).  Input from outside is validated:
 ``Supernumber(L, terms)``, ``make``, ``scalar``, ``gen`` and ``from_json``
 check the masks, convert the coefficients, reject NaN and inf (at any node,
 for a batch) with ``GrassmannError`` and drop zeros.  Results the package
-computes from elements that already keep the invariants (sums, products,
-negation, scaling, ``embed``, ``soul``, ``seed_parts`` and the like) take a
-trusted branch of the constructor that only drops zeros, or stores the dict
-as given when it cannot hold one; the ``Supernumber`` docstring lists which
-operation takes which.
+computes from elements that already keep the invariants are stored as given:
+each operation that can make a 0 drops it itself with ``_nonzero``, a sum at
+the masks both operands hold, the only ones that can cancel, and a product or
+a scaling at each coefficient it makes, since one can underflow to 0.
 
 One algebra
 -----------
@@ -304,11 +303,13 @@ def _cut_of(values: Iterable[Supernumber]) -> _Cut | None:
     return next((v._cut for v in values if v._cut is not None), None)
 
 
-# The private third argument of Supernumber(L, terms, trust): how far terms
-# computed inside the package are taken as given (see the class docstring).
-_VALIDATE = 0
-_DROP_ZEROS = 1
-_AS_IS = 2
+def _nonzero(c) -> bool:
+    """True when the clean coefficient c is not 0, at some node for a batch."""
+    return c != 0 if type(c) is complex else bool(np.count_nonzero(c))
+
+
+# Supernumber(L, terms, _AS_IS) stores a clean dict as given (see its docstring)
+_AS_IS = True
 
 
 class Supernumber:
@@ -326,28 +327,31 @@ class Supernumber:
     ``from_json``, which build through it.
 
     Results the package computes itself from elements that already keep the
-    invariants pass a private third argument and skip the checks:
+    invariants pass the private third argument ``_AS_IS`` and are stored as
+    given, so each operation that can make a 0 drops it (a batch only when it
+    is 0 at every node) with ``_nonzero``:
 
-    * ``_DROP_ZEROS`` keeps every mask and coefficient as given and drops only
-      the zeros (a batch only when it is 0 at every node): ``+``, ``-`` between
-      elements, the dict-loop product, the product with a body-only factor, a
-      number or array times an element, division by a number, a number
-      promoted to a constant, and ``gen_left_derivative``;
-    * ``_AS_IS`` stores the dict itself, which must already be clean: ``-X``,
-      ``embed`` to another L, the table-kernel product and each entry of a
-      dense block product (both through ``_from_dense``), ``zero``, ``one``,
-      ``soul``, ``degree_filter``, ``conjugate``, ``chop``, ``seed`` and
-      ``seed_parts``.
+    * ``+`` and ``-`` between elements test the masks both operands hold;
+    * the dict-loop product, the product with a body-only factor, a number or
+      array times an element and division by a number test each coefficient
+      they make, since a product can underflow to 0;
+    * ``_as_super``, which makes a number or array a constant, stores nothing
+      for 0.
 
-    The caller of either branch guarantees the masks are in range and the
-    coefficients are exactly ``complex`` or complex arrays: a ``np.complex128``
-    stored here would send later products back to the dict loop (see
-    ``_dense_coefficients``).  Arithmetic on clean coefficients stays clean
-    (complex op complex is complex; complex op complex array is a complex
-    array); a value from numpy, such as ``np.dot``, is converted first.
+    ``-X``, ``embed`` to another L, the table kernel and dense block products
+    (``_from_dense`` keeps the nonzero entries), ``zero``, ``one``, ``soul``,
+    ``degree_filter``, ``conjugate``, ``chop``, ``gen_left_derivative``,
+    ``seed`` and ``seed_parts`` make no 0.
 
-    A trusted branch also takes a private fourth argument, the ``_cut`` of a
-    first-order seeding the result carries (see "Seeding" in the module
+    The masks must be in range and the coefficients exactly ``complex`` or
+    complex arrays: a ``np.complex128`` stored here would send later products
+    back to the dict loop (see ``_dense_coefficients``).  Arithmetic on clean
+    coefficients stays clean (complex op complex is complex; complex op
+    complex array is a complex array); a value from numpy, such as ``np.dot``,
+    is converted first.
+
+    The ``_AS_IS`` branch also takes a private fourth argument, the ``_cut``
+    of a first-order seeding the result carries (see "Seeding" in the module
     docstring); a validated element has none.
     """
 
@@ -358,15 +362,11 @@ class Supernumber:
     __array_ufunc__ = None
 
     def __init__(self, L: int, terms: Mapping[int, complex] | None = None,
-                 _trust: int = _VALIDATE, _cut: _Cut | None = None):
-        if _trust:
+                 _as_is: bool = False, _cut: _Cut | None = None):
+        if _as_is:
             self.L = L
+            self._terms = terms
             self._cut = _cut
-            if _trust == _AS_IS:
-                self._terms = terms
-            else:
-                self._terms = {m: c for m, c in terms.items()
-                               if (c != 0 if type(c) is complex else np.count_nonzero(c))}
             return
         self.L = _generator_count(L)
         self._cut = None
@@ -438,7 +438,7 @@ class Supernumber:
             L = max(self.L, other.L)
             return self.embed(L), other.embed(L)
         if isinstance(other, (int, float, complex)):
-            return self, Supernumber(self.L, {0: complex(other)}, _DROP_ZEROS)
+            return self, _as_super(other, self.L)
         return self, NotImplemented  # type: ignore[return-value]
 
     def embed(self, L: int) -> "Supernumber":
@@ -458,10 +458,16 @@ class Supernumber:
         a, b = self._promote(other)
         if b is NotImplemented:
             return NotImplemented
+        # only a mask present in both operands can cancel
         out = dict(a._terms)
         for m, c in b._terms.items():
-            out[m] = out[m] + c if m in out else c
-        return Supernumber(a.L, out, _DROP_ZEROS, a._cut or b._cut)
+            if m in out:
+                c = out[m] + c
+                if not _nonzero(c):
+                    del out[m]
+                    continue
+            out[m] = c
+        return Supernumber(a.L, out, _AS_IS, a._cut or b._cut)
 
     __radd__ = __add__
 
@@ -487,10 +493,12 @@ class Supernumber:
         # the factors keep the dict loop's order, so the values are its own
         if len(x) == 1 and 0 in x:
             c = x[0]
-            return Supernumber(a.L, {m: c * v for m, v in y.items()}, _DROP_ZEROS, cut)
+            return Supernumber(a.L, {m: cv for m, v in y.items() if _nonzero(cv := c * v)},
+                               _AS_IS, cut)
         if len(y) == 1 and 0 in y:
             c = y[0]
-            return Supernumber(a.L, {m: v * c for m, v in x.items()}, _DROP_ZEROS, cut)
+            return Supernumber(a.L, {m: vc for m, v in x.items() if _nonzero(vc := v * c)},
+                               _AS_IS, cut)
         if _table_takes(len(x) * len(y), a.L):
             out = _table_product(a, b)
             if out is not None:
@@ -521,15 +529,15 @@ class Supernumber:
                     acc[m] = acc[m] + v if m in acc else v
                 else:
                     acc[m] = acc[m] - v if m in acc else -v
-        return Supernumber(a.L, acc, _DROP_ZEROS, cut)
+        return Supernumber(a.L, {m: v for m, v in acc.items() if _nonzero(v)}, _AS_IS, cut)
 
     def __rmul__(self, other):
         # numbers inline: this is a hot path, and a call costs more than the test
         c = complex(other) if isinstance(other, (int, float, complex)) else _coefficient(other)
         if c is None:
             return NotImplemented
-        return Supernumber(self.L, {m: c * v for m, v in self._terms.items()}, _DROP_ZEROS,
-                           self._cut)
+        return Supernumber(self.L, {m: cv for m, v in self._terms.items()
+                                    if _nonzero(cv := c * v)}, _AS_IS, self._cut)
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -537,8 +545,8 @@ class Supernumber:
             if c == 0:
                 raise GrassmannDomainError("division by zero")
             with _overflow_quietly(self):
-                out = Supernumber(self.L, {m: v / c for m, v in self._terms.items()},
-                                  _DROP_ZEROS, self._cut)
+                out = Supernumber(self.L, {m: q for m, v in self._terms.items()
+                                           if _nonzero(q := v / c)}, _AS_IS, self._cut)
         elif isinstance(other, Supernumber):
             reciprocal = inverse(other)
             with _overflow_quietly(self, reciprocal):
@@ -559,7 +567,7 @@ class Supernumber:
 
     def __eq__(self, other):
         if isinstance(other, (int, float, complex)):
-            other = Supernumber(self.L, {0: complex(other)}, _DROP_ZEROS)
+            other = _as_super(other, self.L)
         if not isinstance(other, Supernumber):
             return NotImplemented
         mine, theirs = self._terms, other._terms
@@ -616,10 +624,14 @@ def gen(L: int, i: int) -> Supernumber:
 
 def _as_super(x, L: int | None = None) -> Supernumber:
     """x as a Supernumber, embedded in L generators when L is given; a number
-    becomes a constant."""
+    becomes a constant and an array one constant per node, unvalidated like
+    the operands of a sum (see "Overflow")."""
     if isinstance(x, Supernumber):
         return x if L is None else x.embed(L)
-    return Supernumber(_generator_count(L or 0), {0: complex(x)}, _DROP_ZEROS)
+    c = _coefficient(x)
+    if c is None:
+        c = complex(x)
+    return Supernumber(L or 0, {0: c} if _nonzero(c) else {}, _AS_IS)
 
 
 def _in_one_algebra(*groups: Iterable, L: int = 0
@@ -873,13 +885,9 @@ def gen_left_derivative(X: Supernumber, i: int) -> Supernumber:
     if not (0 <= i < X.L):
         raise GrassmannError(f"generator index {i} out of range for L={X.L}")
     bit = 1 << i
-    out: Dict[int, complex] = {}
-    for m, c in X._terms.items():
-        if not (m & bit):
-            continue
-        below = (m & (bit - 1)).bit_count()
-        out[m ^ bit] = out.get(m ^ bit, 0j) + (-c if below & 1 else c)
-    return Supernumber(X.L, out, _DROP_ZEROS)
+    # m -> m ^ bit is one to one on the masks holding bit, so no term cancels
+    return Supernumber(X.L, {m ^ bit: -c if (m & (bit - 1)).bit_count() & 1 else c
+                             for m, c in X._terms.items() if m & bit}, _AS_IS)
 
 
 def shift_generators(X: Supernumber, offset: int, L: int) -> Supernumber:

@@ -35,9 +35,7 @@ from .grassmann import (
     GrassmannDomainError,
     GrassmannError,
     Supernumber,
-    _DROP_ZEROS,
     _as_super,
-    _coefficient,
     _dense_coefficients,
     _dense_product,
     _from_dense,
@@ -386,8 +384,7 @@ def mat_inverse_even(rows: Sequence[Sequence[Supernumber]]) -> List[List[Supernu
         raise GrassmannDomainError("matrix body inverse overflows: the body is nearly singular")
 
     def lift(a):
-        return [[Supernumber(L, {0: _coefficient(a[i, j])}, _DROP_ZEROS) for j in range(size)]
-                for i in range(size)]
+        return [[_as_super(a[i, j], L) for j in range(size)] for i in range(size)]
 
     # T = -R^{-1} S with S = rows - R, a matrix of soul-only entries
     T = _mat_mul(lift(-binv), _mat_sub(rows, lift(body)), L)

@@ -38,9 +38,10 @@ from .grassmann import (
     GrassmannDomainError,
     GrassmannError,
     Supernumber,
-    _DROP_ZEROS,
+    _AS_IS,
     _coefficient,
     _cut_of,
+    _nonzero,
     max_abs,
     one,
     scalar,
@@ -487,14 +488,13 @@ def _continue(bf: BodyFunction, basis: _TaylorBasis) -> Supernumber:
     q = basis.q
     out: Dict[int, complex] = {}
     for alpha, fact, mono in basis.terms:
-        df = deriv(alpha, q)
-        if not (np.count_nonzero(df) if isinstance(df, np.ndarray) else df != 0):
+        c = _coefficient(deriv(alpha, q) / fact)
+        if not _nonzero(c):
             continue
-        c = _coefficient(df / fact)
         for m, v in mono.items():
             cv = c * v
             out[m] = out[m] + cv if m in out else cv
-    return Supernumber(basis.L, out, _DROP_ZEROS, basis.cut)
+    return Supernumber(basis.L, {m: c for m, c in out.items() if _nonzero(c)}, _AS_IS, basis.cut)
 
 
 def continue_body(bf: BodyFunction, xs: Sequence[Supernumber], L: int | None = None) -> Supernumber:
@@ -559,12 +559,6 @@ class SuperPoint:
     @property
     def L(self) -> int:
         return max((v.L for v in self.x + self.theta), default=0)
-
-    def embed(self, L: int) -> "SuperPoint":
-        return SuperPoint(
-            tuple(v.embed(L) for v in self.x),
-            tuple(v.embed(L) for v in self.theta),
-        )
 
     def _basis(self) -> _TaylorBasis:
         """The cached Taylor basis (see the class docstring)."""
@@ -781,15 +775,10 @@ def invert_map(F: SuperMap, body_inverse: Callable[[np.ndarray], Sequence[float]
             tuple(scalar(L, y0[j]) for j in range(m)),
             tuple(zero(L) for _ in range(n)),
         )
-        target = P.embed(L)
         for _ in range(L + 4):
             FY = F.evaluate(Y)
-            Lc = max(L, FY.L)
-            FY = FY.embed(Lc)
-            resid_even = [target.x[j].embed(Lc) - FY.x[j].embed(Lc) for j in range(m)]
-            resid_odd = [
-                target.theta[s].embed(Lc) - FY.theta[s].embed(Lc) for s in range(n)
-            ]
+            resid_even = [P.x[j] - FY.x[j] for j in range(m)]
+            resid_odd = [P.theta[s] - FY.theta[s] for s in range(n)]
             resid_max = max(
                 [max_abs(r) for r in resid_even + resid_odd], default=0.0
             )
@@ -800,13 +789,13 @@ def invert_map(F: SuperMap, body_inverse: Callable[[np.ndarray], Sequence[float]
             Jo = _per_node(np.linalg.inv, J[m:, m:]) if n else np.zeros((0, 0))
             new_x = []
             for j in range(m):
-                upd = Y.x[j].embed(Lc)
+                upd = Y.x[j]
                 for k in range(m):
                     upd = upd + Je[j, k] * resid_even[k]
                 new_x.append(upd)
             new_t = []
             for s in range(n):
-                upd = Y.theta[s].embed(Lc)
+                upd = Y.theta[s]
                 for r in range(n):
                     upd = upd + Jo[s, r] * resid_odd[r]
                 new_t.append(upd)

@@ -1,7 +1,9 @@
-"""One case of each benchmark workload, solved and checked.
+"""One case of each benchmark workload, solved and checked, untraced and traced.
 
 The benchmark's workloads (perfbench/workloads.py) call supercalc's public
-API; this catches a change to that API before a benchmark run does.
+API, and its traced run (perfbench/tracing.py) wraps supercalc's functions
+and methods by name; this catches a change to either before a benchmark run
+does.
 """
 
 import sys
@@ -11,6 +13,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import tracing  # noqa: E402
+import workloads  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
@@ -21,3 +25,40 @@ def test_one_case_of_each_workload_passes_its_checks(name):
     checks = workload.check(case, workload.solve(case))
     assert checks
     assert all(check.passed for check in checks), checks
+
+
+@pytest.fixture(scope="module")
+def traced():
+    """The tracer and the checks of one seed-5 case of each workload, solved
+    with the benchmark's tracer installed and active."""
+    tracer = tracing.Tracer()
+    tracing.install(tracer, callers=(workloads,))
+    try:
+        checks = {}
+        for index, name in enumerate(sorted(WORKLOADS)):
+            workload = WORKLOADS[name]
+            # built after install, as in the traced run, so that objects made
+            # at set-up carry the wrappers
+            case = workload.build(5)[0]
+            tracer.begin(index)
+            try:
+                output = workload.solve(case)
+            finally:
+                tracer.end()
+            checks[name] = workload.check(case, output)
+    finally:
+        tracer.uninstall()
+    return tracer, checks
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_one_traced_case_of_each_workload_passes_its_checks(traced, name):
+    checks = traced[1][name]
+    assert checks
+    assert all(check.passed for check in checks), checks
+
+
+def test_every_traced_function_is_found(traced):
+    tracer = traced[0]
+    assert tracer.missing == []
+    assert tracer.calls

@@ -456,6 +456,23 @@ def test_fsm_pinned_counterexample_resolves_to_one():
     assert close(moved.body, 1.0, tol=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-13, 1e-6])
+def test_fsm_path_with_a_small_regular_jacobian(scale):
+    # gamma(q) = scale * q on [0, 1]: a Jacobian body far below 1e-12 that is
+    # regular at its own scale, so the integral of 1 over the image is scale
+    u = SuperFunction(1, 0, {0: E1("1")})
+    gamma = SuperMap((1, 0), (1, 0), [SuperFunction(1, 0, {0: E1(f"{scale!r}*q1")})])
+    value = integrate_fsm(FSMPath(((0.0, 1.0),), gamma), u)
+    assert close(value.body / scale, 1.0, tol=1e-13)
+
+
+def test_fsm_path_that_is_constant_is_body_singular():
+    u = SuperFunction(1, 0, {0: E1("1")})
+    gamma = SuperMap((1, 0), (1, 0), [SuperFunction(1, 0, {0: E1("0.5")})])
+    with pytest.raises(GrassmannDomainError, match="body-singular"):
+        integrate_fsm(FSMPath(((0.0, 1.0),), gamma), u)
+
+
 def test_fsm_reparametrization_invariance():
     # same superdomain traced twice: identity on (1, 2.25) versus q -> q^2
     # with a constant invertible mix of the odd parameters on (1, 1.5)
@@ -670,6 +687,15 @@ def test_gaussian_super_of_an_odd_block_far_from_unit_scale(c):
     lam = 0.8
     M = from_blocks([], [], [[], []], [[zero(0), scalar(0, c)], [scalar(0, -c), zero(0)]])
     assert close(gaussian_super(M, lam).body / (c / lam), 1.0)
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e-150, 1e200])
+def test_gaussian_super_of_an_even_block_far_from_unit_scale(c):
+    # det(c I) of the (2|0) block underflows (or overflows) in floating point,
+    # but the value (2 pi lam) / c is finite
+    I = [[scalar(0, c), zero(0)], [zero(0), scalar(0, c)]]
+    value = gaussian_super(from_blocks(I, [[], []], [], []), 1.0)
+    assert close(value.body / (TWO_PI / c), 1.0, tol=1e-13)
 
 
 def test_gaussian_super_that_overflows_raises_domain_error():

@@ -64,7 +64,7 @@ def fd_body_jacobian(F: SuperMap, P: SuperPoint, eps: float = 1e-6) -> np.ndarra
     p, q = F.dst
     L = max(P.L, 1)
     Lw = L + 1
-    Pw = P.embed(Lw)
+    Pw = SuperPoint(tuple(v.embed(Lw) for v in P.x), tuple(v.embed(Lw) for v in P.theta))
     spare = gen(Lw, L)
     J = np.zeros((p + q, m + n), dtype=complex)
 

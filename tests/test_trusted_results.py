@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from supercalc import grassmann as gr
-from supercalc.berezin import _weighted_sum
+from supercalc.berezin import _on_nodes, _weighted_sum
 from supercalc.grassmann import Supernumber
+from supercalc.superlinalg import mat_inverse_even
+from supercalc.superspace import continue_body, expr_body
 
 NODES = 5
 
@@ -129,3 +131,72 @@ def test_batch_helpers_of_other_modules_keep_the_invariants():
     assert_clean(summed)
     assert all(type(c) is complex for c in summed._terms.values())
     assert _weighted_sum(np.zeros(NODES), X).is_zero()
+
+
+# Each operation below makes a 0 and must drop it itself, since its result is
+# stored as given.
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_dict_loop_product_that_cancels_or_underflows_keeps_the_invariants(batch):
+    b = np.arange(1.0, NODES + 1) if batch else 1.0
+    odd = Supernumber(4, {0b0001: b, 0b0010: 2.0})
+    # (b s0 + 2 s1)^2 = 2b (s0 s1 + s1 s0) = 0
+    assert_clean(odd * odd)
+    assert (odd * odd).is_zero()
+    # the s0 s2 term is 1e-400, below the smallest subnormal
+    tiny = Supernumber(4, {0b0001: 1e-200 * b, 0b0010: 1.0})
+    out = tiny * Supernumber(4, {0b0100: 1e-200, 0b1000: 1.0})
+    assert_clean(out)
+    assert sorted(out._terms) == [0b0110, 0b1001, 0b1010]
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_continuation_whose_terms_cancel_keeps_the_invariants(batch):
+    # q1 + q2 continued to (b + s0s1, 2 - s0s1): the s0s1 terms cancel
+    b = np.arange(1.0, NODES + 1) if batch else 1.0
+    x1 = Supernumber(2, {0: b, 0b11: 1.0})
+    x2 = Supernumber(2, {0: 2.0, 0b11: -1.0})
+    out = continue_body(expr_body("q1+q2", 2), [x1, x2])
+    assert_clean(out)
+    assert list(out._terms) == [0]
+
+
+def test_on_nodes_with_a_zero_node_keeps_the_invariants():
+    # the number 0 at node 0 puts a body that is 0 at every node
+    q = (np.arange(float(NODES)),)
+    out = _on_nodes(lambda node: 0.0 if node[0] == 0 else node[0] * gr.gen(2, 0), q)
+    assert_clean(out)
+    assert list(out._terms) == [1]
+    assert np.array_equal(out.coefficient(1), np.arange(NODES))
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_inverse_of_a_body_with_zero_entries_keeps_the_invariants(batch):
+    s01 = gr.gen(2, 0) * gr.gen(2, 1)
+    b = np.arange(1.0, NODES + 1) if batch else 1.0
+    rows = [[gr.scalar(2, b) + s01, gr.zero(2)], [0.5 * s01, gr.scalar(2, 4.0)]]
+    inv = mat_inverse_even(rows)
+    for row in inv:
+        for e in row:
+            assert_clean(e)
+    assert inv[0][1].is_zero()
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_quotient_that_underflows_keeps_the_invariants(batch):
+    tiny = np.full(NODES, 1e-300) if batch else 1e-300
+    out = Supernumber(2, {0: 1.0, 0b01: tiny}) / 1e300
+    assert_clean(out)
+    assert list(out._terms) == [0]
+
+
+def test_constants_of_zero_keep_the_invariants():
+    assert gr._as_super(0, 3).is_zero()
+    some = np.array([0.0, 1.0, 0.0, 2.0, 0.0])
+    for c in (0, 0.0, 0j, some, np.zeros(NODES), 1.5):
+        assert_clean(gr._as_super(c, 3))
+    assert gr._as_super(np.zeros(NODES), 3).is_zero()
+    assert np.array_equal(gr._as_super(some, 3).body, some)
+    X = Supernumber(3, {0b001: 1.0})
+    assert gr.zero(3) == 0 and (X - X) == 0
+    assert not X == 0 and not gr.one(3) == 0
