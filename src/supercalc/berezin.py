@@ -35,11 +35,12 @@ from .grassmann import (
     GrassmannDomainError,
     GrassmannError,
     Supernumber,
-    _AS_IS,
     _as_super,
     _in_one_algebra,
     _is_finite,
-    _nonzero,
+    _monomial,
+    _node_sum,
+    _stack,
     apply_analytic,
     gen,
     gen_left_derivative,
@@ -123,10 +124,7 @@ def _weighted_sum(weights: np.ndarray, values):
     """
     with np.errstate(invalid="ignore"):
         if isinstance(values, Supernumber):
-            return Supernumber(values.L, {
-                m: s for m, c in values._terms.items()
-                if _nonzero(s := complex(np.dot(weights, np.broadcast_to(c, weights.shape))))
-            }, _AS_IS)
+            return _node_sum(weights, values)
         return complex(np.dot(weights, np.broadcast_to(values, weights.shape)))
 
 
@@ -136,13 +134,7 @@ def _on_nodes(fn, q):
     values = [fn(node) for node in (zip(*q) if q else [()])]
     if not any(isinstance(v, Supernumber) for v in values):
         return np.array(values, dtype=complex)
-    L = max(v.L for v in values if isinstance(v, Supernumber))
-    terms: Dict[int, np.ndarray] = {}
-    for k, v in enumerate(values):
-        node = v._terms if isinstance(v, Supernumber) else {0: v}
-        for mask, c in node.items():
-            terms.setdefault(mask, np.zeros(len(values), dtype=complex))[k] = c
-    return Supernumber(L, {m: c for m, c in terms.items() if _nonzero(c)}, _AS_IS)
+    return _stack(values)
 
 
 def _per_chunk(integrand):
@@ -284,11 +276,7 @@ class OddPolynomial:
         (thetas,), L = _in_one_algebra(thetas, L=self.L)
         acc = zero(L)
         for a, c in self.coefficients.items():
-            mono = one(L)
-            for s in range(self.n):
-                if (a >> s) & 1:
-                    mono = mono * thetas[s]
-            acc = acc + mono * c
+            acc = acc + (_monomial(a, thetas, L) * c if a else c)
         return acc
 
     def partial(self, s: int) -> "OddPolynomial":
@@ -329,9 +317,7 @@ def _measure_sign(n: int, order: Sequence[int]) -> float:
         raise GrassmannError("order must be a permutation of 1..n")
     if n == 0:
         return 1.0
-    probe = one(n)
-    for s in range(n):
-        probe = probe * gen(n, s)
+    probe = _monomial((1 << n) - 1, [gen(n, s) for s in range(n)], n)
     for a in reversed(order):  # rightmost differential acts first
         probe = gen_left_derivative(probe, a - 1)
     val = probe.body

@@ -52,14 +52,18 @@ for a batch) with ``GrassmannError`` and drop zeros.  Results the package
 computes from elements that already keep the invariants are stored as given:
 each operation that can make a 0 drops it itself with ``_nonzero``, a sum at
 the masks both operands hold, the only ones that can cancel, and a product or
-a scaling at each coefficient it makes, since one can underflow to 0.
+a scaling at each coefficient it makes, since one can underflow to 0.  The
+builders other modules call drop their own zeros too: the Taylor table and
+sum of the Grassmann continuation (``_taylor_terms``, ``_taylor_sum``), the
+ordered product ``_monomial`` and the quadrature's node sum and stack
+(``_node_sum``, ``_stack``).  No other module builds an element as is.
 
 One algebra
 -----------
 An operation on several values first brings them into one algebra, the
 smallest that holds them all: ``_in_one_algebra`` takes groups of numbers
 and elements (a matrix row, the slots of a phase point), makes each number a
-constant and embeds each element there.  ``embed`` to an element's own L is
+constant, validated as by ``scalar``, and embeds each element there.  ``embed`` to an element's own L is
 the element itself, so a value already in place costs no copy.  ``+`` and
 ``*`` promote an operand with fewer generators the same way, so no operation
 embeds a value only to pass it to a sum or a product.
@@ -70,8 +74,9 @@ Sums and products do not check their results, since they are the hot path:
 ``Supernumber(2, {0: 1e300, 3: 1}) * Supernumber(2, {0: 1e300})`` has an inf
 body, and inf - inf is NaN.  Such a value is caught at the exits instead:
 ``inverse``, ``/``, ``apply_analytic`` and ``superlinalg``'s ``det_even``,
-``mat_inverse_even``, ``sdet`` and ``pfaffian`` return finite coefficients or
-raise ``GrassmannDomainError``, ``to_json`` raises ``GrassmannError`` and the
+``mat_inverse_even``, ``sdet``, ``pfaffian``, ``sm_exp`` and
+``diagonalize_generic`` return finite coefficients or raise
+``GrassmannDomainError``, ``to_json`` raises ``GrassmannError`` and the
 quadratures of ``berezin`` (``quad_box`` and the mixed integrals) raise
 ``QuadratureError``.  ``inverse`` and ``apply_analytic`` test the body
 first, since 1/inf is 0 and would give a finite, wrong result.  On a batch,
@@ -102,8 +107,8 @@ slot mask.  The dict-loop product skips a pair whose union has a fresh part
 only, so the generators of a seeding nested above it are never dropped by the
 outer cut.  Every result computed from a value with a cut carries it on: ``+``,
 ``-``, negation, number or array times element, ``/`` by a number, ``embed``,
-``soul``, ``superspace``'s Taylor continuation, and through their products
-``inverse`` and ``apply_analytic``.  When both operands carry different cuts
+``soul``, the Taylor continuation (``_taylor_sum``, ``apply_analytic`` too),
+and through its products ``inverse``.  When both operands carry different cuts
 either one is kept, since each is valid alone.  ``seed_parts`` clears the cut
 of the window it reads back.
 
@@ -321,7 +326,8 @@ class Supernumber:
     ``ndarray`` (a batch); no coefficient is 0 (at every node, for a batch).
 
     ``Supernumber(L, terms)`` validates its input: it checks each mask's range,
-    converts each coefficient to ``complex`` (an array to a complex array),
+    converts each coefficient to ``complex`` (a 1-D array, a batch, to a
+    complex array; a 0-d array is a number, and more dimensions raise),
     raises ``GrassmannError`` on a NaN or inf coefficient (on any node of a
     batch) and drops zeros.  So do ``make``, ``scalar``, ``gen`` and
     ``from_json``, which build through it.
@@ -336,7 +342,8 @@ class Supernumber:
       array times an element and division by a number test each coefficient
       they make, since a product can underflow to 0;
     * ``_as_super``, which makes a number or array a constant, stores nothing
-      for 0.
+      for 0;
+    * ``_taylor_sum``, ``_node_sum`` and ``_stack`` test each sum they make.
 
     ``-X``, ``embed`` to another L, the table kernel and dense block products
     (``_from_dense`` keeps the nonzero entries), ``zero``, ``one``, ``soul``,
@@ -380,7 +387,12 @@ class Supernumber:
                         f"mask {m} out of range for L={self.L} generators"
                     )
                 if type(c) is not complex:
-                    if isinstance(c, np.ndarray):
+                    if isinstance(c, np.ndarray) and c.ndim:  # a 0-d array is a number
+                        if c.ndim != 1:
+                            raise GrassmannError(
+                                f"coefficient of mask {m} is a {c.ndim}-d array; "
+                                "a batch of nodes is 1-d"
+                            )
                         c = np.asarray(c, dtype=complex)
                         if not np.isfinite(c).all():
                             raise GrassmannError(
@@ -634,15 +646,32 @@ def _as_super(x, L: int | None = None) -> Supernumber:
     return Supernumber(L or 0, {0: c} if _nonzero(c) else {}, _AS_IS)
 
 
+def _in_algebra(x, L: int) -> Supernumber:
+    """x in the L-generator algebra: an element embedded, a number or array a
+    constant validated as by ``scalar``, so a NaN or inf raises GrassmannError."""
+    return x.embed(L) if isinstance(x, Supernumber) else scalar(L, x)
+
+
 def _in_one_algebra(*groups: Iterable, L: int = 0
                     ) -> Tuple[Tuple[Tuple[Supernumber, ...], ...], int]:
     """Each group (an iterable of numbers and elements, such as a matrix row)
     as a tuple of elements of one algebra, the smallest with at least L
     generators that holds them all, and that algebra's generator count.  A
-    number becomes a constant; an element already there is itself."""
+    number becomes a validated constant (``_in_algebra``); an element already
+    there is itself."""
     groups = [tuple(g) for g in groups]
     L = max([L, *(v.L for g in groups for v in g if isinstance(v, Supernumber))])
-    return tuple(tuple(_as_super(v, L) for v in g) for g in groups), L
+    return tuple(tuple(_in_algebra(v, L) for v in g) for g in groups), L
+
+
+def _monomial(mask: int, factors: Sequence[Supernumber], L: int) -> Supernumber:
+    """The ordered product of factors[s] over the bits s of mask, ascending, in
+    the L-generator algebra; 1 for mask 0.  It starts from its first factor."""
+    out = None
+    for s, f in enumerate(factors):
+        if mask >> s & 1:
+            out = f.embed(L) if out is None else out * f
+    return one(L) if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -671,14 +700,40 @@ def degree_filter(X: Supernumber, k: int) -> Supernumber:
     return Supernumber(X.L, {m: c for m, c in X._terms.items() if m.bit_count() == k}, _AS_IS)
 
 
+def _holds_batch(*values: Supernumber) -> bool:
+    """True when a coefficient of one of the values is a batch of nodes."""
+    return not all(type(c) is complex for X in values for c in X._terms.values())
+
+
+def _node_sum(weights: np.ndarray, X: Supernumber) -> Supernumber:
+    """sum_k weights[k] X[k] over the nodes k of X: each coefficient, a batch
+    or one value shared by all nodes, becomes its weighted sum."""
+    return Supernumber(X.L, {
+        m: s for m, c in X._terms.items()
+        if _nonzero(s := complex(np.dot(weights, np.broadcast_to(c, weights.shape))))
+    }, _AS_IS)
+
+
+def _stack(values: Sequence) -> Supernumber:
+    """One element whose coefficients hold values[k]'s at node k, in the
+    algebra of the values; a number is a constant."""
+    L = max(v.L for v in values if isinstance(v, Supernumber))
+    terms: Dict[int, np.ndarray] = {}
+    for k, v in enumerate(values):
+        node = v._terms if isinstance(v, Supernumber) else {0: v}
+        for mask, c in node.items():
+            terms.setdefault(mask, np.zeros(len(values), dtype=complex))[k] = c
+    return Supernumber(L, {m: c for m, c in terms.items() if _nonzero(c)}, _AS_IS)
+
+
 def _overflow_quietly(*values: Supernumber):
     """A context in which arithmetic on a batch coefficient of the values
     overflows to inf (or NaN) without numpy's warning, so that the finite
     check after it raises GrassmannDomainError; a no-op when no value holds a
     batch."""
-    if all(type(c) is complex for X in values for c in X._terms.values()):
-        return contextlib.nullcontext()
-    return np.errstate(over="ignore", invalid="ignore")
+    if _holds_batch(*values):
+        return np.errstate(over="ignore", invalid="ignore")
+    return contextlib.nullcontext()
 
 
 def _any_zero(b) -> bool:
@@ -705,13 +760,11 @@ def inverse(X: Supernumber) -> Supernumber:
     with _overflow_quietly(X):
         binv = 1.0 / b
         acc = one(X.L)
-        power = one(X.L)
-        for _ in range(X.L):
-            power = power * s
-            if power.is_zero():
-                break
+        power = s  # s^(L+1) = 0, so the loop ends
+        while not power.is_zero():
             power = -binv * power
             acc = acc + power
+            power = power * s
         out = binv * acc
     if not _is_finite(out):
         raise GrassmannDomainError("inverse overflows: a coefficient is not finite")
@@ -724,12 +777,9 @@ def conjugate(X: Supernumber) -> Supernumber:
     Reversing a k-generator monomial contributes (-1)^{k(k-1)/2}; the map is an
     involution and an anti-homomorphism.
     """
-    out: Dict[int, complex] = {}
-    for m, c in X._terms.items():
-        k = m.bit_count()
-        sgn = -1 if (k * (k - 1) // 2) & 1 else 1
-        out[m] = sgn * c.conjugate()
-    return Supernumber(X.L, out, _AS_IS)
+    # k(k-1)/2 is odd where k = 2, 3 mod 4
+    return Supernumber(X.L, {m: (-1 if m.bit_count() & 2 else 1) * c.conjugate()
+                             for m, c in X._terms.items()}, _AS_IS)
 
 
 # ---------------------------------------------------------------------------
@@ -747,14 +797,8 @@ def _deriv_log(k: int, z: complex) -> complex:
 
 
 def _deriv_sin(k: int, z: complex) -> complex:
-    r = k % 4
-    if r == 0:
-        return cmath.sin(z)
-    if r == 1:
-        return cmath.cos(z)
-    if r == 2:
-        return -cmath.sin(z)
-    return -cmath.cos(z)
+    v = (cmath.cos if k & 1 else cmath.sin)(z)
+    return -v if k & 2 else v
 
 
 def _deriv_cos(k: int, z: complex) -> complex:
@@ -826,10 +870,61 @@ class AnalyticSpec:
         return _NAMED_DERIVATIVES[self.kind](k, z)
 
 
+def _taylor_terms(xs: Sequence[Supernumber], L: int
+                  ) -> List[Tuple[Tuple[int, ...], float, Supernumber]]:
+    """The Taylor table of the even arguments xs in the L-generator algebra:
+    (alpha, alpha!, the monomial prod_j soul(x_j)^alpha_j) for every
+    multi-index alpha whose monomial is not 0, in lexicographic order.
+
+    The monomial of alpha = 0 is 1.  Each soul power and each product of
+    powers starts from its first factor, so no monomial is a copy made by
+    multiplying with 1.  The products run under the cut of the arguments, if
+    any (see "Seeding").
+    """
+    unit = one(L)
+    table = [((), 1.0, unit)]
+    for x in xs:
+        s = soul(x.embed(L))
+        powers = []
+        p = s  # s^(L+1) = 0, so the loop ends
+        while not p.is_zero():
+            powers.append(p)
+            p = p * s
+        grown = []
+        for alpha, fact, mono in table:
+            grown.append((alpha + (0,), fact, mono))
+            for k, p in enumerate(powers, 1):
+                if mono is not unit:
+                    p = mono * p
+                    if p.is_zero():
+                        break
+                fact *= k
+                grown.append((alpha + (k,), fact, p))
+        table = grown
+    return table
+
+
+def _taylor_sum(deriv: Callable, q, terms, L: int, cut: _Cut | None) -> Supernumber:
+    """The Grassmann continuation sum_alpha deriv(alpha, q) / alpha! *
+    monomial_alpha over a Taylor table (``_taylor_terms``), summed into one
+    dict and built as one element that carries ``cut``.  A term is skipped
+    only when its derivative vanishes, at every node for a batch."""
+    out: Dict[int, complex] = {}
+    for alpha, fact, mono in terms:
+        c = _coefficient(deriv(alpha, q) / fact)
+        if not _nonzero(c):
+            continue
+        for m, v in mono._terms.items():
+            cv = c * v
+            out[m] = out[m] + cv if m in out else cv
+    return Supernumber(L, {m: c for m, c in out.items() if _nonzero(c)}, _AS_IS, cut)
+
+
 def apply_analytic(spec: AnalyticSpec, X: Supernumber) -> Supernumber:
     """Evaluate a scalar analytic function on an even element.
 
-    Uses the finite Taylor expansion around the body,
+    The one-variable case of the Grassmann continuation (``_taylor_sum``
+    over ``_taylor_terms``, which ``superspace`` runs for many variables):
     f(X) = sum_k f^{(k)}(body) / k! * soul^k, which terminates because the
     soul is nilpotent.  The argument must be even so soul powers commute with
     everything in sight.  For a batch of nodes the derivatives are taken one
@@ -847,29 +942,21 @@ def apply_analytic(spec: AnalyticSpec, X: Supernumber) -> Supernumber:
     if spec.kind == "power" and spec.exponent < 0 and _any_zero(b):
         raise GrassmannDomainError("negative power requires a nonzero body")
 
-    def derivative(k: int):
+    def derivative(alpha: Tuple[int], z):
+        k, = alpha
         try:
-            if isinstance(b, np.ndarray):
-                return np.array([spec.derivative(k, z) for z in b], dtype=complex)
-            return spec.derivative(k, b)
+            if isinstance(z, np.ndarray):
+                return np.array([spec.derivative(k, v) for v in z], dtype=complex)
+            return spec.derivative(k, z)
         except (OverflowError, ZeroDivisionError) as exc:
             raise GrassmannDomainError(
                 f"derivative {k} of {spec.kind} overflows at the body") from exc
 
-    s = soul(X)
-    acc = scalar(X.L, derivative(0))
-    power = one(X.L)
-    fact = 1.0
     with _overflow_quietly(X):
-        for k in range(1, X.L + 1):
-            power = power * s
-            if power.is_zero():
-                break
-            fact *= k
-            acc = acc + (derivative(k) / fact) * power
-    if not _is_finite(acc):
+        out = _taylor_sum(derivative, b, _taylor_terms((X,), X.L), X.L, X._cut)
+    if not _is_finite(out):
         raise GrassmannDomainError(f"{spec.kind} overflows: a coefficient is not finite")
-    return acc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -892,10 +979,7 @@ def gen_left_derivative(X: Supernumber, i: int) -> Supernumber:
 
 def shift_generators(X: Supernumber, offset: int, L: int) -> Supernumber:
     """Relabel sigma_i -> sigma_{i+offset} inside an algebra of L generators."""
-    out: Dict[int, complex] = {}
-    for m, c in X._terms.items():
-        out[m << offset] = c
-    return Supernumber(L, out)
+    return Supernumber(L, {m << offset: c for m, c in X._terms.items()})
 
 
 def seed(even: Sequence[Supernumber], odd: Sequence[Supernumber], L: int, *,

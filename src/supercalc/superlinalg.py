@@ -39,6 +39,7 @@ from .grassmann import (
     _dense_coefficients,
     _dense_product,
     _from_dense,
+    _in_algebra,
     _in_one_algebra,
     _is_finite,
     _table_takes,
@@ -114,7 +115,8 @@ def _negligible(rows: np.ndarray, pivot: int | None = None) -> np.ndarray:
 
 
 class Supermatrix:
-    """Graded (m|n)-square matrix of supernumbers (immutable by convention)."""
+    """Graded (m|n)-square matrix of supernumbers (immutable by convention).
+    A number entry becomes a constant validated as by ``scalar``."""
 
     __slots__ = ("m", "n", "L", "rows")
 
@@ -128,7 +130,7 @@ class Supermatrix:
         self.n = n
         self.L = L
         self.rows: Tuple[Tuple[Supernumber, ...], ...] = tuple(
-            tuple(_as_super(e, L) for e in r) for r in rows
+            tuple(_in_algebra(e, L) for e in r) for r in rows
         )
 
     # -- inspection --------------------------------------------------------
@@ -183,12 +185,8 @@ class Supermatrix:
         return "mixed"
 
     def body_matrix(self) -> np.ndarray:
-        N = self.size
-        out = np.zeros((N, N), dtype=complex)
-        for i in range(N):
-            for j in range(N):
-                out[i, j] = self.rows[i][j].body
-        return out
+        return np.array([[e.body for e in r] for r in self.rows],
+                        dtype=complex).reshape(self.size, self.size)
 
     def max_abs(self) -> float:
         return max((max_abs(e) for r in self.rows for e in r), default=0.0)
@@ -279,12 +277,8 @@ def str_super(M: Supermatrix) -> Supernumber:
     if p == "mixed":
         raise GrassmannDomainError("supertrace needs a parity-homogeneous matrix")
     sgn = -1.0 if p == "even" else 1.0
-    acc = zero(M.L)
-    for i in range(M.m):
-        acc = acc + M.rows[i][i]
-    for i in range(M.m, M.size):
-        acc = acc + sgn * M.rows[i][i]
-    return acc
+    acc = sum((M.rows[i][i] for i in range(M.m)), zero(M.L))
+    return sum((sgn * M.rows[i][i] for i in range(M.m, M.size)), acc)
 
 
 # ---------------------------------------------------------------------------
@@ -292,21 +286,21 @@ def str_super(M: Supermatrix) -> Supernumber:
 # ---------------------------------------------------------------------------
 
 def _det_leibniz(rows: Sequence[Sequence[Supernumber]], L: int) -> Supernumber:
+    """Leibniz expansion of a nonempty square matrix: each term starts from
+    its first factor, and the sum from the identity's term; a term of an odd
+    permutation (odd count of inversions) is subtracted."""
     size = len(rows)
-    acc = zero(L)
+    acc = None
     for perm in itertools.permutations(range(size)):
-        sign = 1
-        seen = list(perm)
+        term = rows[0][perm[0]]
         for i in range(1, size):
-            j = i
-            while j > 0 and seen[j - 1] > seen[j]:
-                seen[j - 1], seen[j] = seen[j], seen[j - 1]
-                sign = -sign
-                j -= 1
-        term = one(L)
-        for i in range(size):
             term = term * rows[i][perm[i]]
-        acc = acc + (sign * term)
+        if acc is None:
+            acc = term
+        elif sum(a > b for a, b in itertools.combinations(perm, 2)) & 1:
+            acc = acc - term
+        else:
+            acc = acc + term
     return acc
 
 
@@ -388,18 +382,21 @@ def mat_inverse_even(rows: Sequence[Sequence[Supernumber]]) -> List[List[Supernu
 
     # T = -R^{-1} S with S = rows - R, a matrix of soul-only entries
     T = _mat_mul(lift(-binv), _mat_sub(rows, lift(body)), L)
-    # geometric series sum_k T^k applied to R^{-1}
+    # geometric series sum_k T^k applied to R^{-1}; T^(L+1) = 0 ends it
     acc = [[one(L) if i == j else zero(L) for j in range(size)] for i in range(size)]
-    power = acc
-    for _ in range(L):
-        power = _mat_mul(power, T, L)
-        if all(e.is_zero() for r in power for e in r):
-            break
+    power = T
+    while not all(e.is_zero() for r in power for e in r):
         acc = [[acc[i][j] + power[i][j] for j in range(size)] for i in range(size)]
+        power = _mat_mul(power, T, L)
     out = _mat_mul(acc, lift(binv), L)
-    if not all(_is_finite(e) for r in out for e in r):
+    if not _finite_rows(out):
         raise GrassmannDomainError("matrix inverse overflows: a coefficient is not finite")
     return out
+
+
+def _finite_rows(rows) -> bool:
+    """True when every coefficient of every entry is finite."""
+    return all(_is_finite(e) for r in rows for e in r)
 
 
 def _mat_mul(P, Q, L):
@@ -510,10 +507,14 @@ def sm_exp(M: Supermatrix) -> Supermatrix:
     """exp(M) by scaling-and-squaring with a coefficient-level Taylor core.
 
     The body part behaves like the usual scalar scaling-and-squaring; every
-    soul contribution is a finite nilpotent series at each Taylor order.
+    soul contribution is a finite nilpotent series at each Taylor order.  An
+    entry or a result with a coefficient that is not finite raises
+    GrassmannDomainError.
     """
     L = M.L
     scale = max(np.abs(M.body_matrix()).max() * M.size, M.max_abs(), 1e-30)
+    if not math.isfinite(scale):
+        raise GrassmannDomainError("sm_exp needs finite entries")
     s = max(0, math.ceil(math.log2(scale / 0.25))) if scale > 0.25 else 0
     A = M.scale(0.5 ** s)
     acc = identity_sm(M.m, M.n, L)
@@ -525,7 +526,11 @@ def sm_exp(M: Supermatrix) -> Supermatrix:
         if t < 1e-19:
             break
     for _ in range(s):
+        if not _finite_rows(acc.rows):
+            break
         acc = acc @ acc
+    if not _finite_rows(acc.rows):
+        raise GrassmannDomainError("sm_exp overflows: a coefficient is not finite")
     return acc
 
 
@@ -539,34 +544,36 @@ def diagonalize_generic(M: Supermatrix, gap_factor: float = 1e-8):
     Returns (X, E) with X M X^{-1} = E, E diagonal.  The body is handled by a
     dense eigensolver on the two diagonal blocks; soul corrections are built
     degree by degree, dividing by body eigenvalue gaps.  Raises when the
-    minimal gap is below gap_factor * spectral radius.
+    minimal gap is below gap_factor * spectral radius, and
+    GrassmannDomainError when the body is not finite, its eigenvectors are
+    singular or a coefficient of the result is not finite.
     """
     if M.parity != "even":
         raise GrassmannDomainError("diagonalization implemented for even matrices")
     m, n, L = M.m, M.n, M.L
     N = m + n
-    bodyA = np.array([[e.body for e in r] for r in M.block("A")], dtype=complex) \
-        if m else np.zeros((0, 0), complex)
-    bodyB = np.array([[e.body for e in r] for r in M.block("B")], dtype=complex) \
-        if n else np.zeros((0, 0), complex)
-    lamA, VA = np.linalg.eig(bodyA) if m else (np.zeros(0, complex), np.zeros((0, 0), complex))
-    lamB, VB = np.linalg.eig(bodyB) if n else (np.zeros(0, complex), np.zeros((0, 0), complex))
-    lam = np.concatenate([lamA, lamB])
-    rad = max(np.abs(lam).max() if N else 0.0, 1e-300)
-    for i in range(N):
-        for j in range(i + 1, N):
-            if abs(lam[i] - lam[j]) <= gap_factor * rad:
-                raise GrassmannDomainError(
-                    f"body eigenvalue gap |{lam[i]:.3g} - {lam[j]:.3g}| too small"
-                )
-    X0c = np.zeros((N, N), complex)
-    if m:
+    body = M.body_matrix()
+    if not np.isfinite(body).all():
+        raise GrassmannDomainError("diagonalization needs a finite body")
+    try:
+        lamA, VA = np.linalg.eig(body[:m, :m])
+        lamB, VB = np.linalg.eig(body[m:, m:])
+        lam = np.concatenate([lamA, lamB])
+        rad = max(np.abs(lam).max() if N else 0.0, 1e-300)
+        for i in range(N):
+            for j in range(i + 1, N):
+                if abs(lam[i] - lam[j]) <= gap_factor * rad:
+                    raise GrassmannDomainError(
+                        f"body eigenvalue gap |{lam[i]:.3g} - {lam[j]:.3g}| too small"
+                    )
+        X0c = np.zeros((N, N), complex)
         X0c[:m, :m] = np.linalg.inv(VA)
-    if n:
         X0c[m:, m:] = np.linalg.inv(VB)
+        X0inv = np.linalg.inv(X0c)
+    except np.linalg.LinAlgError as exc:
+        raise GrassmannDomainError(f"body eigenproblem failed: {exc}") from exc
     X0 = lift_complex(X0c, m, n, L)
-    X0inv = lift_complex(np.linalg.inv(X0c), m, n, L)
-    K = X0 @ M @ X0inv
+    K = X0 @ M @ lift_complex(X0inv, m, n, L)
 
     # per-degree pieces
     Kdeg = [K.degree_part(k) for k in range(L + 1)]
@@ -603,15 +610,11 @@ def diagonalize_generic(M: Supermatrix, gap_factor: float = 1e-8):
         if nonzero_Y:
             Ydeg[k] = Supermatrix(m, n, Yrows, L)
 
-    Y = Ydeg[0]
-    for k, Yk in Ydeg.items():
-        if k:
-            Y = Y + Yk
-    E = Edeg[0]
-    for k, Ek in Edeg.items():
-        if k:
-            E = E + Ek
-    return Y @ X0, E
+    X = sum(list(Ydeg.values())[1:], Ydeg[0]) @ X0
+    E = sum(list(Edeg.values())[1:], Edeg[0])
+    if not (_finite_rows(X.rows) and _finite_rows(E.rows)):
+        raise GrassmannDomainError("diagonalization overflows: a coefficient is not finite")
+    return X, E
 
 
 # ---------------------------------------------------------------------------
@@ -679,19 +682,15 @@ def pfaffian(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
         return zero(L)
 
     def rec(idx: Tuple[int, ...]) -> Supernumber:
-        if not idx:
-            return one(L)
-        i0 = idx[0]
-        acc = zero(L)
+        # each term starts from its first factor, and the sum from its first
+        # term; expansion sign (-1)^(pos+1) for the pos-th column after idx[0]
         for pos in range(1, len(idx)):
-            j = idx[pos]
             rest = idx[1:pos] + idx[pos + 1:]
-            term = rows[i0][j] * rec(rest)
-            # expansion sign (-1)^pos for the (pos+1)-th column, pos 1-based here
-            acc = acc + (term if pos % 2 == 1 else -1.0 * term)
+            term = rows[idx[0]][idx[pos]] * rec(rest) if rest else rows[idx[0]][idx[pos]]
+            acc = term if pos == 1 else acc + term if pos % 2 else acc - term
         return acc
 
-    pf = rec(tuple(range(size)))
+    pf = rec(tuple(range(size))) if size else one(L)
     if not _is_finite(pf):
         raise GrassmannDomainError("pfaffian overflows: a coefficient is not finite")
     return pf

@@ -7,6 +7,8 @@ with derivatives (exact expression trees, or a 4th-order finite-difference
 fallback limited to total order 4).  Evaluation continues each coefficient off
 the body by its finite Taylor series in the nilpotent part, so the result is
 exact in the finite-generator algebra whenever the derivative oracle is exact.
+That series is grassmann's one Grassmann continuation (``_taylor_terms`` and
+``_taylor_sum``), of which ``apply_analytic`` is the one-variable case.
 
 The part of a continuation that depends on the point alone, its Taylor basis
 (the soul monomials prod_j soul(x_j)^alpha_j with their factorials, and the
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import ast
 import cmath
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -38,16 +39,16 @@ from .grassmann import (
     GrassmannDomainError,
     GrassmannError,
     Supernumber,
-    _AS_IS,
-    _coefficient,
     _cut_of,
-    _nonzero,
+    _holds_batch,
+    _monomial,
+    _taylor_sum,
+    _taylor_terms,
     max_abs,
     one,
     scalar,
     seed,
     seed_parts,
-    soul,
     zero,
 )
 from .superlinalg import Supermatrix, _node_array, _per_node
@@ -423,9 +424,7 @@ class _TaylorBasis:
 
     ``L`` is the generator count of its algebra, ``q`` holds the node bodies
     of the even arguments, ``batch`` says whether any of them is an array, and
-    ``terms`` lists (alpha, alpha!, monomial
-    terms) for every multi-index alpha whose monomial prod_j soul(x_j)^alpha_j
-    is nonzero, in the order of the recursion that built them.  ``thetas``
+    ``terms`` is their Taylor table (``grassmann._taylor_terms``).  ``thetas``
     holds the odd monomial theta^a of each mask a once SuperFunction.evaluate
     has built it.  ``cut`` is the seeding cut the arguments carry, if any
     (see "Seeding" in grassmann): the monomials were built under it, and a
@@ -442,59 +441,15 @@ class _TaylorBasis:
         self.thetas: Dict[int, Supernumber] = {}
         self.cut = cut
 
+    def continued(self, bf: BodyFunction) -> Supernumber:
+        """The continuation of bf over this basis (``grassmann._taylor_sum``)."""
+        deriv = bf.deriv_batch if self.batch else bf.deriv_value
+        return _taylor_sum(deriv, self.q, self.terms, self.L, self.cut)
+
 
 def _taylor_basis(xs: Sequence[Supernumber], L: int) -> _TaylorBasis:
     """The Taylor basis of even arguments xs in the L-generator algebra."""
-    xs = [x.embed(L) for x in xs]
-    pow_lists: List[List[Supernumber]] = []
-    for x in xs:
-        s = soul(x)
-        plist = [one(L)]
-        p = one(L)
-        for _ in range(L):
-            p = p * s
-            if p.is_zero():
-                break
-            plist.append(p)
-        pow_lists.append(plist)
-
-    terms: List[Tuple[Tuple[int, ...], float, Dict[int, complex]]] = []
-    alpha = [0] * len(xs)
-
-    def rec(j: int, prod: Supernumber):
-        if j == len(xs):
-            fact = 1.0
-            for a in alpha:
-                fact *= math.factorial(a)
-            terms.append((tuple(alpha), fact, prod._terms))
-            return
-        for k in range(len(pow_lists[j])):
-            alpha[j] = k
-            p2 = prod if k == 0 else prod * pow_lists[j][k]
-            if k > 0 and p2.is_zero():
-                break
-            rec(j + 1, p2)
-        alpha[j] = 0
-
-    rec(0, one(L))
-    return _TaylorBasis(L, tuple(x.body for x in xs), terms, _cut_of(xs))
-
-
-def _continue(bf: BodyFunction, basis: _TaylorBasis) -> Supernumber:
-    """sum_alpha bf^(alpha)(q) / alpha! * monomial_alpha over a Taylor basis,
-    summed into one dict.  A term is skipped only when its derivative vanishes
-    at every node of a batch."""
-    deriv = bf.deriv_batch if basis.batch else bf.deriv_value
-    q = basis.q
-    out: Dict[int, complex] = {}
-    for alpha, fact, mono in basis.terms:
-        c = _coefficient(deriv(alpha, q) / fact)
-        if not _nonzero(c):
-            continue
-        for m, v in mono.items():
-            cv = c * v
-            out[m] = out[m] + cv if m in out else cv
-    return Supernumber(basis.L, {m: c for m, c in out.items() if _nonzero(c)}, _AS_IS, basis.cut)
+    return _TaylorBasis(L, tuple(x.body for x in xs), _taylor_terms(xs, L), _cut_of(xs))
 
 
 def continue_body(bf: BodyFunction, xs: Sequence[Supernumber], L: int | None = None) -> Supernumber:
@@ -512,7 +467,7 @@ def continue_body(bf: BodyFunction, xs: Sequence[Supernumber], L: int | None = N
         raise GrassmannError(f"expected {bf.m} even arguments, got {len(xs)}")
     if L is None:
         L = max((x.L for x in xs), default=0)
-    return _continue(bf, _taylor_basis(xs, L))
+    return _taylor_basis(xs, L).continued(bf)
 
 
 # ---------------------------------------------------------------------------
@@ -569,14 +524,6 @@ class SuperPoint:
         return basis
 
 
-def _theta_monomial(mask: int, thetas: Sequence[Supernumber], L: int) -> Supernumber:
-    out = one(L)
-    for s in range(len(thetas)):
-        if (mask >> s) & 1:
-            out = out * thetas[s]
-    return out
-
-
 class SuperFunction:
     """f(x, theta) = sum_a theta^a u_a(x) with body-function coefficients.
 
@@ -604,15 +551,17 @@ class SuperFunction:
         L = basis.L
         acc = zero(L)
         for mask in sorted(self.coefficients):
-            cont = _continue(self.coefficients[mask], basis)
+            cont = basis.continued(self.coefficients[mask])
             if cont.is_zero():
                 continue
-            mono = basis.thetas.get(mask)
-            if mono is None:
-                mono = basis.thetas[mask] = _theta_monomial(mask, P.theta, L)
-            if mono.is_zero():
-                continue
-            acc = acc + mono * cont
+            if mask:
+                mono = basis.thetas.get(mask)
+                if mono is None:
+                    mono = basis.thetas[mask] = _monomial(mask, P.theta, L)
+                if mono.is_zero():
+                    continue
+                cont = mono * cont
+            acc = acc + cont
         return acc
 
     def partial(self, slot: int) -> "SuperFunction":
@@ -787,19 +736,12 @@ def invert_map(F: SuperMap, body_inverse: Callable[[np.ndarray], Sequence[float]
             J = map_body_jacobian(F, Y)
             Je = _per_node(np.linalg.inv, J[:m, :m]) if m else np.zeros((0, 0))
             Jo = _per_node(np.linalg.inv, J[m:, m:]) if n else np.zeros((0, 0))
-            new_x = []
-            for j in range(m):
-                upd = Y.x[j]
-                for k in range(m):
-                    upd = upd + Je[j, k] * resid_even[k]
-                new_x.append(upd)
-            new_t = []
-            for s in range(n):
-                upd = Y.theta[s]
-                for r in range(n):
-                    upd = upd + Jo[s, r] * resid_odd[r]
-                new_t.append(upd)
-            Y = SuperPoint(tuple(new_x), tuple(new_t))
+            Y = SuperPoint(
+                tuple(sum((Je[j, k] * resid_even[k] for k in range(m)), Y.x[j])
+                      for j in range(m)),
+                tuple(sum((Jo[s, r] * resid_odd[r] for r in range(n)), Y.theta[s])
+                      for s in range(n)),
+            )
         else:
             raise GrassmannDomainError("inverse iteration did not converge")
         return Y
@@ -813,9 +755,7 @@ def invert_map(F: SuperMap, body_inverse: Callable[[np.ndarray], Sequence[float]
         # A batch holds arrays, which cannot be hashed into the cache.  The
         # components of one SuperMap.evaluate share one point object, so the
         # last batch is remembered by identity and solved once for all.
-        batch = any(isinstance(c, np.ndarray)
-                    for v in P.x + P.theta for c in v._terms.values())
-        if not batch:
+        if not _holds_batch(*P.x, *P.theta):
             return solve_cached(P, _cut_of(P.x + P.theta))
         if last_batch[0] is not P:
             last_batch[:] = [P, solve(P)]

@@ -437,6 +437,23 @@ def test_public_constructors_reject_nan_and_inf(bad):
         gr.scalar(2, np.array([bad, 1.0]))
 
 
+def test_public_constructor_reads_a_0d_array_as_a_number():
+    X = Supernumber(2, {0: np.array(2.0), 0b11: np.array(1.0 - 0.5j)})
+    assert all(type(c) is complex for c in X._terms.values())
+    assert gr.from_json(gr.to_json(X)) == X
+    assert gr.from_json(gr.to_json(Supernumber(2, {0: np.array(2.0)}))) == gr.scalar(2, 2.0)
+    assert gr.scalar(1, np.array(0.0)).is_zero()
+
+
+def test_public_constructor_rejects_an_array_of_two_or_more_dimensions():
+    with pytest.raises(GrassmannError):
+        gr.scalar(1, np.ones((2, 2)))
+    with pytest.raises(GrassmannError):
+        Supernumber(2, {0b01: np.ones((1, 3))})
+    with pytest.raises(GrassmannError):
+        gr.make(1, [(0, np.zeros((2, 1, 1)))])
+
+
 def test_to_json_rejects_a_coefficient_that_overflowed():
     X = 1e200 * Supernumber(1, {0: 1.0, 1: 1e200})
     assert not np.isfinite(X.coefficient(1))

@@ -700,3 +700,39 @@ def test_apply_analytic_is_finite_or_raises(data):
     body = data.draw(_complex) * data.draw(st.sampled_from([0.0, *_SCALES]))
     spec = data.draw(st.sampled_from(_SPECS))
     _finite_or_grassmann_error(gr.apply_analytic, spec, data.draw(_entry(L, "even", body)))
+
+
+def _matrix_pair(pair):
+    return [e for M in pair for row in M.rows for e in row]
+
+
+def test_sm_exp_of_an_overflowing_body_raises():
+    # exp(1e200) is inf, and the squaring steps turn inf into NaN
+    s0, s1 = gr.gen(2, 0), gr.gen(2, 1)
+    with pytest.raises(GrassmannDomainError, match="overflows"):
+        sm_exp(Supermatrix(1, 1, [[1e200, s0], [s1, 1.0]], L=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_supermatrices())
+def test_sm_exp_is_finite_or_raises(M):
+    _finite_or_grassmann_error(lambda M: sm_exp(M).rows, M)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_supermatrices())
+def test_diagonalize_generic_is_finite_or_raises(M):
+    _finite_or_grassmann_error(lambda M: [_matrix_pair(diagonalize_generic(M))], M)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1.0, float("-inf"))])
+def test_numbers_entering_a_matrix_are_validated(bad):
+    s0, s1 = gr.gen(2, 0), gr.gen(2, 1)
+    with pytest.raises(GrassmannError):
+        Supermatrix(1, 0, [[bad]])
+    with pytest.raises(GrassmannError):
+        Supermatrix(1, 1, [[bad, s0], [s1, 1.0]], L=2)
+    with pytest.raises(GrassmannError):
+        from_blocks([[1.0]], [[s0]], [[s1]], [[bad]])
+    with pytest.raises(GrassmannError):
+        det_even([[1.0, bad], [0.0, 1.0]])
