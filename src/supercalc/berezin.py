@@ -337,7 +337,8 @@ def integrate_odd(v: OddPolynomial,
     """
     if order is None:
         order = tuple(range(v.n, 0, -1))
-    return _measure_sign(v.n, order) * v.top
+    top = v.top
+    return top if _measure_sign(v.n, order) > 0 else -top
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,6 @@ __all__ = [
     "body",
     "soul",
     "parity",
-    "project",
     "degree_filter",
     "gen_left_derivative",
     "shift_generators",
@@ -572,8 +571,8 @@ class Supernumber:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = one(self.L)
-        for _ in range(n):
+        out = self if n else one(self.L)
+        for _ in range(n - 1):
             out = out * self
         return out
 
@@ -688,11 +687,6 @@ def soul(X: Supernumber) -> Supernumber:
 
 def parity(X: Supernumber) -> str:
     return X.parity
-
-
-def project(X: Supernumber, mask: int) -> complex:
-    """Coefficient of sigma^mask."""
-    return X.coefficient(mask)
 
 
 def degree_filter(X: Supernumber, k: int) -> Supernumber:

@@ -331,10 +331,15 @@ def det_even(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
 
 
 def _det_eliminate(rows: Sequence[Sequence[Supernumber]], L: int) -> Supernumber:
-    """Gaussian elimination for det_even, with its Leibniz fallback."""
+    """Gaussian elimination for det_even, with its Leibniz fallback.
+
+    The product starts from the first pivot and is negated at the end after
+    an odd number of row swaps, so a zero real or imaginary part of the result
+    carries the sign that negation gives it.
+    """
     size = len(rows)
     work = list(rows)
-    det = one(L)
+    det, negate = None, False
     for col in range(size):
         pivot_row = max(range(col, size), key=lambda r: np.min(np.abs(work[r][col].body)))
         row = _node_array((e.body for e in work[pivot_row]), (1, size))
@@ -346,16 +351,16 @@ def _det_eliminate(rows: Sequence[Sequence[Supernumber]], L: int) -> Supernumber
             )
         if pivot_row != col:
             work[col], work[pivot_row] = work[pivot_row], work[col]
-            det = -1.0 * det
+            negate = not negate
         piv = work[col][col]
-        det = det * piv
+        det = piv if det is None else det * piv
         piv_inv = inverse(piv)
         for r in range(col + 1, size):
             factor = work[r][col] * piv_inv
             if factor.is_zero():
                 continue
             work[r] = [work[r][j] - factor * work[col][j] for j in range(size)]
-    return det
+    return -det if negate else det
 
 
 def mat_inverse_even(rows: Sequence[Sequence[Supernumber]]) -> List[List[Supernumber]]:

@@ -18,11 +18,14 @@ evaluated at that object reuses it for as long as the object lives; it takes
 no part in the point's equality, hash or repr.  ``continue_body``, which takes
 bare even arguments rather than a point, builds the basis afresh per call.
 
-Maps between such coordinate systems compose by evaluation, and their
-Jacobians are read exactly from one evaluation in which every source slot is
-seeded with fresh nilpotent generators (grassmann.seed).  A map with
-invertible body Jacobian is inverted by a Newton/Picard iteration that
-terminates on the nilpotent part after at most L steps.
+A map between such coordinate systems is either built from one component
+per target slot or is one function of the whole point: ``compose(g, f)`` is
+P -> g(f(P)), ``identity_map`` is P -> P, and ``invert_map`` is the
+Newton/Picard solve of a map with invertible body Jacobian, which terminates
+on the nilpotent part after at most L steps.  Each is evaluated once per
+call, with no cache between calls.  A map's Jacobian is read exactly from one
+evaluation in which every source slot is seeded with fresh nilpotent
+generators (grassmann.seed).
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from __future__ import annotations
 import ast
 import cmath
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -40,7 +42,6 @@ from .grassmann import (
     GrassmannError,
     Supernumber,
     _cut_of,
-    _holds_batch,
     _monomial,
     _taylor_sum,
     _taylor_terms,
@@ -66,8 +67,6 @@ __all__ = [
     "SuperFunction",
     "SuperMap",
     "identity_map",
-    "evaluate",
-    "partial",
     "compose",
     "invert_map",
     "cr_residual",
@@ -452,7 +451,7 @@ def _taylor_basis(xs: Sequence[Supernumber], L: int) -> _TaylorBasis:
     return _TaylorBasis(L, tuple(x.body for x in xs), _taylor_terms(xs, L), _cut_of(xs))
 
 
-def continue_body(bf: BodyFunction, xs: Sequence[Supernumber], L: int | None = None) -> Supernumber:
+def continue_body(bf: BodyFunction, xs: Sequence[Supernumber]) -> Supernumber:
     """Finite Taylor continuation of a body function to even arguments.
 
     f(x) = sum_alpha  f^(alpha)(body x) / alpha! * prod_j soul(x_j)^alpha_j,
@@ -460,14 +459,13 @@ def continue_body(bf: BodyFunction, xs: Sequence[Supernumber], L: int | None = N
     derivative vanishes at every node of a batch.
 
     This builds the Taylor basis of xs (the soul monomials and factorials)
-    afresh on each call; SuperFunction.evaluate instead reads the one cached
-    on its SuperPoint, shared by every coefficient evaluated there.
+    afresh on each call, in the largest algebra of xs; SuperFunction.evaluate
+    instead reads the one cached on its SuperPoint, shared by every
+    coefficient evaluated there.
     """
     if len(xs) != bf.m:
         raise GrassmannError(f"expected {bf.m} even arguments, got {len(xs)}")
-    if L is None:
-        L = max((x.L for x in xs), default=0)
-    return _taylor_basis(xs, L).continued(bf)
+    return _taylor_basis(xs, max((x.L for x in xs), default=0)).continued(bf)
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +485,8 @@ class SuperPoint:
     far.  It is built on the first evaluation, shared by every coefficient of
     every function evaluated at this object afterwards, and lives as long as
     the object does.  It is not a dataclass field: ``==``, ``hash`` and
-    ``repr`` see only ``x`` and ``theta``, so equal points stay equal (and
-    interchangeable as cache keys) whether or not either has evaluated.
+    ``repr`` see only ``x`` and ``theta``, so equal points stay equal whether
+    or not either has evaluated.
     """
 
     x: Tuple[Supernumber, ...]
@@ -584,26 +582,14 @@ class SuperFunction:
         return SuperFunction(self.m, self.n, out)
 
 
-def evaluate(f, P: SuperPoint) -> Supernumber:
-    return f.evaluate(P)
-
-
-def partial(f: SuperFunction, slot: int) -> SuperFunction:
-    return f.partial(slot)
-
-
-class _LazyComponent:
-    """Map component defined by a closure over full-point evaluation."""
-
-    def __init__(self, fn: Callable[[SuperPoint], Supernumber]):
-        self._fn = fn
-
-    def evaluate(self, P: SuperPoint) -> Supernumber:
-        return self._fn(P)
-
-
 class SuperMap:
-    """Coordinate map (m|n) -> (p|q); components evaluate at SuperPoints."""
+    """Coordinate map (m|n) -> (p|q), evaluated at SuperPoints.
+
+    A map built here from ``components`` (one evaluable per target slot, even
+    slots first) evaluates each at the point.  The maps that ``compose``,
+    ``invert_map`` and ``identity_map`` return are one function of the whole
+    point instead, evaluated once per call, and have no ``components``.
+    """
 
     def __init__(self, src: Tuple[int, int], dst: Tuple[int, int],
                  components: Sequence):
@@ -616,29 +602,33 @@ class SuperMap:
     def evaluate(self, P: SuperPoint) -> SuperPoint:
         if P.shape != self.src:
             raise GrassmannError(f"point shape {P.shape} != source {self.src}")
+        return self._at(P)
+
+    def _at(self, P: SuperPoint) -> SuperPoint:
         vals = [c.evaluate(P) for c in self.components]
         p = self.dst[0]
         return SuperPoint(tuple(vals[:p]), tuple(vals[p:]))
 
 
+class _PointMap(SuperMap):
+    """A map given as one function ``at`` of the whole point, which stands in
+    for ``SuperMap._at``."""
+
+    def __init__(self, src: Tuple[int, int], dst: Tuple[int, int],
+                 at: Callable[[SuperPoint], SuperPoint]):
+        self.src, self.dst, self._at = src, dst, at
+
+
 def identity_map(m: int, n: int) -> SuperMap:
-    comps: List = []
-    for j in range(m):
-        comps.append(SuperFunction(m, n, {0: ExprFunction(_Var(j), m)}))
-    for s in range(n):
-        comps.append(SuperFunction(m, n, {1 << s: const_body(1.0, m)}))
-    return SuperMap((m, n), (m, n), comps)
+    """P -> P on (m|n)."""
+    return _PointMap((m, n), (m, n), lambda P: P)
 
 
 def compose(g: SuperMap, f: SuperMap) -> SuperMap:
-    """g after f; evaluation-consistent by construction."""
+    """g after f: P -> g(f(P))."""
     if f.dst != g.src:
         raise GrassmannError(f"shape mismatch: f target {f.dst} != g source {g.src}")
-    comps = [
-        _LazyComponent(lambda P, k=k: g.components[k].evaluate(f.evaluate(P)))
-        for k in range(len(g.components))
-    ]
-    return SuperMap(f.src, g.dst, comps)
+    return _PointMap(f.src, g.dst, lambda P: g.evaluate(f.evaluate(P)))
 
 
 # ---------------------------------------------------------------------------
@@ -700,8 +690,9 @@ def invert_map(F: SuperMap, body_inverse: Callable[[np.ndarray], Sequence[float]
     ``body_inverse`` supplies the classical inverse of the body map (numeric
     root-finds are fine) at one body point; the nilpotent part is corrected by
     a Newton/Picard iteration with the body Jacobian, which terminates in at
-    most L steps.  A batch of nodes is solved in one iteration, calling
-    ``body_inverse`` once per node.
+    most L steps.  Each evaluation of the inverse is one such solve; a batch
+    of nodes is solved in one iteration, calling ``body_inverse`` once per
+    node.
     """
     if F.src != F.dst:
         raise GrassmannError("only square maps can be inverted")
@@ -746,27 +737,7 @@ def invert_map(F: SuperMap, body_inverse: Callable[[np.ndarray], Sequence[float]
             raise GrassmannDomainError("inverse iteration did not converge")
         return Y
 
-    # a point's seeding cut is part of the key: the solution at a point with
-    # a cut may lack terms that the same point without one needs
-    solve_cached = lru_cache(maxsize=128)(lambda P, cut: solve(P))
-    last_batch: list = [None, None]
-
-    def lookup(P: SuperPoint) -> SuperPoint:
-        # A batch holds arrays, which cannot be hashed into the cache.  The
-        # components of one SuperMap.evaluate share one point object, so the
-        # last batch is remembered by identity and solved once for all.
-        if not _holds_batch(*P.x, *P.theta):
-            return solve_cached(P, _cut_of(P.x + P.theta))
-        if last_batch[0] is not P:
-            last_batch[:] = [P, solve(P)]
-        return last_batch[1]
-
-    comps: List = []
-    for j in range(m):
-        comps.append(_LazyComponent(lambda P, j=j: lookup(P).x[j]))
-    for s in range(n):
-        comps.append(_LazyComponent(lambda P, s=s: lookup(P).theta[s]))
-    return SuperMap((m, n), (m, n), comps)
+    return _PointMap((m, n), (m, n), solve)
 
 
 # ---------------------------------------------------------------------------

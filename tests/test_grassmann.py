@@ -243,8 +243,8 @@ def test_parity_body_soul_project_degree():
     assert gr.parity(gr.zero(L)) == "even"
     assert gr.body(x) == 2.0
     assert gr.soul(x) == Supernumber(L, {0b011: 1.0, 0b111: -1j})
-    assert gr.project(x, 0b011) == 1.0
-    assert gr.project(x, 0b101) == 0.0
+    assert x.coefficient(0b011) == 1.0
+    assert x.coefficient(0b101) == 0.0
     assert gr.degree_filter(x, 2) == Supernumber(L, {0b011: 1.0})
     assert gr.degree_filter(x, 3) == Supernumber(L, {0b111: -1j})
     assert x.max_degree() == 3

@@ -14,8 +14,16 @@ from supercalc.superspace import SuperFunction, SuperPoint, continue_body, expr_
 from helpers import random_supernumber
 
 
-@pytest.mark.parametrize("name", ["superspace", "superlinalg", "berezin", "fourier_odd",
-                                  "weyl_dynamics"])
+MODULES = ["grassmann", "superspace", "superlinalg", "berezin", "fourier_odd", "weyl_dynamics"]
+
+
+@pytest.mark.parametrize("name", ["supercalc", *(f"supercalc.{m}" for m in MODULES)])
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("name", MODULES[1:])
 def test_only_grassmann_builds_elements_as_is(name):
     module = importlib.import_module(f"supercalc.{name}")
     assert not {"_AS_IS", "_nonzero", "_coefficient"} & set(vars(module))
@@ -86,3 +94,19 @@ def test_series_and_products_start_from_their_first_term(monkeypatch):
     odd_poly.evaluate(thetas)
     berezin._measure_sign(3, (2, 1, 3))
     assert seen == []
+
+
+def test_powers_eliminations_and_odd_integrals_start_from_their_first_factor(monkeypatch):
+    rng = np.random.default_rng(37)
+    L = 6
+    even = [random_supernumber(rng, L, parity="even") + 2.0 for _ in range(26)]
+    rows = [even[5 * i:5 * i + 5] for i in range(5)]
+    top = berezin.OddPolynomial(2, {0b11: even[25]})
+    seen = _unit_operands(monkeypatch)
+    assert even[0] ** 0 == gr.one(L) and even[0] ** 1 is even[0]
+    cube = even[0] ** 3
+    det_even(rows)
+    assert berezin.integrate_odd(top) is even[25]
+    assert berezin.integrate_odd(top, order=(1, 2)) == -even[25]
+    assert seen == []
+    assert gr.max_coeff_diff(cube, even[0] * even[0] * even[0]) == 0.0

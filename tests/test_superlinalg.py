@@ -23,6 +23,8 @@ from supercalc.superlinalg import (
     sm_exp,
     sm_inverse,
     str_super,
+    _det_eliminate,
+    _det_leibniz,
 )
 
 from helpers import overflowed, random_supermatrix, random_supernumber, supernumbers
@@ -470,6 +472,22 @@ def test_det_even_with_a_negligible_pivot_takes_the_leibniz_expansion():
             for i in range(5)]
     want = _dense_det_oracle(rows, L)
     assert gr.max_coeff_diff(det_even(rows), want) < 1e-12 * gr.max_abs(want)
+
+
+def test_elimination_equals_the_leibniz_expansion():
+    rng = np.random.default_rng(29)
+    L = 6
+    rows = [[random_supernumber(rng, L, "even", max_extra_terms=4) for _ in range(5)]
+            for _ in range(5)]
+    want = _det_leibniz(rows, L)
+    got = _det_eliminate(rows, L)
+    assert gr.max_coeff_diff(got, want) <= 1e-13 * gr.max_abs(want)
+    # one row swap negates the product of the pivots at the end, so the zero
+    # imaginary part of this real determinant is -0.0
+    swapped = [[gr.scalar(L, 2.0) if j == (1 - i if i < 2 else i) else gr.zero(L)
+                for j in range(5)] for i in range(5)]
+    det = _det_eliminate(swapped, L)
+    assert det == gr.scalar(L, -32.0) and np.signbit(det.body.imag)
 
 
 def test_det_even_of_size_five_far_from_unit_scale():

@@ -35,17 +35,16 @@ from supercalc.superspace import (
     const_body,
     continue_body,
     cr_residual,
-    evaluate,
     expr_body,
     identity_map,
     invert_map,
     map_body_jacobian,
     map_super_jacobian,
     parse_expression,
-    partial,
 )
 
 from supercalc.berezin import integrate_odd, odd_expand
+from supercalc.superlinalg import identity_sm
 from supercalc.weyl_dynamics import SuperHamiltonian
 
 from helpers import close, identical
@@ -318,7 +317,7 @@ def test_partial_odd_signs_pinned():
     rng = np.random.default_rng(11)
     for _ in range(4):
         P = sample_point(rng, 1, 2, 6)
-        uval = continue_body(u, P.x, 6)
+        uval = continue_body(u, P.x)
         d1 = f.partial(1).evaluate(P)
         d2 = f.partial(2).evaluate(P)
         assert max_abs(d1 - P.theta[1] * uval) < 1e-12
@@ -339,7 +338,7 @@ def test_even_partial_commutes_with_continuation():
     P = sample_point(rng, 1, 0, 6)
     f = SuperFunction(1, 0, {0: bf})
     lhs = f.partial(0).evaluate(P)
-    rhs = continue_body(bf.diff(0), P.x, max(P.L, 1))
+    rhs = continue_body(bf.diff(0), P.x)
     assert max_abs(lhs - rhs) < 1e-12
 
 
@@ -450,6 +449,35 @@ def test_seeding_nested_inside_a_seeded_evaluation():
     F = SuperMap((1, 0), (1, 0), [SquareViaBerezin()])
     J = map_super_jacobian(F, SuperPoint((scalar(1, 1.5),), ()))
     assert J.entry(0, 0) == scalar(1, 3.0)
+
+
+def test_compose_evaluates_each_map_once_per_call(monkeypatch):
+    # four SuperFunction components in each map, each evaluated once
+    calls = []
+    evaluate = SuperFunction.evaluate
+    monkeypatch.setattr(SuperFunction, "evaluate",
+                        lambda self, P: calls.append(self) or evaluate(self, P))
+    fwd, bwd = lac_pair()
+    comp = compose(bwd, fwd)
+    P = sample_point(np.random.default_rng(71), 2, 2, 4)
+    comp.evaluate(P)
+    assert len(calls) == 8
+    calls.clear()
+    map_super_jacobian(comp, P)
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("nodes", [None, 7])
+def test_identity_map_returns_its_point_and_a_unit_jacobian(nodes):
+    rng = np.random.default_rng(73)
+    P = sample_point(rng, 2, 2, 4) if nodes is None else batch_point(rng, nodes, 4)
+    ident = identity_map(2, 2)
+    assert ident.evaluate(P) is P
+    J, want = map_super_jacobian(ident, P), identity_sm(2, 2, P.L)
+    assert (J.m, J.n, J.L) == (want.m, want.n, want.L)
+    for r in range(4):
+        for c in range(4):
+            assert identical(J.rows[r][c], want.rows[r][c])
 
 
 def test_compose_shape_mismatch_raises():
@@ -667,7 +695,7 @@ def test_cached_basis_is_no_part_of_point_identity():
 
     inv = invert_map(fwd, body_inverse)
     assert inv.evaluate(P) == inv.evaluate(Q)
-    assert len(calls) == 1
+    assert len(calls) == 2  # one solve per evaluation
 
 
 def test_numeric_coefficient_beyond_order_four_raises_through_evaluate():
