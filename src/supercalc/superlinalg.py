@@ -98,20 +98,23 @@ def _negligible(rows: np.ndarray, pivot: int | None = None) -> np.ndarray:
     of the rows, node by node: |value| <= n eps prod_i ||rows[i]||.  rows is
     (k, n), or (k, n, nodes) for a batch.
 
-    The test is the same for any multiple of the rows, and it runs on the
-    rows scaled to entries of at most 1, where neither the determinant nor
-    the row norms overflow or underflow; the parts are scaled apart, since a
-    complex quotient by a subnormal peak can overflow.  An entry that is not
-    finite makes its node not negligible, and leaves the caller's finite
-    checks to raise.
+    The test is the same for any multiple of each row, and it runs on each
+    row scaled to real and imaginary parts of at most 1, where neither the
+    determinant nor the row norms overflow or underflow however far apart the
+    scales of the rows are; the parts are scaled apart, since a complex
+    quotient by a subnormal peak can overflow.  A determinant of such rows
+    that is not finite went through a pivot whose square underflows, and is
+    negligible.  An entry that is not finite makes its node not negligible,
+    and leaves the caller's finite checks to raise.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        peak = np.abs(rows).max(axis=(0, 1))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        peak = np.maximum(np.abs(rows.real), np.abs(rows.imag)).max(axis=1, keepdims=True)
         peak = np.where(peak > 0, peak, 1.0)
         unit = rows.real / peak + 1j * (rows.imag / peak)
-        value = _per_node(np.linalg.det, unit) if pivot is None else unit[0, pivot]
+        value = np.abs(_per_node(np.linalg.det, unit) if pivot is None else unit[0, pivot])
         scale = np.prod(np.linalg.norm(unit, axis=1), axis=0)
-        return np.abs(value) <= rows.shape[1] * np.finfo(float).eps * scale
+    value = np.where(np.isfinite(unit).all(axis=(0, 1)) & ~np.isfinite(value), 0.0, value)
+    return value <= rows.shape[1] * np.finfo(float).eps * scale
 
 
 class Supermatrix:

@@ -568,6 +568,21 @@ def test_mat_inverse_even_of_a_body_far_from_unit_scale():
         assert gr.max_coeff_diff(got[1][1], gr.scalar(L, 1 / c)) <= 1e-15 / c
 
 
+def test_mat_inverse_even_of_rows_320_orders_of_magnitude_apart():
+    # Scaled by one peak, the small rows of these bodies would be subnormal:
+    # the product of row norms underflows, and numpy's complex det of the
+    # singular one divides by zero.  Each row is scaled to 1 on its own.
+    L = 2
+    s = lambda c: gr.scalar(L, c)  # noqa: E731
+    small = [[s(2e-300), s(1e-300), s(1e-300), s(1e-300)],
+             [s(1e-300)] * 4, [s(1e-300)] * 4]
+    with pytest.raises(GrassmannDomainError, match="singular"):
+        mat_inverse_even(small + [[s(1e20)] * 4])
+    got = mat_inverse_even([[s(1e-300), gr.zero(L)], [gr.zero(L), s(1e20)]])
+    assert gr.max_coeff_diff(got[0][0], s(1e300)) <= 1e285
+    assert gr.max_coeff_diff(got[1][1], s(1e-20)) <= 1e-35
+
+
 # Bodies for the property below: random, rank-deficient (one row a multiple
 # of another, or a zero row) and badly scaled (rows scaled by up to 1e+-300).
 _SCALES = [1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300]
