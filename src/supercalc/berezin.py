@@ -63,7 +63,7 @@ from .superlinalg import (
     mat_inverse_even,
     pfaffian,
 )
-from .superspace import SuperMap, SuperPoint, map_super_jacobian
+from .superspace import SuperMap, SuperPoint, _jet
 
 __all__ = [
     "QuadratureError",
@@ -243,14 +243,12 @@ class OddPolynomial:
                  L: int | None = None):
         self.n = int(n)
         top = 1 << self.n
-        clean = {}
-        for mask, c in coefficients.items():
+        for mask in coefficients:
             if not (0 <= mask < top):
                 raise GrassmannError(f"odd monomial mask {mask} out of range")
-            if c != 0:
-                clean[int(mask)] = c
-        (values,), self.L = _in_one_algebra(clean.values(), L=int(L or 0))
-        self.coefficients = dict(zip(clean, values))
+        (values,), self.L = _in_one_algebra(coefficients.values(), L=int(L or 0))
+        self.coefficients = {int(mask): c for mask, c in zip(coefficients, values)
+                             if not c.is_zero()}
 
     @property
     def top(self) -> Supernumber:
@@ -419,20 +417,25 @@ class PulledBack:
     function on the source domain of phi whose path integral over
     phi^{-1}(domain) matches the integral of u over the original domain.  A
     Jacobian whose even block is body-singular at its own scale (``_negligible``,
-    at any node), where the sdet body is 0, raises GrassmannDomainError.
+    at any node), where the sdet body is 0, raises GrassmannDomainError.  phi
+    is evaluated once per call: the seed-free part of its seeded evaluation is
+    phi(P), and its seeded parts are J (``superspace._jet``).
     """
 
     def __init__(self, phi: SuperMap, u):
+        if phi.dst != phi.src:
+            raise GrassmannError("a pull-back needs a square map")
         self.phi = phi
         self.u = u
         self.m, self.n = phi.src
 
     def evaluate(self, P: SuperPoint) -> Supernumber:
-        J = map_super_jacobian(self.phi, P)
+        Y, rows = _jet(self.phi, P)
+        J = Supermatrix(self.m, self.n, rows, max(P.L, 1))
         even = _node_array((e.body for r in J.block("A") for e in r), (self.m, self.m))
         if self.m and np.any(_negligible(even)):
             raise GrassmannDomainError("path Jacobian is body-singular on the box")
-        return _sdet(J) * self.u.evaluate(self.phi.evaluate(P))
+        return _sdet(J) * self.u.evaluate(Y)
 
 
 def naive_cvf_discrepancy(phi_map: SuperMap, u,
@@ -475,21 +478,25 @@ def gaussian_super(M: Supermatrix, lam: float) -> Supernumber:
     body = M.body_matrix()
     if not np.isfinite(body).all():
         raise GrassmannDomainError("matrix body is not finite")
+    # each admissibility test is relative to the largest entry of its blocks
     Ab = body[:m, :m]
     if m:
-        if np.max(np.abs(Ab.imag)) > 1e-10:
+        a_scale = np.max(np.abs(Ab))
+        if np.max(np.abs(Ab.imag)) > 1e-10 * a_scale:
             raise GrassmannDomainError("even block body must be real")
-        if np.max(np.abs(Ab - Ab.T)) > 1e-10:
+        if np.max(np.abs(Ab - Ab.T)) > 1e-10 * a_scale:
             raise GrassmannDomainError("even block body must be symmetric")
         if np.min(np.linalg.eigvalsh(Ab.real)) <= 0:
             raise GrassmannDomainError("even block body must be positive definite")
+    b_scale = max((max_abs(e) for row in B for e in row), default=0.0)
     for s in range(n):
         for t in range(n):
-            if max_abs(B[s][t] + B[t][s]) > 1e-12:
+            if max_abs(B[s][t] + B[t][s]) > 1e-12 * b_scale:
                 raise GrassmannDomainError("odd block must be antisymmetric")
+    cd_scale = max((max_abs(e) for row in C + D for e in row), default=0.0)
     for j in range(m):
         for s in range(n):
-            if max_abs(C[j][s] + D[s][j]) > 1e-12:
+            if max_abs(C[j][s] + D[s][j]) > 1e-12 * cd_scale:
                 raise GrassmannDomainError("couplings must satisfy C^T + D = 0")
 
     if n % 2 == 1:
@@ -512,11 +519,10 @@ def gaussian_super(M: Supermatrix, lam: float) -> Supernumber:
         root = apply_analytic(AnalyticSpec.named("sqrt"), det_even(scaled))
         even_factor = even_factor * inverse(root)
         raw = _mat_sub(B, _mat_mul(_mat_mul(D, mat_inverse_even(A), L), C, L))
-        # antisymmetrize exactly so roundoff cannot trip the Pfaffian's check
-        pf_arg = [[0.5 * (raw[s][t] - raw[t][s]) for t in range(n)]
-                  for s in range(n)]
     else:
-        pf_arg = B
+        raw = B
+    # antisymmetrize exactly so roundoff cannot trip the Pfaffian's check
+    pf_arg = [[0.5 * (raw[s][t] - raw[t][s]) for t in range(n)] for s in range(n)]
     pf = pfaffian(pf_arg) if n else one(L)
     out = even_factor * scalar(L, odd_scale) * pf
     if not _is_finite(out):

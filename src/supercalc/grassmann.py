@@ -97,20 +97,22 @@ Seeding
 ``seed`` puts fresh generators above L on slot values, one fresh monomial
 (its slot mask) per slot, and ``seed_parts`` reads a value computed from them
 back by its fresh part: the part at a slot mask is the derivative along that
-slot.  A caller that reads first derivatives only (``seed(...,
-first_order=True)``) never needs a term whose fresh part is not one slot
-mask, and every product spends most of its pairs on such terms.  So a
-first-order seeding attaches a cut to the seeded values: the window of the
-seeding (its base L and its width) and the fresh parts it allows, 0 and each
-slot mask.  The dict-loop product skips a pair whose union has a fresh part
-``(mask >> base) & window`` that is not allowed.  The test reads the window
-only, so the generators of a seeding nested above it are never dropped by the
-outer cut.  Every result computed from a value with a cut carries it on: ``+``,
-``-``, negation, number or array times element, ``/`` by a number, ``embed``,
-``soul``, the Taylor continuation (``_taylor_sum``, ``apply_analytic`` too),
-and through its products ``inverse``.  When both operands carry different cuts
-either one is kept, since each is valid alone.  ``seed_parts`` clears the cut
-of the window it reads back.
+slot, and the seed-free part (at 0) is the value at the unseeded slot values,
+so one evaluation gives both (``superspace._jet``).  A caller that reads
+first derivatives only (``seed(..., first_order=True)``) never needs a term
+whose fresh part is not one slot mask, and every product spends most of its
+pairs on such terms.  So a first-order seeding attaches a cut to the seeded
+values: the window of the seeding (its base L and its width) and the fresh
+parts it allows, 0 and each slot mask.  The dict-loop product skips a pair
+whose union has a fresh part ``(mask >> base) & window`` that is not allowed.
+The test reads the window only, so the generators of a seeding nested above
+it are never dropped by the outer cut.  Every result computed from a value
+with a cut carries it on: ``+``, ``-``, negation, number or array times
+element, ``/`` by a number, ``embed``, ``soul``, the Taylor continuation
+(``_taylor_sum``, ``apply_analytic`` too), and through its products
+``inverse``.  When both operands carry different cuts either one is kept,
+since each is valid alone.  ``seed_parts`` clears the cut of the window it
+reads back.
 
 A cut is a permission to drop terms, never a duty: the table kernel and any
 result built through the validating constructor keep every term, which costs

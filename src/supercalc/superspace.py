@@ -25,7 +25,9 @@ Newton/Picard solve of a map with invertible body Jacobian, which terminates
 on the nilpotent part after at most L steps.  Each is evaluated once per
 call, with no cache between calls.  A map's Jacobian is read exactly from one
 evaluation in which every source slot is seeded with fresh nilpotent
-generators (grassmann.seed).
+generators (grassmann.seed).  The seed-free part of that evaluation is the
+map's value at the point, so a caller that needs the value and the Jacobian
+(``berezin.PulledBack``) evaluates the map once (``_jet``).
 """
 
 from __future__ import annotations
@@ -635,16 +637,20 @@ def compose(g: SuperMap, f: SuperMap) -> SuperMap:
 # Jacobians by nilpotent seeding
 # ---------------------------------------------------------------------------
 
-def _seeded_derivatives(F: SuperMap, P: SuperPoint) -> List[List[Supernumber]]:
-    """J[r][c] = d F_c / d z_r at P, z_r the source slots (even first, odd
-    derivatives from the left), in P's algebra, from one evaluation of F at
-    arguments seeded first-order by grassmann.seed (terms with two or more
-    seeds are dropped on the way)."""
+def _jet(F: SuperMap, P: SuperPoint) -> Tuple[SuperPoint, List[List[Supernumber]]]:
+    """F(P) and its derivative rows J[r][c] = d F_c / d z_r (z_r the source
+    slots, even first, odd derivatives from the left), both in P's algebra,
+    from one evaluation of F at arguments seeded first-order by grassmann.seed.
+    The value is the seed-free part of each output, bit for bit F.evaluate(P)
+    where each product takes the same path at both generator counts."""
     L0 = max(P.L, 1)
     ex, th, masks = seed(P.x, P.theta, L0, first_order=True)
     out = F.evaluate(SuperPoint(ex, th))
     parts = [seed_parts(v, L0) for v in out.x + out.theta]
-    return [[p.get(mask, zero(L0)) for p in parts] for mask in masks]
+    value = [p.get(0, zero(L0)) for p in parts]
+    even = F.dst[0]
+    return (SuperPoint(tuple(value[:even]), tuple(value[even:])),
+            [[p.get(mask, zero(L0)) for p in parts] for mask in masks])
 
 
 def map_body_jacobian(F: SuperMap, P: SuperPoint) -> np.ndarray:
@@ -652,7 +658,7 @@ def map_body_jacobian(F: SuperMap, P: SuperPoint) -> np.ndarray:
     = source slots.  Exact up to the float arithmetic of F itself.  For a
     batch of nodes the node axis comes last.
     """
-    J = _seeded_derivatives(F, P)
+    _, J = _jet(F, P)
     rows, cols = sum(F.dst), sum(F.src)
     return _node_array((J[c][r].body for r in range(rows) for c in range(cols)),
                        (rows, cols))
@@ -672,17 +678,27 @@ def map_super_jacobian(F: SuperMap, P: SuperPoint):
     and the entries equal those of a full seeded evaluation bit for bit.  So
     F must not differentiate by the seeded generators or integrate over them;
     seeding of its own above them (``odd_expand``,
-    ``SuperHamiltonian.gradient``) is fine.
+    ``SuperHamiltonian.gradient``) is fine.  The seed-free part of the same
+    evaluation is the value F(P), which ``_jet`` returns beside the entries.
     """
     m, n = F.src
     if F.dst != (m, n):
         raise GrassmannError("super-Jacobian assembly expects a square map")
-    return Supermatrix(m, n, _seeded_derivatives(F, P), max(P.L, 1))
+    return Supermatrix(m, n, _jet(F, P)[1], max(P.L, 1))
 
 
 # ---------------------------------------------------------------------------
 # inverse map
 # ---------------------------------------------------------------------------
+
+def _node_peak(values: Sequence[Supernumber]):
+    """The largest coefficient modulus over values, per node for a batch."""
+    peak = 0.0
+    for v in values:
+        for c in v.terms.values():
+            peak = np.maximum(peak, np.abs(c))
+    return peak
+
 
 def invert_map(F: SuperMap, body_inverse: Callable[[np.ndarray], Sequence[float]]) -> SuperMap:
     """Inverse of a square map with body-invertible Jacobian.
@@ -690,9 +706,11 @@ def invert_map(F: SuperMap, body_inverse: Callable[[np.ndarray], Sequence[float]
     ``body_inverse`` supplies the classical inverse of the body map (numeric
     root-finds are fine) at one body point; the nilpotent part is corrected by
     a Newton/Picard iteration with the body Jacobian, which terminates in at
-    most L steps.  Each evaluation of the inverse is one such solve; a batch
-    of nodes is solved in one iteration, calling ``body_inverse`` once per
-    node.
+    most L steps.  It stops when, at every node, the largest coefficient
+    modulus of the residual P - F(Y) is at most 1e-12 times that of P (1e-12
+    where P is 0), so points far from unit scale converge too.  Each
+    evaluation of the inverse is one such solve; a batch of nodes is solved in
+    one iteration, calling ``body_inverse`` once per node.
     """
     if F.src != F.dst:
         raise GrassmannError("only square maps can be inverted")
@@ -706,6 +724,8 @@ def invert_map(F: SuperMap, body_inverse: Callable[[np.ndarray], Sequence[float]
 
     def solve(P: SuperPoint) -> SuperPoint:
         L = max(P.L, 1)
+        scale = _node_peak(P.x + P.theta)
+        tol = 1e-12 * np.where(scale > 0, scale, 1.0)
         q_star = _node_array((v.body for v in P.x), (m,))
         if q_star.ndim == 1:
             y0 = body_root(q_star)
@@ -719,10 +739,7 @@ def invert_map(F: SuperMap, body_inverse: Callable[[np.ndarray], Sequence[float]
             FY = F.evaluate(Y)
             resid_even = [P.x[j] - FY.x[j] for j in range(m)]
             resid_odd = [P.theta[s] - FY.theta[s] for s in range(n)]
-            resid_max = max(
-                [max_abs(r) for r in resid_even + resid_odd], default=0.0
-            )
-            if resid_max < 1e-12:
+            if np.all(_node_peak(resid_even + resid_odd) <= tol):
                 break
             J = map_body_jacobian(F, Y)
             Je = _per_node(np.linalg.inv, J[:m, :m]) if m else np.zeros((0, 0))

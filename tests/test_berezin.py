@@ -50,11 +50,11 @@ from supercalc.berezin import (
     quad_box,
     susy_localize,
 )
-from supercalc import berezin
+from supercalc import berezin, superspace
 from supercalc.berezin import _gauss_legendre, _grid_point, _tensor_quad, _top
 from supercalc.fourier_odd import GaussPolyBody, OddFourierConfig, mixed_transform
 
-from helpers import close, overflowed, random_supernumber, supernumbers
+from helpers import close, identical, overflowed, random_supernumber, supernumbers
 
 TWO_PI = 2.0 * math.pi
 
@@ -289,6 +289,14 @@ def test_odd_polynomial_parity_classification():
     assert OddPolynomial(2, {0b01: one(0)}).parity == "odd"
     assert OddPolynomial(2, {0b01: s}).parity == "even"
     assert OddPolynomial(2, {0b01: one(2), 0b11: one(2)}).parity == "mixed"
+
+
+def test_odd_polynomial_takes_a_batch_coefficient_as_the_same_batch_element():
+    batch = np.array([1.0, 2.0])
+    v = OddPolynomial(2, {0b11: batch, 0b01: np.zeros(2), 0b10: 0.0})
+    want = OddPolynomial(2, {0b11: scalar(0, batch)})
+    assert list(v.coefficients) == [0b11] and v.L == want.L == 0
+    assert identical(v.coefficients[0b11], want.coefficients[0b11])
 
 
 def test_odd_expand_round_trips_polynomial():
@@ -698,6 +706,35 @@ def test_gaussian_super_of_an_even_block_far_from_unit_scale(c):
     assert close(value.body / (TWO_PI / c), 1.0, tol=1e-13)
 
 
+def odd_block_after_unit_even_block(m, b):
+    """(m|2) matrix with even block I, no couplings and odd block b."""
+    rows = np.zeros((m + 2, m + 2))
+    rows[:m, :m] = np.eye(m)
+    rows[m:, m:] = b
+    return Supermatrix(m, 2, rows.tolist(), 0)
+
+
+def test_gaussian_super_tests_the_even_block_relative_to_its_scale():
+    # symmetric to 2 ulp at 1e7: accepted with (2 pi) det^(-1/2)
+    A = 1e7 * np.array([[1, 0.1 * 3], [0.3, 2]])
+    value = gaussian_super(Supermatrix(2, 0, A.tolist(), 0), 1.0)
+    assert close(value.body / (TWO_PI / math.sqrt(1e14 * (2 - 0.09))), 1.0, tol=1e-12)
+    # antisymmetric part as large as a third of the block at 1e-12: rejected
+    with pytest.raises(GrassmannDomainError, match="symmetric"):
+        gaussian_super(Supermatrix(2, 0, (1e-12 * np.array([[3, 1], [-1, 3]])).tolist(), 0), 1.0)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_gaussian_super_tests_the_odd_block_relative_to_its_scale(m):
+    # symmetric at 1e-13: rejected, where an absolute test let it through
+    with pytest.raises(GrassmannDomainError, match="antisymmetric"):
+        gaussian_super(odd_block_after_unit_even_block(m, 1e-13 * np.array([[0, 1], [1, 0]])), 1.0)
+    # antisymmetric to 1 ulp at 3e4: accepted, its Pfaffian 3e4 times the even factor
+    b = np.array([[0, 0.1 * 3 * 1e5], [-0.3 * 1e5, 0]])
+    value = gaussian_super(odd_block_after_unit_even_block(m, b), 1.0)
+    assert close(value.body / (3e4 * TWO_PI ** (m / 2)), 1.0, tol=1e-12)
+
+
 def test_gaussian_super_that_overflows_raises_domain_error():
     # lam^(-n/2) = 1e300 times the Pfaffian 1e10 is inf; at lam = 1e-320 the
     # power itself is out of range
@@ -1004,6 +1041,32 @@ def test_fsm_integrand_on_a_chunk_matches_each_node_alone():
         alone = integrand((q1[k], q2[k]))
         assert isinstance(alone, complex)
         assert abs(chunk[k] - alone) <= 1e-13 * abs(alone)
+
+
+def test_nested_fsm_integrand_evaluates_each_map_once_per_chunk(monkeypatch):
+    # each pull-back reads its map's value and Jacobian from one seeded
+    # evaluation: 4 + 4 map components and the Gaussian, with a Taylor basis
+    # at the two seeded points and at the inner map's value
+    evaluated, built = [], []
+    evaluate, taylor_basis = SuperFunction.evaluate, superspace._taylor_basis
+    monkeypatch.setattr(SuperFunction, "evaluate",
+                        lambda self, P: evaluated.append(self) or evaluate(self, P))
+    monkeypatch.setattr(superspace, "_taylor_basis",
+                        lambda xs, L: built.append(L) or taylor_basis(xs, L))
+    forward, backward = lac_pair()
+    pulled = PulledBack(backward, PulledBack(forward, normalized_gaussian_22()))
+    q = np.random.default_rng(13).uniform(-4.2, 4.2, size=(2, berezin.QUAD_CHUNK))
+    pulled.evaluate(_grid_point(tuple(q), 2))
+    assert len(evaluated) == 9
+    assert built == [8, 8, 2]
+
+
+def test_pull_back_through_a_map_that_is_not_square_raises():
+    # (1|1) -> (2|0) has a 2 x 2 derivative matrix but no super-Jacobian
+    F = SuperMap((1, 1), (2, 0), [SuperFunction(1, 1, {0: E1("q1")}),
+                                  SuperFunction(1, 1, {0: E1("q1^2")})])
+    with pytest.raises(GrassmannError, match="square"):
+        PulledBack(F, SuperFunction(2, 0, {0: E2("q1")}))
 
 
 def test_fsm_on_the_transported_pair_never_falls_back_to_single_nodes(monkeypatch):

@@ -555,6 +555,29 @@ def test_invert_with_nontrivial_body_map():
         assert points_equal(round_bwd.evaluate(P), P, 1e-9)
 
 
+def cubic_and_its_inverse():
+    """q -> q^3 + q on (1|0), and its inverse from a numeric body root."""
+    F = SuperMap((1, 0), (1, 0), [SuperFunction(1, 0, {0: expr_body("q1**3 + q1", 1)})])
+
+    def body_inverse(q):
+        roots = np.roots([1.0, 0.0, 1.0, -float(q[0])])
+        return [min((r.real for r in roots if abs(r.imag) < 1e-9),
+                    key=lambda r: abs(r ** 3 + r - q[0]))]
+
+    return F, invert_map(F, body_inverse)
+
+
+@pytest.mark.parametrize("s", [1e-13, 1e9, np.array([1e-13, 1.0, 1e9])])
+def test_invert_map_stops_relative_to_the_point_at_each_node(s):
+    # at s + s s0 s1 an absolute stopping test returns the body root alone
+    # for s = 1e-13, and never stops for s = 1e9, where rounding exceeds it
+    F, inv = cubic_and_its_inverse()
+    P = SuperPoint((make(2, {0: s, 0b11: s}),), ())
+    resid = F.evaluate(inv.evaluate(P)).x[0] - P.x[0]
+    for c in resid.terms.values():
+        assert np.all(np.abs(c) <= 1e-12 * s)
+
+
 # ---------------------------------------------------------------------------
 # compatibility (Cauchy-Riemann style) residual
 # ---------------------------------------------------------------------------
@@ -812,3 +835,25 @@ def test_invert_map_keeps_a_truncated_solution_apart_from_a_full_one():
     expanded = odd_expand(lambda th: inv.evaluate(SuperPoint((), th)).theta[0], 3, L)
     assert expanded.coefficients[0b111] == scalar(L, -1.0)
     assert expanded.coefficients[0b001] == scalar(L, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# one seeded evaluation gives a map's value and its Jacobian
+# ---------------------------------------------------------------------------
+
+def same_bytes(a, b) -> bool:
+    """identical, and every coefficient has the same bytes (signed zeros too)."""
+    return identical(a, b) and all(
+        np.asarray(x).tobytes() == np.asarray(y).tobytes()
+        for x, y in zip(a.terms.values(), b.terms.values()))
+
+
+@pytest.mark.parametrize("nodes", [None, 7])
+def test_jet_value_is_the_plain_evaluation_bit_for_bit(nodes):
+    rng = np.random.default_rng(79)
+    P = sample_point(rng, 2, 2, 4) if nodes is None else batch_point(rng, nodes, 4)
+    for F in lac_pair():
+        value, _ = superspace._jet(F, P)
+        plain = F.evaluate(P)
+        assert all(same_bytes(a, b) for a, b in zip(value.x + value.theta,
+                                                     plain.x + plain.theta))
