@@ -63,7 +63,7 @@ from .superlinalg import (
     mat_inverse_even,
     pfaffian,
 )
-from .superspace import SuperMap, SuperPoint, _jet
+from .superspace import SuperMap, SuperPoint, _super_jet
 
 __all__ = [
     "QuadratureError",
@@ -419,19 +419,16 @@ class PulledBack:
     Jacobian whose even block is body-singular at its own scale (``_negligible``,
     at any node), where the sdet body is 0, raises GrassmannDomainError.  phi
     is evaluated once per call: the seed-free part of its seeded evaluation is
-    phi(P), and its seeded parts are J (``superspace._jet``).
+    phi(P), and its seeded parts are J (``superspace._super_jet``).
     """
 
     def __init__(self, phi: SuperMap, u):
-        if phi.dst != phi.src:
-            raise GrassmannError("a pull-back needs a square map")
         self.phi = phi
         self.u = u
         self.m, self.n = phi.src
 
     def evaluate(self, P: SuperPoint) -> Supernumber:
-        Y, rows = _jet(self.phi, P)
-        J = Supermatrix(self.m, self.n, rows, max(P.L, 1))
+        Y, J = _super_jet(self.phi, P)
         even = _node_array((e.body for r in J.block("A") for e in r), (self.m, self.m))
         if self.m and np.any(_negligible(even)):
             raise GrassmannDomainError("path Jacobian is body-singular on the box")
@@ -478,7 +475,7 @@ def gaussian_super(M: Supermatrix, lam: float) -> Supernumber:
     body = M.body_matrix()
     if not np.isfinite(body).all():
         raise GrassmannDomainError("matrix body is not finite")
-    # each admissibility test is relative to the largest entry of its blocks
+    # the tests of A and B are relative to the largest entry of their block
     Ab = body[:m, :m]
     if m:
         a_scale = np.max(np.abs(Ab))
@@ -493,10 +490,12 @@ def gaussian_super(M: Supermatrix, lam: float) -> Supernumber:
         for t in range(n):
             if max_abs(B[s][t] + B[t][s]) > 1e-12 * b_scale:
                 raise GrassmannDomainError("odd block must be antisymmetric")
-    cd_scale = max((max_abs(e) for row in C + D for e in row), default=0.0)
+    # couplings that should vanish have no scale of their own, so rounding
+    # noise in them is measured against the whole matrix
+    m_scale = max((max_abs(e) for row in M.rows for e in row), default=0.0)
     for j in range(m):
         for s in range(n):
-            if max_abs(C[j][s] + D[s][j]) > 1e-12 * cd_scale:
+            if max_abs(C[j][s] + D[s][j]) > 1e-12 * m_scale:
                 raise GrassmannDomainError("couplings must satisfy C^T + D = 0")
 
     if n % 2 == 1:

@@ -681,23 +681,37 @@ def map_super_jacobian(F: SuperMap, P: SuperPoint):
     ``SuperHamiltonian.gradient``) is fine.  The seed-free part of the same
     evaluation is the value F(P), which ``_jet`` returns beside the entries.
     """
+    return _super_jet(F, P)[1]
+
+
+def _super_jet(F: SuperMap, P: SuperPoint) -> Tuple[SuperPoint, Supermatrix]:
+    """F(P) and the super-Jacobian of a square F at P, from one ``_jet``."""
     m, n = F.src
     if F.dst != (m, n):
         raise GrassmannError("super-Jacobian assembly expects a square map")
-    return Supermatrix(m, n, _jet(F, P)[1], max(P.L, 1))
+    value, rows = _jet(F, P)
+    return value, Supermatrix(m, n, rows, max(P.L, 1))
 
 
 # ---------------------------------------------------------------------------
 # inverse map
 # ---------------------------------------------------------------------------
 
-def _node_peak(values: Sequence[Supernumber]):
-    """The largest coefficient modulus over values, per node for a batch."""
+def _node_peak(v: Supernumber):
+    """The largest coefficient modulus of v, per node for a batch."""
     peak = 0.0
-    for v in values:
-        for c in v.terms.values():
-            peak = np.maximum(peak, np.abs(c))
+    for c in v.terms.values():
+        peak = np.maximum(peak, np.abs(c))
     return peak
+
+
+def _within(values: Sequence[Supernumber], bounds):
+    """Per node, whether each value's largest coefficient modulus is at most
+    its bound."""
+    out = True
+    for v, bound in zip(values, bounds):
+        out = out & (_node_peak(v) <= bound)
+    return out
 
 
 def invert_map(F: SuperMap, body_inverse: Callable[[np.ndarray], Sequence[float]]) -> SuperMap:
@@ -706,11 +720,13 @@ def invert_map(F: SuperMap, body_inverse: Callable[[np.ndarray], Sequence[float]
     ``body_inverse`` supplies the classical inverse of the body map (numeric
     root-finds are fine) at one body point; the nilpotent part is corrected by
     a Newton/Picard iteration with the body Jacobian, which terminates in at
-    most L steps.  It stops when, at every node, the largest coefficient
-    modulus of the residual P - F(Y) is at most 1e-12 times that of P (1e-12
-    where P is 0), so points far from unit scale converge too.  Each
-    evaluation of the inverse is one such solve; a batch of nodes is solved in
-    one iteration, calling ``body_inverse`` once per node.
+    most L steps.  A node is solved when, in every slot, the largest
+    coefficient modulus of the residual P - F(Y) is at most 1e-12 times that
+    of P's slot (1e-12 where the slot is 0), or when a Newton step leaves its
+    Y unchanged: then the residual is rounding in F's own terms, which no
+    further step reduces.  Each evaluation of the inverse is one such solve; a
+    batch of nodes is solved in one iteration, calling ``body_inverse`` once
+    per node.
     """
     if F.src != F.dst:
         raise GrassmannError("only square maps can be inverted")
@@ -724,8 +740,8 @@ def invert_map(F: SuperMap, body_inverse: Callable[[np.ndarray], Sequence[float]
 
     def solve(P: SuperPoint) -> SuperPoint:
         L = max(P.L, 1)
-        scale = _node_peak(P.x + P.theta)
-        tol = 1e-12 * np.where(scale > 0, scale, 1.0)
+        target = P.x + P.theta
+        tol = [1e-12 * np.where(p > 0, p, 1.0) for p in map(_node_peak, target)]
         q_star = _node_array((v.body for v in P.x), (m,))
         if q_star.ndim == 1:
             y0 = body_root(q_star)
@@ -737,19 +753,24 @@ def invert_map(F: SuperMap, body_inverse: Callable[[np.ndarray], Sequence[float]
         )
         for _ in range(L + 4):
             FY = F.evaluate(Y)
-            resid_even = [P.x[j] - FY.x[j] for j in range(m)]
-            resid_odd = [P.theta[s] - FY.theta[s] for s in range(n)]
-            if np.all(_node_peak(resid_even + resid_odd) <= tol):
+            resid = [p - f for p, f in zip(target, FY.x + FY.theta)]
+            solved = _within(resid, tol)
+            if np.all(solved):
                 break
             J = map_body_jacobian(F, Y)
             Je = _per_node(np.linalg.inv, J[:m, :m]) if m else np.zeros((0, 0))
             Jo = _per_node(np.linalg.inv, J[m:, m:]) if n else np.zeros((0, 0))
-            Y = SuperPoint(
-                tuple(sum((Je[j, k] * resid_even[k] for k in range(m)), Y.x[j])
+            step = SuperPoint(
+                tuple(sum((Je[j, k] * resid[k] for k in range(m)), Y.x[j])
                       for j in range(m)),
-                tuple(sum((Jo[s, r] * resid_odd[r] for r in range(n)), Y.theta[s])
+                tuple(sum((Jo[s, r] * resid[m + r] for r in range(n)), Y.theta[s])
                       for s in range(n)),
             )
+            unmoved = _within([a - b for a, b in zip(step.x + step.theta, Y.x + Y.theta)],
+                              [0.0] * (m + n))
+            Y = step
+            if np.all(solved | unmoved):
+                break
         else:
             raise GrassmannDomainError("inverse iteration did not converge")
         return Y

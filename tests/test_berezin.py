@@ -735,6 +735,17 @@ def test_gaussian_super_tests_the_odd_block_relative_to_its_scale(m):
     assert close(value.body / (3e4 * TWO_PI ** (m / 2)), 1.0, tol=1e-12)
 
 
+def test_gaussian_super_accepts_couplings_at_rounding_noise():
+    # C = 1e-17 theta_1 next to D = 0: noise on the scale of the whole matrix,
+    # which a test relative to C and D alone rejects
+    L = 2
+    noise = 1e-17 * gen(L, 0)
+    M = from_blocks([[one(L)]], [[noise, zero(L)]], [[zero(L)], [zero(L)]],
+                    [[zero(L), one(L)], [-1.0 * one(L), zero(L)]])
+    value = gaussian_super(M, 1.0)
+    assert close(value.body, math.sqrt(TWO_PI), tol=1e-13)
+
+
 def test_gaussian_super_that_overflows_raises_domain_error():
     # lam^(-n/2) = 1e300 times the Pfaffian 1e10 is inf; at lam = 1e-320 the
     # power itself is out of range
@@ -1065,8 +1076,9 @@ def test_pull_back_through_a_map_that_is_not_square_raises():
     # (1|1) -> (2|0) has a 2 x 2 derivative matrix but no super-Jacobian
     F = SuperMap((1, 1), (2, 0), [SuperFunction(1, 1, {0: E1("q1")}),
                                   SuperFunction(1, 1, {0: E1("q1^2")})])
+    pulled = PulledBack(F, SuperFunction(2, 0, {0: E2("q1")}))
     with pytest.raises(GrassmannError, match="square"):
-        PulledBack(F, SuperFunction(2, 0, {0: E2("q1")}))
+        pulled.evaluate(SuperPoint((scalar(2, 0.5),), (gen(2, 0),)))
 
 
 def test_fsm_on_the_transported_pair_never_falls_back_to_single_nodes(monkeypatch):

@@ -555,16 +555,16 @@ def test_invert_with_nontrivial_body_map():
         assert points_equal(round_bwd.evaluate(P), P, 1e-9)
 
 
+def cubic_root(v: float) -> float:
+    """The real y with y^3 + y = v, by a numeric root-find."""
+    roots = np.roots([1.0, 0.0, 1.0, -v])
+    return min((r.real for r in roots if abs(r.imag) < 1e-9), key=lambda r: abs(r ** 3 + r - v))
+
+
 def cubic_and_its_inverse():
     """q -> q^3 + q on (1|0), and its inverse from a numeric body root."""
     F = SuperMap((1, 0), (1, 0), [SuperFunction(1, 0, {0: expr_body("q1**3 + q1", 1)})])
-
-    def body_inverse(q):
-        roots = np.roots([1.0, 0.0, 1.0, -float(q[0])])
-        return [min((r.real for r in roots if abs(r.imag) < 1e-9),
-                    key=lambda r: abs(r ** 3 + r - q[0]))]
-
-    return F, invert_map(F, body_inverse)
+    return F, invert_map(F, lambda q: [cubic_root(float(q[0]))])
 
 
 @pytest.mark.parametrize("s", [1e-13, 1e9, np.array([1e-13, 1.0, 1e9])])
@@ -576,6 +576,30 @@ def test_invert_map_stops_relative_to_the_point_at_each_node(s):
     resid = F.evaluate(inv.evaluate(P)).x[0] - P.x[0]
     for c in resid.terms.values():
         assert np.all(np.abs(c) <= 1e-12 * s)
+
+
+def test_invert_map_stops_at_the_rounding_of_the_maps_own_terms():
+    # q -> q + 1 at 1e-6: Y + 1 lands on multiples of 2^-53, so the residual
+    # stays near 3e-17, above 1e-12 times P, and the Newton step leaves Y as it is
+    F = SuperMap((1, 0), (1, 0), [SuperFunction(1, 0, {0: expr_body("q1 + 1", 1)})])
+    inv = invert_map(F, lambda q: [q[0] - 1])
+    for P in (make(2, {0: 1e-6}), make(2, {0: 1e-6, 0b11: 1e-6})):
+        Y = inv.evaluate(SuperPoint((P,), ()))
+        assert close(Y.x[0].body, 1e-6 - 1, tol=1e-16)
+        assert close(Y.x[0].coefficient(0b11), P.coefficient(0b11), tol=1e-16)
+        assert max_abs(F.evaluate(Y).x[0] - P) <= 1e-16
+
+
+def test_invert_map_stops_relative_to_each_slot():
+    # with 1e9 in the first slot, one peak over both slots would accept a
+    # residual of 1e-3 and drop the soul 1e-13 s0 s1 of the second
+    cube = SuperMap((2, 0), (2, 0), [SuperFunction(2, 0, {0: expr_body(f"q{k}**3 + q{k}", 2)})
+                                     for k in (1, 2)])
+    inv = invert_map(cube, lambda q: [cubic_root(float(v)) for v in q])
+    P = SuperPoint((make(2, {0: 1e9}), make(2, {0: 1e-13, 0b11: 1e-13})), ())
+    image = cube.evaluate(inv.evaluate(P))
+    for got, want in zip(image.x, P.x):
+        assert max_abs(got - want) <= 1e-12 * max_abs(want)
 
 
 # ---------------------------------------------------------------------------
