@@ -26,16 +26,23 @@ the same coefficients up to the order of summation.
   pairs or signs.  An element times a number takes this path too; a number
   times an element scales the same way in ``__rmul__``.
 * The table kernel, ``_dense_product``, scatters both operands into
-  length-2^L vectors and takes all 3^L disjoint mask pairs (J, K) at once from
+  length-2^L vectors and takes their disjoint mask pairs (J, K) at once from
   a per-L table, built on first use and cached: x[J] * y[K] * sign, summed
-  into J|K.  Its cost grows with 3^L, whatever the operands' density.
+  into J|K.  The table holds all 3^L pairs, and one block of it holds the
+  pairs of each parity pair (|J| mod 2, |K| mod 2), about 3^L / 4 of them.
+  A product of two homogeneous operands (each even or each odd, as every
+  entry of an even supermatrix is) takes the block of their parities, and
+  one with a mixed operand the whole table.  Its cost grows with the pairs
+  of its block or table, whatever the operands' density.
 * The dict loop visits every pair of terms, skips the overlapping ones and
   adds the rest with their sort sign.  Its cost grows with the pair count
   len(X) * len(Y).
 
 The kernel takes a product when L <= 12 and its pair count is at least 512
-and at least 3^L / 4 (``_table_takes``); these are where the kernel and the
-loop measured even.  Larger L never builds a table (it would hold 3^L pairs).
+and at least 3^L / 4 (``_table_takes``); these are where the kernel over the
+whole table and the loop measured even.  The blocks leave that crossover in
+place, since moving it would send products down the other path and change
+their rounding.  Larger L never builds a table (it would hold 3^L pairs).
 Products with a batch coefficient or a non-finite one take the dict loop.
 ``superlinalg._mat_mul`` calls the kernel itself for a block product whose
 every entry product would take it, and sums each output entry's products as
@@ -212,7 +219,8 @@ def _pair_table(L: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     Returns J, K, the bins 2(J|K) and 2(J|K) + 1 of each pair's real and
     imaginary part, interleaved, and the count of pairs whose sort sign
     (that of ``_reorder_sign``) is +1; those pairs come first.  The arrays are
-    uint16 (L <= _TABLE_MAX_L) and read-only.
+    uint16 (L <= _TABLE_MAX_L) and read-only.  ``_pair_block`` splits it by
+    the parities of J and K.
     """
     J = K = np.zeros(1, dtype=np.uint16)
     for i in range(L):
@@ -222,34 +230,73 @@ def _pair_table(L: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     for i in range(L):
         negative ^= (K >> i) & np.bitwise_count(J >> (i + 1)) & 1
     order = np.argsort(negative, kind="stable")
-    J, K = J[order], K[order]
+    return _table_of(J[order], K[order], J.size - int(np.count_nonzero(negative)))
+
+
+def _table_of(J: np.ndarray, K: np.ndarray, positive: int
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The pairs (J, K) as ``_pair_table`` returns them: with their
+    interleaved bins, all read-only, and their count of positive pairs."""
     bins = np.repeat(2 * (J | K), 2)
     bins[1::2] += 1
     for a in (J, K, bins):
         a.flags.writeable = False
-    return J, K, bins, J.size - int(np.count_nonzero(negative))
+    return J, K, bins, positive
 
 
-def _dense_coefficients(X: Supernumber) -> np.ndarray | None:
-    """X as a length-2^L vector, or None when a coefficient is a batch or not
-    finite (inf times an absent 0 would put NaN where the dict loop puts nothing)."""
+@functools.cache
+def _pair_block(L: int, pj: int | None, pk: int | None
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The pairs of ``_pair_table(L)`` whose J has pj generators mod 2 and
+    whose K has pk, in the table's order (positive pairs first), as the table
+    gives them; the whole table when pj or pk is None (a mixed operand).
+
+    The four blocks split the 3^L pairs; the even-even one holds
+    (3^L + 2 + (-1)^L) / 4.  A pair outside the block of its operands'
+    parities has a zero factor, so its product is an exact 0 and leaving it
+    out changes no sum.
+    """
+    J, K, _, positive = table = _pair_table(L)
+    if pj is None or pk is None:
+        return table
+    keep = np.flatnonzero(((np.bitwise_count(J) & 1) == pj) & ((np.bitwise_count(K) & 1) == pk))
+    return _table_of(J[keep], K[keep], int(np.searchsorted(keep, positive)))
+
+
+class _Dense(NamedTuple):
+    """An element as its length-2^L coefficient vector and its parity: 0 when
+    even (0 included), 1 when odd, None when mixed."""
+
+    v: np.ndarray
+    parity: int | None
+
+
+def _dense_coefficients(X: Supernumber) -> _Dense | None:
+    """X as a length-2^L vector with its parity, or None when a coefficient is
+    a batch or not finite (inf times an absent 0 would put NaN where the dict
+    loop puts nothing)."""
     values = X._terms.values()
     if not {complex}.issuperset(map(type, values)):
         return None
     n = len(values)
+    masks = np.fromiter(X._terms, dtype=np.intp, count=n)
     out = np.zeros(1 << X.L, dtype=complex)
-    out[np.fromiter(X._terms, dtype=np.intp, count=n)] = np.fromiter(values, dtype=complex, count=n)
-    return out if np.isfinite(out).all() else None
+    out[masks] = np.fromiter(values, dtype=complex, count=n)
+    if not np.isfinite(out).all():
+        return None
+    odd = int(np.count_nonzero(np.bitwise_count(masks) & 1))
+    return _Dense(out, 0 if not odd else 1 if odd == n else None)
 
 
-def _dense_product(x: np.ndarray, y: np.ndarray, L: int) -> np.ndarray:
+def _dense_product(x: _Dense, y: _Dense, L: int) -> np.ndarray:
     """The product of two length-2^L coefficient vectors, as one: x[J] y[K]
-    times the sort sign, summed into J|K over the pair table.  Overflow gives
-    inf (and inf - inf NaN), quietly, as in the dict loop."""
-    J, K, bins, positive = _pair_table(L)
+    times the sort sign, summed into J|K over the pair block of their
+    parities (``_pair_block``), in the table's order.  Overflow gives inf
+    (and inf - inf NaN), quietly, as in the dict loop."""
+    J, K, bins, positive = _pair_block(L, x.parity, y.parity)
     with np.errstate(over="ignore", invalid="ignore"):
-        t = np.take(x, J)
-        t *= np.take(y, K)
+        t = np.take(x.v, J)
+        t *= np.take(y.v, K)
         np.negative(t[positive:], out=t[positive:])
         return np.bincount(bins, weights=t.view(np.float64), minlength=2 << L).view(complex)
 
@@ -261,8 +308,8 @@ def _from_dense(v: np.ndarray, L: int) -> Supernumber:
 
 
 def _table_product(a: Supernumber, b: Supernumber) -> Supernumber | None:
-    """a * b (same L) over the pair table.  None when an operand cannot be
-    written as one dense vector."""
+    """a * b (same L) over the pair block of their parities.  None when an
+    operand cannot be written as one dense vector."""
     x = _dense_coefficients(a)
     y = None if x is None else _dense_coefficients(b)
     if y is None:

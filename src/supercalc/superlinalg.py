@@ -231,10 +231,10 @@ class Supermatrix:
         return Supermatrix(self.m, self.n, _mat_mul(self.rows, other.rows, L), L)
 
     def scale(self, c) -> "Supermatrix":
-        return Supermatrix(
-            self.m, self.n,
-            [[_as_super(c, self.L) * e for e in r] for r in self.rows], self.L,
-        )
+        """c times every entry; a number c is validated as by ``scalar``, so a
+        NaN or inf raises GrassmannError."""
+        c = _in_algebra(c, self.L)
+        return Supermatrix(self.m, self.n, [[c * e for e in r] for r in self.rows], self.L)
 
     def max_coeff_diff(self, other: "Supermatrix") -> float:
         from .grassmann import max_coeff_diff as mcd
@@ -413,7 +413,8 @@ def _mat_mul(P, Q, L):
 
     A dense block product, one whose every product P[i][k] Q[k][j] would take
     the table kernel (see ``_dense_blocks``), turns each entry of P and Q into
-    a coefficient vector once, sums each output entry's k kernel products as
+    a coefficient vector and finds its parity once, sums each output entry's
+    k kernel products, each over the pair block of its factors' parities, as
     vectors and builds one element per output entry, through the ``_AS_IS``
     branch.  Any other block product takes the per-entry loop: each product
     chooses its own path in ``Supernumber.__mul__``, and each sum starts from
@@ -448,7 +449,8 @@ def _mat_mul(P, Q, L):
 
 
 def _dense_blocks(P, Q, L):
-    """P and Q with each entry as its length-2^L coefficient vector, or None
+    """P and Q with each entry as its length-2^L coefficient vector and its
+    parity (``grassmann._Dense``), used in every product it enters, or None
     unless every product P[i][k] Q[k][j] meets the table crossover and every
     entry has L generators and finite ``complex`` coefficients.  The cheap
     tests come first, so a batch or a small entry costs no per-pair work."""
@@ -673,16 +675,20 @@ def sdet_flow_check(
 def pfaffian(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
     """Pfaffian of an antisymmetric even-entry matrix via first-row expansion.
 
-    Odd size returns 0.  Satisfies pfaffian(B)^2 = det_even(B).  A result
-    that is not finite raises GrassmannDomainError.
+    Odd size returns 0.  Satisfies pfaffian(B)^2 = det_even(B).  A matrix
+    counts as antisymmetric when no coefficient of any B[i][j] + B[j][i]
+    exceeds 1e-12 times the largest coefficient modulus of B, as in
+    ``berezin.gaussian_super``; the expansion reads the upper triangle.  A result that is not finite raises
+    GrassmannDomainError.
     """
     rows, L = _in_one_algebra(*rows)
     size = len(rows)
     if any(len(r) != size for r in rows):
         raise GrassmannError("pfaffian needs a square matrix")
+    scale = max((max_abs(e) for r in rows for e in r), default=0.0)
     for i in range(size):
         for j in range(size):
-            if not (rows[i][j] + rows[j][i]).is_zero():
+            if max_abs(rows[i][j] + rows[j][i]) > 1e-12 * scale:
                 raise GrassmannDomainError("matrix is not antisymmetric")
             if rows[i][j].parity not in ("even",):
                 raise GrassmannDomainError("pfaffian needs even entries")

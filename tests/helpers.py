@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from hypothesis import strategies as st
 
 from supercalc.grassmann import Supernumber
@@ -60,6 +61,14 @@ def identical(a: Supernumber, b: Supernumber) -> bool:
     return (a.L == b.L and list(a.terms) == list(b.terms)
             and [type(c) for c in a.terms.values()] == [type(c) for c in b.terms.values()]
             and a == b)
+
+
+def same_bytes(a: Supernumber, b: Supernumber) -> bool:
+    """Same L, masks in the same order, and coefficients of the same type
+    with the same bytes (signed zeros, inf and NaN too)."""
+    return (a.L == b.L and list(a._terms) == list(b._terms)
+            and all(type(x) is type(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+                    for x, y in zip(a._terms.values(), b._terms.values())))
 
 
 def dense_max_diff(a: list[complex], b: list[complex]) -> float:

@@ -11,6 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from supercalc import grassmann as gr
+
+from helpers import same_bytes
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracing  # noqa: E402
@@ -25,6 +29,18 @@ def test_one_case_of_each_workload_passes_its_checks(name):
     checks = workload.check(case, workload.solve(case))
     assert checks
     assert all(check.passed for check in checks), checks
+
+
+def test_berezinian_outputs_do_not_depend_on_the_pair_blocks(monkeypatch):
+    # a product over the pair block of its operands' parities leaves out only
+    # exact zeros, so the whole table must give the same bytes
+    workload = WORKLOADS["berezinian_dense"]
+    case = workload.build(5)[0]
+    blocked = workload.solve(case)
+    monkeypatch.setattr(gr, "_pair_block", lambda L, pj, pk: gr._pair_table(L))
+    whole = workload.solve(case)
+    assert len(blocked) == len(whole) == 4
+    assert all(same_bytes(a, b) for a, b in zip(blocked, whole))
 
 
 @pytest.fixture(scope="module")

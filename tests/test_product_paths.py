@@ -17,7 +17,7 @@ from supercalc import superlinalg as sl
 from supercalc.grassmann import Supernumber
 from supercalc.superlinalg import from_blocks, sdet
 
-from helpers import bits_of, perm_sign_by_sort
+from helpers import bits_of, perm_sign_by_sort, same_bytes
 
 PARITIES = ("even", "odd", "mixed")
 NODES = 4
@@ -41,10 +41,6 @@ def same_terms(X, L, terms):
             and all(type(c) is type(terms[m])
                     and np.asarray(c).tobytes() == np.asarray(terms[m]).tobytes()
                     for m, c in X._terms.items()))
-
-
-def same(X, Y):
-    return same_terms(X, Y.L, Y._terms)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +210,7 @@ def test_block_the_dense_path_cannot_take_gives_the_loops_answer(case, block_pat
     want = entry_loop(P, Q)
     for i in range(2):
         for j in range(2):
-            assert same(got[i][j], want[i][j]), (i, j)
+            assert same_bytes(got[i][j], want[i][j]), (i, j)
 
 
 def dense_even_matrix(rng):
@@ -236,4 +232,4 @@ def test_sdet_of_a_dense_product_equals_the_per_entry_loop_bit_for_bit(monkeypat
     assert block_paths and all(block_paths[:1]) and any(block_paths[1:])
     monkeypatch.setattr(sl, "_dense_blocks", lambda P, Q, L: None)
     slow = sdet(M @ N)
-    assert same(fast, slow)
+    assert same_bytes(fast, slow)

@@ -391,6 +391,14 @@ def test_pfaffian_odd_size_and_validation():
         pfaffian([[z, gr.gen(L, 0)], [-1.0 * gr.gen(L, 0), z]])  # odd entries
 
 
+def test_pfaffian_of_a_block_antisymmetric_up_to_rounding():
+    # 0.1 * 3 * 1e5 is 30000.000000000004, one rounding away from 0.3 * 1e5
+    upper = 0.1 * 3 * 1e5
+    assert pfaffian([[0.0, upper], [-0.3 * 1e5, 0.0]]) == gr.scalar(0, upper)
+    with pytest.raises(GrassmannDomainError, match="not antisymmetric"):
+        pfaffian([[0.0, 1.0], [-1.0 + 1e-3, 0.0]])
+
+
 def test_sdet_that_overflows_raises():
     s0, s1 = gr.gen(2, 0), gr.gen(2, 1)
     with pytest.raises(GrassmannDomainError):
@@ -744,6 +752,14 @@ def test_sm_exp_of_an_overflowing_body_raises():
     s0, s1 = gr.gen(2, 0), gr.gen(2, 1)
     with pytest.raises(GrassmannDomainError, match="overflows"):
         sm_exp(Supermatrix(1, 1, [[1e200, s0], [s1, 1.0]], L=2))
+
+
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), complex(1.0, -float("inf")),
+                               np.array([1.0, float("nan")])])
+def test_scale_by_a_non_finite_number_raises(c):
+    M = random_supermatrix(np.random.default_rng(21), 1, 1, 2)
+    with pytest.raises(GrassmannError, match="not finite"):
+        M.scale(c)
 
 
 @settings(max_examples=150, deadline=None)

@@ -47,7 +47,7 @@ from supercalc.berezin import integrate_odd, odd_expand
 from supercalc.superlinalg import identity_sm
 from supercalc.weyl_dynamics import SuperHamiltonian
 
-from helpers import close, identical
+from helpers import close, identical, same_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -864,13 +864,6 @@ def test_invert_map_keeps_a_truncated_solution_apart_from_a_full_one():
 # ---------------------------------------------------------------------------
 # one seeded evaluation gives a map's value and its Jacobian
 # ---------------------------------------------------------------------------
-
-def same_bytes(a, b) -> bool:
-    """identical, and every coefficient has the same bytes (signed zeros too)."""
-    return identical(a, b) and all(
-        np.asarray(x).tobytes() == np.asarray(y).tobytes()
-        for x, y in zip(a.terms.values(), b.terms.values()))
-
 
 @pytest.mark.parametrize("nodes", [None, 7])
 def test_jet_value_is_the_plain_evaluation_bit_for_bit(nodes):

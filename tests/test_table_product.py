@@ -10,9 +10,10 @@ import pytest
 from supercalc import grassmann as gr
 from supercalc.grassmann import Supernumber
 
-from helpers import dense_from, dense_max_diff, dense_mul_oracle
+from helpers import dense_from, dense_max_diff, dense_mul_oracle, same_bytes
 
 PARITIES = ("even", "odd", "mixed")
+HOMOGENEOUS = ("even", "odd")
 
 
 def dense(rng, L, parity, masks=None):
@@ -57,6 +58,74 @@ def test_table_sign_matches_reorder_sign_for_every_disjoint_pair():
             assert gr._reorder_sign(j, k) == (1 if i < positive else -1)
         assert np.array_equal(bins[0::2], 2 * (J | K))
         assert np.array_equal(bins[1::2], 2 * (J | K) + 1)
+
+
+def whole_table_product(monkeypatch, a, b):
+    """a * b over the table kernel with every product taking the whole table."""
+    with monkeypatch.context() as m:
+        m.setattr(gr, "_pair_block", lambda L, pj, pk: gr._pair_table(L))
+        return gr._table_product(a, b)
+
+
+def test_pair_blocks_split_the_table_by_parity_in_its_order():
+    for L in range(9):
+        J, K, bins, _ = gr._pair_table(L)
+        sizes = {}
+        for pj in (0, 1):
+            for pk in (0, 1):
+                bJ, bK, bbins, positive = gr._pair_block(L, pj, pk)
+                keep = [i for i, (j, k) in enumerate(zip(J.tolist(), K.tolist()))
+                        if j.bit_count() % 2 == pj and k.bit_count() % 2 == pk]
+                assert bJ.tolist() == J[keep].tolist()
+                assert bK.tolist() == K[keep].tolist()
+                assert bbins.tolist() == bins.reshape(-1, 2)[keep].ravel().tolist()
+                signs = [gr._reorder_sign(j, k) for j, k in zip(bJ.tolist(), bK.tolist())]
+                assert signs == [1] * positive + [-1] * (len(signs) - positive)
+                assert not any(a.flags.writeable for a in (bJ, bK, bbins))
+                sizes[pj, pk] = len(bJ)
+        assert sum(sizes.values()) == 3 ** L
+        assert sizes[0, 0] == (3 ** L + 2 + (-1) ** L) // 4
+
+
+@pytest.mark.parametrize("L", [6, 7, 8])
+def test_block_products_equal_the_whole_table_bit_for_bit(L, monkeypatch):
+    rng = np.random.default_rng(30 + L)
+    for left in HOMOGENEOUS:
+        for right in HOMOGENEOUS:
+            x, y = dense(rng, L, left), dense(rng, L, right)
+            assert same_bytes(gr._table_product(x, y), whole_table_product(monkeypatch, x, y))
+            zero = gr.zero(L)
+            for a, b in ((zero, y), (x, zero)):
+                got = gr._table_product(a, b)
+                assert got.is_zero() and same_bytes(got, whole_table_product(monkeypatch, a, b))
+
+
+def test_overflowing_block_products_equal_the_whole_table_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(36)
+    x, y = 1e200 * dense(rng, 6, "even"), 1e200 * dense(rng, 6, "odd")
+    for a, b in ((x, x), (x, y), (y, x), (y, y)):
+        got = gr._table_product(a, b)
+        assert not gr._is_finite(got)
+        assert same_bytes(got, whole_table_product(monkeypatch, a, b))
+
+
+def test_a_mixed_operand_takes_the_whole_table(monkeypatch):
+    rng = np.random.default_rng(37)
+    blocks = []
+    block = gr._pair_block
+
+    def recorded(L, pj, pk):
+        blocks.append((pj, pk, block(L, pj, pk)))
+        return blocks[-1][-1]
+
+    monkeypatch.setattr(gr, "_pair_block", recorded)
+    even, odd, mixed = (dense(rng, 6, parity) for parity in PARITIES)
+    for a, b in ((mixed, even), (odd, mixed), (mixed, mixed), (even, odd)):
+        gr._table_product(a, b)
+    whole = gr._pair_table(6)
+    assert [(pj, pk) for pj, pk, _ in blocks] == [(None, 0), (1, None), (None, None), (0, 1)]
+    assert all(table is whole for *_, table in blocks[:3])
+    assert blocks[3][2] is block(6, 0, 1)
 
 
 @pytest.mark.parametrize("L", [6, 7, 8])
@@ -140,6 +209,7 @@ def test_overflowing_table_product_is_quiet_like_the_dict_loop(kernel_calls):
 def test_sparse_product_at_L20_builds_no_table(kernel_calls):
     rng = np.random.default_rng(6)
     misses = gr._pair_table.cache_info().misses
+    block_misses = gr._pair_block.cache_info().misses
     few = dense(rng, 20, None, [1 << i for i in range(0, 20, 3)])
     many = dense(rng, 20, None, [1 << i for i in range(20)] + [0, 3, 5, 6])
     for a, b in ((few, few), (few, many), (many, many)):
@@ -147,3 +217,4 @@ def test_sparse_product_at_L20_builds_no_table(kernel_calls):
     assert len(many.terms) ** 2 >= gr._TABLE_MIN_PAIRS
     assert not kernel_calls
     assert gr._pair_table.cache_info().misses == misses
+    assert gr._pair_block.cache_info().misses == block_misses
