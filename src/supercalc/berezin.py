@@ -106,15 +106,17 @@ DEFAULT_QUAD = GaussQuadSpec()
 
 # Grid nodes per integrand call.  A larger chunk runs fewer interpreted
 # operations per node, but the allocator's high-water mark grows with it.
-# Time per transported (2|2) Gaussian path integral at 20 nodes per axis and
-# peak RSS of the process, 2-vCPU Xeon, two 30-s runs of repeated solves each:
-#    100 nodes   0.061-0.062 s   41.28-41.31 MB
-#    200 nodes   0.034-0.036 s   41.41-41.46 MB
-#    400 nodes   0.021-0.025 s   41.59-41.72 MB
-#    800 nodes   0.017 s         42.76-42.79 MB
-# 400 holds a whole 20 x 20 grid at +1% RSS over 100; 800 saves 20% more time
-# for +3.6% RSS.
-QUAD_CHUNK = 400
+# perfbench fsm_transport (a transported (2|2) Gaussian path integral at 20
+# nodes per axis, so 400 and 1,600 nodes on its two grids): solve_s and peak
+# RSS of the process, 2-vCPU Xeon, three 8-s runs each, seeds 901-903, with
+# the bodies' closed-form determinants and inverses (superlinalg._body); with
+# one LAPACK call per node instead, 400 nodes read 14.28-15.12 ms, 41.37-41.40 MB:
+#    400 nodes   12.39-12.57 ms   40.61-40.69 MB
+#    800 nodes    8.49-9.09 ms    40.59-40.71 MB
+#   1600 nodes    7.60-7.63 ms    41.57-41.60 MB
+# 800 is the largest chunk whose RSS is not above that of LAPACK at 400; 1600
+# saves 12% more time for +2.4% RSS.
+QUAD_CHUNK = 800
 
 
 def _weighted_sum(weights: np.ndarray, values):
@@ -176,8 +178,7 @@ def _tensor_quad(fn, box, nodes: int):
     of coordinates per axis, and returns one value per node: an array, a
     scalar shared by all nodes, or a Supernumber whose coefficients are such
     values.  On a d-axis box fn runs ceil(nodes^d / QUAD_CHUNK) times: once on
-    a 20 x 20 grid and 4 times on 40 x 40, which at 400 nodes per chunk makes
-    a transported (2|2) path integral 2.5-3 times faster than at 100 (see
+    a 20 x 20 grid and twice on 40 x 40 at 800 nodes per chunk (see
     QUAD_CHUNK).  The rule on [-1, 1] is built once per node count.
     """
     x, w = _gauss_legendre(nodes)

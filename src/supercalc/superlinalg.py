@@ -39,6 +39,7 @@ from .grassmann import (
     _dense_coefficients,
     _dense_product,
     _from_dense,
+    _holds_batch,
     _in_algebra,
     _in_one_algebra,
     _is_finite,
@@ -86,35 +87,105 @@ def _node_array(values, shape) -> np.ndarray:
 
 def _per_node(linalg_fn, a: np.ndarray) -> np.ndarray:
     """Apply a numpy.linalg function to a square array, node by node if a
-    carries a trailing node axis; the node axis stays last."""
+    carries a trailing node axis; the node axis stays last.  ``_small_det``
+    and ``_small_inverse`` take it only for blocks of size 3 and more;
+    smaller ones have closed forms."""
     if a.ndim == 2:
         return linalg_fn(a)
     return np.moveaxis(linalg_fn(np.moveaxis(a, -1, 0)), 0, -1)
 
 
-def _negligible(rows: np.ndarray, pivot: int | None = None) -> np.ndarray:
-    """Where the body determinant of the square rows, or with ``pivot`` the
-    entry rows[0, pivot] of one row, is 0 to working precision at the scale
-    of the rows, node by node: |value| <= n eps prod_i ||rows[i]||.  rows is
-    (k, n), or (k, n, nodes) for a batch.
+# numpy would warn, or raise under the quadrature's errstate, where the finite
+# checks after these helpers are the ones that raise
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
-    The test is the same for any multiple of each row, and it runs on each
-    row scaled to real and imaginary parts of at most 1, where neither the
-    determinant nor the row norms overflow or underflow however far apart the
-    scales of the rows are; the parts are scaled apart, since a complex
-    quotient by a subnormal peak can overflow.  A determinant of such rows
-    that is not finite went through a pivot whose square underflows, and is
-    negligible.  An entry that is not finite makes its node not negligible,
-    and leaves the caller's finite checks to raise.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        peak = np.maximum(np.abs(rows.real), np.abs(rows.imag)).max(axis=1, keepdims=True)
-        peak = np.where(peak > 0, peak, 1.0)
-        unit = rows.real / peak + 1j * (rows.imag / peak)
-        value = np.abs(_per_node(np.linalg.det, unit) if pivot is None else unit[0, pivot])
-        scale = np.prod(np.linalg.norm(unit, axis=1), axis=0)
+
+def _unit_rows(rows: np.ndarray):
+    """(unit, peak): each row of rows, (k, n) or (k, n, nodes), divided by its
+    peak, the largest real or imaginary part in it (1 for a zero row), so that
+    its parts are at most 1.  The parts are divided apart, since a complex
+    quotient by a subnormal peak can overflow.  Call under ``_QUIET``."""
+    peak = np.maximum(np.abs(rows.real), np.abs(rows.imag)).max(axis=1, keepdims=True)
+    peak = np.where(peak > 0, peak, 1.0)
+    return rows.real / peak + 1j * (rows.imag / peak), peak
+
+
+def _below_rounding(value, unit: np.ndarray) -> np.ndarray:
+    """Node by node, |value| <= n eps prod_i ||unit[i]||: whether a
+    determinant or a pivot of the scaled rows unit is 0 to working precision.
+    A value that is not finite of finite rows went through a pivot whose
+    square underflows, and is negligible; an entry that is not finite makes
+    its node not negligible, and leaves the caller's finite checks to raise."""
+    value = np.abs(value)
+    scale = np.prod(np.sqrt((unit.real ** 2 + unit.imag ** 2).sum(axis=1)), axis=0)
     value = np.where(np.isfinite(unit).all(axis=(0, 1)) & ~np.isfinite(value), 0.0, value)
-    return value <= rows.shape[1] * np.finfo(float).eps * scale
+    return value <= unit.shape[1] * np.finfo(float).eps * scale
+
+
+def _small_det(a: np.ndarray):
+    """det a for a square array, (n, n) or (n, n, nodes) with the node axis
+    last: closed forms across all nodes at once for n <= 2, one numpy.linalg
+    call per node above that."""
+    n = a.shape[0]
+    if n == 1:
+        return a[0, 0]
+    if n == 2:
+        return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    return _per_node(np.linalg.det, a)
+
+
+def _small_inverse(a: np.ndarray, det):
+    """a^{-1} from det = ``_small_det(a)``: the reciprocal for n = 1 and the
+    adjugate over the determinant for n = 2, across all nodes at once, and
+    one numpy.linalg call per node above that."""
+    n = a.shape[0]
+    if n == 1:
+        return 1.0 / a
+    if n == 2:
+        return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
+    return _per_node(np.linalg.inv, a)
+
+
+def _body(rows: np.ndarray, invert: bool = False):
+    """(negligible, inverse) for the body of a square block, (n, n) or
+    (n, n, nodes) with the node axis last.
+
+    Both come from the rows scaled once to parts of at most 1 (``_unit_rows``):
+    rows = P U for the diagonal P of row peaks, where neither det U nor the
+    row norms overflow or underflow however far apart the scales of the rows
+    are.  negligible says, node by node, whether det U is 0 to working
+    precision at the scale of the rows (``_below_rounding``).  With ``invert``
+    and no negligible node, the inverse is U^{-1} P^{-1}, column j of U^{-1}
+    divided by peak j (its parts apart), and can overflow to inf quietly, for
+    the caller's finite check; otherwise it is None.  Up to n = 2 no
+    numpy.linalg call is made (``_small_det``, ``_small_inverse``).
+    """
+    n = rows.shape[0]
+    if n == 0:
+        return np.zeros(rows.shape[2:], dtype=bool), rows if invert else None
+    with np.errstate(**_QUIET):
+        unit, peak = _unit_rows(rows)
+        det = _small_det(unit)
+        negligible = _below_rounding(det, unit)
+        if not invert or np.any(negligible):
+            return negligible, None
+        inv = _small_inverse(unit, det)
+        col = np.swapaxes(peak, 0, 1)
+        return negligible, inv.real / col + 1j * (inv.imag / col)
+
+
+def _negligible(rows: np.ndarray, pivot: int | None = None) -> np.ndarray:
+    """Where the body determinant of the square rows (``_body``), or with
+    ``pivot`` the entry rows[0, pivot] of one row, is 0 to working precision
+    at the scale of the rows, node by node: |value| <= n eps prod_i ||rows[i]||
+    on the rows each scaled to parts of at most 1, which is the same test for
+    any multiple of each row.  rows is (k, n), or (k, n, nodes) for a batch.
+    """
+    if pivot is None:
+        return _body(rows)[0]
+    with np.errstate(**_QUIET):
+        unit, _ = _unit_rows(rows)
+        return _below_rounding(unit[0, pivot], unit)
 
 
 class Supermatrix:
@@ -188,6 +259,10 @@ class Supermatrix:
         return "mixed"
 
     def body_matrix(self) -> np.ndarray:
+        """The bodies of the entries as a complex array; one node only, so a
+        matrix whose entries carry a batch of nodes raises GrassmannError."""
+        if _holds_batch(*(e for r in self.rows for e in r)):
+            raise GrassmannError("body_matrix takes one node, not a batch of nodes")
         return np.array([[e.body for e in r] for r in self.rows],
                         dtype=complex).reshape(self.size, self.size)
 
@@ -370,18 +445,21 @@ def mat_inverse_even(rows: Sequence[Sequence[Supernumber]]) -> List[List[Supernu
     """Inverse of a square matrix with even entries and invertible body.
 
     Neumann split: with R = body(rows) and S the soul part,
-    rows^{-1} = (I + R^{-1} S)^{-1} R^{-1}, and the series terminates.  A body
-    singular to working precision (``_negligible``), at any node for a batch,
-    raises GrassmannDomainError, and so does a result that is not finite.
+    rows^{-1} = (I + R^{-1} S)^{-1} R^{-1}, and the series terminates.  The
+    singularity test and R^{-1} share one scaling of the body's rows and one
+    determinant (``_body``): closed forms across all nodes up to size 2.  A
+    body singular to working precision, at any node for a batch, raises
+    GrassmannDomainError, and so does an R^{-1} or a result that is not
+    finite.
     """
     rows, L = _in_one_algebra(*rows)
     size = len(rows)
     body = _node_array((e.body for r in rows for e in r), (size, size))
     if not np.isfinite(body).all():
         raise GrassmannDomainError("matrix body is not finite")
-    if size and np.any(_negligible(body)):
+    negligible, binv = _body(body, invert=True)
+    if np.any(negligible):
         raise GrassmannDomainError("matrix body is singular to working precision")
-    binv = _per_node(np.linalg.inv, body) if size else body
     if not np.isfinite(binv).all():
         raise GrassmannDomainError("matrix body inverse overflows: the body is nearly singular")
 

@@ -54,7 +54,7 @@ from .grassmann import (
     seed_parts,
     zero,
 )
-from .superlinalg import Supermatrix, _node_array, _per_node
+from .superlinalg import Supermatrix, _body, _node_array
 
 __all__ = [
     "Expr",
@@ -726,7 +726,9 @@ def invert_map(F: SuperMap, body_inverse: Callable[[np.ndarray], Sequence[float]
     Y unchanged: then the residual is rounding in F's own terms, which no
     further step reduces.  Each evaluation of the inverse is one such solve; a
     batch of nodes is solved in one iteration, calling ``body_inverse`` once
-    per node.
+    per node.  A step whose even or odd body Jacobian block is singular to
+    working precision (``superlinalg._body``), at any node, raises
+    GrassmannDomainError.
     """
     if F.src != F.dst:
         raise GrassmannError("only square maps can be inverted")
@@ -758,8 +760,10 @@ def invert_map(F: SuperMap, body_inverse: Callable[[np.ndarray], Sequence[float]
             if np.all(solved):
                 break
             J = map_body_jacobian(F, Y)
-            Je = _per_node(np.linalg.inv, J[:m, :m]) if m else np.zeros((0, 0))
-            Jo = _per_node(np.linalg.inv, J[m:, m:]) if n else np.zeros((0, 0))
+            even_singular, Je = _body(J[:m, :m], invert=True)
+            odd_singular, Jo = _body(J[m:, m:], invert=True)
+            if np.any(even_singular) or np.any(odd_singular):
+                raise GrassmannDomainError("body Jacobian is singular to working precision")
             step = SuperPoint(
                 tuple(sum((Je[j, k] * resid[k] for k in range(m)), Y.x[j])
                       for j in range(m)),

@@ -153,6 +153,17 @@ def overflowed(part: str) -> Supernumber:
     return Supernumber(4, {0: 1.0, 0b0011: 1e200}) * Supernumber(4, {0: 1.0, 0b1100: 1e200})
 
 
+def count_linalg_calls(monkeypatch, names=("det", "inv", "norm", "solve")) -> list:
+    """A list that records the name of each call to the given numpy.linalg
+    functions from now until the test ends."""
+    calls = []
+    for name in names:
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+    return calls
+
+
 def rel_err(a: float, b: float) -> float:
     denom = max(abs(a), abs(b), 1e-300)
     return abs(a - b) / denom

@@ -54,7 +54,14 @@ from supercalc import berezin, superspace
 from supercalc.berezin import _gauss_legendre, _grid_point, _tensor_quad, _top
 from supercalc.fourier_odd import GaussPolyBody, OddFourierConfig, mixed_transform
 
-from helpers import close, identical, overflowed, random_supernumber, supernumbers
+from helpers import (
+    close,
+    count_linalg_calls,
+    identical,
+    overflowed,
+    random_supernumber,
+    supernumbers,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -1070,6 +1077,17 @@ def test_nested_fsm_integrand_evaluates_each_map_once_per_chunk(monkeypatch):
     pulled.evaluate(_grid_point(tuple(q), 2))
     assert len(evaluated) == 9
     assert built == [8, 8, 2]
+
+
+def test_nested_fsm_integrand_makes_no_numpy_linalg_call_per_chunk(monkeypatch):
+    # the (2|2) Jacobians' 2 x 2 body blocks are tested and inverted in closed
+    # form across the chunk, not by one LAPACK call per node
+    calls = count_linalg_calls(monkeypatch, ("det", "inv"))
+    forward, backward = lac_pair()
+    pulled = PulledBack(backward, PulledBack(forward, normalized_gaussian_22()))
+    q = np.random.default_rng(13).uniform(-4.2, 4.2, size=(2, berezin.QUAD_CHUNK))
+    pulled.evaluate(_grid_point(tuple(q), 2))
+    assert calls == []
 
 
 def test_pull_back_through_a_map_that_is_not_square_raises():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supercalc import grassmann as gr
+from supercalc import superlinalg as sl
 from supercalc.berezin import gaussian_super
 from supercalc.grassmann import AnalyticSpec, GrassmannDomainError, GrassmannError, Supernumber
 from supercalc.superlinalg import (
@@ -25,9 +26,18 @@ from supercalc.superlinalg import (
     str_super,
     _det_eliminate,
     _det_leibniz,
+    _negligible,
+    _small_det,
+    _small_inverse,
 )
 
-from helpers import overflowed, random_supermatrix, random_supernumber, supernumbers
+from helpers import (
+    count_linalg_calls,
+    overflowed,
+    random_supermatrix,
+    random_supernumber,
+    supernumbers,
+)
 
 
 def _dense_det_oracle(rows, L):
@@ -278,9 +288,10 @@ def _stack_nodes(matrices):
 
 def test_sdet_of_a_batch_matches_each_node_alone():
     # At nodes 1 and 4 the B body is singular to LU (its numpy determinant is
-    # exactly 0); its Leibniz determinant is a rounding error.  sdet is
-    # defined only where the B body is invertible, so those nodes raise, alone
-    # and in the batch, and the other nodes as a batch match each node alone.
+    # exactly 0); the package's closed-form determinant of its scaled rows is
+    # a rounding error below the _negligible threshold.  sdet is defined only
+    # where the B body is invertible, so those nodes raise, alone and in the
+    # batch, and the other nodes as a batch match each node alone.
     lu_singular = [[1.786106414881354, 0.5503783629581965],
                    [1.5944831696449162, 0.4913307680672878]]
     assert np.linalg.det(np.array(lu_singular)) == 0.0
@@ -589,6 +600,101 @@ def test_mat_inverse_even_of_rows_320_orders_of_magnitude_apart():
     got = mat_inverse_even([[s(1e-300), gr.zero(L)], [gr.zero(L), s(1e20)]])
     assert gr.max_coeff_diff(got[0][0], s(1e300)) <= 1e285
     assert gr.max_coeff_diff(got[1][1], s(1e-20)) <= 1e-35
+
+
+# ---------------------------------------------------------------------------
+# body determinants and inverses (superlinalg._body)
+# ---------------------------------------------------------------------------
+
+def _random_bodies(rng, n, nodes=None):
+    """Well-conditioned complex n x n bodies, one or (n, n, nodes)."""
+    shape = (n, n) if nodes is None else (n, n, nodes)
+    shift = 3.0 * np.eye(n) if nodes is None else 3.0 * np.eye(n)[:, :, None]
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape) + shift
+
+
+def _nodes_first(a):
+    return np.moveaxis(a, -1, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("nodes", [None, 9])
+def test_body_helpers_match_numpy(n, nodes):
+    rng = np.random.default_rng(100 + n)
+    body = _random_bodies(rng, n, nodes)
+    ref = body if nodes is None else _nodes_first(body)
+    det = _small_det(body)
+    want_det = np.linalg.det(ref)
+    assert np.all(np.abs(det - want_det) <= 1e-14 * np.abs(want_det))
+    want_inv = np.linalg.inv(ref)
+    for got in (_small_inverse(body, det), sl._body(body, invert=True)[1]):
+        got = got if nodes is None else _nodes_first(got)
+        peak = np.abs(want_inv).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(got - want_inv) <= 1e-14 * peak)
+    assert not np.any(sl._body(body)[0])
+
+
+def test_body_inverts_rows_400_orders_of_magnitude_apart():
+    # [[2, 1], [1, 3]] with its rows scaled by 1e200 and 1e-200: det of the
+    # body itself is 5, but its rows' products would overflow and underflow
+    body = np.array([[2e200, 1e200], [1e-200, 3e-200]], dtype=complex)
+    negligible, got = sl._body(body, invert=True)
+    want = np.array([[3e-200, -1e200], [-1e-200, 2e200]]) / 5
+    assert not negligible
+    assert np.all(np.abs(got - want) <= 4e-16 * np.abs(want))
+
+
+def test_body_cases_at_the_edge_of_the_range():
+    L = 2
+    s0s1 = Supernumber(L, {0b11: 1.0})
+    # 1e-310 is not negligible against its own row, but its inverse overflows
+    with pytest.raises(GrassmannDomainError, match="overflows"):
+        mat_inverse_even([[gr.scalar(L, 1e-310)]])
+    negligible, got = sl._body(1e-200 * np.eye(2, dtype=complex), invert=True)
+    assert not negligible and np.array_equal(got, 1e200 * np.eye(2))
+    # one zero node of three makes the batch singular
+    diagonal = np.eye(2)[:, :, None] * np.array([1.0, 0.0, 2.0])
+    assert np.array_equal(_negligible(diagonal + 0j), [False, True, False])
+    zero_node = [[Supernumber(L, {0: diagonal[i, j]}) + s0s1 * (i == j) for j in range(2)]
+                 for i in range(2)]
+    with pytest.raises(GrassmannDomainError, match="singular"):
+        mat_inverse_even(zero_node)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_body_of_a_batch_node_matches_the_node_alone(n):
+    # not bit for bit: numpy's loops may round a batch differently (SIMD)
+    rng = np.random.default_rng(200 + n)
+    body = _random_bodies(rng, n, 17)
+    _, batch = sl._body(body, invert=True)
+    for k in range(17):
+        _, alone = sl._body(body[..., k], invert=True)
+        ulp = np.finfo(float).eps * np.abs(alone).max()
+        assert np.all(np.abs(batch[..., k] - alone) <= 4 * ulp)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_small_bodies_make_no_numpy_linalg_call(n, monkeypatch):
+    calls = count_linalg_calls(monkeypatch)
+    rng = np.random.default_rng(300 + n)
+    for nodes in (None, 5):
+        body = _random_bodies(rng, n, nodes)
+        rows = [[Supernumber(2, {0: body[i, j], 0b11: 0.25}) for j in range(n)]
+                for i in range(n)]
+        _negligible(body)
+        mat_inverse_even(rows)
+    assert calls == []
+
+
+def test_body_matrix_of_a_batch_raises():
+    s0, s1 = gr.gen(2, 0), gr.gen(2, 1)
+    batch = Supermatrix(1, 1, [[Supernumber(2, {0: np.array([1.0, 2.0])}), s0],
+                               [s1, 1.0]], L=2)
+    with pytest.raises(GrassmannError, match="one node"):
+        batch.body_matrix()
+    for fn in (sm_exp, diagonalize_generic, lambda M: gaussian_super(M, 1.0)):
+        with pytest.raises(GrassmannError):
+            fn(batch)
 
 
 # Bodies for the property below: random, rank-deficient (one row a multiple

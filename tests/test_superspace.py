@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from supercalc.grassmann import (
     AnalyticSpec,
+    GrassmannDomainError,
     GrassmannError,
     Supernumber,
     apply_analytic,
@@ -47,7 +48,7 @@ from supercalc.berezin import integrate_odd, odd_expand
 from supercalc.superlinalg import identity_sm
 from supercalc.weyl_dynamics import SuperHamiltonian
 
-from helpers import close, identical, same_bytes
+from helpers import close, count_linalg_calls, identical, same_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +601,25 @@ def test_invert_map_stops_relative_to_each_slot():
     image = cube.evaluate(inv.evaluate(P))
     for got, want in zip(image.x, P.x):
         assert max_abs(got - want) <= 1e-12 * max_abs(want)
+
+
+def test_invert_map_with_a_singular_body_jacobian_raises():
+    # q -> q^3 has body Jacobian 3 q^2 = 0 at the body root 0 of 0 + s0 s1
+    F = SuperMap((1, 0), (1, 0), [SuperFunction(1, 0, {0: expr_body("q1**3", 1)})])
+    inv = invert_map(F, lambda q: [0.0])
+    with pytest.raises(GrassmannDomainError, match="singular"):
+        inv.evaluate(SuperPoint((make(2, {0b11: 1.0}),), ()))
+
+
+def test_invert_map_of_a_small_map_makes_no_numpy_linalg_call(monkeypatch):
+    calls = count_linalg_calls(monkeypatch)
+    cube = SuperMap((2, 0), (2, 0), [SuperFunction(2, 0, {0: expr_body(f"q{k}**3 + q{k}", 2)})
+                                     for k in (1, 2)])
+    inv = invert_map(cube, lambda q: [cubic_root(float(v)) for v in q])
+    P = SuperPoint((make(2, {0: np.array([0.5, 2.0]), 0b11: 1.0}), make(2, {0: 1.5})), ())
+    image = cube.evaluate(inv.evaluate(P))
+    assert max_abs(image.x[0] - P.x[0]) <= 1e-12 * max_abs(P.x[0])
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
