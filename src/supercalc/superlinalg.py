@@ -363,7 +363,7 @@ def str_super(M: Supermatrix) -> Supernumber:
 # determinants of even-entry matrices
 # ---------------------------------------------------------------------------
 
-def _det_leibniz(rows: Sequence[Sequence[Supernumber]], L: int) -> Supernumber:
+def _det_leibniz(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
     """Leibniz expansion of a nonempty square matrix: each term starts from
     its first factor, and the sum from the identity's term; a term of an odd
     permutation (odd count of inversions) is subtracted."""
@@ -402,13 +402,13 @@ def det_even(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
                 raise GrassmannDomainError("det_even needs even entries")
     if size == 0:
         return one(L)
-    det = _det_leibniz(rows, L) if size <= 4 else _det_eliminate(rows, L)
+    det = _det_leibniz(rows) if size <= 4 else _det_eliminate(rows)
     if not _is_finite(det):
         raise GrassmannDomainError("det_even overflows: a coefficient is not finite")
     return det
 
 
-def _det_eliminate(rows: Sequence[Sequence[Supernumber]], L: int) -> Supernumber:
+def _det_eliminate(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
     """Gaussian elimination for det_even, with its Leibniz fallback.
 
     The product starts from the first pivot and is negated at the end after
@@ -423,7 +423,7 @@ def _det_eliminate(rows: Sequence[Sequence[Supernumber]], L: int) -> Supernumber
         row = _node_array((e.body for e in work[pivot_row]), (1, size))
         if np.any(_negligible(row, pivot=col)):
             if size <= 6:
-                return _det_leibniz(rows, L)
+                return _det_leibniz(rows)
             raise GrassmannDomainError(
                 "no body-invertible pivot; Leibniz fallback only up to size 6"
             )
@@ -442,24 +442,97 @@ def _det_eliminate(rows: Sequence[Sequence[Supernumber]], L: int) -> Supernumber
 
 
 def mat_inverse_even(rows: Sequence[Sequence[Supernumber]]) -> List[List[Supernumber]]:
-    """Inverse of a square matrix with even entries and invertible body.
+    """Inverse of a square matrix with invertible body.
 
-    Neumann split: with R = body(rows) and S the soul part,
-    rows^{-1} = (I + R^{-1} S)^{-1} R^{-1}, and the series terminates.  The
-    singularity test and R^{-1} share one scaling of the body's rows and one
-    determinant (``_body``): closed forms across all nodes up to size 2.  A
-    body singular to working precision, at any node for a batch, raises
-    GrassmannDomainError, and so does an R^{-1} or a result that is not
-    finite.
+    A block of size 1 or 2 whose entries are all even, and so commute, is
+    inverted in closed form over one determinant (``_adjugate_inverse``): the
+    inverse of its entry, or its adjugate over its determinant; ``sdet``
+    takes det(B)^{-1} from that same determinant.  Any other
+    block takes the terminating Neumann series (``_neumann_inverse``).  A
+    matrix that is not square raises GrassmannError.  A body singular to
+    working precision, at any node for a batch, raises GrassmannDomainError,
+    and so does a body or a result that is not finite.
     """
     rows, L = _in_one_algebra(*rows)
+    size = len(rows)
+    if any(len(r) != size for r in rows):
+        raise GrassmannError("mat_inverse_even needs a square matrix")
+    if 0 < size <= 2 and all(e.parity == "even" for r in rows for e in r):
+        return _adjugate_inverse(rows, L)[0]
+    return _neumann_inverse(rows, L)
+
+
+def _regular_body(rows, invert: bool = False):
+    """(body, inverse) of the square rows, after the checks that the body is
+    finite and not singular to working precision at any node; the inverse,
+    with ``invert``, is that of ``_body``, and None without."""
     size = len(rows)
     body = _node_array((e.body for r in rows for e in r), (size, size))
     if not np.isfinite(body).all():
         raise GrassmannDomainError("matrix body is not finite")
-    negligible, binv = _body(body, invert=True)
+    negligible, binv = _body(body, invert)
     if np.any(negligible):
         raise GrassmannDomainError("matrix body is singular to working precision")
+    return body, binv
+
+
+# A row of a 2 x 2 body whose peak has a binary exponent within this bound, at
+# every node, is inverted unscaled: the body of its determinant can neither
+# overflow nor underflow.
+_SAFE_EXPONENT = 300
+
+
+def _row_factors(body: np.ndarray, L: int) -> list:
+    """For each row of the body, (n, n) or (n, n, nodes), the exact power of
+    two 2^-e, as a constant, that brings its peak (the largest real or
+    imaginary part) into [1/2, 1), where e is the binary exponent of the peak
+    at each node; None for a row within ``_SAFE_EXPONENT``, which stays as it
+    is.  The factor is at most 2^1022, so it is finite for a subnormal peak."""
+    peak = np.maximum(np.abs(body.real), np.abs(body.imag)).max(axis=1)
+    exponent = np.frexp(peak)[1]
+    return [None if np.all(np.abs(e) <= _SAFE_EXPONENT)
+            else _as_super(np.ldexp(1.0, np.minimum(-e, 1022)), L) for e in exponent]
+
+
+def _adjugate_inverse(rows, L: int) -> Tuple[List[List[Supernumber]], Supernumber]:
+    """(rows^{-1}, det(rows)^{-1}) for a square block of size 1 or 2 with even
+    entries in L generators, which commute, so that the adjugate over the
+    determinant is the inverse.
+
+    A 2 x 2 block is inverted from its rows U = F rows, each scaled by its
+    factor f_i of ``_row_factors`` (1 within the safe range), so that det U
+    neither overflows nor underflows: with delta = det(U)^{-1},
+    rows^{-1} = U^{-1} F is adj(U) with column j times f_j delta, and
+    det(rows)^{-1} = f_0 f_1 delta.  One determinant serves both.  The body
+    checks are those of ``mat_inverse_even``; the inverse must be finite, and
+    det(rows)^{-1} is left to the caller to check.
+    """
+    body = _regular_body(rows)[0]
+    with np.errstate(**_QUIET):
+        if len(rows) == 1:
+            x = inverse(rows[0][0])
+            return [[x]], x
+        f = _row_factors(body, L)
+        (a, b), (c, d) = [r if fi is None else [fi * e for e in r] for fi, r in zip(f, rows)]
+        delta = inverse(a * d - b * c)
+        delta0, delta1 = (delta if fj is None else fj * delta for fj in f)
+        out = [[d * delta0, -(b * delta1)], [-(c * delta0), a * delta1]]
+        det_inv = delta0 if f[1] is None else f[1] * delta0
+    if not _finite_rows(out):
+        raise GrassmannDomainError("matrix inverse overflows: a coefficient is not finite")
+    return out, det_inv
+
+
+def _neumann_inverse(rows, L: int) -> List[List[Supernumber]]:
+    """Inverse of square rows in L generators, entries of any parity, by the
+    Neumann split: with R = body(rows) and S the soul part,
+    rows^{-1} = (I + R^{-1} S)^{-1} R^{-1}, and the series terminates.  The
+    singularity test and R^{-1} share one scaling of the body's rows and one
+    determinant (``_body``).  The body checks are those of
+    ``mat_inverse_even``; an R^{-1} or a result that is not finite raises
+    GrassmannDomainError."""
+    size = len(rows)
+    body, binv = _regular_body(rows, invert=True)
     if not np.isfinite(binv).all():
         raise GrassmannDomainError("matrix body inverse overflows: the body is nearly singular")
 
@@ -559,7 +632,8 @@ def sdet(M: Supermatrix) -> Supernumber:
 
     Defined only where the body of B is invertible: a B body singular to
     working precision raises GrassmannDomainError (see ``mat_inverse_even``),
-    and so does a result that overflows.
+    and so does a result that overflows.  Up to n = 2, one determinant of B
+    serves both B^{-1} and det(B)^{-1} (``_adjugate_inverse``).
     """
     out = _sdet(M)
     if not _is_finite(out):
@@ -577,14 +651,21 @@ def _sdet(M: Supermatrix) -> Supernumber:
     C, D = M.block("C"), M.block("D")
     if M.n == 0:
         return det_even(A)
-    Binv = mat_inverse_even(B)
+    if M.n <= 2:
+        # the entries of B are even, so the adjugate inverts it
+        Binv, det_inv = _adjugate_inverse(B, L)
+        if not _is_finite(det_inv):
+            raise GrassmannDomainError("sdet overflows: det B is out of range")
+    else:
+        Binv, det_inv = mat_inverse_even(B), inverse(det_even(B))
     Schur = _mat_sub(A, _mat_mul(_mat_mul(C, Binv, L), D, L))
-    return det_even(Schur) * inverse(det_even(B))
+    return det_even(Schur) * det_inv
 
 
 def sm_inverse(M: Supermatrix) -> Supermatrix:
-    """Two-sided inverse via the terminating Neumann series on the full matrix."""
-    return Supermatrix(M.m, M.n, mat_inverse_even(M.rows), M.L)
+    """Two-sided inverse via the terminating Neumann series on the full
+    matrix, whose rows hold odd entries."""
+    return Supermatrix(M.m, M.n, _neumann_inverse(M.rows, M.L), M.L)
 
 
 # ---------------------------------------------------------------------------

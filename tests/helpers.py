@@ -9,10 +9,12 @@ lists (counting transpositions), not by the popcount-prefix formula.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from hypothesis import strategies as st
 
+from supercalc import grassmann
 from supercalc.grassmann import Supernumber
 
 
@@ -161,6 +163,19 @@ def count_linalg_calls(monkeypatch, names=("det", "inv", "norm", "solve")) -> li
         fn = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+    return calls
+
+
+def count_dense_products(monkeypatch) -> list:
+    """A list that grows by one at each call to the table kernel
+    ``grassmann._dense_product``, at every supercalc module that holds it,
+    from now until the test ends."""
+    calls = []
+    kernel = grassmann._dense_product
+    counted = lambda *a, **k: calls.append(1) or kernel(*a, **k)  # noqa: E731
+    for name, module in list(sys.modules.items()):
+        if name.startswith("supercalc") and getattr(module, "_dense_product", None) is kernel:
+            monkeypatch.setattr(module, "_dense_product", counted)
     return calls
 
 

@@ -32,6 +32,7 @@ from supercalc.superlinalg import (
 )
 
 from helpers import (
+    count_dense_products,
     count_linalg_calls,
     overflowed,
     random_supermatrix,
@@ -498,14 +499,14 @@ def test_elimination_equals_the_leibniz_expansion():
     L = 6
     rows = [[random_supernumber(rng, L, "even", max_extra_terms=4) for _ in range(5)]
             for _ in range(5)]
-    want = _det_leibniz(rows, L)
-    got = _det_eliminate(rows, L)
+    want = _det_leibniz(rows)
+    got = _det_eliminate(rows)
     assert gr.max_coeff_diff(got, want) <= 1e-13 * gr.max_abs(want)
     # one row swap negates the product of the pivots at the end, so the zero
     # imaginary part of this real determinant is -0.0
     swapped = [[gr.scalar(L, 2.0) if j == (1 - i if i < 2 else i) else gr.zero(L)
                 for j in range(5)] for i in range(5)]
-    det = _det_eliminate(swapped, L)
+    det = _det_eliminate(swapped)
     assert det == gr.scalar(L, -32.0) and np.signbit(det.body.imag)
 
 
@@ -695,6 +696,123 @@ def test_body_matrix_of_a_batch_raises():
     for fn in (sm_exp, diagonalize_generic, lambda M: gaussian_super(M, 1.0)):
         with pytest.raises(GrassmannError):
             fn(batch)
+
+
+# ---------------------------------------------------------------------------
+# small even blocks in closed form (superlinalg._adjugate_inverse)
+# ---------------------------------------------------------------------------
+
+def _dense(rng, L, parity, body=0.0, nodes=None):
+    """An element with every nonzero mask of the parity over L generators
+    populated and the given body; with nodes, each soul coefficient is a
+    batch of that many values."""
+    masks = [m for m in range(1, 1 << L) if m.bit_count() % 2 == (parity == "odd")]
+    shape = (len(masks),) if nodes is None else (len(masks), nodes)
+    coeffs = 0.3 * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+    terms = dict(zip(masks, coeffs if nodes else coeffs.tolist()))
+    if parity == "even":
+        terms[0] = body
+    return Supernumber(L, terms)
+
+
+def _dense_block(rng, L, n, nodes=None):
+    body = _random_bodies(rng, n, nodes)
+    return [[_dense(rng, L, "even", body[i, j], nodes) for j in range(n)] for i in range(n)]
+
+
+def _dense_even_matrix(rng, L, m, n, nodes=None):
+    """Even (m|n) matrix with dense souls and well-conditioned block bodies."""
+    C = [[_dense(rng, L, "odd", nodes=nodes) for _ in range(n)] for _ in range(m)]
+    D = [[_dense(rng, L, "odd", nodes=nodes) for _ in range(m)] for _ in range(n)]
+    return from_blocks(_dense_block(rng, L, m, nodes), C, D, _dense_block(rng, L, n, nodes), L=L)
+
+
+def _assert_each_close(got, want, tol):
+    """Each entry of got within tol of want's, relative to want's largest
+    coefficient."""
+    for g, w in zip(itertools.chain(*got), itertools.chain(*want)):
+        assert gr.max_coeff_diff(g, w) <= tol * gr.max_abs(w)
+
+
+@pytest.mark.parametrize("L", range(2, 9))
+@pytest.mark.parametrize("nodes", [None, 5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_adjugate_and_neumann_inverses_agree(n, nodes, L):
+    rng = np.random.default_rng([L, n, nodes or 0])
+    rows = _dense_block(rng, L, n, nodes)
+    got, det_inv = sl._adjugate_inverse(rows, L)
+    _assert_each_close(got, sl._neumann_inverse(rows, L), 1e-14)
+    want_det_inv = gr.inverse(det_even(rows))
+    assert gr.max_coeff_diff(det_inv, want_det_inv) <= 1e-14 * gr.max_abs(want_det_inv)
+    assert mat_inverse_even(rows) == got
+
+
+@pytest.mark.parametrize("p", [(1e200, 1e150), (1e-200, 1e-150)])
+def test_adjugate_inverse_of_rows_far_from_unit_scale(p):
+    # inv(P X) = inv(X) P^-1: row i scaled by p_i scales column i of the
+    # inverse by 1 / p_i.  det(P X) is out of range, 1e350 or 1e-350 times
+    # det X, but the rows scaled by powers of two have a determinant near 1
+    L = 6
+    rows = _dense_block(np.random.default_rng(41), L, 2)
+    scaled = [[p[i] * e for e in r] for i, r in enumerate(rows)]
+    inv = sl._neumann_inverse(rows, L)
+    want = [[inv[i][j] * (1 / p[j]) for j in range(2)] for i in range(2)]
+    _assert_each_close(sl._adjugate_inverse(scaled, L)[0], want, 1e-14)
+
+
+@pytest.mark.parametrize("nodes", [None, 5])
+@pytest.mark.parametrize("n", [1, 2])
+def test_sdet_equals_the_schur_determinant_over_det_b(n, nodes):
+    # det(A - C B^-1 D) det(B)^-1 with B^-1 from the Neumann series and the
+    # determinant of B apart from it, as sdet computed it before
+    L = 8
+    M = _dense_even_matrix(np.random.default_rng([n, nodes or 0, 43]), L, 2, n, nodes)
+    A, B, C, D = (M.block(k) for k in "ABCD")
+    Binv = sl._neumann_inverse(B, L)
+    schur = sl._mat_sub(A, sl._mat_mul(sl._mat_mul(C, Binv, L), D, L))
+    want = det_even(schur) * gr.inverse(det_even(B))
+    assert gr.max_coeff_diff(sdet(M), want) <= 1e-14 * gr.max_abs(want)
+
+
+def test_sdet_whose_det_b_inverse_overflows_raises():
+    # B^-1 = 1e200 I is finite, but det(B)^-1 = 1e400 is not, also on the
+    # private path that quadrature takes, which checks no result
+    L = 2
+    g = gr.gen(L, 0)
+    M = from_blocks([[1.0]], [[g, gr.zero(L)]], [[gr.zero(L)], [gr.zero(L)]],
+                    [[1e-200, 0.0], [0.0, 1e-200]], L=L)
+    for fn in (sdet, sl._sdet):
+        with pytest.raises(GrassmannDomainError, match="overflows"):
+            fn(M)
+
+
+def test_dense_products_of_one_sdet_and_one_inverse(monkeypatch):
+    # the Neumann series made 48 and 24: T, then T^2 to T^5
+    M = _dense_even_matrix(np.random.default_rng(47), 8, 2, 2)
+    calls = count_dense_products(monkeypatch)
+    sdet(M)
+    assert len(calls) <= 28
+    calls.clear()
+    mat_inverse_even(M.block("B"))
+    assert len(calls) <= 9
+
+
+@pytest.mark.parametrize("rows", [[[1.0, 2.0]], [[1.0, 2.0], [3.0]]])
+def test_mat_inverse_even_of_a_matrix_that_is_not_square_raises(rows):
+    with pytest.raises(GrassmannError, match="needs a square matrix"):
+        mat_inverse_even(rows)
+
+
+def test_mat_inverse_even_of_a_small_block_with_odd_entries_is_two_sided():
+    # odd entries do not commute, so the adjugate would not invert this
+    # block; it takes the Neumann series
+    L = 4
+    s0, s1, s2, s3 = (gr.gen(L, i) for i in range(4))
+    rows = [[2.0 + s0 * s1, s2], [s3, 1.0 + s2 * s3]]
+    inv = mat_inverse_even(rows)
+    ident = [[gr.one(L), gr.zero(L)], [gr.zero(L), gr.one(L)]]
+    for product in (sl._mat_mul(rows, inv, L), sl._mat_mul(inv, rows, L)):
+        _assert_each_close(product, ident, 1e-15)
 
 
 # Bodies for the property below: random, rank-deficient (one row a multiple
