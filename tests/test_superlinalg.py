@@ -740,8 +740,9 @@ def _assert_each_close(got, want, tol):
 def test_adjugate_and_neumann_inverses_agree(n, nodes, L):
     rng = np.random.default_rng([L, n, nodes or 0])
     rows = _dense_block(rng, L, n, nodes)
-    got, det_inv = sl._adjugate_inverse(rows, L)
+    got, delta, k = sl._adjugate_inverse(rows, L)
     _assert_each_close(got, sl._neumann_inverse(rows, L), 1e-14)
+    det_inv = sl._times_two_to(delta, k)
     want_det_inv = gr.inverse(det_even(rows))
     assert gr.max_coeff_diff(det_inv, want_det_inv) <= 1e-14 * gr.max_abs(want_det_inv)
     assert mat_inverse_even(rows) == got
@@ -775,8 +776,8 @@ def test_sdet_equals_the_schur_determinant_over_det_b(n, nodes):
 
 
 def test_sdet_whose_det_b_inverse_overflows_raises():
-    # B^-1 = 1e200 I is finite, but det(B)^-1 = 1e400 is not, also on the
-    # private path that quadrature takes, which checks no result
+    # B^-1 = 1e200 I is finite, but sdet = det(B)^-1 = 1e400 is not; the
+    # private path that quadrature takes raises too
     L = 2
     g = gr.gen(L, 0)
     M = from_blocks([[1.0]], [[g, gr.zero(L)]], [[gr.zero(L)], [gr.zero(L)]],
@@ -784,6 +785,36 @@ def test_sdet_whose_det_b_inverse_overflows_raises():
     for fn in (sdet, sl._sdet):
         with pytest.raises(GrassmannDomainError, match="overflows"):
             fn(M)
+
+
+@pytest.mark.parametrize("nodes", [None, 5])
+@pytest.mark.parametrize("m, p, q", [(1, 1e150, 1e200), (1, 1e150, 1e160),
+                                     (2, 1e-200, 1e-200), (2, 1e200, 1e200),
+                                     (2, 1e-200, 1e-100)])
+def test_sdet_of_blocks_far_from_unit_scale(m, p, q, nodes):
+    # diag(p I_m, q I_2) M has sdet p^m q^-2 sdet(M), which is in range here,
+    # although det B (1e400, 1e320, 1e-400, 1e400) or det A (1e-400, 1e400,
+    # 1e-400) is not, and det(B)^-1 is 1e-400 or the subnormal 1e-320 in the
+    # first two
+    L = 6
+    M = _dense_even_matrix(np.random.default_rng([m, nodes or 0, 53]), L, m, 2, nodes)
+    A, B, C, D = ([[x * e for e in r] for r in M.block(k)] for k, x in zip("ABCD", (p, q, p, q)))
+    factor = (p / q) ** m / q ** (2 - m)
+    for fn in (sdet, sl._sdet):
+        want = sdet(M) * factor
+        assert gr.max_coeff_diff(fn(from_blocks(A, C, D, B, L=L)), want) \
+            <= 1e-14 * gr.max_abs(want)
+
+
+def test_times_two_to_is_exact_across_the_range():
+    # one k per node, each beyond one float step of 2^+-1000; the partial
+    # products of the first two stay between X and the result
+    X = Supernumber(2, {0: np.array([2.0 ** -1000, 2.0 ** 1000, 3.0]),
+                        0b11: np.array([2.0 ** -1020, 1.5, 1.0])})
+    with np.errstate(**sl._QUIET):
+        got = sl._times_two_to(X, np.array([1500, -1500, 0]))
+    assert np.array_equal(got.body, [2.0 ** 500, 2.0 ** -500, 3.0])
+    assert np.array_equal(got.coefficient(0b11), [2.0 ** 480, 0.0, 1.0])
 
 
 def test_dense_products_of_one_sdet_and_one_inverse(monkeypatch):
