@@ -36,8 +36,10 @@ from .grassmann import (
     GrassmannError,
     Supernumber,
     _as_super,
+    _elements,
     _in_one_algebra,
     _is_finite,
+    _on_vectors,
     _monomial,
     _node_sum,
     _stack,
@@ -54,14 +56,16 @@ from .grassmann import (
 )
 from .superlinalg import (
     Supermatrix,
+    _body_matrix,
+    _det_even,
+    _inverse_even,
     _mat_mul,
     _mat_sub,
     _negligible,
     _node_array,
+    _pfaffian,
     _sdet,
-    det_even,
-    mat_inverse_even,
-    pfaffian,
+    _split,
 )
 from .superspace import SuperMap, SuperPoint, _super_jet
 
@@ -466,14 +470,22 @@ def gaussian_super(M: Supermatrix, lam: float) -> Supernumber:
 
     for even n, and 0 for odd n; Pf is the perfect-matchings Pfaffian with
     Pf([[0, 1], [-1, 0]]) = 1.  A result that is not finite raises
-    GrassmannDomainError.
+    GrassmannDomainError.  Dense entries are converted to vectors once, on
+    entry (``grassmann._on_vectors``): the antisymmetry and coupling scans
+    and their scales read vectors (np.abs(v).max()), and only det A, for its
+    square root and that root's inverse, and the Pfaffian become elements.
     """
     if lam <= 0:
         raise GrassmannDomainError("scale must be positive")
-    m, n, L = M.m, M.n, M.L
-    A, C, D, B = M.block("A"), M.block("C"), M.block("D"), M.block("B")
+    return _on_vectors(lambda rows: _gaussian_rows(rows, M.m, M.L, lam), M.L, M.rows)
 
-    body = M.body_matrix()
+
+def _gaussian_rows(rows, m: int, L: int, lam: float) -> Supernumber:
+    """gaussian_super of square rows, elements or ``_Dense``, the first m even."""
+    n = len(rows) - m
+    A, C, D, B = _split(rows, m)
+
+    body = _body_matrix(rows)
     if not np.isfinite(body).all():
         raise GrassmannDomainError("matrix body is not finite")
     # the tests of A and B are relative to the largest entry of their block
@@ -493,7 +505,7 @@ def gaussian_super(M: Supermatrix, lam: float) -> Supernumber:
                 raise GrassmannDomainError("odd block must be antisymmetric")
     # couplings that should vanish have no scale of their own, so rounding
     # noise in them is measured against the whole matrix
-    m_scale = max((max_abs(e) for row in M.rows for e in row), default=0.0)
+    m_scale = max((max_abs(e) for row in rows for e in row), default=0.0)
     for j in range(m):
         for s in range(n):
             if max_abs(C[j][s] + D[s][j]) > 1e-12 * m_scale:
@@ -516,14 +528,14 @@ def gaussian_super(M: Supermatrix, lam: float) -> Supernumber:
     even_factor = scalar(L, even_scale)
     if m:
         scaled = [[math.ldexp(1.0, -2 * k) * e for e in row] for row in A]
-        root = apply_analytic(AnalyticSpec.named("sqrt"), det_even(scaled))
+        root = apply_analytic(AnalyticSpec.named("sqrt"), _elements(_det_even(scaled, L)))
         even_factor = even_factor * inverse(root)
-        raw = _mat_sub(B, _mat_mul(_mat_mul(D, mat_inverse_even(A), L), C, L))
+        raw = _mat_sub(B, _mat_mul(_mat_mul(D, _inverse_even(A, L)), C))
     else:
         raw = B
     # antisymmetrize exactly so roundoff cannot trip the Pfaffian's check
     pf_arg = [[0.5 * (raw[s][t] - raw[t][s]) for t in range(n)] for s in range(n)]
-    pf = pfaffian(pf_arg) if n else one(L)
+    pf = _elements(_pfaffian(pf_arg, L)) if n else one(L)
     out = even_factor * scalar(L, odd_scale) * pf
     if not _is_finite(out):
         raise GrassmannDomainError("gaussian_super overflows: a coefficient is not finite")

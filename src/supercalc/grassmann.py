@@ -44,9 +44,13 @@ whole table and the loop measured even.  The blocks leave that crossover in
 place, since moving it would send products down the other path and change
 their rounding.  Larger L never builds a table (it would hold 3^L pairs).
 Products with a batch coefficient or a non-finite one take the dict loop.
-``superlinalg._mat_mul`` calls the kernel itself for a block product whose
-every entry product would take it, and sums each output entry's products as
-vectors before it builds the element.
+
+``sdet``, ``det_even``, ``mat_inverse_even``, ``Supermatrix.__matmul__`` and
+``berezin.gaussian_super`` decide once, on entry (``_on_vectors``): rows of
+dense entries become ``_Dense`` vectors once, every product, sum, scaling
+and check runs on them, and each result is built once.  Other rows run the
+same code on elements: the same bytes where their products all take the
+kernel.
 
 Construction
 ------------
@@ -263,16 +267,81 @@ def _pair_block(L: int, pj: int | None, pk: int | None
     return _table_of(J[keep], K[keep], int(np.searchsorted(keep, positive)))
 
 
-class _Dense(NamedTuple):
-    """An element as its length-2^L coefficient vector and its parity: 0 when
-    even (0 included), 1 when odd, None when mixed."""
+class _Dense:
+    """An element as its length-2^L coefficient vector v and its grade: 0
+    when no odd coefficient is nonzero, 1 when no even one is, None when not
+    known.  source is the element v came from (``_on_vectors``).  The other
+    operand of ``*``, ``+``, ``-`` is a ``_Dense``, a number or a constant
+    element; a scaling forms its parts as Python's complex product does."""
 
-    v: np.ndarray
-    parity: int | None
+    __slots__ = ("v", "grade", "L", "source")
+    __array_ufunc__ = None  # numpy scalars on the left defer to __rmul__
+
+    def __init__(self, v: np.ndarray, grade: int | None, L: int, source=None):
+        self.v, self.grade, self.L, self.source = v, grade, L, source
+
+    @property
+    def body(self) -> complex:
+        return complex(self.v[0])
+
+    @property
+    def parity(self) -> str:
+        """As ``Supernumber.parity``."""
+        if self.grade == 0:
+            return "even"
+        odd = np.bitwise_count(np.flatnonzero(self.v)) & 1
+        return "mixed" if 0 < odd.sum() < odd.size else "odd" if odd.any() else "even"
+
+    def is_zero(self) -> bool:
+        return not self.v.any()
+
+    def __mul__(self, other):
+        if isinstance(other, _Dense):
+            grade = None if None in (self.grade, other.grade) else self.grade ^ other.grade
+            return _Dense(_dense_product(self, other, self.L), grade, self.L)
+        if (c := _constant(other)) is None:
+            return NotImplemented
+        x = self.v.view(np.float64).reshape(-1, 2)
+        out, swapped = x * c.real, x[:, ::-1] * c.imag
+        out[:, 0] -= swapped[:, 0]
+        out[:, 1] += swapped[:, 1]
+        return _Dense(out.view(complex).ravel(), self.grade, self.L)
+
+    def __add__(self, other):
+        if isinstance(other, _Dense):
+            return _Dense(self.v + other.v, self.grade if self.grade == other.grade else None,
+                          self.L)
+        if (c := _constant(other)) is None:
+            return NotImplemented
+        if c == 0:
+            return self
+        v = self.v.copy()
+        v[0] += c
+        return _Dense(v, 0 if self.grade == 0 else None, self.L)
+
+    __rmul__, __radd__ = __mul__, __add__
+
+    def __neg__(self):
+        return _Dense(-self.v, self.grade, self.L)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+
+def _constant(c) -> complex | None:
+    """c as a complex factor when it is a number or a constant element."""
+    if isinstance(c, (int, float, complex)):
+        return complex(c)
+    if isinstance(c, Supernumber) and c._terms.keys() <= {0}:
+        return complex(c._terms.get(0, 0j))
+    return None
 
 
 def _dense_coefficients(X: Supernumber) -> _Dense | None:
-    """X as a length-2^L vector with its parity, or None when a coefficient is
+    """X as a length-2^L vector with its grade, or None when a coefficient is
     a batch or not finite (inf times an absent 0 would put NaN where the dict
     loop puts nothing)."""
     values = X._terms.values()
@@ -285,20 +354,20 @@ def _dense_coefficients(X: Supernumber) -> _Dense | None:
     if not np.isfinite(out).all():
         return None
     odd = int(np.count_nonzero(np.bitwise_count(masks) & 1))
-    return _Dense(out, 0 if not odd else 1 if odd == n else None)
+    return _Dense(out, 0 if not odd else 1 if odd == n else None, X.L, X)
 
 
 def _dense_product(x: _Dense, y: _Dense, L: int) -> np.ndarray:
     """The product of two length-2^L coefficient vectors, as one: x[J] y[K]
-    times the sort sign, summed into J|K over the pair block of their
-    parities (``_pair_block``), in the table's order.  Overflow gives inf
-    (and inf - inf NaN), quietly, as in the dict loop."""
-    J, K, bins, positive = _pair_block(L, x.parity, y.parity)
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = np.take(x.v, J)
-        t *= np.take(y.v, K)
-        np.negative(t[positive:], out=t[positive:])
-        return np.bincount(bins, weights=t.view(np.float64), minlength=2 << L).view(complex)
+    times the sort sign, summed into J|K over the pair block of their grades
+    (``_pair_block``), in the table's order.  Overflow gives inf (and
+    inf - inf NaN), as in the dict loop; call it where numpy leaves that
+    quiet, as ``_table_product`` and ``_on_vectors`` do."""
+    J, K, bins, positive = _pair_block(L, x.grade, y.grade)
+    t = x.v.take(J)
+    t *= y.v.take(K)
+    t.view(np.float64)[2 * positive:] *= -1.0
+    return np.bincount(bins, weights=t.view(np.float64), minlength=2 << L).view(complex)
 
 
 def _from_dense(v: np.ndarray, L: int) -> Supernumber:
@@ -307,14 +376,52 @@ def _from_dense(v: np.ndarray, L: int) -> Supernumber:
     return Supernumber(L, dict(zip(nonzero.tolist(), v[nonzero].tolist())), _AS_IS)
 
 
+def _dense_rows(L: int, *groups):
+    """The entry decision of ``_on_vectors``: the groups (lists of rows) with
+    each nonzero entry as its ``_Dense``, or None unless every entry has L
+    generators, no first-order cut and finite ``complex`` coefficients, and
+    the fewest-term nonzero entry times itself meets the table crossover.
+    Zero entries, which antisymmetric blocks hold, stay the zero element (a
+    constant to a ``_Dense``).  A batch or a small entry fails a cheap test."""
+    entries = [e for g in groups for r in g for e in r]
+    sizes = [len(e._terms) for e in entries if e._terms]
+    if not sizes or not _table_takes(min(sizes) ** 2, L):
+        return None
+    if any(e.L != L or e._cut is not None for e in entries):
+        return None
+    dense = tuple([[_dense_coefficients(e) if e._terms else e for e in r] for r in g]
+                  for g in groups)
+    return None if any(d is None for g in dense for r in g for d in r) else dense
+
+
+def _elements(x):
+    """x with each ``_Dense`` in it (nested in lists too) as its element: its
+    source, or one built with ``_from_dense``."""
+    if isinstance(x, _Dense):
+        return x.source if x.source is not None else _from_dense(x.v, x.L)
+    if isinstance(x, list):
+        return [_elements(e) for e in x]
+    return x
+
+
+def _on_vectors(fn: Callable, L: int, *groups):
+    """fn(*groups), run once: on the groups as ``_Dense`` vectors when they
+    pass ``_dense_rows`` (overflow quiet, as on elements), else as given; the
+    result comes back as elements.  fn is one code for both."""
+    dense = _dense_rows(L, *groups)
+    if dense is None:
+        return fn(*groups)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _elements(fn(*dense))
+
+
 def _table_product(a: Supernumber, b: Supernumber) -> Supernumber | None:
     """a * b (same L) over the pair block of their parities.  None when an
     operand cannot be written as one dense vector."""
-    x = _dense_coefficients(a)
-    y = None if x is None else _dense_coefficients(b)
-    if y is None:
+    if (x := _dense_coefficients(a)) is None or (y := _dense_coefficients(b)) is None:
         return None
-    return _from_dense(_dense_product(x, y, a.L), a.L)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _from_dense(_dense_product(x, y, a.L), a.L)
 
 
 def _table_takes(pairs: int, L: int) -> bool:
@@ -393,8 +500,9 @@ class Supernumber:
       for 0;
     * ``_taylor_sum``, ``_node_sum`` and ``_stack`` test each sum they make.
 
-    ``-X``, ``embed`` to another L, the table kernel and dense block products
-    (``_from_dense`` keeps the nonzero entries), ``zero``, ``one``, ``soul``,
+    ``-X``, ``embed`` to another L, the table kernel and the results of
+    dense supermatrix algebra (``_from_dense`` keeps the nonzero entries of a
+    vector, once per result, in ``_on_vectors``), ``zero``, ``one``, ``soul``,
     ``degree_filter``, ``conjugate``, ``chop``, ``gen_left_derivative``,
     ``seed`` and ``seed_parts`` make no 0.
 
@@ -731,6 +839,8 @@ def body(X: Supernumber) -> complex:
 
 
 def soul(X: Supernumber) -> Supernumber:
+    if isinstance(X, _Dense):
+        return X - X.body
     return Supernumber(X.L, {m: c for m, c in X._terms.items() if m != 0}, _AS_IS, X._cut)
 
 
@@ -744,8 +854,10 @@ def degree_filter(X: Supernumber, k: int) -> Supernumber:
 
 
 def _holds_batch(*values: Supernumber) -> bool:
-    """True when a coefficient of one of the values is a batch of nodes."""
-    return not all(type(c) is complex for X in values for c in X._terms.values())
+    """True when a coefficient of one of the values (a ``_Dense`` has none) is
+    a batch of nodes."""
+    return not all(type(c) is complex for X in values if isinstance(X, Supernumber)
+                   for c in X._terms.values())
 
 
 def _node_sum(weights: np.ndarray, X: Supernumber) -> Supernumber:
@@ -791,8 +903,10 @@ def inverse(X: Supernumber) -> Supernumber:
 
     X = b(1 + b^{-1} s) with s nilpotent, so the finite geometric series
     b^{-1} sum_k (-b^{-1} s)^k terminates and is the exact two-sided inverse.
-    A body that is not finite raises GrassmannDomainError (1/inf would give 0),
-    and so does a result that is not.
+    With d the fewest generators in a monomial of s, it stops at s^(L // d)
+    or at a power that is 0, forming no product known to vanish.  A body that
+    is not finite raises GrassmannDomainError (1/inf would give 0), and so
+    does a result that is not.  X may be a ``_Dense``.
     """
     b = X.body
     if not _is_finite(b):
@@ -803,15 +917,24 @@ def inverse(X: Supernumber) -> Supernumber:
     with _overflow_quietly(X):
         binv = 1.0 / b
         acc = one(X.L)
-        power = s  # s^(L+1) = 0, so the loop ends
-        while not power.is_zero():
+        power, d = s, _low_degree(s)
+        for k in range(1, X.L // d + 1 if d else 1):
+            if k > 1:
+                power = power * s
+                if power.is_zero():
+                    break
             power = -binv * power
             acc = acc + power
-            power = power * s
         out = binv * acc
     if not _is_finite(out):
         raise GrassmannDomainError("inverse overflows: a coefficient is not finite")
     return out
+
+
+def _low_degree(X) -> int:
+    """The fewest generators in a monomial of X (or ``_Dense``), 0 for 0."""
+    masks = np.flatnonzero(X.v).tolist() if isinstance(X, _Dense) else X._terms
+    return min((m.bit_count() for m in masks), default=0)
 
 
 def conjugate(X: Supernumber) -> Supernumber:
@@ -1110,8 +1233,10 @@ def chop(X: Supernumber, tol: float) -> Supernumber:
 # ---------------------------------------------------------------------------
 
 def _is_finite(X) -> bool:
-    """True when every coefficient of X (a Supernumber or a number) is finite,
-    at every node for a batch."""
+    """True when every coefficient of X (a Supernumber, a ``_Dense`` or a
+    number) is finite, at every node for a batch."""
+    if isinstance(X, _Dense):
+        return bool(np.isfinite(X.v).all())
     coeffs = X._terms.values() if isinstance(X, Supernumber) else (X,)
     return all(cmath.isfinite(c) if type(c) is complex else np.isfinite(c).all()
                for c in coeffs)
@@ -1124,6 +1249,8 @@ def _modulus(c) -> float:
 
 def max_abs(X: Supernumber) -> float:
     """Largest coefficient modulus, over all nodes for a batch."""
+    if isinstance(X, _Dense):
+        return float(np.abs(X.v).max())
     return max(map(_modulus, X._terms.values()), default=0.0)
 
 

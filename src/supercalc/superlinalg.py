@@ -36,14 +36,11 @@ from .grassmann import (
     GrassmannError,
     Supernumber,
     _as_super,
-    _dense_coefficients,
-    _dense_product,
-    _from_dense,
     _holds_batch,
     _in_algebra,
     _in_one_algebra,
     _is_finite,
-    _table_takes,
+    _on_vectors,
     apply_analytic,
     degree_filter,
     inverse,
@@ -226,54 +223,19 @@ class Supermatrix:
         return self.rows[i][j]
 
     def block(self, which: str) -> List[List[Supernumber]]:
-        m, n = self.m, self.n
-        if which == "A":
-            return [[self.rows[i][j] for j in range(m)] for i in range(m)]
-        if which == "C":
-            return [[self.rows[i][m + j] for j in range(n)] for i in range(m)]
-        if which == "D":
-            return [[self.rows[m + i][j] for j in range(m)] for i in range(n)]
-        if which == "B":
-            return [[self.rows[m + i][m + j] for j in range(n)] for i in range(n)]
-        raise GrassmannError(f"unknown block {which!r}")
-
-    def grade_of_index(self, i: int) -> int:
-        return 0 if i < self.m else 1
+        if which not in ("A", "C", "D", "B"):
+            raise GrassmannError(f"unknown block {which!r}")
+        return [list(r) for r in _split(self.rows, self.m)["ACDB".index(which)]]
 
     @property
     def parity(self) -> str:
         """'even', 'odd' or 'mixed' with respect to the block grading."""
-        want_even = True
-        want_odd = True
-        for i in range(self.size):
-            for j in range(self.size):
-                e = self.rows[i][j]
-                if e.is_zero():
-                    continue
-                block_parity = (self.grade_of_index(i) + self.grade_of_index(j)) % 2
-                p = e.parity
-                if p == "mixed":
-                    return "mixed"
-                is_even_entry = p == "even"
-                if block_parity == 0:
-                    want_even &= is_even_entry
-                    want_odd &= not is_even_entry
-                else:
-                    want_even &= not is_even_entry
-                    want_odd &= is_even_entry
-        if want_even:
-            return "even"
-        if want_odd:
-            return "odd"
-        return "mixed"
+        return _grading(self.rows, self.m)
 
     def body_matrix(self) -> np.ndarray:
         """The bodies of the entries as a complex array; one node only, so a
         matrix whose entries carry a batch of nodes raises GrassmannError."""
-        if _holds_batch(*(e for r in self.rows for e in r)):
-            raise GrassmannError("body_matrix takes one node, not a batch of nodes")
-        return np.array([[e.body for e in r] for r in self.rows],
-                        dtype=complex).reshape(self.size, self.size)
+        return _body_matrix(self.rows)
 
     def max_abs(self) -> float:
         return max((max_abs(e) for r in self.rows for e in r), default=0.0)
@@ -312,7 +274,8 @@ class Supermatrix:
 
     def __matmul__(self, other: "Supermatrix") -> "Supermatrix":
         L = self._promote(other)
-        return Supermatrix(self.m, self.n, _mat_mul(self.rows, other.rows, L), L)
+        rows = _on_vectors(_mat_mul, L, self.rows, other.rows)
+        return Supermatrix(self.m, self.n, rows, L)
 
     def scale(self, c) -> "Supermatrix":
         """c times every entry; a number c is validated as by ``scalar``, so a
@@ -326,6 +289,38 @@ class Supermatrix:
             mcd(self.rows[i][j], other.rows[i][j])
             for i in range(self.size) for j in range(self.size)
         )
+
+
+def _grading(rows, m: int) -> str:
+    """The parity of square rows, elements or ``_Dense``, with respect to the
+    grading whose first m indices are even; zero entries fit either."""
+    want_even = want_odd = True
+    for i, r in enumerate(rows):
+        for j, e in enumerate(r):
+            if e.is_zero():
+                continue
+            p = e.parity
+            if p == "mixed":
+                return "mixed"
+            # an even entry fits an even matrix in the diagonal blocks only
+            fits_even = (p == "even") == ((i < m) == (j < m))
+            want_even &= fits_even
+            want_odd &= not fits_even
+    return "even" if want_even else "odd" if want_odd else "mixed"
+
+
+def _body_matrix(rows) -> np.ndarray:
+    """``Supermatrix.body_matrix`` of square rows, elements or ``_Dense``."""
+    if _holds_batch(*(e for r in rows for e in r)):
+        raise GrassmannError("body_matrix takes one node, not a batch of nodes")
+    return np.array([[e.body for e in r] for r in rows], dtype=complex).reshape((len(rows),) * 2)
+
+
+def _split(rows, m: int):
+    """The blocks A, C, D, B of the square rows, the first m indices even."""
+    top, bottom = rows[:m], rows[m:]
+    return ([r[:m] for r in top], [r[m:] for r in top], [r[:m] for r in bottom],
+            [r[m:] for r in bottom])
 
 
 def from_blocks(A, C, D, B, L: int | None = None) -> Supermatrix:
@@ -399,19 +394,24 @@ def det_even(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
     Leibniz fallback up to size 6 when no body-invertible pivot exists.  A
     pivot counts as invertible when its body is not negligible against its
     row (``_negligible``), at every node for a batch.  A result that is not
-    finite raises GrassmannDomainError.
+    finite raises GrassmannDomainError.  Dense rows run on coefficient
+    vectors (``grassmann._on_vectors``).
     """
     rows, L = _in_one_algebra(*rows)
-    size = len(rows)
-    if any(len(r) != size for r in rows):
+    if any(len(r) != len(rows) for r in rows):
         raise GrassmannError("det_even needs a square matrix")
+    return _on_vectors(lambda rows: _det_even(rows, L), L, rows)
+
+
+def _det_even(rows, L: int):
+    """det_even of square rows, elements or ``_Dense``."""
     for r in rows:
         for e in r:
             if e.parity not in ("even",):
                 raise GrassmannDomainError("det_even needs even entries")
-    if size == 0:
+    if not rows:
         return one(L)
-    det = _det_leibniz(rows) if size <= 4 else _det_eliminate(rows)
+    det = _det_leibniz(rows) if len(rows) <= 4 else _det_eliminate(rows)
     if not _is_finite(det):
         raise GrassmannDomainError("det_even overflows: a coefficient is not finite")
     return det
@@ -460,13 +460,18 @@ def mat_inverse_even(rows: Sequence[Sequence[Supernumber]]) -> List[List[Supernu
     block takes the terminating Neumann series (``_neumann_inverse``).  A
     matrix that is not square raises GrassmannError.  A body singular to
     working precision, at any node for a batch, raises GrassmannDomainError,
-    and so does a body or a result that is not finite.
+    and so does a body or a result that is not finite.  Dense rows run on
+    coefficient vectors (``grassmann._on_vectors``).
     """
     rows, L = _in_one_algebra(*rows)
-    size = len(rows)
-    if any(len(r) != size for r in rows):
+    if any(len(r) != len(rows) for r in rows):
         raise GrassmannError("mat_inverse_even needs a square matrix")
-    if 0 < size <= 2 and all(e.parity == "even" for r in rows for e in r):
+    return _on_vectors(lambda rows: _inverse_even(rows, L), L, rows)
+
+
+def _inverse_even(rows, L: int):
+    """mat_inverse_even of square rows, elements or ``_Dense``."""
+    if 0 < len(rows) <= 2 and all(e.parity == "even" for r in rows for e in r):
         return _adjugate_inverse(rows, L)[0]
     return _neumann_inverse(rows, L)
 
@@ -569,18 +574,18 @@ def _neumann_inverse(rows, L: int) -> List[List[Supernumber]]:
     if not np.isfinite(binv).all():
         raise GrassmannDomainError("matrix body inverse overflows: the body is nearly singular")
 
-    def lift(a):
+    def lift(a):  # constants, which a _Dense takes as operands too
         return [[_as_super(a[i, j], L) for j in range(size)] for i in range(size)]
 
     # T = -R^{-1} S with S = rows - R, a matrix of soul-only entries
-    T = _mat_mul(lift(-binv), _mat_sub(rows, lift(body)), L)
+    T = _mat_mul(lift(-binv), _mat_sub(rows, lift(body)))
     # geometric series sum_k T^k applied to R^{-1}; T^(L+1) = 0 ends it
     acc = [[one(L) if i == j else zero(L) for j in range(size)] for i in range(size)]
     power = T
     while not all(e.is_zero() for r in power for e in r):
         acc = [[acc[i][j] + power[i][j] for j in range(size)] for i in range(size)]
-        power = _mat_mul(power, T, L)
-    out = _mat_mul(acc, lift(binv), L)
+        power = _mat_mul(power, T)
+    out = _mat_mul(acc, lift(binv))
     if not _finite_rows(out):
         raise GrassmannDomainError("matrix inverse overflows: a coefficient is not finite")
     return out
@@ -591,64 +596,23 @@ def _finite_rows(rows) -> bool:
     return all(_is_finite(e) for r in rows for e in r)
 
 
-def _mat_mul(P, Q, L):
-    """Product of nested lists of supernumbers (P: r x k, Q: k x c), every
-    entry in L generators.
-
-    A dense block product, one whose every product P[i][k] Q[k][j] would take
-    the table kernel (see ``_dense_blocks``), turns each entry of P and Q into
-    a coefficient vector and finds its parity once, sums each output entry's
-    k kernel products, each over the pair block of its factors' parities, as
-    vectors and builds one element per output entry, through the ``_AS_IS``
-    branch.  Any other block product takes the per-entry loop: each product
-    chooses its own path in ``Supernumber.__mul__``, and each sum starts from
-    the first product.  Both give the same coefficients bit for bit: the same
-    kernel products, summed in the same order.
+def _mat_mul(P, Q):
+    """Product of nested lists (P: r x k, Q: k x c) of elements or of
+    ``_Dense`` vectors (``grassmann._on_vectors``), entry by entry, each sum
+    from its first product: the one block product.  On vectors each product
+    is one kernel call and each sum one vector sum, in the order of the
+    products and sums on elements.
     """
-    rp, cq = len(P), len(Q[0]) if Q else 0
-    vectors = _dense_blocks(P, Q, L)
-    if vectors is not None:
-        X, Y = vectors
-        out = []
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN as in the loop
-            for i in range(rp):
-                row = []
-                for j in range(cq):
-                    v = _dense_product(X[i][0], Y[0][j], L)
-                    for k in range(1, len(Q)):
-                        v += _dense_product(X[i][k], Y[k][j], L)
-                    row.append(_from_dense(v, L))
-                out.append(row)
-        return out
     out = []
-    for i in range(rp):
+    for i in range(len(P)):
         row = []
-        for j in range(cq):
+        for j in range(len(Q[0]) if Q else 0):
             acc = P[i][0] * Q[0][j]
             for k in range(1, len(Q)):
                 acc = acc + P[i][k] * Q[k][j]
             row.append(acc)
         out.append(row)
     return out
-
-
-def _dense_blocks(P, Q, L):
-    """P and Q with each entry as its length-2^L coefficient vector and its
-    parity (``grassmann._Dense``), used in every product it enters, or None
-    unless every product P[i][k] Q[k][j] meets the table crossover and every
-    entry has L generators and finite ``complex`` coefficients.  The cheap
-    tests come first, so a batch or a small entry costs no per-pair work."""
-    if not (P and Q and Q[0]):
-        return None
-    for k, row in enumerate(Q):
-        pairs = min(len(r[k]._terms) for r in P) * min(len(e._terms) for e in row)
-        if not _table_takes(pairs, L):
-            return None
-    X = [[_dense_coefficients(e) if e.L == L else None for e in r] for r in P]
-    Y = [[_dense_coefficients(e) if e.L == L else None for e in r] for r in Q]
-    if any(v is None for r in X + Y for v in r):
-        return None
-    return X, Y
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +633,9 @@ def sdet(M: Supermatrix) -> Supernumber:
     serves both B^{-1} and det(B)^{-1} (``_adjugate_inverse``).  That
     determinant and the Schur one are taken of rows scaled apart by powers
     of two, which the result meets last, so that a result in range comes out
-    in range however far from unit scale A and B are.
+    in range however far from unit scale A and B are.  Dense entries are
+    converted to vectors once, on entry, and the result built once
+    (``grassmann._on_vectors``); each check and step between is one code.
     """
     return _sdet(M)
 
@@ -677,25 +643,28 @@ def sdet(M: Supermatrix) -> Supernumber:
 def _sdet(M: Supermatrix) -> Supernumber:
     """sdet, also for entries that carry a batch of nodes; a B body singular
     at any node raises for the whole batch."""
-    if M.parity != "even":
+    return _on_vectors(lambda rows: _sdet_rows(rows, M.m, M.L), M.L, M.rows)
+
+
+def _sdet_rows(rows, m: int, L: int):
+    """sdet of square rows, elements or ``_Dense``, the first m even."""
+    if _grading(rows, m) != "even":
         raise GrassmannDomainError("sdet is defined for even matrices")
-    L = M.L
-    A, B = M.block("A"), M.block("B")
-    C, D = M.block("C"), M.block("D")
-    if M.n == 0:
-        return det_even(A)
-    if M.n <= 2:
+    A, C, D, B = _split(rows, m)
+    if not B:
+        return _det_even(A, L)
+    if len(B) <= 2:
         # the entries of B are even, so the adjugate inverts it
         Binv, delta, k = _adjugate_inverse(B, L)
     else:
-        Binv, delta, k = mat_inverse_even(B), inverse(det_even(B)), 0
-    Schur = _mat_sub(A, _mat_mul(_mat_mul(C, Binv, L), D, L))
+        Binv, delta, k = _inverse_even(B, L), inverse(_det_even(B, L)), 0
+    Schur = _mat_sub(A, _mat_mul(_mat_mul(C, Binv), D))
     # det(Schur) = 2^(s_0 + ... + s_m-1) det(2^-S Schur), with S as B's E in
     # _adjugate_inverse, and det(B)^-1 = 2^k delta: both determinants are in
     # range, so only the last product can leave it, where the result does
-    s = _row_exponents(_peaks(_node_array((e.body for r in Schur for e in r), (M.m, M.m))))
+    s = _row_exponents(_peaks(_node_array((e.body for r in Schur for e in r), (m, m))))
     with np.errstate(**_QUIET):
-        out = _times_two_to(det_even(_scaled_rows(Schur, s)) * delta, s.sum(axis=0) + k)
+        out = _times_two_to(_det_even(_scaled_rows(Schur, s), L) * delta, s.sum(axis=0) + k)
     if not _is_finite(out):
         raise GrassmannDomainError("sdet overflows: a coefficient is not finite")
     return out
@@ -880,9 +849,14 @@ def pfaffian(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
     GrassmannDomainError.
     """
     rows, L = _in_one_algebra(*rows)
-    size = len(rows)
-    if any(len(r) != size for r in rows):
+    if any(len(r) != len(rows) for r in rows):
         raise GrassmannError("pfaffian needs a square matrix")
+    return _pfaffian(rows, L)
+
+
+def _pfaffian(rows, L: int):
+    """pfaffian of square rows, elements or ``_Dense``."""
+    size = len(rows)
     scale = max((max_abs(e) for r in rows for e in r), default=0.0)
     for i in range(size):
         for j in range(size):

@@ -4,8 +4,9 @@ it stands in for.
 * A factor whose one term is the body scales the other factor term by term in
   ``Supernumber.__mul__``; checked against the per-term dict loop, written out
   here with its sort sign taken from the independent helper.
-* A dense block product in ``superlinalg._mat_mul`` sums each output entry as
-  one coefficient vector; checked against the per-entry loop
+* A dense block product runs ``superlinalg._mat_mul`` on coefficient
+  vectors after the one entry decision (``grassmann._dense_rows``), and sums
+  each output entry as one vector; checked against the per-entry loop
   sum_k P[i][k] * Q[k][j].
 """
 
@@ -153,18 +154,24 @@ def entry_loop(P, Q):
              for j in range(len(Q[0]))] for i in range(len(P))]
 
 
+def block_product(P, Q):
+    """P Q as ``Supermatrix.__matmul__`` forms it, for blocks of any shape:
+    one entry decision, then ``_mat_mul`` on vectors or on the elements."""
+    return gr._on_vectors(sl._mat_mul, L, P, Q)
+
+
 @pytest.fixture
 def block_paths(monkeypatch):
-    """For each _mat_mul call, whether it took the dense block path."""
+    """For each entry decision, whether it took the vector path."""
     taken = []
-    decide = sl._dense_blocks
+    decide = gr._dense_rows
 
-    def spy(P, Q, L):
-        out = decide(P, Q, L)
+    def spy(L, *groups):
+        out = decide(L, *groups)
         taken.append(out is not None)
         return out
 
-    monkeypatch.setattr(sl, "_dense_blocks", spy)
+    monkeypatch.setattr(gr, "_dense_rows", spy)
     return taken
 
 
@@ -176,7 +183,7 @@ def test_dense_block_product_matches_the_per_entry_loop(shape, block_paths):
         for right in PARITIES:
             P = [[dense(rng, L, left) for _ in range(k)] for _ in range(r)]
             Q = [[dense(rng, L, right) for _ in range(c)] for _ in range(k)]
-            got = sl._mat_mul(P, Q, L)
+            got = block_product(P, Q)
             want = entry_loop(P, Q)
             assert (len(got), len(got[0])) == (r, c)
             for i in range(r):
@@ -193,19 +200,19 @@ def spoil(case, P, Q, rng):
         P[0][1] = P[0][1] + Supernumber(L, {0b11: np.arange(1.0, NODES + 1)})
     elif case == "inf":
         P[1][0] = P[1][0] + 1e200 * Supernumber(L, {0b11: 1e200})  # overflows to inf
-    elif case == "zero":
-        Q[1][1] = gr.zero(L)
+    elif case == "sparse":
+        Q[1][1] = gr.gen(L, 0)  # one term: no product with it meets the crossover
     elif case == "mixed_L":
         P[0][0] = dense(rng, L - 2, "even")
 
 
-@pytest.mark.parametrize("case", ["batch", "inf", "zero", "mixed_L"])
+@pytest.mark.parametrize("case", ["batch", "inf", "sparse", "mixed_L"])
 def test_block_the_dense_path_cannot_take_gives_the_loops_answer(case, block_paths):
     rng = np.random.default_rng(len(case))
     P = [[dense(rng, L, "even") for _ in range(2)] for _ in range(2)]
     Q = [[dense(rng, L, "odd") for _ in range(2)] for _ in range(2)]
     spoil(case, P, Q, rng)
-    got = sl._mat_mul(P, Q, L)
+    got = block_product(P, Q)
     assert block_paths == [False]
     want = entry_loop(P, Q)
     for i in range(2):
@@ -224,12 +231,27 @@ def dense_even_matrix(rng):
                        block("even", 2.0), L=L)
 
 
+def test_zero_entries_take_the_vector_path_with_the_loops_bytes(block_paths):
+    # an antisymmetric block has zeros on its diagonal, so zero entries pass
+    # the entry decision; they stay the zero element and cost no kernel call
+    rng = np.random.default_rng(4)
+    P = [[dense(rng, L, "even") for _ in range(2)] for _ in range(2)]
+    Q = [[dense(rng, L, "odd") for _ in range(2)] for _ in range(2)]
+    Q[1][1] = gr.zero(L)
+    got = block_product(P, Q)
+    assert block_paths == [True]
+    want = entry_loop(P, Q)
+    for i in range(2):
+        for j in range(2):
+            assert same_bytes(got[i][j], want[i][j]), (i, j)
+
+
 def test_sdet_of_a_dense_product_equals_the_per_entry_loop_bit_for_bit(monkeypatch,
                                                                          block_paths):
     rng = np.random.default_rng(88)
     M, N = dense_even_matrix(rng), dense_even_matrix(rng)
     fast = sdet(M @ N)
     assert block_paths and all(block_paths[:1]) and any(block_paths[1:])
-    monkeypatch.setattr(sl, "_dense_blocks", lambda P, Q, L: None)
+    monkeypatch.setattr(gr, "_dense_rows", lambda L, *groups: None)
     slow = sdet(M @ N)
     assert same_bytes(fast, slow)
