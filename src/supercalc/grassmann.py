@@ -35,8 +35,8 @@ the same coefficients up to the order of summation.
   one with a mixed operand the whole table.  Its cost grows with the pairs
   of its block or table, whatever the operands' density.
 * The dict loop visits every pair of terms, skips the overlapping ones and
-  adds the rest with their sort sign.  Its cost grows with the pair count
-  len(X) * len(Y).
+  adds the rest with their sort sign, the parity of popcount(J & s) for one
+  mask s per partner K (``_sign_mask``).  Its cost grows with len(X) * len(Y).
 
 The kernel takes a product when L <= 12 and its pair count is at least 512
 and at least 3^L / 4 (``_table_takes``); these are where the kernel over the
@@ -61,7 +61,7 @@ every node, for a batch).  Input from outside is validated:
 check the masks, convert the coefficients, reject NaN and inf (at any node,
 for a batch) with ``GrassmannError`` and drop zeros.  Results the package
 computes from elements that already keep the invariants are stored as given:
-each operation that can make a 0 drops it itself with ``_nonzero``, a sum at
+each operation that can make a 0 drops it itself (``_nonzero``), a sum at
 the masks both operands hold, the only ones that can cancel, and a product or
 a scaling at each coefficient it makes, since one can underflow to 0.  The
 builders other modules call drop their own zeros too: the Taylor table and
@@ -192,6 +192,18 @@ class GrassmannDomainError(GrassmannError):
     """Operation applied outside its domain (zero body, wrong parity, ...)."""
 
 
+def _sign_mask(mk: int) -> int:
+    """The bits with an odd number of mk's bits below them (negative when
+    popcount(mk) is odd): J disjoint from K = mk sorts sigma^J sigma^K with
+    the sign (-1)^popcount(J & _sign_mask(K)), one mask per partner K."""
+    out = 0
+    while mk:
+        low = mk & -mk
+        out ^= -(low << 1)  # flip every position above this bit
+        mk ^= low
+    return out
+
+
 def _reorder_sign(mj: int, mk: int) -> int:
     """Sign of sorting the concatenation sigma^J . sigma^K into ascending order.
 
@@ -199,13 +211,7 @@ def _reorder_sign(mj: int, mk: int) -> int:
     (j in J, k in K) with j > k, i.e. the number of transpositions needed to
     interleave the two ascending blocks.
     """
-    count = 0
-    kk = mk
-    while kk:
-        low = kk & -kk
-        count += (mj >> low.bit_length()).bit_count()
-        kk ^= low
-    return -1 if (count & 1) else 1
+    return -1 if (mj & _sign_mask(mk)).bit_count() & 1 else 1
 
 
 # Where a product goes to the table kernel (see "Products" above): L at most
@@ -468,6 +474,24 @@ def _nonzero(c) -> bool:
     return c != 0 if type(c) is complex else bool(np.count_nonzero(c))
 
 
+def _scaled(c, terms: Mapping[int, complex]) -> Dict[int, complex]:
+    """{m: c * v} over terms, without the products that underflow to 0."""
+    return {m: cv for m, v in terms.items()
+            if (cv != 0 if type(cv := c * v) is complex else _nonzero(cv))}
+
+
+def _add_into(out: Dict[int, complex], terms: Mapping[int, complex]) -> None:
+    """Add terms into out in their order, deleting each sum that is 0: only a
+    mask present in both can cancel."""
+    for m, c in terms.items():
+        if m in out:
+            c = out[m] + c
+            if not (c != 0 if type(c) is complex else _nonzero(c)):
+                del out[m]
+                continue
+        out[m] = c
+
+
 # Supernumber(L, terms, _AS_IS) stores a clean dict as given (see its docstring)
 _AS_IS = True
 
@@ -490,9 +514,10 @@ class Supernumber:
     Results the package computes itself from elements that already keep the
     invariants pass the private third argument ``_AS_IS`` and are stored as
     given, so each operation that can make a 0 drops it (a batch only when it
-    is 0 at every node) with ``_nonzero``:
+    is 0 at every node) with ``_nonzero``, or inline for a ``complex``:
 
-    * ``+`` and ``-`` between elements test the masks both operands hold;
+    * ``+`` and ``-`` between elements, and ``rk4_step``'s sums, test the
+      masks both operands hold;
     * the dict-loop product, the product with a body-only factor, a number or
       array times an element and division by a number test each coefficient
       they make, since a product can underflow to 0;
@@ -623,18 +648,12 @@ class Supernumber:
         return Supernumber(L, self._terms, _AS_IS, self._cut)
 
     def __add__(self, other):
-        a, b = self._promote(other)
+        a, b = (self, other) if isinstance(other, Supernumber) and other.L == self.L \
+            else self._promote(other)
         if b is NotImplemented:
             return NotImplemented
-        # only a mask present in both operands can cancel
         out = dict(a._terms)
-        for m, c in b._terms.items():
-            if m in out:
-                c = out[m] + c
-                if not _nonzero(c):
-                    del out[m]
-                    continue
-            out[m] = c
+        _add_into(out, b._terms)
         return Supernumber(a.L, out, _AS_IS, a._cut or b._cut)
 
     __radd__ = __add__
@@ -660,25 +679,25 @@ class Supernumber:
         # a factor whose one term is the body scales the other term by term;
         # the factors keep the dict loop's order, so the values are its own
         if len(x) == 1 and 0 in x:
-            c = x[0]
-            return Supernumber(a.L, {m: cv for m, v in y.items() if _nonzero(cv := c * v)},
-                               _AS_IS, cut)
+            return Supernumber(a.L, _scaled(x[0], y), _AS_IS, cut)
         if len(y) == 1 and 0 in y:
             c = y[0]
-            return Supernumber(a.L, {m: vc for m, v in x.items() if _nonzero(vc := v * c)},
-                               _AS_IS, cut)
+            return Supernumber(a.L, {m: vc for m, v in x.items()
+                                     if (vc != 0 if type(vc := v * c) is complex
+                                         else _nonzero(vc))}, _AS_IS, cut)
         if _table_takes(len(x) * len(y), a.L):
             out = _table_product(a, b)
             if out is not None:
                 return out if cut is None else Supernumber(a.L, out._terms, _AS_IS, cut)
         acc: Dict[int, complex] = {}
+        signed = [(mk, ck, _sign_mask(mk)) for mk, ck in y.items()]
         if cut is not None:
             base, window, allowed = cut
             fresh = window << base
-            kept = [(mk, ck) for mk, ck in y.items() if (mk & fresh) >> base in allowed]
+            kept = [p for p in signed if (p[0] & fresh) >> base in allowed]
         for mj, cj in x.items():
             # block: the bits a partner of mj must not have
-            block, partners = mj, y.items()
+            block, partners = mj, signed
             if cut is not None:
                 # the pair's fresh part must be allowed: 0 or one slot mask
                 fj = (mj & fresh) >> base
@@ -688,24 +707,25 @@ class Supernumber:
                     block = mj | fresh  # slot masks are disjoint: no other fresh bit
                 else:
                     continue  # two or more slot masks, and so every union with it
-            for mk, ck in partners:
+            for mk, ck, sk in partners:
                 if block & mk:
                     continue
                 m = mj | mk
                 v = cj * ck
-                if _reorder_sign(mj, mk) > 0:
-                    acc[m] = acc[m] + v if m in acc else v
-                else:
+                if (mj & sk).bit_count() & 1:
                     acc[m] = acc[m] - v if m in acc else -v
-        return Supernumber(a.L, {m: v for m, v in acc.items() if _nonzero(v)}, _AS_IS, cut)
+                else:
+                    acc[m] = acc[m] + v if m in acc else v
+        return Supernumber(a.L, {m: v for m, v in acc.items()
+                                 if (v != 0 if type(v) is complex else _nonzero(v))},
+                           _AS_IS, cut)
 
     def __rmul__(self, other):
         # numbers inline: this is a hot path, and a call costs more than the test
         c = complex(other) if isinstance(other, (int, float, complex)) else _coefficient(other)
         if c is None:
             return NotImplemented
-        return Supernumber(self.L, {m: cv for m, v in self._terms.items()
-                                    if _nonzero(cv := c * v)}, _AS_IS, self._cut)
+        return Supernumber(self.L, _scaled(c, self._terms), _AS_IS, self._cut)
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -1169,15 +1189,18 @@ def seed(even: Sequence[Supernumber], odd: Sequence[Supernumber], L: int, *,
     not differentiate by a fresh generator or integrate over one.  Without it
     every monomial is kept, and each value keeps the cut, if any, of the value
     it was placed on.
+    Each value is built once, with the terms and cut of ``v.embed(Lw) +
+    fresh``; a value with more than L generators raises ``GrassmannError``.
     """
     m = len(even)
     Lw = L + 2 * m + len(odd)
     masks = [0b11 << 2 * j for j in range(m)] + [1 << 2 * m + s for s in range(len(odd))]
-    lifted = [v.embed(Lw) + Supernumber(Lw, {mask << L: 1.0 + 0j}, _AS_IS)
-              for v, mask in zip((*even, *odd), masks)]
-    if first_order:
-        cut = _Cut(L, (1 << (Lw - L)) - 1, frozenset([0, *masks]))
-        lifted = [Supernumber(Lw, v._terms, _AS_IS, cut) for v in lifted]
+    cut = _Cut(L, (1 << (Lw - L)) - 1, frozenset([0, *masks])) if first_order else None
+    values = (*even, *odd)
+    if any(v.L > L for v in values):
+        raise GrassmannError(f"a slot value has more generators than the base L={L}")
+    lifted = [Supernumber(Lw, {**v._terms, mask << L: 1.0 + 0j}, _AS_IS, cut or v._cut)
+              for v, mask in zip(values, masks)]
     return tuple(lifted[:m]), tuple(lifted[m:]), masks
 
 
@@ -1210,16 +1233,38 @@ def seed_parts(X: Supernumber, L: int) -> Dict[int, Supernumber]:
 def rk4_step(field: Callable, t: float, y: Tuple[Supernumber, ...],
              h: float) -> Tuple[Supernumber, ...]:
     """One classic fourth-order Runge-Kutta step of dy/dt = field(t, y) for a
-    tuple y of supernumbers; field returns a tuple of the same length."""
-    def shifted(k, c):
-        return tuple(a + c * b for a, b in zip(y, k))
+    tuple y of supernumbers; field returns a tuple of supernumbers of the same
+    length, or ``GrassmannError`` is raised.  Each slot of a stage, a + c k,
+    and of the step, a + (h/6) (((k1 + 2 k2) + 2 k3) + k4), is built once
+    (``_combined``) with the bytes, L and cut of that expression."""
+    def shifted(c, *ks):
+        if any(len(k) != len(y) for k in ks):
+            raise GrassmannError(f"field must give {len(y)} slots, one per slot of y")
+        return tuple(_combined(complex(c), *slot) for slot in zip(y, *ks))
 
     k1 = field(t, y)
-    k2 = field(t + h / 2.0, shifted(k1, h / 2.0))
-    k3 = field(t + h / 2.0, shifted(k2, h / 2.0))
-    k4 = field(t + h, shifted(k3, h))
-    return tuple(a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+    k2 = field(t + h / 2.0, shifted(h / 2.0, k1))
+    k3 = field(t + h / 2.0, shifted(h / 2.0, k2))
+    k4 = field(t + h, shifted(h, k3))
+    return shifted(h / 6.0, k1, k2, k3, k4)
+
+
+def _combined(c: complex, a: Supernumber, b: Supernumber, *more: Supernumber
+              ) -> Supernumber:
+    """a + c * b, or with more = (b2, b3, b4) a + c * (((b + 2 b2) + 2 b3) + b4),
+    as one element: the scalings and sums of ``*`` and ``+`` in their order,
+    with their zero drops, and the L and cut those would give."""
+    values = (a, b, *more)
+    total = b._terms
+    if more:
+        b2, b3, b4 = more
+        total = dict(total)
+        _add_into(total, _scaled(2.0 + 0j, b2._terms))
+        _add_into(total, _scaled(2.0 + 0j, b3._terms))
+        _add_into(total, b4._terms)
+    out = dict(a._terms)
+    _add_into(out, _scaled(c, total))
+    return Supernumber(max(v.L for v in values), out, _AS_IS, _cut_of(values))
 
 
 def chop(X: Supernumber, tol: float) -> Supernumber:

@@ -442,7 +442,7 @@ class SuperHamiltonian:
         if val.L > L + 4 * k + 2 * o:
             raise GrassmannError("Hamiltonian escaped the seeded algebra")
         parts = seed_parts(val, L)
-        d = [parts.get(mask, zero(L)) for mask in masks]
+        d = [parts[mask] if mask in parts else zero(L) for mask in masks]
         return tuple(d[:k]), tuple(d[k:2 * k]), tuple(d[2 * k:2 * k + o]), tuple(d[2 * k + o:])
 
 
@@ -561,10 +561,11 @@ def em_weyl_hamiltonian(params: WeylSymbolParams, charge: float,
 
     def fn(t, x, xi, theta, pi):
         s = pauli_odd_symbols(theta, pi, kk)
-        av = vector_potential(t, x) if vector_potential else (0.0,) * 3
+        av = vector_potential(t, x) if vector_potential else None
         acc = e * _as_super(scalar_potential(t, x) if scalar_potential else 0.0)
         for j in range(3):
-            acc = acc + c * s[j] * (xi[j] - (e / c) * _as_super(av[j]))
+            kinetic = xi[j] - (e / c) * _as_super(av[j]) if vector_potential else xi[j]
+            acc = acc + c * s[j] * kinetic
         return acc
 
     return SuperHamiltonian(fn, 3, 2)

@@ -68,16 +68,17 @@ def dict_loop(a, b):
 
 @pytest.fixture
 def loop_pairs(monkeypatch):
-    """Mask pairs the dict loop signs; a scaling signs none."""
-    pairs = []
-    sign = gr._reorder_sign
+    """Partner masks the dict loop makes its signs from, one per partner per
+    product (``grassmann._sign_mask``); a scaling makes none."""
+    partners = []
+    sign_mask = gr._sign_mask
 
-    def counted(mj, mk):
-        pairs.append((mj, mk))
-        return sign(mj, mk)
+    def counted(mk):
+        partners.append(mk)
+        return sign_mask(mk)
 
-    monkeypatch.setattr(gr, "_reorder_sign", counted)
-    return pairs
+    monkeypatch.setattr(gr, "_sign_mask", counted)
+    return partners
 
 
 def mixed_element(rng, L, batch):
@@ -127,6 +128,16 @@ def test_a_number_factor_scales_like_the_dict_loop(loop_pairs):
         got = X * n
         assert same_terms(got, *dict_loop(X, Supernumber(5, {0: complex(n)})))
     assert not loop_pairs
+
+
+def test_the_spy_sees_a_product_of_two_sparse_elements(loop_pairs):
+    # the positive control of the checks above: a product of two elements
+    # that are not body-only takes the dict loop, one mask per partner
+    a = Supernumber(6, {0b000001: 1.5, 0b000110: -2.0 + 1j})
+    b = Supernumber(6, {0b101000: 0.5j, 0b000010: 3.0, 0: 1.0})
+    got = a * b
+    assert loop_pairs == list(b.terms)
+    assert same_terms(got, *dict_loop(a, b))
 
 
 def test_body_only_product_that_underflows_is_dropped(loop_pairs):

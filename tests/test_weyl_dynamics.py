@@ -71,7 +71,7 @@ from supercalc.weyl_dynamics import (
     van_vleck_amplitude,
 )
 
-from helpers import identical
+from helpers import identical, same_bytes
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -1048,6 +1048,24 @@ def test_seeded_gradient_equals_the_full_seeded_one_bit_for_bit(potential):
     want = [parts.get(mask, zero(4)) for mask in masks]
     for a, b in zip((v for grp in got for v in grp), want):
         assert identical(a, b)
+
+
+@pytest.mark.parametrize("scalar_potential", [None, lambda t, x: x[2]])
+def test_gradient_without_a_vector_potential_equals_one_of_zeros_bit_for_bit(scalar_potential):
+    # without a vector potential the kinetic factor is xi_j itself, which must
+    # give the bytes of xi_j - (e/c) A_j with A = (0, 0, 0)
+    params = WeylSymbolParams()
+    bare = em_weyl_hamiltonian(params, 0.9, scalar_potential=scalar_potential)
+    zeros = em_weyl_hamiltonian(params, 0.9, scalar_potential=scalar_potential,
+                                vector_potential=lambda t, x: (0.0,) * 3)
+    st = spin_state(bare)
+    batch = FlowState(st.t, tuple(v + scalar(4, np.array([0.0, 0.5, -1.0])) for v in st.x),
+                      st.xi, st.theta, st.pi)
+    for state in (st, batch):
+        got = bare.gradient(state.t, state.x, state.xi, state.theta, state.pi)
+        want = zeros.gradient(state.t, state.x, state.xi, state.theta, state.pi)
+        for a, b in zip((v for grp in got for v in grp), (v for grp in want for v in grp)):
+            assert same_bytes(a, b)
 
 
 @pytest.mark.parametrize("potential", sorted(SPIN_POTENTIALS))
