@@ -67,7 +67,7 @@ from .superlinalg import (
     _sdet,
     _split,
 )
-from .superspace import SuperMap, SuperPoint, _super_jet
+from .superspace import SuperMap, SuperPoint, _super_jet, compose
 
 __all__ = [
     "QuadratureError",
@@ -112,14 +112,12 @@ DEFAULT_QUAD = GaussQuadSpec()
 # operations per node, but the allocator's high-water mark grows with it.
 # perfbench fsm_transport (a transported (2|2) Gaussian path integral at 20
 # nodes per axis, so 400 and 1,600 nodes on its two grids): solve_s and peak
-# RSS of the process, 2-vCPU Xeon, three 8-s runs each, seeds 901-903, with
-# the bodies' closed-form determinants and inverses (superlinalg._body); with
-# one LAPACK call per node instead, 400 nodes read 14.28-15.12 ms, 41.37-41.40 MB:
-#    400 nodes   12.39-12.57 ms   40.61-40.69 MB
-#    800 nodes    8.49-9.09 ms    40.59-40.71 MB
-#   1600 nodes    7.60-7.63 ms    41.57-41.60 MB
-# 800 is the largest chunk whose RSS is not above that of LAPACK at 400; 1600
-# saves 12% more time for +2.4% RSS.
+# RSS of the process, 2-vCPU Xeon, three 8-s runs each, seeds 901-903:
+#    400 nodes    8.71-8.74 ms    40.77-41.07 MB
+#    800 nodes    6.03-6.27 ms    40.70-40.96 MB
+#   1600 nodes    4.97-5.21 ms    41.38-41.45 MB
+# 800 keeps the peak RSS of 400 and saves 30% of its time; 1600 saves about
+# 16% more (medians) for +1.4% RSS.
 QUAD_CHUNK = 800
 
 
@@ -425,9 +423,21 @@ class PulledBack:
     at any node), where the sdet body is 0, raises GrassmannDomainError.  phi
     is evaluated once per call: the seed-free part of its seeded evaluation is
     phi(P), and its seeded parts are J (``superspace._super_jet``).
+
+    A pull-back of a pull-back folds: when u is ``PulledBack(psi, v)`` and psi's
+    source is phi's target, this stores ``compose(psi, phi)`` and v, since the
+    Berezinian is multiplicative, sdet J(psi o phi) = sdet J(phi) * (sdet
+    J(psi)) o phi.  The chain rule then happens inside the one first-order
+    seeded evaluation of the composed map, so each call makes one Jacobian and
+    one sdet however deep the nesting: an inner pull-back was folded when it
+    was built.  The even block of J(psi o phi) has the body of J(phi)'s times
+    J(psi)'s, so it is body-singular where either is.  Maps whose shapes do
+    not chain are kept nested and raise GrassmannError on evaluation.
     """
 
     def __init__(self, phi: SuperMap, u):
+        if isinstance(u, PulledBack) and u.phi.src == phi.dst:
+            phi, u = compose(u.phi, phi), u.u
         self.phi = phi
         self.u = u
         self.m, self.n = phi.src

@@ -27,7 +27,10 @@ call, with no cache between calls.  A map's Jacobian is read exactly from one
 evaluation in which every source slot is seeded with fresh nilpotent
 generators (grassmann.seed).  The seed-free part of that evaluation is the
 map's value at the point, so a caller that needs the value and the Jacobian
-(``berezin.PulledBack``) evaluates the map once (``_jet``).
+(``berezin.PulledBack``) evaluates the map once (``_jet``).  A composed map
+is seeded the same way, so the chain rule runs inside its one evaluation:
+a pull-back of a pull-back folds its two maps with ``compose`` and reads one
+Jacobian.
 """
 
 from __future__ import annotations

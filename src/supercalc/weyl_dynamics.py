@@ -513,8 +513,9 @@ def pauli_odd_symbols(theta: Sequence[Supernumber], pi: Sequence[Supernumber],
     tt = th[0] * th[1]
     qq = pp[0] * pp[1]
     pair = th[0] * pp[0] + th[1] * pp[1]
-    s1 = tt + (1.0 / (kk * kk)) * qq
-    s2 = 1j * (tt - (1.0 / (kk * kk)) * qq)
+    scaled = (1.0 / (kk * kk)) * qq
+    s1 = tt + scaled
+    s2 = 1j * (tt - scaled)
     s3 = (-1j / kk) * pair
     return s1, s2, s3
 

@@ -52,6 +52,7 @@ from supercalc.berezin import (
 )
 from supercalc import berezin, superspace
 from supercalc.berezin import _gauss_legendre, _grid_point, _tensor_quad, _top
+from supercalc.superspace import _node_peak
 from supercalc.fourier_odd import GaussPolyBody, OddFourierConfig, mixed_transform
 
 from helpers import (
@@ -1088,6 +1089,89 @@ def test_nested_fsm_integrand_makes_no_numpy_linalg_call_per_chunk(monkeypatch):
     q = np.random.default_rng(13).uniform(-4.2, 4.2, size=(2, berezin.QUAD_CHUNK))
     pulled.evaluate(_grid_point(tuple(q), 2))
     assert calls == []
+
+
+def _nested(phi, u):
+    """PulledBack(phi, u) left nested: its __init__, which folds a pull-back
+    u into one composed map, is bypassed."""
+    pulled = object.__new__(PulledBack)
+    pulled.phi, pulled.u, (pulled.m, pulled.n) = phi, u, phi.src
+    return pulled
+
+
+def _same_to_relative(got: Supernumber, want: Supernumber, tol: float) -> bool:
+    """Every coefficient of got within tol of want's, relative to want's
+    largest coefficient modulus, node by node for a batch."""
+    return bool(np.all(_node_peak(got - want) <= tol * _node_peak(want)))
+
+
+def _chunk(seed: int, size: int):
+    return tuple(np.random.default_rng(seed).uniform(-4.2, 4.2, size=(2, size)))
+
+
+def test_folded_pull_back_matches_the_nested_one_on_a_chunk_and_node_by_node():
+    forward, backward = lac_pair()
+    folded = PulledBack(backward, PulledBack(forward, normalized_gaussian_22()))
+    nested = _nested(backward, PulledBack(forward, normalized_gaussian_22()))
+    q = _chunk(17, 37)
+    assert _same_to_relative(folded.evaluate(_grid_point(q, 2)),
+                             nested.evaluate(_grid_point(q, 2)), 1e-14)
+    for k in range(37):
+        P = _grid_point((q[0][k], q[1][k]), 2)
+        assert _same_to_relative(folded.evaluate(P), nested.evaluate(P), 1e-14)
+
+
+def test_a_three_deep_pull_back_folds_to_one_map():
+    forward, backward = lac_pair()
+    gauss = normalized_gaussian_22()
+    folded = PulledBack(backward, PulledBack(forward, PulledBack(backward, gauss)))
+    assert folded.u is gauss
+    nested = _nested(backward, _nested(forward, PulledBack(backward, gauss)))
+    P = _grid_point(_chunk(19, 37), 2)
+    assert _same_to_relative(folded.evaluate(P), nested.evaluate(P), 1e-14)
+
+
+def test_a_folded_pull_back_through_an_inner_map_singular_at_one_node_raises():
+    # d(q1^3)/dq1 is 0 at q1 = 0, and the backward map keeps q1's body
+    _, backward = lac_pair()
+    cube = SuperMap((2, 2), (2, 2), [
+        SuperFunction(2, 2, {0: E2("q1^3")}),
+        SuperFunction(2, 2, {0: E2("q2")}),
+        SuperFunction(2, 2, {0b01: E2("1")}),
+        SuperFunction(2, 2, {0b10: E2("1")}),
+    ])
+    q1, q2 = _chunk(23, 9)
+    q1[4] = 0.0
+    P = _grid_point((q1, q2), 2)
+    for pulled in (PulledBack(backward, PulledBack(cube, normalized_gaussian_22())),
+                   _nested(backward, PulledBack(cube, normalized_gaussian_22()))):
+        with pytest.raises(GrassmannDomainError, match="body-singular"):
+            pulled.evaluate(P)
+    q1[4] = 0.5
+    PulledBack(backward, PulledBack(cube, normalized_gaussian_22())).evaluate(
+        _grid_point((q1, q2), 2))
+
+
+def test_pull_backs_whose_maps_do_not_chain_stay_nested_and_raise():
+    _, backward = lac_pair()
+    shear = SuperMap((1, 1), (1, 1), [SuperFunction(1, 1, {0: E1("q1")}),
+                                      SuperFunction(1, 1, {0b1: E1("1")})])
+    inner = PulledBack(shear, SuperFunction(1, 1, {0: E1("q1")}))
+    pulled = PulledBack(backward, inner)
+    assert pulled.phi is backward and pulled.u is inner
+    with pytest.raises(GrassmannError, match="source"):
+        pulled.evaluate(_grid_point(_chunk(29, 5), 2))
+
+
+def test_nested_fsm_integrand_makes_one_jacobian_and_one_sdet_per_chunk(monkeypatch):
+    seeds, sdets = [], []
+    seed, sdet = superspace.seed, berezin._sdet
+    monkeypatch.setattr(superspace, "seed", lambda *a, **k: seeds.append(a) or seed(*a, **k))
+    monkeypatch.setattr(berezin, "_sdet", lambda J: sdets.append(J) or sdet(J))
+    forward, backward = lac_pair()
+    pulled = PulledBack(backward, PulledBack(forward, normalized_gaussian_22()))
+    pulled.evaluate(_grid_point(_chunk(13, berezin.QUAD_CHUNK), 2))
+    assert len(seeds) == 1 and len(sdets) == 1
 
 
 def test_pull_back_through_a_map_that_is_not_square_raises():

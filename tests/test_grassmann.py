@@ -364,6 +364,39 @@ def test_batches_compare_equal_node_by_node():
     assert Supernumber(2, {0: np.array([2.0, 2.0])}) != 2
 
 
+# a batch is 0 only when it is 0 at every node; _nonzero reads node 0 first,
+# so the cases that matter are 0 at node 0 and nonzero past it
+
+def test_a_batch_that_is_zero_at_node_zero_only_is_kept():
+    assert gr._table_takes(2, 2) is False  # so x * y below takes the dict loop
+    x = Supernumber(2, {0: np.array([0.0, 1.0]), 1: np.array([0.0, 2.0])})
+    assert list(x.terms) == [0, 1]
+    total = Supernumber(2, {0: np.array([1.0, 2.0])}) + Supernumber(2, {0: np.array([-1.0, 3.0])})
+    assert list(total.terms) == [0]
+    assert np.array_equal(total.terms[0], [0.0, 5.0])
+    y = Supernumber(2, {2: np.array([3.0, 0.5])})
+    product = x * y
+    assert list(product.terms) == [2, 3]
+    assert np.array_equal(product.terms[3], [0.0, 1.0])
+
+
+def test_a_batch_that_is_zero_at_every_node_is_dropped():
+    assert Supernumber(2, {0: np.zeros(3), 1: np.array([0.0, 1.0, 0.0])}).terms.keys() == {1}
+    x = Supernumber(2, {0: np.array([1.0, 2.0])})
+    assert (x - x).is_zero()
+    tiny = Supernumber(2, {1: np.array([1e-200, -1e-200])})
+    assert not tiny.is_zero()
+    assert (tiny * Supernumber(2, {2: np.array([1e-200, 1e-200])})).is_zero()
+    assert Supernumber(2, {0: np.zeros(0)}).is_zero()  # a batch of no nodes
+
+
+def test_nan_at_node_zero_counts_as_nonzero():
+    assert gr._nonzero(np.array([np.nan, 0.0], dtype=complex))
+    assert gr._nonzero(np.array([complex(0.0, np.nan), 0.0]))
+    assert not gr._nonzero(np.zeros(2, dtype=complex))
+    assert list(gr._as_super(np.array([np.nan, 0.0]), 2).terms) == [0]
+
+
 # ---------------------------------------------------------------------------
 # JSON round trip
 # ---------------------------------------------------------------------------

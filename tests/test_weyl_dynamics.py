@@ -1068,6 +1068,22 @@ def test_gradient_without_a_vector_potential_equals_one_of_zeros_bit_for_bit(sca
             assert same_bytes(a, b)
 
 
+@pytest.mark.parametrize("kk", [1.0, 0.7 + 0.3j])
+def test_pauli_odd_symbols_scale_the_pi_pair_once_with_the_bytes_of_two_scalings(kk):
+    # s1 and s2 share one k^-2 pi1 pi2, which must give the bytes of scaling
+    # it apart in each
+    st = spin_state(em_weyl_hamiltonian(WeylSymbolParams(), 0.9))
+    nodes = scalar(4, np.array([1.0, 0.5, -2.0, 1e-3]))
+    for th, pp in ((st.theta, st.pi),
+                   (tuple(nodes * v for v in st.theta), tuple(nodes * v for v in st.pi))):
+        tt, qq = th[0] * th[1], pp[0] * pp[1]
+        want = (tt + (1.0 / (kk * kk)) * qq,
+                1j * (tt - (1.0 / (kk * kk)) * qq),
+                (-1j / kk) * (th[0] * pp[0] + th[1] * pp[1]))
+        got = pauli_odd_symbols(th, pp, kk)
+        assert all(same_bytes(a, b) for a, b in zip(got, want))
+
+
 @pytest.mark.parametrize("potential", sorted(SPIN_POTENTIALS))
 def test_truncation_reaches_the_seeded_hamiltonian_value(monkeypatch, potential):
     # every term of the value read back has a fresh part that one slot at most
