@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple
 
@@ -102,23 +103,30 @@ class GaussQuadSpec:
     rmax: float = 6.0  # radial cutoff for decaying integrands
 
     def __post_init__(self):
-        if self.nodes < 2:
-            raise GrassmannError("need at least 2 quadrature nodes per axis")
+        if not isinstance(self.nodes, (int, np.integer)) or self.nodes < 2:
+            raise GrassmannError("need an integer of at least 2 quadrature nodes per axis")
+        # a nan or inf tolerance would turn the doubling check off
+        for name in ("richardson_tol", "rmax"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+                raise GrassmannError(f"{name} must be finite and positive, got {value!r}")
 
 
 DEFAULT_QUAD = GaussQuadSpec()
 
-# Grid nodes per integrand call.  A larger chunk runs fewer interpreted
+# Grid nodes per integrand call; the nodes of both grids of the doubling check
+# are one node set (see _tensor_quad).  A larger chunk runs fewer interpreted
 # operations per node, but the allocator's high-water mark grows with it.
 # perfbench fsm_transport (a transported (2|2) Gaussian path integral at 20
-# nodes per axis, so 400 and 1,600 nodes on its two grids): solve_s and peak
+# nodes per axis, so 400 + 1,600 = 2,000 nodes in one pass): solve_s and peak
 # RSS of the process, 2-vCPU Xeon, three 8-s runs each, seeds 901-903:
-#    400 nodes    8.71-8.74 ms    40.77-41.07 MB
-#    800 nodes    6.03-6.27 ms    40.70-40.96 MB
-#   1600 nodes    4.97-5.21 ms    41.38-41.45 MB
-# 800 keeps the peak RSS of 400 and saves 30% of its time; 1600 saves about
-# 16% more (medians) for +1.4% RSS.
-QUAD_CHUNK = 800
+#    800 nodes    5.92-6.35 ms    40.85-41.07 MB    (3 calls)
+#   1000 nodes    4.71-4.81 ms    40.93-41.11 MB    (2 calls)
+#   2000 nodes    3.78-3.90 ms    41.94-41.98 MB    (1 call)
+#   4000 nodes    3.38-3.89 ms    41.89-42.01 MB    (1 call)
+# 2000 makes the fsm pass one call: 38% less time than 800 (medians) for +2%
+# RSS; a wider chunk changes nothing there.
+QUAD_CHUNK = 2000
 
 
 def _weighted_sum(weights: np.ndarray, values):
@@ -150,7 +158,9 @@ def _per_chunk(integrand):
     invalid operation, which it would otherwise turn into inf or nan.  So an
     integrand gives the values, or raises the error, that it gives at single
     nodes, also at a node on a pole and when built on something that cannot
-    take a batch.
+    take a batch.  A chunk may hold nodes of both grids of the doubling check
+    (see _tensor_quad); the retry covers all of them, so the error raised is
+    that of the first failing node in the chunk, whichever grid it is on.
     """
     def on_chunk(q):
         try:
@@ -173,38 +183,56 @@ def _gauss_legendre(nodes: int) -> Tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _tensor_quad(fn, box, nodes: int):
-    """Tensor Gauss-Legendre sum of fn over a box, nodes per axis.
-
-    fn takes a chunk of up to QUAD_CHUNK grid nodes as a tuple with one array
-    of coordinates per axis, and returns one value per node: an array, a
-    scalar shared by all nodes, or a Supernumber whose coefficients are such
-    values.  On a d-axis box fn runs ceil(nodes^d / QUAD_CHUNK) times: once on
-    a 20 x 20 grid and twice on 40 x 40 at 800 nodes per chunk (see
-    QUAD_CHUNK).  The rule on [-1, 1] is built once per node count.
-    """
+def _tensor_rule(box, nodes: int):
+    """The nodes of the tensor Gauss-Legendre rule on a box, nodes per axis,
+    as one array of coordinates per axis, and their weights.  The rule on
+    [-1, 1] is built once per node count."""
     x, w = _gauss_legendre(nodes)
     axes = [0.5 * (hi - lo) * x + 0.5 * (hi + lo) for lo, hi in box]
     weights = np.ones(1)
     for lo, hi in box:
         weights = np.multiply.outer(weights, 0.5 * (hi - lo) * w).ravel()
     index = np.indices((nodes,) * len(box)).reshape(len(box), weights.size)
-    grid = [a[i] for a, i in zip(axes, index)]
-    total = 0j
-    for start in range(0, weights.size, QUAD_CHUNK):
+    return [a[i] for a, i in zip(axes, index)], weights
+
+
+def _tensor_quad(fn, box, nodes: int):
+    """Tensor Gauss-Legendre sums of fn over a box at nodes and at 2 * nodes
+    per axis, from one pass over the nodes of both grids.
+
+    fn takes a chunk of up to QUAD_CHUNK nodes as a tuple with one array of
+    coordinates per axis, and returns one value per node: an array, a scalar
+    shared by all nodes, or a Supernumber whose coefficients are such values.
+    The coarse grid's nodes come first and the fine grid's after them, so a
+    chunk may hold nodes of both; each chunk's values go into the weighted
+    sum of every grid it holds nodes of, with weight 0 at the other grid's
+    nodes.  On a d-axis box fn runs ceil((nodes^d + (2 nodes)^d) / QUAD_CHUNK)
+    times: once for the 20 x 20 and 40 x 40 grids at 2,000 nodes per chunk
+    (see QUAD_CHUNK).  Returns the (coarse, fine) sums.
+    """
+    (coarse, w_coarse), (fine, w_fine) = _tensor_rule(box, nodes), _tensor_rule(box, 2 * nodes)
+    grid = [np.concatenate(axis) for axis in zip(coarse, fine)]
+    split, size = w_coarse.size, w_coarse.size + w_fine.size
+    weights = (np.concatenate([w_coarse, np.zeros(w_fine.size)]),
+               np.concatenate([np.zeros(split), w_fine]))
+    totals = [0j, 0j]
+    for start in range(0, size, QUAD_CHUNK):
         chunk = slice(start, start + QUAD_CHUNK)
-        total = total + _weighted_sum(weights[chunk], fn(tuple(g[chunk] for g in grid)))
-    return total
+        values = fn(tuple(g[chunk] for g in grid))
+        for k, held in enumerate((start < split, start + QUAD_CHUNK > split)):
+            if held:
+                totals[k] = totals[k] + _weighted_sum(weights[k][chunk], values)
+    return tuple(totals)
 
 
 def _quad(fn, box, spec: GaussQuadSpec):
-    """_tensor_quad at spec.nodes and twice as many nodes per axis; the two
-    sums must be finite and agree.  Returns the sum on the finer grid."""
+    """The _tensor_quad sums at spec.nodes and twice as many nodes per axis,
+    from one pass; the two sums must be finite and agree.  Returns the sum on
+    the finer grid."""
     box = [(float(lo), float(hi)) for lo, hi in box]
     if not all(math.isfinite(e) for edge in box for e in edge):
         raise QuadratureError("box bounds must be finite")
-    coarse = _tensor_quad(fn, box, spec.nodes)
-    fine = _tensor_quad(fn, box, 2 * spec.nodes)
+    coarse, fine = _tensor_quad(fn, box, spec.nodes)
     for total in (coarse, fine):
         if not _is_finite(total):
             raise QuadratureError("quadrature sum is not finite")

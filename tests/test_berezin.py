@@ -1,6 +1,7 @@
 """Berezin integration: odd integrals, mixed naive/path integrals, Gaussians."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -52,6 +53,7 @@ from supercalc.berezin import (
 )
 from supercalc import berezin, superspace
 from supercalc.berezin import _gauss_legendre, _grid_point, _tensor_quad, _top
+from supercalc.grassmann import _as_super
 from supercalc.superspace import _node_peak
 from supercalc.fourier_odd import GaussPolyBody, OddFourierConfig, mixed_transform
 
@@ -233,6 +235,35 @@ def test_quad_box_flags_unresolved_needle():
 def test_quad_spec_rejects_degenerate_rule():
     with pytest.raises(GrassmannError):
         GaussQuadSpec(nodes=1)
+
+
+@pytest.mark.parametrize("nodes", [20.0, np.float64(20.0), "20", None])
+def test_quad_spec_rejects_node_counts_that_are_not_integers(nodes):
+    with pytest.raises(GrassmannError, match="integer"):
+        GaussQuadSpec(nodes=nodes)
+
+
+def test_quad_spec_accepts_numpy_integer_node_counts():
+    spec = GaussQuadSpec(nodes=np.int64(6))
+    val = quad_box(lambda q: q[0] ** 2, [(0.0, 1.0)], spec)
+    assert abs(val - 1.0 / 3.0) < 1e-14
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-7])
+def test_quad_spec_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    # a nan tolerance turned the doubling check off: this needle integrates
+    # to 0.2507 but the 4-node rule gives 5.8e-7, which tol 1e-7 rejects
+    needle = (lambda q: math.exp(-50.0 * q[0] ** 2)), [(-3.0, 3.0)]
+    with pytest.raises(QuadratureError):
+        quad_box(*needle, GaussQuadSpec(nodes=4, richardson_tol=1e-7))
+    with pytest.raises(GrassmannError, match="richardson_tol"):
+        GaussQuadSpec(nodes=4, richardson_tol=tol)
+
+
+@pytest.mark.parametrize("rmax", [math.nan, math.inf, 0.0, -6.0])
+def test_quad_spec_rejects_a_cutoff_that_is_not_finite_and_positive(rmax):
+    with pytest.raises(GrassmannError, match="rmax"):
+        GaussQuadSpec(rmax=rmax)
 
 
 def test_quad_box_supports_algebra_values():
@@ -1208,9 +1239,10 @@ def test_overflowed_integrand_is_caught_by_quad_box(part):
         quad_box(lambda q: x, [(0.0, 1.0)], GaussQuadSpec(nodes=2))
 
 
-# chunk sizes around the 12 x 12 and 24 x 24 grids below: one node, a partial
-# last chunk, a chunk wider than the coarse grid, one wider than both grids
-CHUNKS = [1, 7, 400, 10_000]
+# chunk sizes around the 12 x 12 and 24 x 24 grids below, which are one node
+# set of 144 + 576: one node, a partial last chunk, a chunk that holds nodes
+# of both grids, the shipped chunk and one wider than both grids
+CHUNKS = [1, 7, 400, 2_000, 10_000]
 
 
 def _integrals_on_chunks():
@@ -1242,20 +1274,124 @@ def test_integrals_do_not_depend_on_the_chunk_size(chunk, integrals_at_100_per_c
         assert abs(got - want) <= 1e-14 * abs(want)
 
 
+# (nodes per axis of the coarse grid, box): 1, 2 and 3 axes
+GRIDS = [(9, [(-1.0, 2.0)]), (12, [(0.0, 1.0)] * 2), (5, [(0.0, 2.0), (-1.0, 1.0), (0.5, 1.0)])]
+
+
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_tensor_quad_calls_fn_once_per_chunk(chunk, monkeypatch):
+    # both grids are one node set: the coarse grid's nodes, then the fine one's
     monkeypatch.setattr(berezin, "QUAD_CHUNK", chunk)
-    for nodes, box in ((12, [(0.0, 1.0)] * 2), (24, [(0.0, 1.0)] * 2), (5, [(0.0, 2.0)] * 3)):
+    for nodes, box in GRIDS:
         sizes = []
 
         def fn(q):
             sizes.append(q[0].size)
             return np.ones(q[0].size)
 
-        total = _tensor_quad(fn, box, nodes)
-        assert len(sizes) == math.ceil(nodes ** len(box) / chunk)
-        assert sum(sizes) == nodes ** len(box)
-        assert close(total, math.prod(hi - lo for lo, hi in box), tol=1e-12)
+        size = nodes ** len(box) + (2 * nodes) ** len(box)
+        totals = _tensor_quad(fn, box, nodes)
+        assert len(sizes) == math.ceil(size / chunk)
+        assert sum(sizes) == size
+        for total in totals:
+            assert close(total, math.prod(hi - lo for lo, hi in box), tol=1e-12)
+
+
+def _grid_sum(f, box, nodes):
+    """The tensor Gauss-Legendre sum of f (one node at a time) on one grid,
+    node by node."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    total = 0j
+    for index in itertools.product(range(nodes), repeat=len(box)):
+        q = [0.5 * (hi - lo) * x[i] + 0.5 * (hi + lo) for i, (lo, hi) in zip(index, box)]
+        total += math.prod(0.5 * (hi - lo) * w[i] for i, (lo, hi) in zip(index, box)) * f(q)
+    return total
+
+
+def _batched(f):
+    """f on a chunk of nodes, as one array of values."""
+    return lambda q: f([np.asarray(c) for c in q])
+
+
+def _wavy(q):
+    return np.exp(-sum(c * c for c in q)) * (1.0 + 0.5j * np.sin(3.0 * sum(q)))
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_one_pass_gives_the_sum_of_each_grid(chunk, monkeypatch):
+    monkeypatch.setattr(berezin, "QUAD_CHUNK", chunk)
+    straddled = False
+    for nodes, box in GRIDS:
+        split, size = nodes ** len(box), nodes ** len(box) + (2 * nodes) ** len(box)
+        straddled |= any(start < split < start + chunk for start in range(0, size, chunk))
+        coarse, fine = _tensor_quad(_batched(_wavy), box, nodes)
+        for got, n in ((coarse, nodes), (fine, 2 * nodes)):
+            want = _grid_sum(lambda q: complex(_wavy(q)), box, n)
+            assert abs(got - want) <= 1e-14 * abs(want)
+    # some chunk holds nodes of both grids, unless each chunk is one node
+    assert straddled or chunk == 1
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_one_pass_gives_the_sum_of_each_grid_for_algebra_values(chunk, monkeypatch):
+    monkeypatch.setattr(berezin, "QUAD_CHUNK", chunk)
+    g = gen(2, 0) * gen(2, 1)
+    nodes, box = GRIDS[1]
+
+    def value(q):
+        return _as_super(_wavy(q), 2) + _as_super(q[0] * q[1], 2) * g
+
+    coarse, fine = _tensor_quad(_batched(value), box, nodes)
+    for got, n in ((coarse, nodes), (fine, 2 * nodes)):
+        want = _grid_sum(value, box, n)
+        assert max_abs(got - want) <= 1e-14 * max_abs(want)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_quad_box_rejects_nan_on_the_fine_grid_alone(chunk, monkeypatch):
+    # the 6-node rule's first node is not a node of the 3-node rule; on 3 + 6
+    # nodes a chunk of 7 holds it with the whole coarse grid
+    monkeypatch.setattr(berezin, "QUAD_CHUNK", chunk)
+    x, _ = _gauss_legendre(6)
+    node = 0.5 * x[0] + 0.5
+    assert node not in 0.5 * _gauss_legendre(3)[0] + 0.5
+    with pytest.raises(QuadratureError, match="not finite"):
+        quad_box(lambda q: math.nan if q[0] == node else 1.0, [(0, 1)],
+                 GaussQuadSpec(nodes=3))
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_pole_in_a_chunk_of_both_grids_raises_the_error_of_its_node(chunk, monkeypatch):
+    # the 3-node rule on (-1, 1) puts its second node at q = 0; the chunk that
+    # holds it is evaluated again one node at a time (_per_chunk)
+    monkeypatch.setattr(berezin, "QUAD_CHUNK", chunk)
+    retried = []
+    on_nodes = berezin._on_nodes
+    monkeypatch.setattr(berezin, "_on_nodes", lambda fn, q: retried.append(q) or on_nodes(fn, q))
+    u = SuperFunction(1, 2, {0b11: E1("1/q1")})
+    with pytest.raises((ZeroDivisionError, GrassmannDomainError)):
+        integrate_naive(u, [(-1.0, 1.0)], GaussQuadSpec(nodes=3))
+    (q,) = retried
+    assert q[0].size == min(chunk, 3 + 6) and 0.0 in q[0]
+
+
+def test_fsm_bench_pair_is_one_integrand_call_of_2000_nodes():
+    # the bench's transported integral at 20 nodes per axis: 400 + 1,600 nodes
+    # of both grids in one call at the shipped chunk
+    sizes = []
+    tensor_quad = berezin._tensor_quad
+
+    def spy(fn, box, nodes):
+        return tensor_quad(lambda q: sizes.append(q[0].size) or fn(q), box, nodes)
+
+    forward, backward = lac_pair()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(berezin, "_tensor_quad", spy)
+        val = integrate_fsm(FSMPath(((-4.2, 4.2),) * 2, backward),
+                            PulledBack(forward, normalized_gaussian_22()),
+                            GaussQuadSpec(nodes=20), odd_order=(1, 2))
+    assert sizes == [2000]
+    assert abs(val.body - 1.0) < 1e-7
 
 
 def test_gauss_legendre_rule_is_built_once_and_read_only():
