@@ -196,6 +196,24 @@ def _tensor_rule(box, nodes: int):
     return [a[i] for a, i in zip(axes, index)], weights
 
 
+@functools.lru_cache(maxsize=32)
+def _merged_rule(box: Tuple[Tuple[float, float], ...], nodes: int):
+    """The node set of _tensor_quad on a box given as a tuple of float pairs:
+    the tensor rule's nodes at nodes and at 2 * nodes per axis, the coarse
+    ones first, as one array per axis; each rule's weights padded with 0 at
+    the other rule's nodes; and the coarse node count.  Built once per
+    (box, nodes) and shared by every call, so the arrays are read-only; the
+    cache is bounded, so callers with many boxes do not keep every rule."""
+    (coarse, w_coarse), (fine, w_fine) = _tensor_rule(box, nodes), _tensor_rule(box, 2 * nodes)
+    grid = tuple(np.concatenate(axis) for axis in zip(coarse, fine))
+    split = w_coarse.size
+    weights = (np.concatenate([w_coarse, np.zeros(w_fine.size)]),
+               np.concatenate([np.zeros(split), w_fine]))
+    for a in grid + weights:
+        a.flags.writeable = False
+    return grid, weights, split
+
+
 def _tensor_quad(fn, box, nodes: int):
     """Tensor Gauss-Legendre sums of fn over a box at nodes and at 2 * nodes
     per axis, from one pass over the nodes of both grids.
@@ -210,11 +228,9 @@ def _tensor_quad(fn, box, nodes: int):
     times: once for the 20 x 20 and 40 x 40 grids at 2,000 nodes per chunk
     (see QUAD_CHUNK).  Returns the (coarse, fine) sums.
     """
-    (coarse, w_coarse), (fine, w_fine) = _tensor_rule(box, nodes), _tensor_rule(box, 2 * nodes)
-    grid = [np.concatenate(axis) for axis in zip(coarse, fine)]
-    split, size = w_coarse.size, w_coarse.size + w_fine.size
-    weights = (np.concatenate([w_coarse, np.zeros(w_fine.size)]),
-               np.concatenate([np.zeros(split), w_fine]))
+    grid, weights, split = _merged_rule(tuple((float(lo), float(hi)) for lo, hi in box),
+                                        nodes)
+    size = weights[0].size
     totals = [0j, 0j]
     for start in range(0, size, QUAD_CHUNK):
         chunk = slice(start, start + QUAD_CHUNK)
@@ -323,7 +339,7 @@ class OddPolynomial:
 
 
 def odd_expand(fn: Callable[[Tuple[Supernumber, ...]], Supernumber],
-               n: int, ambient_L: int) -> OddPolynomial:
+               n: int, ambient_L: int) -> OddPolynomial | Tuple[OddPolynomial, ...]:
     """Expand a function of n odd arguments into an OddPolynomial.
 
     Evaluates once at fresh generators placed above the ambient algebra
@@ -331,12 +347,21 @@ def odd_expand(fn: Callable[[Tuple[Supernumber, ...]], Supernumber],
     grassmann.seed_parts.  Every monomial is read, so this seeding does not
     truncate; inside a first-order seeded evaluation its values keep the
     outer cut, whose window lies below the generators seeded here.
+
+    When fn returns a tuple of elements, the result is a tuple with one
+    OddPolynomial per element, all read from that one evaluation: functions
+    that share most of their work (weyl_dynamics' propagator columns share
+    the exponentiated action) expand from one seeding, each part the same as
+    from a call of its own.
     """
     _, fresh, _ = seed((), (zero(ambient_L),) * n, ambient_L)
-    val = _as_super(fn(fresh))
-    if val.L > ambient_L + n:
-        raise GrassmannError("expansion escaped its working algebra")
-    return OddPolynomial(n, seed_parts(val, ambient_L), L=ambient_L)
+    out = fn(fresh)
+    polys = []
+    for val in map(_as_super, out if isinstance(out, tuple) else (out,)):
+        if val.L > ambient_L + n:
+            raise GrassmannError("expansion escaped its working algebra")
+        polys.append(OddPolynomial(n, seed_parts(val, ambient_L), L=ambient_L))
+    return tuple(polys) if isinstance(out, tuple) else polys[0]
 
 
 def _measure_sign(n: int, order: Sequence[int]) -> float:

@@ -841,8 +841,14 @@ def _in_one_algebra(*groups: Iterable, L: int = 0
     as a tuple of elements of one algebra, the smallest with at least L
     generators that holds them all, and that algebra's generator count.  A
     number becomes a validated constant (``_in_algebra``); an element already
-    there is itself."""
-    groups = [tuple(g) for g in groups]
+    there is itself, and groups of elements of one algebra with at least L
+    generators are returned as they are, without a pass per entry."""
+    groups = tuple(map(tuple, groups))
+    sizes = {v.L if type(v) is Supernumber else -1 for g in groups for v in g}
+    if len(sizes) == 1:
+        (size,) = sizes
+        if size >= L and size >= 0:
+            return groups, size
     L = max([L, *(v.L for g in groups for v in g if isinstance(v, Supernumber))])
     return tuple(tuple(_in_algebra(v, L) for v in g) for g in groups), L
 
@@ -1260,8 +1266,14 @@ def _combined(c: complex, a: Supernumber, b: Supernumber, *more: Supernumber
               ) -> Supernumber:
     """a + c * b, or with more = (b2, b3, b4) a + c * (((b + 2 b2) + 2 b3) + b4),
     as one element: the scalings and sums of ``*`` and ``+`` in their order,
-    with their zero drops, and the L and cut those would give."""
-    values = (a, b, *more)
+    with their zero drops, and the L and cut those would give: the largest L,
+    and the first cut in the order a, b, more."""
+    L, cut = a.L, a._cut
+    for v in (b, *more):
+        if v.L > L:
+            L = v.L
+        if cut is None:
+            cut = v._cut
     total = b._terms
     if more:
         b2, b3, b4 = more
@@ -1271,7 +1283,7 @@ def _combined(c: complex, a: Supernumber, b: Supernumber, *more: Supernumber
         _add_into(total, b4._terms)
     out = dict(a._terms)
     _add_into(out, _scaled(c, total))
-    return Supernumber(max(v.L for v in values), out, _AS_IS, _cut_of(values))
+    return Supernumber(L, out, _AS_IS, cut)
 
 
 def chop(X: Supernumber, tol: float) -> Supernumber:

@@ -308,6 +308,28 @@ def propagator_from_classical(t: float, p, u0: complex, u1: complex,
     Berezin integration over the odd momentum variables.  Requires
     pair_weight == 1 (enforced by construction: kernel_scale = hbar).
     """
+    return _classical_columns(t, p, ((u0, u1),), hbar, speed)[0]
+
+
+def propagator_matrix_from_classical(t: float, p, hbar: float = 1.0,
+                                     speed: float = 1.0) -> np.ndarray:
+    """2x2 matrix of the reconstructed propagator (columns = basis images).
+
+    Both columns come from one pipeline: the amplitude, the action and its
+    exponential are built once, and both integrands are expanded from one
+    seeding.  Each column equals ``propagator_from_classical`` of its basis
+    pair bit for bit.
+    """
+    (v00, v10), (v01, v11) = _classical_columns(t, p, ((1.0, 0.0), (0.0, 1.0)),
+                                                hbar, speed)
+    return np.array([[v00, v01], [v10, v11]], dtype=complex)
+
+
+def _classical_columns(t: float, p, columns, hbar: float, speed: float
+                       ) -> List[Tuple[complex, complex]]:
+    """The reconstructed propagator applied to each component pair (u0, u1)
+    of columns.  Only fo(u) depends on the pair, so the amplitude, the seeded
+    action and exp(i act / hbar) are built once for all of them."""
     params = WeylSymbolParams(speed=speed, hbar=hbar, kernel_scale=hbar)
     px, py, pz = (float(v) for v in p)
     mom = (px, py, pz)
@@ -316,25 +338,21 @@ def propagator_from_classical(t: float, p, u0: complex, u1: complex,
     # used for the Berezin integral live above them.
     thetas = (gen(2, 0), gen(2, 1))
     cfg = OddFourierConfig(2, kernel_scale=hbar)
-    fu = fo(OddPolynomial(2, {0: complex(u0), 0b11: complex(u1)}), cfg)
+    fus = [fo(OddPolynomial(2, {0: complex(u0), 0b11: complex(u1)}), cfg)
+           for u0, u1 in columns]
     amp = van_vleck_amplitude(t, mom, params)
     phase_scale = 1j / hbar
 
-    def kernel(pis: Tuple[Supernumber, ...]) -> Supernumber:
+    def kernel(pis: Tuple[Supernumber, ...]) -> Tuple[Supernumber, ...]:
         act = hj_action(t, (0.0, 0.0, 0.0), mom, thetas, pis, params)
-        return apply_analytic(_EXP, phase_scale * act) * fu.evaluate(pis)
+        phase = apply_analytic(_EXP, phase_scale * act)
+        return tuple(phase * fu.evaluate(pis) for fu in fus)
 
-    integral = integrate_odd(odd_expand(kernel, 2, 2))
-    total = (hbar * amp.body) * integral
-    return total.coefficient(0), total.coefficient(0b11)
-
-
-def propagator_matrix_from_classical(t: float, p, hbar: float = 1.0,
-                                     speed: float = 1.0) -> np.ndarray:
-    """2x2 matrix of the reconstructed propagator (columns = basis images)."""
-    v00, v10 = propagator_from_classical(t, p, 1.0, 0.0, hbar=hbar, speed=speed)
-    v01, v11 = propagator_from_classical(t, p, 0.0, 1.0, hbar=hbar, speed=speed)
-    return np.array([[v00, v01], [v10, v11]], dtype=complex)
+    out = []
+    for poly in odd_expand(kernel, 2, 2):
+        total = (hbar * amp.body) * integrate_odd(poly)
+        out.append((total.coefficient(0), total.coefficient(0b11)))
+    return out
 
 
 # ---------------------------------------------------------------------------

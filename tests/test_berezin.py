@@ -1406,6 +1406,32 @@ def test_gauss_legendre_rule_is_built_once_and_read_only():
             a[0] = 0.0
 
 
+def test_tensor_quad_builds_its_node_set_once_per_box_and_node_count():
+    # both rules merged as _tensor_quad uses them, built once per (box, nodes);
+    # a box of ints and one of floats are one key
+    seen = []
+
+    def fn(q):
+        seen.append(q)
+        return np.ones(q[0].size)
+
+    for box in ([(0, 1), (-1, 2)], ((0.0, 1.0), (-1.0, 2.0))):
+        _tensor_quad(fn, box, 4)
+    first, second = seen
+    for a, b in zip(first, second):
+        assert a.base is b.base and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    grid, weights, split = berezin._merged_rule(((0.0, 1.0), (-1.0, 2.0)), 4)
+    (coarse, w_coarse), (fine, w_fine) = (berezin._tensor_rule([(0.0, 1.0), (-1.0, 2.0)], n)
+                                          for n in (4, 8))
+    assert split == 16 and all(not a.flags.writeable for a in grid + weights)
+    for axis, c, f in zip(grid, coarse, fine):
+        assert np.concatenate([c, f]).tobytes() == axis.tobytes()
+    assert weights[0].tobytes() == np.concatenate([w_coarse, np.zeros(64)]).tobytes()
+    assert weights[1].tobytes() == np.concatenate([np.zeros(16), w_fine]).tobytes()
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_quadrature_rejects_a_box_that_is_not_finite(bad):
     box = [(-1.0, 1.0), (0.0, bad)]

@@ -321,6 +321,22 @@ def test_in_one_algebra_puts_numbers_and_elements_in_the_largest_L():
     assert gr._in_one_algebra() == ((), 0)
 
 
+def test_in_one_algebra_returns_aligned_groups_as_they_are(monkeypatch):
+    # a phase state: every entry an element of one L, batches of 1 node too
+    x = [gr.scalar(4, 1.5), gr.scalar(4, np.array([2.0])), gr.gen(4, 0) * gr.gen(4, 1)]
+    th, pi = (gr.gen(4, 0), gr.gen(4, 1)), [gr.gen(4, 2), gr.gen(4, 3)]
+    passes = []
+    monkeypatch.setattr(gr, "_in_algebra", lambda v, L: passes.append(v) or v.embed(L))
+    for L in (0, 4):
+        (gx, gth, gpi, empty), got_L = gr._in_one_algebra(x, th, iter(pi), (), L=L)
+        assert got_L == 4 and passes == [] and empty == ()
+        assert all(a is b for a, b in zip(gx + gth + gpi, x + list(th) + pi))
+        assert type(gx) is tuple and len(gpi) == 2
+    # a larger L= re-wraps every entry
+    (gth,), got_L = gr._in_one_algebra(th, L=5)
+    assert got_L == 5 and [v.L for v in gth] == [5, 5] and len(passes) == 2
+
+
 def test_chop_and_diagnostics():
     L = 2
     x = Supernumber(L, {0: 1.0, 0b01: 1e-15, 0b11: 3.0})

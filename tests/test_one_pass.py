@@ -9,6 +9,10 @@ stand in for, bit for bit.
 * The dict loop signs its pairs with one mask per partner
   (``grassmann._sign_mask``); the oracles are the loop over the partner's bits
   that ``_reorder_sign`` ran before and an explicit insertion sort.
+* ``_in_one_algebra`` returns groups already in one algebra as they are; the
+  oracle puts every entry through ``_in_algebra``.
+* ``odd_expand`` of a tuple-valued function expands every element from one
+  seeding; the oracle is one call per element.
 """
 
 import numpy as np
@@ -17,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supercalc import grassmann as gr
+from supercalc.berezin import OddPolynomial, odd_expand
 from supercalc.grassmann import GrassmannError, Supernumber, gen, rk4_step, scalar, seed
 
 from helpers import bits_of, perm_sign_by_sort, same_bytes
@@ -56,6 +61,14 @@ def seed_by_operators(even, odd, L, first_order=False):
         cut = gr._Cut(L, (1 << (Lw - L)) - 1, frozenset([0, *masks]))
         lifted = [Supernumber(Lw, v._terms, gr._AS_IS, cut) for v in lifted]
     return tuple(lifted[:m]), tuple(lifted[m:]), masks
+
+
+def in_one_algebra_by_entries(*groups, L=0):
+    """Every entry of every group through ``_in_algebra``, as
+    ``_in_one_algebra`` ran before it passed aligned groups through."""
+    groups = [tuple(g) for g in groups]
+    L = max([L, *(v.L for g in groups for v in g if isinstance(v, Supernumber))])
+    return tuple(tuple(gr._in_algebra(v, L) for v in g) for g in groups), L
 
 
 def sign_by_bit_loop(mj, mk):
@@ -208,3 +221,111 @@ def test_the_partner_mask_gives_the_sort_sign(masks):
     assert want == perm_sign_by_sort(bits_of(mj) + bits_of(mk))
     assert (-1) ** (mj & gr._sign_mask(mk)).bit_count() == want
     assert gr._reorder_sign(mj, mk) == want
+
+
+# ---------------------------------------------------------------------------
+# _combined: the L and the cut of the expression
+# ---------------------------------------------------------------------------
+
+def test_combined_takes_the_largest_L_and_the_first_cut_on_b():
+    a, b = element(np.random.default_rng(1), 3), Supernumber(5, {0b10001: 2.0})
+    b = Supernumber(5, b._terms, gr._AS_IS, CUTS[0])
+    got = gr._combined(0.5 + 0j, a, b)
+    assert got.L == 5 and got._cut == CUTS[0]
+    assert same(got, a + 0.5 * b)
+
+
+def test_combined_takes_the_first_cut_on_a_later_operand():
+    rng = np.random.default_rng(2)
+    a, b, b2 = (element(rng, L) for L in (4, 3, 5))
+    b3, b4 = (Supernumber(L, element(rng, L)._terms, gr._AS_IS, cut)
+              for L, cut in ((6, CUTS[1]), (3, CUTS[0])))
+    for more, L, cut in (((b2, b3, b4), 6, CUTS[1]), ((b2, b2, b4), 5, CUTS[0])):
+        got = gr._combined(0.25 + 0j, a, b, *more)
+        assert got.L == L and got._cut == cut
+        assert same(got, a + 0.25 * (((b + 2.0 * more[0]) + 2.0 * more[1]) + more[2]))
+
+
+# ---------------------------------------------------------------------------
+# _in_one_algebra: aligned groups pass through
+# ---------------------------------------------------------------------------
+
+def draw_entry(rng, L):
+    """An element of L generators (sometimes a 1-node batch), an element of
+    another L, or a number of one of the types callers pass."""
+    pick = rng.integers(0, 6)
+    if pick == 0:
+        return element(rng, int(rng.integers(0, 6)), batch=rng.random() < 0.5)
+    if pick == 1:
+        return scalar(L, np.array([complex(rng.standard_normal(), 1.0)]))
+    if pick == 2:
+        return [1, -2.5, 3j, np.float64(0.5), 0.0][int(rng.integers(0, 5))]
+    return element(rng, L, batch=rng.random() < 0.3, cut_share=0.2)
+
+
+def draw_groups(rng):
+    """Up to 3 groups of up to 3 entries, and the L= argument or none."""
+    L = int(rng.integers(0, 6))
+    groups = [[draw_entry(rng, L) for _ in range(int(rng.integers(0, 4)))]
+              for _ in range(int(rng.integers(0, 4)))]
+    return groups, ({"L": int(rng.integers(0, 7))} if rng.random() < 0.4 else {})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_in_one_algebra_equals_the_entry_by_entry_path(key):
+    groups, kwargs = draw_groups(np.random.default_rng(key))
+    got, got_L = gr._in_one_algebra(*groups, **kwargs)
+    want, want_L = in_one_algebra_by_entries(*groups, **kwargs)
+    assert got_L == want_L and len(got) == len(want)
+    for g_got, g_want, g in zip(got, want, groups):
+        assert type(g_got) is tuple and len(g_got) == len(g_want)
+        for a, b, v in zip(g_got, g_want, g):
+            assert same(a, b)
+            assert (a is v) == (b is v)
+
+
+def test_the_in_one_algebra_cases_reach_both_paths():
+    # aligned draws (every entry an element of one L, at least L=) and the rest
+    aligned = 0
+    for key in range(100):
+        groups, kwargs = draw_groups(np.random.default_rng(key))
+        entries = [v for g in groups for v in g]
+        sizes = {v.L if isinstance(v, Supernumber) else -1 for v in entries}
+        aligned += len(sizes) == 1 and min(sizes) >= kwargs.get("L", 0)
+    assert 10 <= aligned <= 90
+
+
+# ---------------------------------------------------------------------------
+# odd_expand of several functions from one seeding
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, L", [(1, 0), (2, 2), (2, 3), (3, 1)])
+def test_a_tuple_valued_expansion_gives_the_parts_of_one_call_per_element(n, L):
+    rng = np.random.default_rng(10 * n + L)
+    polys = [OddPolynomial(n, {a: element(rng, L, batch=rng.random() < 0.5)
+                               for a in range(1 << n)}, L=L) for _ in range(3)]
+    shift = scalar(L, rng.standard_normal(NODES))
+    exp = gr.AnalyticSpec.named("exp")
+
+    def phase(th):
+        # work the elements share, as the propagator columns share their phase
+        odd = gen(L, 0) * th[0] if L else 0.0
+        return gr.apply_analytic(exp, 0.5 + shift * th[0] * th[-1] + odd)
+
+    fns = [lambda th, v=v: phase(th) * v.evaluate(th) for v in polys]
+    fns.append(lambda th: 2.0)
+    together = odd_expand(lambda th: tuple(f(th) for f in fns), n, L)
+    assert type(together) is tuple and len(together) == len(fns)
+    for got, f in zip(together, fns):
+        want = odd_expand(f, n, L)
+        assert (got.n, got.L) == (want.n, want.L)
+        assert list(got.coefficients) == list(want.coefficients)
+        assert all(same(got.coefficients[a], want.coefficients[a]) for a in want.coefficients)
+    (alone,) = odd_expand(lambda th: (fns[0](th),), n, L)
+    assert list(alone.coefficients) == list(together[0].coefficients)
+
+
+def test_a_tuple_valued_expansion_rejects_any_element_that_escapes():
+    with pytest.raises(GrassmannError, match="escaped"):
+        odd_expand(lambda th: (th[0], gen(5, 4)), 2, 1)

@@ -31,10 +31,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from supercalc.berezin import OddPolynomial, integrate_odd, odd_expand
+from supercalc.fourier_odd import OddFourierConfig, fo
 from supercalc.grassmann import (
+    AnalyticSpec,
     GrassmannDomainError,
     GrassmannError,
     Supernumber,
+    apply_analytic,
     degree_filter,
     gen,
     gen_left_derivative,
@@ -46,7 +50,7 @@ from supercalc.grassmann import (
     seed_parts,
     zero,
 )
-from supercalc import weyl_dynamics
+from supercalc import fourier_odd, weyl_dynamics
 from supercalc.superlinalg import from_blocks, sdet
 from supercalc.weyl_dynamics import (
     FlowState,
@@ -457,6 +461,39 @@ class TestVanVleck:
 # ---------------------------------------------------------------------------
 
 
+# (t, p, hbar, speed) for the bit-for-bit column checks
+COLUMN_CASES = [
+    (0.7, (0.4, -0.7, 0.9), 1.0, 1.0),
+    (0.0, (0.3, -0.8, 0.4), 1.0, 1.0),
+    (1.3, (-1.1, 0.2, 0.05), 0.6, 1.7),
+    (0.25, (2.0, -0.5, -1.4), 1.9, 0.55),
+    (0.05, (1e-3, 2e-3, -1e-3), 1.0, 1.0),
+]
+
+
+def _bytes(values) -> bytes:
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+def _column_alone(t, p, u0, u1, hbar, speed):
+    """One column through its own pipeline: its own amplitude, action,
+    exponential and seeding, as the reconstruction ran before its columns
+    shared them."""
+    params = WeylSymbolParams(speed=speed, hbar=hbar, kernel_scale=hbar)
+    mom = tuple(float(v) for v in p)
+    thetas = (gen(2, 0), gen(2, 1))
+    fu = fo(OddPolynomial(2, {0: complex(u0), 0b11: complex(u1)}),
+            OddFourierConfig(2, kernel_scale=hbar))
+    amp = van_vleck_amplitude(t, mom, params)
+
+    def kernel(pis):
+        act = hj_action(t, (0.0, 0.0, 0.0), mom, thetas, pis, params)
+        return apply_analytic(AnalyticSpec.named("exp"), (1j / hbar) * act) * fu.evaluate(pis)
+
+    total = (hbar * amp.body) * integrate_odd(odd_expand(kernel, 2, 2))
+    return total.coefficient(0), total.coefficient(0b11)
+
+
 class TestPropagatorReconstruction:
     def test_zero_time_is_identity(self):
         u = propagator_matrix_from_classical(0.0, (0.3, -0.8, 0.4))
@@ -500,6 +537,27 @@ class TestPropagatorReconstruction:
     def test_caustic_raises(self):
         with pytest.raises(GrassmannDomainError):
             propagator_from_classical(math.pi / 2, (1.0, 0.0, 0.0), 1.0, 0.0)
+
+    @pytest.mark.parametrize("t, p, hbar, speed", COLUMN_CASES)
+    def test_matrix_equals_its_columns_one_at_a_time_bit_for_bit(self, t, p, hbar, speed):
+        got = propagator_matrix_from_classical(t, p, hbar=hbar, speed=speed)
+        for j, pair in enumerate(((1.0, 0.0), (0.0, 1.0))):
+            column = propagator_from_classical(t, p, *pair, hbar=hbar, speed=speed)
+            alone = _column_alone(t, p, *pair, hbar=hbar, speed=speed)
+            assert _bytes(got[:, j]) == _bytes(column) == _bytes(alone)
+
+    @pytest.mark.parametrize("t, p, hbar, speed", COLUMN_CASES)
+    def test_a_component_pair_equals_its_own_pipeline_bit_for_bit(self, t, p, hbar, speed):
+        got = propagator_from_classical(t, p, 0.7, -0.2j, hbar=hbar, speed=speed)
+        assert _bytes(got) == _bytes(_column_alone(t, p, 0.7, -0.2j, hbar=hbar, speed=speed))
+
+    def test_matrix_raises_at_the_caustic_as_a_column_does(self):
+        with pytest.raises(GrassmannDomainError) as column:
+            propagator_from_classical(math.pi / 2, (1.0, 0.0, 0.0), 1.0, 0.0)
+        with pytest.raises(GrassmannDomainError) as matrix:
+            propagator_matrix_from_classical(math.pi / 2, (1.0, 0.0, 0.0))
+        assert type(matrix.value) is type(column.value)
+        assert str(matrix.value) == str(column.value) != ""
 
 
 # ---------------------------------------------------------------------------
@@ -966,13 +1024,24 @@ class TestWeylSymbolParams:
 
 def test_reconstructed_propagator_continues_sqrt_once_per_classical_quantity(monkeypatch):
     # the amplitude and the action each take |xi| and the angle's cos and sin
-    # from one continuation; exp makes the phase; two columns
+    # from one continuation; exp makes the phase; both columns share all of it
     kinds = []
     apply_analytic = weyl_dynamics.apply_analytic
     monkeypatch.setattr(weyl_dynamics, "apply_analytic",
                         lambda spec, X: kinds.append(spec.kind) or apply_analytic(spec, X))
     propagator_matrix_from_classical(0.7, (0.4, -0.7, 0.9))
-    assert Counter(kinds) == {"sqrt": 4, "cos": 4, "sin": 4, "exp": 2}
+    assert Counter(kinds) == {"sqrt": 2, "cos": 2, "sin": 2, "exp": 1}
+
+
+def test_reconstructed_propagator_expands_both_columns_from_one_seeding(monkeypatch):
+    # fo expands twice per column; the two integrands share one expansion
+    calls = []
+    for module in (weyl_dynamics, fourier_odd):
+        expand = module.odd_expand
+        monkeypatch.setattr(module, "odd_expand",
+                            lambda *a, _f=expand, _m=module: calls.append(_m) or _f(*a))
+    propagator_matrix_from_classical(0.7, (0.4, -0.7, 0.9))
+    assert Counter(calls) == {fourier_odd: 4, weyl_dynamics: 1}
 
 
 # ---------------------------------------------------------------------------
