@@ -1,17 +1,22 @@
 """Fourier transforms in odd variables and on the Gaussian-polynomial class.
 
-The forward odd transform of v(theta_1..theta_n) is
+The forward odd transform of v(theta_1..theta_n) = sum_a theta^a v_a is
 
     normalization * integral d^n(theta) exp(-i <theta|pi> / scale) v(theta),
 
-with <theta|pi> = sum_j theta_j pi_j, evaluated exactly by expanding the
-nilpotent kernel and taking the top-coefficient odd integral (default
-descending measure).  The inverse transform flips the kernel sign and
-integrates over the momentum-like variables, keeping theta in the first
-pairing slot.  The default normalization scale^{n/2} * phase(n), with
-phase(n) an eighth root of unity, makes the two transforms exact mutual
-inverses for every nonzero complex scale, and unitary for the sesquilinear
-coefficient pairing when the scale is 1.
+with <theta|pi> = sum_j theta_j pi_j and the default descending measure.
+Against theta^a the nilpotent kernel contributes only its term in the
+complementary monomial, so the integral is a selection rule: theta^a goes to
+the single monomial pi^(complement of a) times normalization, a power of the
+exponent factor and a sign (``_image``), and each ambient coefficient v_a is
+scaled once.  The tests keep the defining integral itself (seed both sets of
+variables, expand the kernel, integrate) as the oracle of this rule.  The
+inverse transform flips the kernel sign and integrates over the momentum-like
+variables, keeping theta in the first pairing slot.  The default
+normalization scale^{n/2} * phase(n), with phase(n) an eighth root of unity,
+makes the two transforms exact mutual inverses for every nonzero complex
+scale, and unitary for the sesquilinear coefficient pairing when the scale
+is 1.
 
 A second convention ("real-kernel": no imaginary unit in the exponent,
 sign-only phase) is provided as a documented switch; only the default
@@ -20,8 +25,8 @@ convention carries inversion and unitarity guarantees here.
 The mixed transform acts on functions sum_a theta^a u_a(x) whose body
 coefficients lie in the closed class polynomial * centered Gaussian; each
 coefficient transforms by a closed-form shifted-moment rule and each bare
-odd monomial by the odd transform (whose image is again a single monomial),
-so the result factorizes and stays inside the class.
+odd monomial by the same selection rule, so the result factorizes and stays
+inside the class.
 """
 
 from __future__ import annotations
@@ -32,15 +37,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
-from .berezin import OddPolynomial, _double_factorial, integrate_odd, odd_expand
-from .grassmann import (
-    AnalyticSpec,
-    GrassmannError,
-    Supernumber,
-    apply_analytic,
-    conjugate,
-    zero,
-)
+from .berezin import OddPolynomial, _double_factorial
+from .grassmann import GrassmannError, Supernumber, conjugate, zero
 from .superspace import BodyFunction, SuperFunction
 
 __all__ = [
@@ -54,8 +52,6 @@ __all__ = [
     "mixed_transform",
     "mixed_transform_bar",
 ]
-
-_EXP = AnalyticSpec.named("exp")
 
 _CONVENTIONS = ("standard", "real-kernel")
 
@@ -104,9 +100,11 @@ class OddFourierConfig:
 def fo(v: OddPolynomial, cfg: OddFourierConfig) -> OddPolynomial:
     """Forward odd transform: normalization * integral of kernel * v.
 
-    The integration variables fill the first pairing slot; the result is the
-    polynomial in the target variables, with ambient coefficients passed
-    through untouched.
+    The integration variables fill the first pairing slot.  Each theta^a v_a
+    maps to pi^(complement of a) * (normalization * f^k * sign) * v_a, with
+    f the exponent factor and k the degree of the complement (``_image``);
+    ambient coefficients pass through, scaled once.  The nested defining
+    integral in tests/test_fourier_odd.py is the oracle of this rule.
     """
     return _odd_transform(v, cfg, inverse=False)
 
@@ -114,9 +112,28 @@ def fo(v: OddPolynomial, cfg: OddFourierConfig) -> OddPolynomial:
 def fo_bar(w: OddPolynomial, cfg: OddFourierConfig) -> OddPolynomial:
     """Backward odd transform (kernel sign flipped, target slot first).
 
-    Exact two-sided inverse of fo under the "standard" convention.
+    The selection rule of fo with the inverse exponent factor and one more
+    sign (-1)^k from the pairing order pi_j theta_j; checked against the same
+    nested-integral oracle.  Exact two-sided inverse of fo under the
+    "standard" convention.
     """
     return _odd_transform(w, cfg, inverse=True)
+
+
+def _image(mask: int, cfg: OddFourierConfig, inverse: bool) -> Tuple[int, complex]:
+    """The transform of the bare monomial theta^mask: (comp, c) with image
+    c * pi^comp, where comp is the complement of mask and k = |comp|.
+
+    c = normalization * f^k * (-1)^(k(k-1)/2 + |mask| k + #{i < j : i in mask,
+    j in comp}), times (-1)^k for fo_bar; f is the exponent factor.
+    """
+    n = cfg.n
+    comp = ((1 << n) - 1) ^ mask
+    k = comp.bit_count()
+    crossings = sum((comp >> (i + 1)).bit_count() for i in range(n) if mask >> i & 1)
+    flips = k * (k - 1) // 2 + (n - k) * k + crossings + (k if inverse else 0)
+    c = cfg.normalization * cfg._exponent_factor(inverse) ** k
+    return comp, -c if flips & 1 else c
 
 
 def _odd_transform(v: OddPolynomial, cfg: OddFourierConfig,
@@ -126,26 +143,11 @@ def _odd_transform(v: OddPolynomial, cfg: OddFourierConfig,
     if v.n != cfg.n:
         raise GrassmannError(
             f"input has {v.n} odd variables, config expects {cfg.n}")
-    n, La = cfg.n, v.L
-    factor = cfg._exponent_factor(inverse)
-    L1 = La + n
-
-    def in_target(tgt: Tuple[Supernumber, ...]) -> Supernumber:
-        def integrand(src: Tuple[Supernumber, ...]) -> Supernumber:
-            L2 = L1 + n
-            pairing = zero(L2)
-            for j in range(n):
-                t, s = tgt[j], src[j]
-                pairing = pairing + ((t * s) if inverse else (s * t))
-            kern = apply_analytic(_EXP, pairing * factor)
-            return kern * v.evaluate(src)
-
-        return integrate_odd(odd_expand(integrand, n, L1))
-
-    out = odd_expand(in_target, n, La)
-    scale = cfg.normalization
-    return OddPolynomial(n, {a: scale * c for a, c in out.coefficients.items()},
-                         L=La)
+    out = {}
+    for a, c in v.coefficients.items():
+        b, factor = _image(a, cfg, inverse)
+        out[b] = factor * c
+    return OddPolynomial(cfg.n, out, L=v.L)
 
 
 def odd_delta(n: int, L: int = 0) -> OddPolynomial:
@@ -281,14 +283,6 @@ def even_gauss_transform(body: GaussPolyBody, hbar: float = 1.0,
 # mixed transform on the Gaussian-polynomial class
 # ---------------------------------------------------------------------------
 
-def _monomial_image(mask: int, cfg: OddFourierConfig,
-                    inverse: bool) -> Dict[int, complex]:
-    """Odd transform of the bare monomial theta^mask, as scalar coefficients."""
-    probe = OddPolynomial(cfg.n, {mask: 1.0})
-    img = _odd_transform(probe, cfg, inverse)
-    return {b: c.coefficient(0) for b, c in img.coefficients.items()}
-
-
 def _add_same_class(f: GaussPolyBody, g: GaussPolyBody) -> GaussPolyBody:
     if abs(f.decay - g.decay) > 1e-12 * max(1.0, abs(f.decay)):
         raise GrassmannError(
@@ -312,10 +306,10 @@ def _mixed(u: SuperFunction, cfg: OddFourierConfig, hbar: float,
             raise GrassmannError(
                 "body coefficient outside the polynomial-times-Gaussian class")
         tb = even_gauss_transform(bf, hbar, inverse)
-        for b, c in _monomial_image(a, cfg, inverse).items():
-            piece = tb.scaled(c)
-            prev = out.get(b)
-            out[b] = piece if prev is None else _add_same_class(prev, piece)
+        b, c = _image(a, cfg, inverse)
+        piece = tb.scaled(c)
+        prev = out.get(b)
+        out[b] = piece if prev is None else _add_same_class(prev, piece)
     return SuperFunction(u.m, u.n, out)
 
 
@@ -324,8 +318,8 @@ def mixed_transform(u: SuperFunction, cfg: OddFourierConfig,
     """Factorized Fourier transform of sum_a theta^a u_a(x).
 
     Every body coefficient must be a GaussPolyBody; it transforms through
-    even_gauss_transform while the bare monomial theta^a transforms through
-    fo, whose image is a single monomial in the target odd variables.  The
+    even_gauss_transform while the bare monomial theta^a transforms by fo's
+    selection rule to a single monomial in the target odd variables.  The
     result is the sum of (odd image) * (transformed coefficient), again a
     SuperFunction over the Gaussian-polynomial class.
     """

@@ -329,7 +329,9 @@ def _classical_columns(t: float, p, columns, hbar: float, speed: float
                        ) -> List[Tuple[complex, complex]]:
     """The reconstructed propagator applied to each component pair (u0, u1)
     of columns.  Only fo(u) depends on the pair, so the amplitude, the seeded
-    action and exp(i act / hbar) are built once for all of them."""
+    action and exp(i act / hbar) are built once for all of them; fo itself is
+    a selection rule (one scaled monomial per component), so the integrands'
+    expansion is the one seeding of the pipeline."""
     params = WeylSymbolParams(speed=speed, hbar=hbar, kernel_scale=hbar)
     px, py, pz = (float(v) for v in p)
     mom = (px, py, pz)

@@ -273,7 +273,7 @@ def test_dense_products_of_one_gaussian_super(monkeypatch):
 # the product rule on both paths
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(m=st.integers(0, 2), n=st.integers(0, 2), L=st.sampled_from([6, 8]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_sdet_is_multiplicative_on_both_paths(m, n, L, seed):

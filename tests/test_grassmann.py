@@ -31,7 +31,7 @@ from helpers import (
 # product vs independent dense oracle
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.data())
 def test_mul_matches_dense_oracle(data):
     L = data.draw(st.integers(min_value=1, max_value=6))
@@ -53,7 +53,7 @@ def test_mul_oracle_every_monomial_pair_small_L():
                 assert dense_max_diff(dense_from(x * y), want) == 0.0
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.data())
 def test_associativity(data):
     L = data.draw(st.integers(min_value=2, max_value=6))
@@ -63,7 +63,7 @@ def test_associativity(data):
     assert gr.max_coeff_diff((x * y) * z, x * (y * z)) < 1e-12
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.data())
 def test_supercommutativity_homogeneous(data):
     L = data.draw(st.integers(min_value=2, max_value=5))
@@ -75,7 +75,7 @@ def test_supercommutativity_homogeneous(data):
     assert gr.max_coeff_diff(x * y, sign * (y * x)) < 1e-12
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(st.data())
 def test_body_is_multiplicative_and_soul_nilpotent(data):
     L = data.draw(st.integers(min_value=1, max_value=5))
@@ -109,7 +109,7 @@ def test_inverse_pinned_example():
     assert gr.max_coeff_diff(x * inv, gr.one(L)) == 0.0
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.data())
 def test_inverse_two_sided(data):
     L = data.draw(st.integers(min_value=1, max_value=6))
@@ -144,7 +144,7 @@ def test_conjugate_pinned_values():
     assert gr.conjugate(2j * s0) == -2j * s0
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.data())
 def test_conjugate_antihomomorphism_and_involution(data):
     L = data.draw(st.integers(min_value=2, max_value=5))
@@ -158,7 +158,7 @@ def test_conjugate_antihomomorphism_and_involution(data):
 # analytic continuation
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.data())
 def test_exp_times_exp_of_minus_is_one(data):
     L = data.draw(st.integers(min_value=2, max_value=6))
@@ -168,7 +168,7 @@ def test_exp_times_exp_of_minus_is_one(data):
     assert gr.max_coeff_diff(ex * emx, gr.one(L)) < 1e-9
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.data())
 def test_log_exp_round_trip_and_sqrt_square(data):
     L = data.draw(st.integers(min_value=2, max_value=5))
@@ -184,7 +184,7 @@ def test_log_exp_round_trip_and_sqrt_square(data):
     assert gr.max_coeff_diff(r * r, x) < 1e-9
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.data())
 def test_reciprocal_matches_inverse_and_trig_identity(data):
     L = data.draw(st.integers(min_value=2, max_value=5))
@@ -417,7 +417,7 @@ def test_nan_at_node_zero_counts_as_nonzero():
 # JSON round trip
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.data())
 def test_json_round_trip(data):
     x = data.draw(supernumbers())

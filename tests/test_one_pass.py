@@ -150,7 +150,7 @@ def replay(ks):
 # rk4_step and seed
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_one_pass_rk4_step_equals_the_operator_expressions(key):
     rng = np.random.default_rng(key)
@@ -176,7 +176,7 @@ def test_the_rk4_cases_reach_the_zero_drops():
     assert dropped > 0
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.integers(0, 2 ** 32 - 1), st.booleans())
 def test_one_pass_seed_equals_embed_add_and_cut(key, first_order):
     rng = np.random.default_rng(key)
@@ -211,7 +211,7 @@ def test_rk4_step_rejects_a_field_of_the_wrong_length(slots):
 # the dict loop's sign: one mask per partner
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.integers(1, 70).flatmap(
     lambda L: st.tuples(st.integers(0, (1 << L) - 1), st.integers(0, (1 << L) - 1))))
 def test_the_partner_mask_gives_the_sort_sign(masks):
@@ -271,7 +271,7 @@ def draw_groups(rng):
     return groups, ({"L": int(rng.integers(0, 7))} if rng.random() < 0.4 else {})
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_in_one_algebra_equals_the_entry_by_entry_path(key):
     groups, kwargs = draw_groups(np.random.default_rng(key))

@@ -926,13 +926,13 @@ def _finite_or_grassmann_error(fn, *args):
     assert all(gr._is_finite(v) for v in values)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_supermatrices())
 def test_sdet_is_finite_or_raises(M):
     _finite_or_grassmann_error(sdet, M)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.data())
 def test_det_even_and_mat_inverse_even_are_finite_or_raise(data):
     size = data.draw(st.integers(min_value=1, max_value=4))
@@ -941,7 +941,7 @@ def test_det_even_and_mat_inverse_even_are_finite_or_raise(data):
     _finite_or_grassmann_error(mat_inverse_even, rows)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.data())
 def test_inverse_is_finite_or_raises(data):
     L = data.draw(st.integers(min_value=2, max_value=4))
@@ -949,13 +949,13 @@ def test_inverse_is_finite_or_raises(data):
     _finite_or_grassmann_error(gr.inverse, data.draw(_entry(L, "even", body)))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_supermatrices())
 def test_sm_inverse_is_finite_or_raises(M):
     _finite_or_grassmann_error(lambda M: sm_inverse(M).rows, M)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.data())
 def test_pfaffian_is_finite_or_raises(data):
     size = data.draw(st.integers(min_value=1, max_value=4))
@@ -982,7 +982,7 @@ def _gaussian_matrices(draw):
     return from_blocks(A, C, D, B, L=L)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_gaussian_matrices(), st.sampled_from([1e-320, *_SCALES, 1e308]))
 def test_gaussian_super_is_finite_or_raises(M, lam):
     _finite_or_grassmann_error(gaussian_super, M, lam)
@@ -992,7 +992,7 @@ _SPECS = [AnalyticSpec.named(name) for name in ("exp", "log", "sin", "cos", "sqr
 _SPECS += [AnalyticSpec.power(n) for n in (-3, 5)]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.data())
 def test_apply_analytic_is_finite_or_raises(data):
     L = data.draw(st.integers(min_value=2, max_value=4))
@@ -1020,13 +1020,13 @@ def test_scale_by_a_non_finite_number_raises(c):
         M.scale(c)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_supermatrices())
 def test_sm_exp_is_finite_or_raises(M):
     _finite_or_grassmann_error(lambda M: sm_exp(M).rows, M)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_supermatrices())
 def test_diagonalize_generic_is_finite_or_raises(M):
     _finite_or_grassmann_error(lambda M: [_matrix_pair(diagonalize_generic(M))], M)

@@ -232,7 +232,7 @@ def test_continuation_matches_analytic_functions():
             assert max_abs(via_cont - via_series) < 1e-12
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(
     coef=st.dictionaries(
         st.tuples(st.integers(0, 3), st.integers(0, 2)),

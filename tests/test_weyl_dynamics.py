@@ -23,6 +23,7 @@ Oracle policy, written before the assertions below were frozen:
 
 import cmath
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -50,7 +51,7 @@ from supercalc.grassmann import (
     seed_parts,
     zero,
 )
-from supercalc import fourier_odd, weyl_dynamics
+from supercalc import berezin, weyl_dynamics
 from supercalc.superlinalg import from_blocks, sdet
 from supercalc.weyl_dynamics import (
     FlowState,
@@ -305,7 +306,7 @@ class TestFreePropagatorMomentum:
         py=st.floats(-2.0, 2.0),
         pz=st.floats(-2.0, 2.0),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_unitary_with_unit_determinant(self, t, px, py, pz):
         u = free_propagator_momentum(t, (px, py, pz))
         assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-12
@@ -880,7 +881,7 @@ class TestModelEquation:
                 assert abs(co[el + 1] - want) < 1e-12
 
     @given(k=st.integers(0, 8))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_coefficients_start_at_one_and_stay_positive(self, k):
         co = qi_coefficients(k)
         assert co[0] == 1.0 and len(co) == k + 1
@@ -1034,14 +1035,18 @@ def test_reconstructed_propagator_continues_sqrt_once_per_classical_quantity(mon
 
 
 def test_reconstructed_propagator_expands_both_columns_from_one_seeding(monkeypatch):
-    # fo expands twice per column; the two integrands share one expansion
+    # fo expands nothing (a selection rule); the two integrands share one
+    # expansion.  Every name bound to odd_expand in the package is spied on.
     calls = []
-    for module in (weyl_dynamics, fourier_odd):
-        expand = module.odd_expand
-        monkeypatch.setattr(module, "odd_expand",
-                            lambda *a, _f=expand, _m=module: calls.append(_m) or _f(*a))
+    expand = berezin.odd_expand
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "supercalc":
+            for attr, value in list(vars(module).items()):
+                if value is expand:
+                    monkeypatch.setattr(module, attr,
+                                        lambda *a, _m=module: calls.append(_m) or expand(*a))
     propagator_matrix_from_classical(0.7, (0.4, -0.7, 0.9))
-    assert Counter(calls) == {fourier_odd: 4, weyl_dynamics: 1}
+    assert Counter(calls) == {weyl_dynamics: 1}
 
 
 # ---------------------------------------------------------------------------
