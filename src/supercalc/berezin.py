@@ -405,7 +405,13 @@ def _grid_point(q, n: int) -> SuperPoint:
 
 
 def _top(val: Supernumber, n: int):
-    """Coefficient of theta_1...theta_n in a value at a _grid_point."""
+    """Coefficient of theta_1...theta_n in a value at a _grid_point.  A value
+    with a generator at or above n, which the integral would drop, raises
+    GrassmannError."""
+    if any(m >> n for m in val._terms):
+        raise GrassmannError(
+            f"integrand value has a generator beyond the {n} odd variables; "
+            "integrals with values in a larger algebra are not supported")
     return val.body if n == 0 else val.coefficient((1 << n) - 1)
 
 
@@ -423,7 +429,10 @@ def integrate_naive(u, box: Sequence[Tuple[float, float]],
     if len(box) != m:
         raise GrassmannError(f"box has {len(box)} axes, function has {m}")
     sign = 1.0 if odd_order is None else _measure_sign(n, odd_order)
-    val = _quad(_per_chunk(lambda q: _top(u.evaluate(_grid_point(q, n)), n)), box, quad)
+    # _top checks each chunk's value after _per_chunk, whose node-by-node
+    # retry would only raise its error again
+    values = _per_chunk(lambda q: u.evaluate(_grid_point(q, n)))
+    val = _quad(lambda q: _top(values(q), n), box, quad)
     return Supernumber(0, {0: sign * val})
 
 
@@ -527,10 +536,14 @@ def gaussian_super(M: Supermatrix, lam: float) -> Supernumber:
 
     for even n, and 0 for odd n; Pf is the perfect-matchings Pfaffian with
     Pf([[0, 1], [-1, 0]]) = 1.  A result that is not finite raises
-    GrassmannDomainError.  Dense entries are converted to vectors once, on
-    entry (``grassmann._on_vectors``): the antisymmetry and coupling scans
-    and their scales read vectors (np.abs(v).max()), and only det A, for its
+    GrassmannDomainError.  Dense entries run on their coefficient vectors
+    (``grassmann._on_vectors``): the antisymmetry and coupling scans and
+    their scales read vectors (np.abs(v).max()), and only det A, for its
     square root and that root's inverse, and the Pfaffian become elements.
+    The conversions to vectors are shared across calls through the bounded
+    memo of ``grassmann``: each element of the tail (det A, its square root,
+    that root's inverse and the products between) costs at most one
+    conversion, and M's entries none when an earlier call read them.
     """
     if lam <= 0:
         raise GrassmannDomainError("scale must be positive")

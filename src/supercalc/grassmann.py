@@ -47,10 +47,20 @@ Products with a batch coefficient or a non-finite one take the dict loop.
 
 ``sdet``, ``det_even``, ``mat_inverse_even``, ``Supermatrix.__matmul__`` and
 ``berezin.gaussian_super`` decide once, on entry (``_on_vectors``): rows of
-dense entries become ``_Dense`` vectors once, every product, sum, scaling
-and check runs on them, and each result is built once.  Other rows run the
-same code on elements: the same bytes where their products all take the
-kernel.
+dense entries become ``_Dense`` vectors, every product, sum, scaling and
+check runs on them, and each result is built once.  Other rows run the same
+code on elements: the same bytes where their products all take the kernel.
+
+An element costs one conversion to its vector however many dense calls and
+kernel products read it: the conversions are shared across calls through a
+bounded memo (``_MEMO``), keyed by the element's identity, which each
+conversion fills and ``_from_dense`` fills too with the vector of every
+element it builds.  So ``sdet(M @ N)`` reads the vectors ``@`` built, and the
+elements ``gaussian_super`` forms last (det A, its square root and that
+root's inverse) cost at most one conversion each.  A hit gives the bytes and grade of
+a fresh conversion.  The memo keeps at most 64 elements and 1 MiB of
+vectors, the least recently used leaving first; it holds each element it
+keeps, and nothing else stores a vector on an element.
 
 Construction
 ------------
@@ -146,6 +156,8 @@ import contextlib
 import functools
 import json
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Sequence,
                     Tuple)
@@ -278,7 +290,9 @@ class _Dense:
     when no odd coefficient is nonzero, 1 when no even one is, None when not
     known.  source is the element v came from (``_on_vectors``).  The other
     operand of ``*``, ``+``, ``-`` is a ``_Dense``, a number or a constant
-    element; a scaling forms its parts as Python's complex product does."""
+    element; a scaling forms its parts as Python's complex product does, and
+    a scaling by 0 is 0, as the zero element times an element is, also
+    where v holds inf."""
 
     __slots__ = ("v", "grade", "L", "source")
     __array_ufunc__ = None  # numpy scalars on the left defer to __rmul__
@@ -292,9 +306,11 @@ class _Dense:
 
     @property
     def parity(self) -> str:
-        """As ``Supernumber.parity``."""
+        """As ``Supernumber.parity``; a known grade answers without a scan."""
         if self.grade == 0:
             return "even"
+        if self.grade == 1:
+            return "odd" if self.v.any() else "even"
         odd = np.bitwise_count(np.flatnonzero(self.v)) & 1
         return "mixed" if 0 < odd.sum() < odd.size else "odd" if odd.any() else "even"
 
@@ -307,6 +323,8 @@ class _Dense:
             return _Dense(_dense_product(self, other, self.L), grade, self.L)
         if (c := _constant(other)) is None:
             return NotImplemented
+        if c == 0:
+            return _Dense(np.zeros_like(self.v), 0, self.L)
         x = self.v.view(np.float64).reshape(-1, 2)
         out, swapped = x * c.real, x[:, ::-1] * c.imag
         out[:, 0] -= swapped[:, 0]
@@ -346,10 +364,69 @@ def _constant(c) -> complex | None:
     return None
 
 
+def _grade(masks: np.ndarray) -> int | None:
+    """The grade of a ``_Dense`` whose nonzero masks are masks."""
+    odd = int(np.count_nonzero(np.bitwise_count(masks) & 1))
+    return 0 if not odd else 1 if odd == masks.size else None
+
+
+class _VectorMemo:
+    """The ``_Dense`` vectors of dense elements lately converted or built from
+    a vector, keyed by the element's identity (see "Products").  An entry is a
+    hit only for its own source; it holds that source, so the id cannot pass
+    to another element while the entry stands, and elements are immutable, so
+    a hit is never stale.  Its vectors are read-only.  At most ``max_entries``
+    entries and ``max_nbytes`` bytes of vectors are kept, the least recently
+    used leaving first."""
+
+    def __init__(self, max_entries: int, max_nbytes: int):
+        self.max_entries, self.max_nbytes = max_entries, max_nbytes
+        self.entries: OrderedDict[int, _Dense] = OrderedDict()
+        self.nbytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, X: Supernumber) -> _Dense | None:
+        key = id(X)
+        with self._lock:
+            d = self.entries.get(key)
+            if d is None or d.source is not X:
+                return None
+            self.entries.move_to_end(key)
+        return d
+
+    def put(self, d: _Dense) -> _Dense:
+        d.v.flags.writeable = False
+        key = id(d.source)
+        with self._lock:
+            old = self.entries.pop(key, None)
+            self.nbytes += d.v.nbytes - (0 if old is None else old.v.nbytes)
+            self.entries[key] = d
+            while len(self.entries) > self.max_entries or self.nbytes > self.max_nbytes:
+                self.nbytes -= self.entries.popitem(last=False)[1].v.nbytes
+        return d
+
+
+# 64 entries hold the 16 entries of each of M, N and M @ N for dense (2|2)
+# matrices, as sdet(M), sdet(N), sdet(M @ N) read them, with room for the
+# results between; 1 MiB is 256 vectors at L = 8 and 16 at L = 12, the
+# largest L the table kernel takes
+_MEMO = _VectorMemo(64, 1 << 20)
+
+
 def _dense_coefficients(X: Supernumber) -> _Dense | None:
-    """X as a length-2^L vector with its grade, or None when a coefficient is
-    a batch or not finite (inf times an absent 0 would put NaN where the dict
-    loop puts nothing)."""
+    """X as a length-2^L vector with its grade, source X, or None when a
+    coefficient is a batch or not finite (inf times an absent 0 would put NaN
+    where the dict loop puts nothing).  Read from the memo (``_MEMO``) when X
+    was converted or built from a vector lately, else converted and
+    remembered."""
+    d = _MEMO.get(X)
+    if d is None and (d := _converted(X)) is not None:
+        _MEMO.put(d)
+    return d
+
+
+def _converted(X: Supernumber) -> _Dense | None:
+    """``_dense_coefficients`` of X, computed from its terms."""
     values = X._terms.values()
     if not {complex}.issuperset(map(type, values)):
         return None
@@ -359,8 +436,7 @@ def _dense_coefficients(X: Supernumber) -> _Dense | None:
     out[masks] = np.fromiter(values, dtype=complex, count=n)
     if not np.isfinite(out).all():
         return None
-    odd = int(np.count_nonzero(np.bitwise_count(masks) & 1))
-    return _Dense(out, 0 if not odd else 1 if odd == n else None, X.L, X)
+    return _Dense(out, _grade(masks), X.L, X)
 
 
 def _dense_product(x: _Dense, y: _Dense, L: int) -> np.ndarray:
@@ -377,9 +453,19 @@ def _dense_product(x: _Dense, y: _Dense, L: int) -> np.ndarray:
 
 
 def _from_dense(v: np.ndarray, L: int) -> Supernumber:
-    """The element whose length-2^L coefficient vector is v, zeros dropped."""
+    """The element whose length-2^L coefficient vector is v, zeros dropped.
+    When v is finite the memo (``_MEMO``) records the element's vector as a
+    conversion would give it, so that a later dense call reads it without
+    one: the nonzero entries of v on zeros (v may hold -0.0), with the grade
+    of their masks."""
     nonzero = np.flatnonzero(v)
-    return Supernumber(L, dict(zip(nonzero.tolist(), v[nonzero].tolist())), _AS_IS)
+    values = v[nonzero]
+    X = Supernumber(L, dict(zip(nonzero.tolist(), values.tolist())), _AS_IS)
+    if np.isfinite(values).all():
+        w = np.zeros(1 << L, dtype=complex)
+        w[nonzero] = values
+        _MEMO.put(_Dense(w, _grade(nonzero), L, X))
+    return X
 
 
 def _dense_rows(L: int, *groups):
@@ -413,7 +499,9 @@ def _elements(x):
 def _on_vectors(fn: Callable, L: int, *groups):
     """fn(*groups), run once: on the groups as ``_Dense`` vectors when they
     pass ``_dense_rows`` (overflow quiet, as on elements), else as given; the
-    result comes back as elements.  fn is one code for both."""
+    result comes back as elements.  fn is one code for both.  The entries'
+    vectors come from the memo (``_dense_coefficients``) where an earlier
+    call converted or built them, and the result's are recorded there."""
     dense = _dense_rows(L, *groups)
     if dense is None:
         return fn(*groups)
@@ -534,7 +622,7 @@ class Supernumber:
 
     ``-X``, ``embed`` to another L, the table kernel and the results of
     dense supermatrix algebra (``_from_dense`` keeps the nonzero entries of a
-    vector, once per result, in ``_on_vectors``), ``zero``, ``one``, ``soul``,
+    vector, once per result of ``_on_vectors``), ``zero``, ``one``, ``soul``,
     ``degree_filter``, ``conjugate``, ``chop``, ``gen_left_derivative``,
     ``seed`` and ``seed_parts`` make no 0.
 
@@ -966,8 +1054,10 @@ def inverse(X: Supernumber) -> Supernumber:
 
 def _low_degree(X) -> int:
     """The fewest generators in a monomial of X (or ``_Dense``), 0 for 0."""
-    masks = np.flatnonzero(X.v).tolist() if isinstance(X, _Dense) else X._terms
-    return min((m.bit_count() for m in masks), default=0)
+    if isinstance(X, _Dense):
+        masks = np.flatnonzero(X.v)
+        return int(np.bitwise_count(masks).min()) if masks.size else 0
+    return min((m.bit_count() for m in X._terms), default=0)
 
 
 def conjugate(X: Supernumber) -> Supernumber:

@@ -471,9 +471,12 @@ def mat_inverse_even(rows: Sequence[Sequence[Supernumber]]) -> List[List[Supernu
 
 def _inverse_even(rows, L: int):
     """mat_inverse_even of square rows, elements or ``_Dense``."""
-    if 0 < len(rows) <= 2 and all(e.parity == "even" for r in rows for e in r):
-        return _adjugate_inverse(rows, L)[0]
-    return _neumann_inverse(rows, L)
+    if not (0 < len(rows) <= 2 and all(e.parity == "even" for r in rows for e in r)):
+        return _neumann_inverse(rows, L)
+    out = _adjugate_inverse(rows, L)[0]
+    if not _finite_rows(out):
+        raise GrassmannDomainError("matrix inverse overflows: a coefficient is not finite")
+    return out
 
 
 def _regular_body(rows, invert: bool = False):
@@ -537,27 +540,26 @@ def _adjugate_inverse(rows, L: int) -> Tuple[List[List[Supernumber]], Supernumbe
     entries in L generators, which commute, so that the adjugate over the
     determinant is the inverse: det(rows)^{-1} = 2^k delta.
 
-    A 1 x 1 block [[x]] gives delta = x^{-1} and k = 0.  A 2 x 2 block is
-    inverted from its rows scaled apart, U = 2^-E rows with
-    E = diag(e_0, e_1) (``_row_exponents``), so that det U neither overflows
-    nor underflows: with delta = det(U)^{-1} and k = -e_0 - e_1,
-    rows^{-1} = U^{-1} 2^-E is adj(U) with column j times 2^-e_j delta.
-    One determinant serves both.  The body checks are those of
-    ``mat_inverse_even``, and the inverse must be finite; det(rows)^{-1},
-    which can be out of range where the inverse is not, is left to the
-    caller to form.
+    The block is inverted from its rows scaled apart, U = 2^-E rows with
+    E = diag(e_0, ...) (``_row_exponents``), so that det U neither overflows
+    nor underflows: with delta = det(U)^{-1} and k = -e_0 - ...,
+    rows^{-1} = U^{-1} 2^-E.  A 1 x 1 block [[x]] gives delta = (2^-e_0 x)^{-1}
+    and the inverse 2^-e_0 delta; a 2 x 2 block gives adj(U) with column j
+    times 2^-e_j delta.  One determinant serves both.  The body checks are
+    those of ``mat_inverse_even``.  Either of the inverse and det(rows)^{-1}
+    can be out of range where the other is not, so the inverse may hold inf
+    (``mat_inverse_even`` checks it, ``sdet`` checks its own result) and
+    det(rows)^{-1} is left to the caller to form.
     """
     e = _row_exponents(_regular_body(rows)[2])
     with np.errstate(**_QUIET):
         if len(rows) == 1:
-            x = inverse(rows[0][0])
-            return [[x]], x, np.zeros_like(e[0])
+            delta = inverse(_times_two_to(rows[0][0], -e[0]))
+            return [[_times_two_to(delta, -e[0])]], delta, -e[0]
         (a, b), (c, d) = _scaled_rows(rows, e)
         delta = inverse(a * d - b * c)
         delta0, delta1 = (_times_two_to(delta, -ej) for ej in e)
         out = [[d * delta0, -(b * delta1)], [-(c * delta0), a * delta1]]
-    if not _finite_rows(out):
-        raise GrassmannDomainError("matrix inverse overflows: a coefficient is not finite")
     return out, delta, -e.sum(axis=0)
 
 
@@ -633,9 +635,11 @@ def sdet(M: Supermatrix) -> Supernumber:
     serves both B^{-1} and det(B)^{-1} (``_adjugate_inverse``).  That
     determinant and the Schur one are taken of rows scaled apart by powers
     of two, which the result meets last, so that a result in range comes out
-    in range however far from unit scale A and B are.  Dense entries are
-    converted to vectors once, on entry, and the result built once
+    in range however far from unit scale A and B are.  Dense entries run on
+    their coefficient vectors, and the result is built once
     (``grassmann._on_vectors``); each check and step between is one code.
+    The conversions to vectors are shared across calls through the bounded
+    memo of ``grassmann``: ``sdet(M @ N)`` reads the vectors that ``@`` built.
     """
     return _sdet(M)
 

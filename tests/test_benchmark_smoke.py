@@ -43,6 +43,19 @@ def test_berezinian_outputs_do_not_depend_on_the_pair_blocks(monkeypatch):
     assert all(same_bytes(a, b) for a, b in zip(blocked, whole))
 
 
+def test_berezinian_outputs_do_not_depend_on_the_pair_blocks_with_a_warm_memo(monkeypatch):
+    # the same, with every entry's vector read from the memo of dense vectors
+    # (grassmann._MEMO) that a first solve filled
+    workload = WORKLOADS["berezinian_dense"]
+    case = workload.build(5)[0]
+    cold = workload.solve(case)
+    blocked = workload.solve(case)
+    monkeypatch.setattr(gr, "_pair_block", lambda L, pj, pk: gr._pair_table(L))
+    whole = workload.solve(case)
+    assert all(same_bytes(a, b) for a, b in zip(cold, blocked, strict=True))
+    assert all(same_bytes(a, b) for a, b in zip(blocked, whole, strict=True))
+
+
 @pytest.fixture(scope="module")
 def traced():
     """The tracer and the checks of one seed-5 case of each workload, solved

@@ -444,6 +444,35 @@ def test_naive_integral_ignores_lower_coefficients():
     assert max_abs(a - b) < 1e-13
 
 
+class _GaussianWithAmbientGenerator:
+    """exp(-x^2/2) theta1 theta2 (1 + sigma), with sigma = gen(4, 3) above
+    the two odd variables."""
+
+    m, n = 1, 2
+
+    def __init__(self, sigma):
+        self.sigma = sigma
+        self.calls = 0
+
+    def evaluate(self, P):
+        self.calls += 1
+        (x,), (t1, t2) = P.x, P.theta
+        gauss = apply_analytic(AnalyticSpec.named("exp"), -0.5 * (x * x))
+        return gauss * (t1 * t2) * (1.0 + self.sigma)
+
+
+def test_naive_integral_of_a_value_beyond_the_odd_variables_raises():
+    # the sigma part used to be dropped without a word, giving sqrt(2 pi)
+    box, quad = [(-9.0, 9.0)], GaussQuadSpec(nodes=40)
+    plain = _GaussianWithAmbientGenerator(zero(4))
+    assert close(integrate_naive(plain, box, quad).body, math.sqrt(2 * math.pi), tol=1e-12)
+    u = _GaussianWithAmbientGenerator(gen(4, 3))
+    with pytest.raises(GrassmannError, match="beyond the 2 odd variables"):
+        integrate_naive(u, box, quad)
+    # raised from the one chunk's value, without a node-by-node retry
+    assert u.calls == 1
+
+
 def test_naive_integral_checks_box_arity():
     u, _, _ = counterexample_data()
     with pytest.raises(GrassmannError):

@@ -249,6 +249,18 @@ def test_rows_far_apart_take_the_scaling_on_vectors(rows, decisions, monkeypatch
     assert gr.max_coeff_diff(sdet(scaled), want) <= 1e-14 * gr.max_abs(want)
 
 
+def test_sdet_past_a_b_inverse_out_of_range_on_both_paths(decisions):
+    # B^-1 is about 1e310 and overflows, but C and D are 0, so sdet = A / B
+    # is about 1e300; the zero entries times B^-1 are 0 on vectors too
+    rng = np.random.default_rng(97)
+    A, B = dense(rng, L, "even", 1.0), dense(rng, L, "even", 1.0)
+    M = from_blocks([[1e-10 * A]], [[gr.zero(L)]], [[gr.zero(L)]], [[1e-310 * B]], L=L)
+    assert_same_on_both_paths(sdet, M)
+    assert decisions[0] is True
+    want = (A * gr.inverse(B)).body * 1e300
+    assert abs(sdet(M).body - want) <= 1e-12 * abs(want)
+
+
 # ---------------------------------------------------------------------------
 # kernel products
 # ---------------------------------------------------------------------------

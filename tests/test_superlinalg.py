@@ -790,6 +790,21 @@ def test_sdet_whose_det_b_inverse_overflows_raises():
             fn(M)
 
 
+@pytest.mark.parametrize("fn", [sdet, sl._sdet])
+def test_sdet_with_a_one_by_one_b_out_of_range(fn):
+    # B^-1 = 1e310 and det(B)^-1 overflow, but sdet = 1e-10 / 1e-310 = 1e300
+    # does not: the entry is scaled by a power of two before its inverse, as
+    # the rows of a 2 x 2 B are
+    L = 1
+    M = from_blocks([[1e-10]], [[gr.zero(L)]], [[gr.zero(L)]], [[1e-310]], L=L)
+    got = fn(M)
+    assert got.terms.keys() == {0}
+    assert abs(got.body - 1e300) <= 1e-14 * 1e300
+    # the inverse itself still overflows
+    with pytest.raises(GrassmannDomainError, match="matrix inverse overflows"):
+        mat_inverse_even(M.block("B"))
+
+
 @pytest.mark.parametrize("nodes", [None, 5])
 @pytest.mark.parametrize("m, p, q", [(1, 1e150, 1e200), (1, 1e150, 1e160),
                                      (2, 1e-200, 1e-200), (2, 1e200, 1e200),
