@@ -220,7 +220,7 @@ class GaussPolyBody(BodyFunction):
             p += term
         return p * cmath.exp(-0.5 * self.decay * sum(x * x for x in qq))
 
-    def deriv_value(self, alpha: Tuple[int, ...], q) -> complex:
+    def deriv_value(self, alpha: Tuple[int, ...], q, memo=None) -> complex:
         f: GaussPolyBody = self
         for j, k in enumerate(alpha):
             for _ in range(int(k)):

@@ -560,13 +560,13 @@ def _cut_of(values: Iterable[Supernumber]) -> _Cut | None:
 def _nonzero(c) -> bool:
     """True when the clean coefficient c is not 0, at some node for a batch.
 
-    A batch is read at node 0 first, and counted only when that node is 0: a
-    nonzero batch is seldom 0 at its first node, and one read costs about a
-    twentieth of a count over 800 nodes.  NaN is not 0; a batch of no nodes
-    is 0 everywhere."""
+    A batch is read at node 0 first, and scanned with ``any`` only when that
+    node is 0: a nonzero batch is seldom 0 at its first node, and one read
+    costs a small part of a scan.  NaN is not 0; a batch of no nodes is 0
+    everywhere."""
     if type(c) is complex:
         return c != 0
-    return bool(c.size) and (bool(c[0]) or bool(np.count_nonzero(c)))
+    return bool(c.size) and (bool(c[0]) or bool(c.any()))
 
 
 def _scaled(c, terms: Mapping[int, complex]) -> Dict[int, complex]:
@@ -1197,14 +1197,18 @@ def _taylor_sum(deriv: Callable, q, terms, L: int, cut: _Cut | None) -> Supernum
     """The Grassmann continuation sum_alpha deriv(alpha, q) / alpha! *
     monomial_alpha over a Taylor table (``_taylor_terms``), summed into one
     dict and built as one element that carries ``cut``.  A term is skipped
-    only when its derivative vanishes, at every node for a batch."""
+    only when its derivative vanishes, at every node for a batch.  A division
+    by alpha! = 1 and a product with a monomial coefficient that is exactly 1
+    (the unit of alpha = 0, a first-order seed) are not made: the derivative
+    is used as it is, so a term may share its array with the caller's."""
     out: Dict[int, complex] = {}
     for alpha, fact, mono in terms:
-        c = _coefficient(deriv(alpha, q) / fact)
+        d = deriv(alpha, q)
+        c = _coefficient(d if fact == 1 else d / fact)
         if not _nonzero(c):
             continue
         for m, v in mono._terms.items():
-            cv = c * v
+            cv = c if type(v) is complex and v == 1 else c * v
             out[m] = out[m] + cv if m in out else cv
     return Supernumber(L, {m: c for m, c in out.items() if _nonzero(c)}, _AS_IS, cut)
 

@@ -11,12 +11,16 @@ That series is grassmann's one Grassmann continuation (``_taylor_terms`` and
 ``_taylor_sum``), of which ``apply_analytic`` is the one-variable case.
 
 The part of a continuation that depends on the point alone, its Taylor basis
-(the soul monomials prod_j soul(x_j)^alpha_j with their factorials, and the
-odd monomials theta^a), is cached on the SuperPoint object the first time a
-SuperFunction is evaluated there.  Every coefficient of every function
-evaluated at that object reuses it for as long as the object lives; it takes
-no part in the point's equality, hash or repr.  ``continue_body``, which takes
-bare even arguments rather than a point, builds the basis afresh per call.
+(the soul monomials prod_j soul(x_j)^alpha_j with their factorials, the odd
+monomials theta^a, and the value there of each expression node evaluated so
+far), is cached on the SuperPoint object the first time a SuperFunction is
+evaluated there.  Every coefficient of every function evaluated at that
+object reuses it for as long as the object lives; it takes no part in the
+point's equality, hash or repr.  Expression trees share structurally equal
+nodes, within one derivative, across derivatives and across functions, so a
+subexpression is evaluated once per point however many trees hold it.
+``continue_body``, which takes bare even arguments rather than a point,
+builds the basis afresh per call.
 
 A map between such coordinate systems is either built from one component
 per target slot or is one function of the whole point: ``compose(g, f)`` is
@@ -37,6 +41,10 @@ from __future__ import annotations
 
 import ast
 import cmath
+import dataclasses
+import functools
+import struct
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -47,6 +55,7 @@ from .grassmann import (
     GrassmannError,
     Supernumber,
     _cut_of,
+    _is_finite,
     _monomial,
     _taylor_sum,
     _taylor_terms,
@@ -95,7 +104,27 @@ class Expr:
     def diff(self, j: int) -> "Expr":
         raise NotImplementedError
 
-    def value(self, q: Sequence[complex]) -> complex:
+    def value(self, q: Sequence[complex], memo: Dict | None = None) -> complex:
+        """The value at q, one node or a batch of nodes (see grassmann).
+
+        ``memo``, if given, holds the values at this same q of the nodes
+        evaluated so far, keyed by node identity (``_TaylorBasis.memo``): each
+        node in it is evaluated once, and its array made read-only, however
+        many trees share it.  The entry keeps its node alive, so an identity
+        is never reused while the memo lives.
+        """
+        if memo is None:
+            return self._value(q, None)
+        hit = memo.get(id(self))
+        if hit is None:
+            v = self._value(q, memo)
+            if isinstance(v, np.ndarray):
+                v.flags.writeable = False
+            hit = memo[id(self)] = (self, v)
+        return hit[1]
+
+    def _value(self, q, memo):
+        """The value at q, reading each child's through ``value(q, memo)``."""
         raise NotImplementedError
 
 
@@ -106,7 +135,7 @@ class _Const(Expr):
     def diff(self, j):
         return _Const(0j)
 
-    def value(self, q):
+    def value(self, q, memo=None):
         return self.c
 
 
@@ -117,7 +146,7 @@ class _Var(Expr):
     def diff(self, j):
         return _Const(1.0 + 0j) if j == self.j else _Const(0j)
 
-    def value(self, q):
+    def value(self, q, memo=None):
         v = q[self.j]
         return v if isinstance(v, np.ndarray) else complex(v)
 
@@ -160,8 +189,8 @@ class _Add(Expr):
     def diff(self, j):
         return _add(self.a.diff(j), self.b.diff(j))
 
-    def value(self, q):
-        return self.a.value(q) + self.b.value(q)
+    def _value(self, q, memo):
+        return self.a.value(q, memo) + self.b.value(q, memo)
 
 
 @dataclass(frozen=True)
@@ -172,8 +201,8 @@ class _Mul(Expr):
     def diff(self, j):
         return _add(_mul(self.a.diff(j), self.b), _mul(self.a, self.b.diff(j)))
 
-    def value(self, q):
-        return self.a.value(q) * self.b.value(q)
+    def _value(self, q, memo):
+        return self.a.value(q, memo) * self.b.value(q, memo)
 
 
 @dataclass(frozen=True)
@@ -189,8 +218,8 @@ class _Pow(Expr):
             return inner
         return _mul(_mul(_Const(complex(self.n)), _Pow(self.base, self.n - 1)), inner)
 
-    def value(self, q):
-        return self.base.value(q) ** self.n
+    def _value(self, q, memo):
+        return self.base.value(q, memo) ** self.n
 
 
 # scalar and per-node forms of each function
@@ -224,8 +253,8 @@ class _Call(Expr):
             raise GrassmannError(f"unknown call {self.name}")
         return _mul(outer, d)
 
-    def value(self, q):
-        v = self.arg.value(q)
+    def _value(self, q, memo):
+        v = self.arg.value(q, memo)
         one_node, per_node = _CALL_VALUE[self.name]
         return per_node(v) if isinstance(v, np.ndarray) else one_node(v)
 
@@ -282,27 +311,72 @@ def parse_expression(text: str, m: int) -> Expr:
     return build(node)
 
 
+# every live node that _shared has handed out, keyed by its structure
+_NODES: "weakref.WeakValueDictionary[tuple, Expr]" = weakref.WeakValueDictionary()
+
+
+def _key_part(v):
+    """One field of a node as part of its structural key: a child by
+    identity (children are shared first), a number by its exact bits, so that
+    0j and -0j, which ``==`` merges, stay apart."""
+    if isinstance(v, Expr):
+        return id(v)
+    if isinstance(v, (float, complex)):
+        c = complex(v)
+        return type(v), struct.pack("<2d", c.real, c.imag)
+    return type(v), v
+
+
+def _shared(e: Expr, seen: Dict[int, Expr] | None = None) -> Expr:
+    """The one live node structurally identical to e, built from shared
+    children, so that trees with a common subtree hold it as one object.
+
+    The table holds its nodes weakly: an entry goes when no tree holds its
+    node.  ``seen`` maps the nodes of e already shared in this call, so a
+    subtree that e holds many times is walked once.
+    """
+    seen = {} if seen is None else seen
+    got = seen.get(id(e))
+    if got is None:
+        parts = [getattr(e, f.name) for f in dataclasses.fields(e)]
+        parts = [_shared(v, seen) if isinstance(v, Expr) else v for v in parts]
+        key = (type(e), *map(_key_part, parts))
+        got = _NODES.get(key)
+        if got is None:
+            got = _NODES[key] = type(e)(*parts)
+        seen[id(e)] = got
+    return got
+
+
 # ---------------------------------------------------------------------------
 # body-function oracles
 # ---------------------------------------------------------------------------
 
 class BodyFunction:
-    """Value plus mixed partial derivatives of a function of m body variables."""
+    """Value plus mixed partial derivatives of a function of m body variables.
+
+    ``memo``, where a derivative takes one, is the memo of node values at the
+    same q that ``Expr.value`` reads (``_TaylorBasis.memo``); an oracle
+    without expression trees ignores it.
+    """
 
     m: int
 
     def value(self, q: Sequence[complex]) -> complex:
         return self.deriv_value((0,) * self.m, q)
 
-    def deriv_value(self, alpha: Tuple[int, ...], q: Sequence[complex]) -> complex:
+    def deriv_value(self, alpha: Tuple[int, ...], q: Sequence[complex],
+                    memo: Dict | None = None) -> complex:
         raise NotImplementedError
 
-    def deriv_batch(self, alpha: Tuple[int, ...], q: Sequence) -> np.ndarray:
+    def deriv_batch(self, alpha: Tuple[int, ...], q: Sequence,
+                    memo: Dict | None = None) -> np.ndarray:
         """deriv_value at every node of a batch (see grassmann); q holds one
         array of nodes, or one value shared by all nodes, per variable.
 
-        This default calls deriv_value one node at a time; a subclass whose
-        deriv_value takes arrays directly overrides it.
+        This default calls deriv_value one node at a time, without the memo,
+        which holds values at the whole batch; a subclass whose deriv_value
+        takes arrays directly overrides it.
         """
         size = next(v.size for v in q if isinstance(v, np.ndarray))
         nodes = zip(*(np.broadcast_to(v, (size,)) for v in q))
@@ -313,11 +387,17 @@ class BodyFunction:
 
 
 class ExprFunction(BodyFunction):
-    """Exact symbolic derivatives from an expression tree."""
+    """Exact symbolic derivatives from an expression tree.
+
+    The tree of each derivative is built once, on first use, and its nodes
+    are shared (``_shared``): a subtree that the chain and product rules
+    repeat, or that another ExprFunction also holds, is one object.  So at
+    one point, through the point's memo, it is evaluated once.
+    """
 
     def __init__(self, expr: Expr | str, m: int):
         self.m = m
-        self.expr = parse_expression(expr, m) if isinstance(expr, str) else expr
+        self.expr = _shared(parse_expression(expr, m) if isinstance(expr, str) else expr)
         self._cache: Dict[Tuple[int, ...], Expr] = {(0,) * m: self.expr}
 
     def _expr_for(self, alpha: Tuple[int, ...]) -> Expr:
@@ -329,12 +409,12 @@ class ExprFunction(BodyFunction):
         j = next(i for i, k in enumerate(alpha) if k)
         down = list(alpha)
         down[j] -= 1
-        e = self._expr_for(tuple(down)).diff(j)
+        e = _shared(self._expr_for(tuple(down)).diff(j))
         self._cache[alpha] = e
         return e
 
-    def deriv_value(self, alpha, q):
-        return self._expr_for(tuple(alpha)).value(q)
+    def deriv_value(self, alpha, q, memo=None):
+        return self._expr_for(tuple(alpha)).value(q, memo)
 
     deriv_batch = deriv_value
 
@@ -369,7 +449,7 @@ class NumericBodyFunction(BodyFunction):
         self.fn = fn
         self.base_alpha = tuple(base_alpha or (0,) * m)
 
-    def deriv_value(self, alpha, q):
+    def deriv_value(self, alpha, q, memo=None):
         total_alpha = tuple(a + b for a, b in zip(self.base_alpha, alpha))
         order = sum(total_alpha)
         if order > _FD_MAX_ORDER:
@@ -409,11 +489,11 @@ class _ScaledBody(BodyFunction):
         self.inner = inner
         self.factor = complex(factor)
 
-    def deriv_value(self, alpha, q):
-        return self.factor * self.inner.deriv_value(alpha, q)
+    def deriv_value(self, alpha, q, memo=None):
+        return self.factor * self.inner.deriv_value(alpha, q, memo)
 
-    def deriv_batch(self, alpha, q):
-        return self.factor * self.inner.deriv_batch(alpha, q)
+    def deriv_batch(self, alpha, q, memo=None):
+        return self.factor * self.inner.deriv_batch(alpha, q, memo)
 
     def diff(self, j):
         return _ScaledBody(self.inner.diff(j), self.factor)
@@ -430,12 +510,15 @@ class _TaylorBasis:
     of the even arguments, ``batch`` says whether any of them is an array, and
     ``terms`` is their Taylor table (``grassmann._taylor_terms``).  ``thetas``
     holds the odd monomial theta^a of each mask a once SuperFunction.evaluate
-    has built it.  ``cut`` is the seeding cut the arguments carry, if any
-    (see "Seeding" in grassmann): the monomials were built under it, and a
-    continuation over them carries it on.
+    has built it.  ``memo`` holds the value at q of each expression node
+    evaluated so far (see ``Expr.value``), so that a subexpression shared by
+    derivatives and by functions continued here is evaluated once; its
+    arrays are read-only, and it lives as long as the basis.  ``cut`` is the
+    seeding cut the arguments carry, if any (see "Seeding" in grassmann): the
+    monomials were built under it, and a continuation over them carries it on.
     """
 
-    __slots__ = ("L", "q", "batch", "terms", "thetas", "cut")
+    __slots__ = ("L", "q", "batch", "terms", "thetas", "memo", "cut")
 
     def __init__(self, L, q, terms, cut):
         self.L = L
@@ -443,12 +526,23 @@ class _TaylorBasis:
         self.batch = any(isinstance(v, np.ndarray) for v in q)
         self.terms = terms
         self.thetas: Dict[int, Supernumber] = {}
+        self.memo: Dict[int, tuple] = {}
         self.cut = cut
 
     def continued(self, bf: BodyFunction) -> Supernumber:
-        """The continuation of bf over this basis (``grassmann._taylor_sum``)."""
-        deriv = bf.deriv_batch if self.batch else bf.deriv_value
-        return _taylor_sum(deriv, self.q, self.terms, self.L, self.cut)
+        """The continuation of bf over this basis (``grassmann._taylor_sum``).
+
+        A derivative that raises an arithmetic error (a pole, an overflow, a
+        log of 0) raises GrassmannDomainError with the same message.
+        """
+        deriv = functools.partial(bf.deriv_batch if self.batch else bf.deriv_value,
+                                  memo=self.memo)
+        try:
+            return _taylor_sum(deriv, self.q, self.terms, self.L, self.cut)
+        except GrassmannError:
+            raise
+        except (ArithmeticError, ValueError) as exc:
+            raise GrassmannDomainError(str(exc)) from exc
 
 
 def _taylor_basis(xs: Sequence[Supernumber], L: int) -> _TaylorBasis:
@@ -466,11 +560,15 @@ def continue_body(bf: BodyFunction, xs: Sequence[Supernumber]) -> Supernumber:
     This builds the Taylor basis of xs (the soul monomials and factorials)
     afresh on each call, in the largest algebra of xs; SuperFunction.evaluate
     instead reads the one cached on its SuperPoint, shared by every
-    coefficient evaluated there.
+    coefficient evaluated there.  A derivative that fails at the body, and a
+    result with a coefficient that is not finite, raise GrassmannDomainError.
     """
     if len(xs) != bf.m:
         raise GrassmannError(f"expected {bf.m} even arguments, got {len(xs)}")
-    return _taylor_basis(xs, max((x.L for x in xs), default=0)).continued(bf)
+    out = _taylor_basis(xs, max((x.L for x in xs), default=0)).continued(bf)
+    if not _is_finite(out):
+        raise GrassmannDomainError("continuation overflows: a coefficient is not finite")
+    return out
 
 
 # ---------------------------------------------------------------------------
