@@ -46,7 +46,6 @@ from .grassmann import (
     _stack,
     apply_analytic,
     gen,
-    inverse,
     max_abs,
     one,
     scalar,
@@ -56,16 +55,18 @@ from .grassmann import (
 )
 from .superlinalg import (
     Supermatrix,
+    _QUIET,
+    _adjugate_inverse,
     _body_matrix,
-    _det_even,
-    _inverse_even,
     _mat_mul,
     _mat_sub,
     _negligible,
     _node_array,
     _pfaffian,
     _sdet,
+    _scaled_rows,
     _split,
+    _times_two_to,
 )
 from .superspace import SuperMap, SuperPoint, _super_jet, compose
 
@@ -535,15 +536,16 @@ def gaussian_super(M: Supermatrix, lam: float) -> Supernumber:
         (2 pi lam)^{m/2} lam^{-n/2} det(A)^{-1/2} Pf(B - D A^{-1} C)
 
     for even n, and 0 for odd n; Pf is the perfect-matchings Pfaffian with
-    Pf([[0, 1], [-1, 0]]) = 1.  A result that is not finite raises
-    GrassmannDomainError.  Dense entries run on their coefficient vectors
-    (``grassmann._on_vectors``): the antisymmetry and coupling scans and
-    their scales read vectors (np.abs(v).max()), and only det A, for its
-    square root and that root's inverse, and the Pfaffian become elements.
-    The conversions to vectors are shared across calls through the bounded
-    memo of ``grassmann``: each element of the tail (det A, its square root,
-    that root's inverse and the products between) costs at most one
-    conversion, and M's entries none when an earlier call read them.
+    Pf([[0, 1], [-1, 0]]) = 1.  A^{-1} and det(A)^{-1} come from one
+    range-keeping inverse (``superlinalg._adjugate_inverse``, as in
+    ``sdet``).  A result that is not finite raises GrassmannDomainError.
+    Dense entries run on their coefficient vectors (``grassmann._on_vectors``):
+    the antisymmetry and coupling scans and their scales read vectors
+    (np.abs(v).max()), and only det(A)^{-1}, for its square root, and the
+    Pfaffian become elements.  The conversions to vectors are shared across
+    calls through the bounded memo of ``grassmann``: each element of the tail
+    (det(A)^{-1}, its square root and the products between) costs at most
+    one conversion, and M's entries none when an earlier call read them.
     """
     if lam <= 0:
         raise GrassmannDomainError("scale must be positive")
@@ -588,25 +590,25 @@ def _gaussian_rows(rows, m: int, L: int, lam: float) -> Supernumber:
     if n and _negligible(body[m:, m:]):
         raise GrassmannDomainError("odd block body must be regular")
 
-    # det(A) far from unit scale over- or underflows, so it is taken of 2^-2k A,
-    # whose largest body entry is near 1; det(A)^(-1/2) gets the exact 2^(-km)
-    k = math.frexp(np.abs(Ab).max())[1] // 2 if m else 0
     try:
-        even_scale, odd_scale = math.ldexp((2 * math.pi * lam) ** (m / 2), -k * m), lam ** (-n / 2)
+        even_scale, odd_scale = (2 * math.pi * lam) ** (m / 2), lam ** (-n / 2)
     except OverflowError:
         raise GrassmannDomainError("gaussian_super overflows: a scale is out of range") from None
-    even_factor = scalar(L, even_scale)
+    even_factor, k, raw = scalar(L, even_scale), 0, B
     if m:
-        scaled = [[math.ldexp(1.0, -2 * k) * e for e in row] for row in A]
-        root = apply_analytic(AnalyticSpec.named("sqrt"), _elements(_det_even(scaled, L)))
-        even_factor = even_factor * inverse(root)
-        raw = _mat_sub(B, _mat_mul(_mat_mul(D, _inverse_even(A, L)), C))
-    else:
-        raw = B
+        # det(A)^(-1/2) = sqrt(2^(k mod 2) delta) 2^(k // 2), k = -(e_0 + ...);
+        # the result meets 2^(k // 2) last
+        Uinv, delta, e = _adjugate_inverse(A, L)
+        k = -int(e.sum())
+        root = apply_analytic(AnalyticSpec.named("sqrt"), _elements(_times_two_to(delta, k % 2)))
+        even_factor = even_factor * root
+        with np.errstate(**_QUIET):
+            raw = _mat_sub(B, _mat_mul(_mat_mul(D, Uinv), _scaled_rows(C, e)))
     # antisymmetrize exactly so roundoff cannot trip the Pfaffian's check
     pf_arg = [[0.5 * (raw[s][t] - raw[t][s]) for t in range(n)] for s in range(n)]
     pf = _elements(_pfaffian(pf_arg, L)) if n else one(L)
-    out = even_factor * scalar(L, odd_scale) * pf
+    with np.errstate(**_QUIET):
+        out = _times_two_to(even_factor * scalar(L, odd_scale) * pf, k // 2)
     if not _is_finite(out):
         raise GrassmannDomainError("gaussian_super overflows: a coefficient is not finite")
     return out

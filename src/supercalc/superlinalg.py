@@ -453,15 +453,13 @@ def _det_eliminate(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
 def mat_inverse_even(rows: Sequence[Sequence[Supernumber]]) -> List[List[Supernumber]]:
     """Inverse of a square matrix with invertible body.
 
-    A block of size 1 or 2 whose entries are all even, and so commute, is
-    inverted in closed form over one determinant (``_adjugate_inverse``): the
-    inverse of its entry, or its adjugate over its determinant; ``sdet``
-    takes det(B)^{-1} from that same determinant.  Any other
-    block takes the terminating Neumann series (``_neumann_inverse``).  A
-    matrix that is not square raises GrassmannError.  A body singular to
-    working precision, at any node for a batch, raises GrassmannDomainError,
-    and so does a body or a result that is not finite.  Dense rows run on
-    coefficient vectors (``grassmann._on_vectors``).
+    A block of even entries, which commute, takes the range-keeping inverse
+    (``_adjugate_inverse``) and scales its columns back; any other takes the
+    terminating Neumann series (``_neumann_inverse``).  A matrix that is not
+    square raises GrassmannError.  A body singular to working precision, at
+    any node for a batch, raises GrassmannDomainError, and so does a body or
+    a result that is not finite.  Dense rows run on coefficient vectors
+    (``grassmann._on_vectors``).
     """
     rows, L = _in_one_algebra(*rows)
     if any(len(r) != len(rows) for r in rows):
@@ -471,9 +469,11 @@ def mat_inverse_even(rows: Sequence[Sequence[Supernumber]]) -> List[List[Supernu
 
 def _inverse_even(rows, L: int):
     """mat_inverse_even of square rows, elements or ``_Dense``."""
-    if not (0 < len(rows) <= 2 and all(e.parity == "even" for r in rows for e in r)):
+    if not all(e.parity == "even" for r in rows for e in r):
         return _neumann_inverse(rows, L)
-    out = _adjugate_inverse(rows, L)[0]
+    Uinv, _, e = _adjugate_inverse(rows, L, det=False)
+    with np.errstate(**_QUIET):
+        out = [[_times_two_to(x, -ej) for x, ej in zip(r, e)] for r in Uinv]
     if not _finite_rows(out):
         raise GrassmannDomainError("matrix inverse overflows: a coefficient is not finite")
     return out
@@ -500,9 +500,9 @@ def _regular_body(rows, invert: bool = False):
 # absolute value, at a node, is left unscaled there: its determinant is then
 # within 2^+-600 of that of rows at unit scale, and it neither overflows nor
 # underflows.  Scaling by a power of two is exact, so scaling such a block
-# too gives the same coefficients bit for bit, but its eleven scalings per
-# (2|2) sdet made the berezinian_dense solve 10% slower (median of ten
-# alternating 8-s pairs, 2-vCPU Xeon).
+# too gives the same coefficients bit for bit, but its scalings per (2|2)
+# sdet (eleven when measured, thirteen now) made the berezinian_dense solve
+# 10% slower (median of ten alternating 8-s pairs, 2-vCPU Xeon).
 _UNSCALED_EXPONENTS = 600
 
 
@@ -535,32 +535,31 @@ def _scaled_rows(rows, e):
     return [[_times_two_to(x, -ei) for x in r] for r, ei in zip(rows, e)]
 
 
-def _adjugate_inverse(rows, L: int) -> Tuple[List[List[Supernumber]], Supernumber, np.ndarray]:
-    """(rows^{-1}, delta, k) for a square block of size 1 or 2 with even
-    entries in L generators, which commute, so that the adjugate over the
-    determinant is the inverse: det(rows)^{-1} = 2^k delta.
+def _adjugate_inverse(rows, L: int, det: bool = True
+                      ) -> Tuple[List[List[Supernumber]], Supernumber | None, np.ndarray]:
+    """(U^{-1}, delta, e) for a square block of even entries, which commute,
+    in L generators: the one range-keeping inverse of even blocks.
 
-    The block is inverted from its rows scaled apart, U = 2^-E rows with
-    E = diag(e_0, ...) (``_row_exponents``), so that det U neither overflows
-    nor underflows: with delta = det(U)^{-1} and k = -e_0 - ...,
-    rows^{-1} = U^{-1} 2^-E.  A 1 x 1 block [[x]] gives delta = (2^-e_0 x)^{-1}
-    and the inverse 2^-e_0 delta; a 2 x 2 block gives adj(U) with column j
-    times 2^-e_j delta.  One determinant serves both.  The body checks are
-    those of ``mat_inverse_even``.  Either of the inverse and det(rows)^{-1}
-    can be out of range where the other is not, so the inverse may hold inf
-    (``mat_inverse_even`` checks it, ``sdet`` checks its own result) and
-    det(rows)^{-1} is left to the caller to form.
+    U = 2^-E rows has row i scaled by 2^-e_i (``_row_exponents``; e is (n,),
+    or (n, nodes) for a batch), so that det U neither overflows nor
+    underflows, and delta = det(U)^{-1}.  Then rows^{-1} = U^{-1} 2^-E and
+    det(rows)^{-1} = 2^-(e_0 + ...) delta: the caller puts 2^-E on the factor
+    that meets U^{-1} next, since either can be out of range where the other
+    is not.  U^{-1} is delta for [[u]] and adj(U) delta for a 2 x 2 U; from
+    size 3 it is the Neumann series, and delta that of ``_det_even(U)``, or
+    None without ``det``.  The body checks are those of ``mat_inverse_even``.
     """
     e = _row_exponents(_regular_body(rows)[2])
     with np.errstate(**_QUIET):
-        if len(rows) == 1:
-            delta = inverse(_times_two_to(rows[0][0], -e[0]))
-            return [[_times_two_to(delta, -e[0])]], delta, -e[0]
-        (a, b), (c, d) = _scaled_rows(rows, e)
-        delta = inverse(a * d - b * c)
-        delta0, delta1 = (_times_two_to(delta, -ej) for ej in e)
-        out = [[d * delta0, -(b * delta1)], [-(c * delta0), a * delta1]]
-    return out, delta, -e.sum(axis=0)
+        U = _scaled_rows(rows, e)
+        if len(U) == 1:
+            delta = inverse(U[0][0])
+            return [[delta]], delta, e
+        if len(U) == 2:
+            (a, b), (c, d) = U
+            delta = inverse(a * d - b * c)
+            return [[d * delta, -(b * delta)], [-(c * delta), a * delta]], delta, e
+        return _neumann_inverse(U, L), inverse(_det_even(U, L)) if det else None, e
 
 
 def _neumann_inverse(rows, L: int) -> List[List[Supernumber]]:
@@ -631,12 +630,12 @@ def sdet(M: Supermatrix) -> Supernumber:
 
     Defined only where the body of B is invertible: a B body singular to
     working precision raises GrassmannDomainError (see ``mat_inverse_even``),
-    and so does a result that overflows.  Up to n = 2, one determinant of B
-    serves both B^{-1} and det(B)^{-1} (``_adjugate_inverse``).  That
-    determinant and the Schur one are taken of rows scaled apart by powers
-    of two, which the result meets last, so that a result in range comes out
-    in range however far from unit scale A and B are.  Dense entries run on
-    their coefficient vectors, and the result is built once
+    and so does a result that overflows.  B^{-1} and det(B)^{-1} come from
+    one inverse of B's rows scaled apart by powers of two
+    (``_adjugate_inverse``), the Schur determinant from its rows scaled apart
+    too, and the result meets the scalings last, so that a result in range
+    comes out in range however far from unit scale A and B are.  Dense
+    entries run on their coefficient vectors, and the result is built once
     (``grassmann._on_vectors``); each check and step between is one code.
     The conversions to vectors are shared across calls through the bounded
     memo of ``grassmann``: ``sdet(M @ N)`` reads the vectors that ``@`` built.
@@ -655,20 +654,15 @@ def _sdet_rows(rows, m: int, L: int):
     if _grading(rows, m) != "even":
         raise GrassmannDomainError("sdet is defined for even matrices")
     A, C, D, B = _split(rows, m)
-    if not B:
-        return _det_even(A, L)
-    if len(B) <= 2:
-        # the entries of B are even, so the adjugate inverts it
-        Binv, delta, k = _adjugate_inverse(B, L)
-    else:
-        Binv, delta, k = _inverse_even(B, L), inverse(_det_even(B, L)), 0
-    Schur = _mat_sub(A, _mat_mul(_mat_mul(C, Binv), D))
-    # det(Schur) = 2^(s_0 + ... + s_m-1) det(2^-S Schur), with S as B's E in
-    # _adjugate_inverse, and det(B)^-1 = 2^k delta: both determinants are in
-    # range, so only the last product can leave it, where the result does
-    s = _row_exponents(_peaks(_node_array((e.body for r in Schur for e in r), (m, m))))
+    Uinv, delta, e = _adjugate_inverse(B, L)
     with np.errstate(**_QUIET):
-        out = _times_two_to(_det_even(_scaled_rows(Schur, s), L) * delta, s.sum(axis=0) + k)
+        # C B^-1 D = (C U^-1) (2^-E D): B's row scales divide D's rows
+        Schur = _mat_sub(A, _mat_mul(_mat_mul(C, Uinv), _scaled_rows(D, e))) if B else A
+        # det(Schur) = 2^(s_0 + ...) det(2^-S Schur), with S as E: both
+        # determinants are in range, so only the last product can leave it
+        s = _row_exponents(_peaks(_node_array((x.body for r in Schur for x in r), (m, m))))
+        out = _times_two_to(_det_even(_scaled_rows(Schur, s), L) * delta,
+                            s.sum(axis=0) - e.sum(axis=0))
     if not _is_finite(out):
         raise GrassmannDomainError("sdet overflows: a coefficient is not finite")
     return out
@@ -849,8 +843,8 @@ def pfaffian(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
     Odd size returns 0.  Satisfies pfaffian(B)^2 = det_even(B).  A matrix
     counts as antisymmetric when no coefficient of any B[i][j] + B[j][i]
     exceeds 1e-12 times the largest coefficient modulus of B, as in
-    ``berezin.gaussian_super``; the expansion reads the upper triangle.  A result that is not finite raises
-    GrassmannDomainError.
+    ``berezin.gaussian_super``; the expansion reads the upper triangle.  A
+    result that is not finite raises GrassmannDomainError.
     """
     rows, L = _in_one_algebra(*rows)
     if any(len(r) != len(rows) for r in rows):

@@ -646,6 +646,7 @@ class SuperFunction:
         self.coefficients = dict(coefficients)
 
     def evaluate(self, P: SuperPoint) -> Supernumber:
+        """f at P; raises as ``continue_body`` does, at any node of a batch."""
         if P.shape != (self.m, self.n):
             raise GrassmannError(f"point shape {P.shape} != ({self.m},{self.n})")
         basis = P._basis()
@@ -663,6 +664,8 @@ class SuperFunction:
                     continue
                 cont = mono * cont
             acc = acc + cont
+        if not _is_finite(acc):
+            raise GrassmannDomainError("continuation overflows: a coefficient is not finite")
         return acc
 
     def partial(self, slot: int) -> "SuperFunction":

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from supercalc import grassmann as gr
@@ -736,32 +736,44 @@ def _assert_each_close(got, want, tol):
 
 @pytest.mark.parametrize("L", range(2, 9))
 @pytest.mark.parametrize("nodes", [None, 5])
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_adjugate_and_neumann_inverses_agree(n, nodes, L):
+    # at unit scale no row is scaled (e = 0), so U is the block itself
     rng = np.random.default_rng([L, n, nodes or 0])
     rows = _dense_block(rng, L, n, nodes)
-    got, delta, k = sl._adjugate_inverse(rows, L)
+    got, delta, e = sl._adjugate_inverse(rows, L)
+    assert not np.any(e)
     _assert_each_close(got, sl._neumann_inverse(rows, L), 1e-14)
-    det_inv = sl._times_two_to(delta, k)
     want_det_inv = gr.inverse(det_even(rows))
-    assert gr.max_coeff_diff(det_inv, want_det_inv) <= 1e-14 * gr.max_abs(want_det_inv)
-    # mat_inverse_even is the adjugate inverse, on the representation its
-    # entry decision picks (dense rows run on coefficient vectors)
+    assert gr.max_coeff_diff(delta, want_det_inv) <= 1e-14 * gr.max_abs(want_det_inv)
+    # mat_inverse_even is U^-1 with its columns scaled by 2^-e_j, here by 1,
+    # on the representation its entry decision picks (dense rows run on
+    # coefficient vectors)
     assert mat_inverse_even(rows) == gr._on_vectors(
         lambda rows: sl._adjugate_inverse(rows, L)[0], L, rows)
 
 
-@pytest.mark.parametrize("p", [(1e200, 1e150), (1e-200, 1e-150)])
+@pytest.mark.parametrize("p", [(1e200, 1e150), (1e-200, 1e-150), (1e-300,),
+                               (1e200, 1e-200, 1e150)])
 def test_adjugate_inverse_of_rows_far_from_unit_scale(p):
-    # inv(P X) = inv(X) P^-1: row i scaled by p_i scales column i of the
-    # inverse by 1 / p_i.  det(P X) is out of range, 1e350 or 1e-350 times
-    # det X, but the rows scaled by powers of two have a determinant near 1
-    L = 6
-    rows = _dense_block(np.random.default_rng(41), L, 2)
-    scaled = [[p[i] * e for e in r] for i, r in enumerate(rows)]
+    # For X with row i scaled by p_i, U = 2^-E P X has row i scaled by
+    # p_i 2^-e_i, whose peak is in [1/2, 1): U^-1 is X^-1 with column j
+    # times 2^e_j / p_j, and delta = det(U)^-1 is det(X)^-1 over the product
+    # of the p_i 2^-e_i, although det(P X) is out of range.  mat_inverse_even
+    # scales the columns of U^-1 by 2^-e_j: (P X)^-1 = X^-1 P^-1.
+    L, n = 6, len(p)
+    rows = _dense_block(np.random.default_rng(41), L, n)
+    scaled = [[p[i] * x for x in r] for i, r in enumerate(rows)]
+    got, delta, e = sl._adjugate_inverse(scaled, L)
+    assert e.shape == (n,) and np.all(e != 0)
     inv = sl._neumann_inverse(rows, L)
-    want = [[inv[i][j] * (1 / p[j]) for j in range(2)] for i in range(2)]
-    _assert_each_close(sl._adjugate_inverse(scaled, L)[0], want, 1e-14)
+    unit = [p[i] * 2.0 ** -int(e[i]) for i in range(n)]
+    _assert_each_close(got, [[inv[i][j] * (1 / unit[j]) for j in range(n)]
+                             for i in range(n)], 1e-14)
+    want_delta = gr.inverse(det_even(rows)) * (1 / np.prod(unit))
+    assert gr.max_coeff_diff(delta, want_delta) <= 1e-14 * gr.max_abs(want_delta)
+    _assert_each_close(mat_inverse_even(scaled),
+                       [[inv[i][j] * (1 / p[j]) for j in range(n)] for i in range(n)], 1e-14)
 
 
 @pytest.mark.parametrize("nodes", [None, 5])
@@ -824,6 +836,46 @@ def test_sdet_of_blocks_far_from_unit_scale(m, p, q, nodes):
             <= 1e-14 * gr.max_abs(want)
 
 
+@pytest.mark.parametrize("c", [1e-200, 1e200])
+def test_sdet_of_three_by_three_blocks_far_from_unit_scale(c):
+    # det A and det B are 1e+-600, out of range, but sdet(c I_3 | c I_3) is 1;
+    # with dense souls, sdet(c X) = sdet(X) for (3|3) X
+    L = 6
+    z = gr.zero(L)
+    cI = [[gr.scalar(L, c) if i == j else z for j in range(3)] for i in range(3)]
+    Z = [[z] * 3 for _ in range(3)]
+    assert gr.max_coeff_diff(sdet(from_blocks(cI, Z, Z, cI, L=L)), gr.one(L)) <= 1e-14
+    M = _dense_even_matrix(np.random.default_rng(61), L, 3, 3)
+    want = sdet(M)
+    assert gr.max_coeff_diff(sdet(M.scale(c)), want) <= 1e-14 * gr.max_abs(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(0, 3), n=st.integers(0, 3), a=st.integers(-1000, 1000),
+       b=st.integers(-1000, 1000), L=st.sampled_from([4, 6]), seed=st.integers(0, 2 ** 32 - 1))
+def test_sdet_scales_by_powers_of_two_across_the_range(m, n, a, b, L, seed):
+    # sdet(diag(2^a I_m, 2^b I_n) M) = 2^(ma - nb) sdet(M): to 1e-14 where
+    # the result is normal, GrassmannDomainError where it is above the range,
+    # and finite coefficients where it is below; the two binades at the top
+    # of the range, where rounding decides, are left out
+    M = _dense_even_matrix(np.random.default_rng(seed), L, m, n)
+    scaled = Supermatrix(m, n, [[2.0 ** (a if i < m else b) * x for x in r]
+                                for i, r in enumerate(M.rows)], L)
+    base, k = sdet(M), m * a - n * b
+    top = k + np.log2(gr.max_abs(base))
+    assume(not 1023 <= top <= 1025)
+    if top > 1025:
+        with pytest.raises(GrassmannDomainError, match="overflows"):
+            sdet(scaled)
+        return
+    got = sdet(scaled)
+    assert all(np.isfinite(v) for v in got.terms.values())
+    if top > -1021:
+        with np.errstate(**sl._QUIET):
+            want = sl._times_two_to(base, k)
+        assert gr.max_coeff_diff(got, want) <= 1e-14 * gr.max_abs(want)
+
+
 def test_times_two_to_is_exact_across_the_range():
     # one k per node, each beyond one float step of 2^+-1000; the partial
     # products of the first two stay between X and the result
@@ -844,6 +896,22 @@ def test_dense_products_of_one_sdet_and_one_inverse(monkeypatch):
     calls.clear()
     mat_inverse_even(M.block("B"))
     assert len(calls) <= 9
+
+
+@pytest.mark.parametrize("m, n, sdet_count, inverse_count", [(3, 3, 190, 108),
+                                                             (2, 4, 382, 256)])
+def test_dense_products_of_one_sdet_with_a_large_b(m, n, sdet_count, inverse_count,
+                                                   monkeypatch):
+    # from n = 3, B^-1 is the Neumann series and det B a Leibniz expansion
+    # apart from it, which a block Schur recursion would cut; the inverse
+    # alone forms no det B
+    M = _dense_even_matrix(np.random.default_rng([m, n, 59]), 8, m, n)
+    calls = count_dense_products(monkeypatch)
+    sdet(M)
+    assert len(calls) == sdet_count
+    calls.clear()
+    mat_inverse_even(M.block("B"))
+    assert len(calls) == inverse_count
 
 
 @pytest.mark.parametrize("rows", [[[1.0, 2.0]], [[1.0, 2.0], [3.0]]])

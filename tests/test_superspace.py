@@ -765,6 +765,21 @@ def test_cached_basis_is_no_part_of_point_identity():
     assert len(calls) == 2  # one solve per evaluation
 
 
+def test_evaluate_on_a_batch_raises_where_a_coefficient_overflows():
+    # exp(800) overflows: at one node the derivative raises, and on a batch
+    # (numpy's own warning silenced) the inf it leaves in the result does
+    f = SuperFunction(1, 0, {0: expr_body("exp(q1)", 1)})
+    s0s1 = Supernumber(2, {0b11: 1.0})
+    with pytest.raises(GrassmannDomainError):
+        f.evaluate(SuperPoint((scalar(2, 800.0) + s0s1,), ()))
+    batch = Supernumber(2, {0: np.array([800.0, 1.0])}) + s0s1
+    with np.errstate(over="ignore"), pytest.raises(GrassmannDomainError, match="overflows"):
+        f.evaluate(SuperPoint((batch,), ()))
+    # a finite batch still evaluates node by node
+    got = f.evaluate(SuperPoint((Supernumber(2, {0: np.array([2.0, 1.0])}) + s0s1,), ()))
+    assert np.allclose(got.body, np.exp([2.0, 1.0]), rtol=1e-15, atol=0)
+
+
 def test_numeric_coefficient_beyond_order_four_raises_through_evaluate():
     f = SuperFunction(1, 0, {0: NumericBodyFunction(lambda q: cmath.exp(q[0]), 1)})
     L = 10
