@@ -58,6 +58,7 @@ from .superlinalg import (
     _QUIET,
     _adjugate_inverse,
     _body_matrix,
+    _half_power,
     _mat_mul,
     _mat_sub,
     _negligible,
@@ -571,17 +572,13 @@ def _gaussian_rows(rows, m: int, L: int, lam: float) -> Supernumber:
         if np.min(np.linalg.eigvalsh(Ab.real)) <= 0:
             raise GrassmannDomainError("even block body must be positive definite")
     b_scale = max((max_abs(e) for row in B for e in row), default=0.0)
-    for s in range(n):
-        for t in range(n):
-            if max_abs(B[s][t] + B[t][s]) > 1e-12 * b_scale:
-                raise GrassmannDomainError("odd block must be antisymmetric")
+    if any(max_abs(B[s][t] + B[t][s]) > 1e-12 * b_scale for s in range(n) for t in range(n)):
+        raise GrassmannDomainError("odd block must be antisymmetric")
     # couplings that should vanish have no scale of their own, so rounding
     # noise in them is measured against the whole matrix
     m_scale = max((max_abs(e) for row in rows for e in row), default=0.0)
-    for j in range(m):
-        for s in range(n):
-            if max_abs(C[j][s] + D[s][j]) > 1e-12 * m_scale:
-                raise GrassmannDomainError("couplings must satisfy C^T + D = 0")
+    if any(max_abs(C[j][s] + D[s][j]) > 1e-12 * m_scale for j in range(m) for s in range(n)):
+        raise GrassmannDomainError("couplings must satisfy C^T + D = 0")
 
     if n % 2 == 1:
         # an antisymmetric odd-dimension block is always body-singular, so the
@@ -590,25 +587,22 @@ def _gaussian_rows(rows, m: int, L: int, lam: float) -> Supernumber:
     if n and _negligible(body[m:, m:]):
         raise GrassmannDomainError("odd block body must be regular")
 
-    try:
-        even_scale, odd_scale = (2 * math.pi * lam) ** (m / 2), lam ** (-n / 2)
-    except OverflowError:
-        raise GrassmannDomainError("gaussian_super overflows: a scale is out of range") from None
-    even_factor, k, raw = scalar(L, even_scale), 0, B
+    # (2 pi lam)^(m/2), lam^(-n/2) and det(A)^(-1/2) = sqrt(2^(k mod 2) delta)
+    # 2^(k // 2), k = -(e_0 + ...), meet the result's powers of two last
+    (even, g), (odd, g_odd) = _half_power(lam, m, (2 * math.pi) ** (m / 2)), _half_power(lam, -n)
+    even_factor, g, raw = scalar(L, even), g + g_odd, B
     if m:
-        # det(A)^(-1/2) = sqrt(2^(k mod 2) delta) 2^(k // 2), k = -(e_0 + ...);
-        # the result meets 2^(k // 2) last
         Uinv, delta, e = _adjugate_inverse(A, L)
         k = -int(e.sum())
         root = apply_analytic(AnalyticSpec.named("sqrt"), _elements(_times_two_to(delta, k % 2)))
-        even_factor = even_factor * root
+        even_factor, g = even_factor * root, g + k // 2
         with np.errstate(**_QUIET):
             raw = _mat_sub(B, _mat_mul(_mat_mul(D, Uinv), _scaled_rows(C, e)))
     # antisymmetrize exactly so roundoff cannot trip the Pfaffian's check
     pf_arg = [[0.5 * (raw[s][t] - raw[t][s]) for t in range(n)] for s in range(n)]
     pf = _elements(_pfaffian(pf_arg, L)) if n else one(L)
     with np.errstate(**_QUIET):
-        out = _times_two_to(even_factor * scalar(L, odd_scale) * pf, k // 2)
+        out = _times_two_to(even_factor * scalar(L, odd) * pf, g)
     if not _is_finite(out):
         raise GrassmannDomainError("gaussian_super overflows: a coefficient is not finite")
     return out

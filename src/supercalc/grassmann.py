@@ -1392,12 +1392,15 @@ def chop(X: Supernumber, tol: float) -> Supernumber:
 
 def _is_finite(X) -> bool:
     """True when every coefficient of X (a Supernumber, a ``_Dense`` or a
-    number) is finite, at every node for a batch."""
+    number) is finite, at every node for a batch.  A batch array is read
+    once: a finite sum of squares (``np.vdot``, a BLAS call that neither
+    warns nor raises) proves each value finite, and only one that is not,
+    as for values above 1e154, takes the test value by value."""
     if isinstance(X, _Dense):
         return bool(np.isfinite(X.v).all())
     coeffs = X._terms.values() if isinstance(X, Supernumber) else (X,)
-    return all(cmath.isfinite(c) if type(c) is complex else np.isfinite(c).all()
-               for c in coeffs)
+    return all(cmath.isfinite(c) if type(c) is complex
+               else cmath.isfinite(np.vdot(c, c)) or np.isfinite(c).all() for c in coeffs)
 
 
 def _modulus(c) -> float:

@@ -405,10 +405,8 @@ def det_even(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
 
 def _det_even(rows, L: int):
     """det_even of square rows, elements or ``_Dense``."""
-    for r in rows:
-        for e in r:
-            if e.parity not in ("even",):
-                raise GrassmannDomainError("det_even needs even entries")
+    if any(e.parity != "even" for r in rows for e in r):
+        raise GrassmannDomainError("det_even needs even entries")
     if not rows:
         return one(L)
     det = _det_leibniz(rows) if len(rows) <= 4 else _det_eliminate(rows)
@@ -471,7 +469,7 @@ def _inverse_even(rows, L: int):
     """mat_inverse_even of square rows, elements or ``_Dense``."""
     if not all(e.parity == "even" for r in rows for e in r):
         return _neumann_inverse(rows, L)
-    Uinv, _, e = _adjugate_inverse(rows, L, det=False)
+    Uinv, _, e = _adjugate_inverse(rows, L)
     with np.errstate(**_QUIET):
         out = [[_times_two_to(x, -ej) for x, ej in zip(r, e)] for r in Uinv]
     if not _finite_rows(out):
@@ -500,9 +498,9 @@ def _regular_body(rows, invert: bool = False):
 # absolute value, at a node, is left unscaled there: its determinant is then
 # within 2^+-600 of that of rows at unit scale, and it neither overflows nor
 # underflows.  Scaling by a power of two is exact, so scaling such a block
-# too gives the same coefficients bit for bit, but its scalings per (2|2)
-# sdet (eleven when measured, thirteen now) made the berezinian_dense solve
-# 10% slower (median of ten alternating 8-s pairs, 2-vCPU Xeon).
+# too gives the same coefficients bit for bit, but it adds element scalings
+# to each sdet, which made the berezinian_dense solve about 10% slower
+# (median of ten alternating 8-s pairs, 2-vCPU Xeon).
 _UNSCALED_EXPONENTS = 600
 
 
@@ -530,13 +528,19 @@ def _times_two_to(X: Supernumber, k) -> Supernumber:
     return X
 
 
+def _half_power(x: float, j: int, c: float = 1.0) -> Tuple[float, int]:
+    """c x^(j/2) = y 2^g as (y, g) for floats x, c > 0, y in [1/2, 1) however far c x^(j/2) is."""
+    mantissa, exponent = math.frexp(x)
+    y, h = math.frexp(c * (mantissa * 2 ** (exponent % 2)) ** (j / 2))
+    return y, exponent // 2 * j + h
+
+
 def _scaled_rows(rows, e):
     """rows with row i times 2^-e_i.  Call under ``_QUIET``."""
     return [[_times_two_to(x, -ei) for x in r] for r, ei in zip(rows, e)]
 
 
-def _adjugate_inverse(rows, L: int, det: bool = True
-                      ) -> Tuple[List[List[Supernumber]], Supernumber | None, np.ndarray]:
+def _adjugate_inverse(rows, L: int) -> Tuple[List[List[Supernumber]], Supernumber, np.ndarray]:
     """(U^{-1}, delta, e) for a square block of even entries, which commute,
     in L generators: the one range-keeping inverse of even blocks.
 
@@ -546,8 +550,8 @@ def _adjugate_inverse(rows, L: int, det: bool = True
     det(rows)^{-1} = 2^-(e_0 + ...) delta: the caller puts 2^-E on the factor
     that meets U^{-1} next, since either can be out of range where the other
     is not.  U^{-1} is delta for [[u]] and adj(U) delta for a 2 x 2 U; from
-    size 3 it is the Neumann series, and delta that of ``_det_even(U)``, or
-    None without ``det``.  The body checks are those of ``mat_inverse_even``.
+    size 3 it is the Neumann series, and delta that of ``_det_even(U)``.
+    The body checks are those of ``mat_inverse_even``.
     """
     e = _row_exponents(_regular_body(rows)[2])
     with np.errstate(**_QUIET):
@@ -559,7 +563,7 @@ def _adjugate_inverse(rows, L: int, det: bool = True
             (a, b), (c, d) = U
             delta = inverse(a * d - b * c)
             return [[d * delta, -(b * delta)], [-(c * delta), a * delta]], delta, e
-        return _neumann_inverse(U, L), inverse(_det_even(U, L)) if det else None, e
+        return _neumann_inverse(U, L), inverse(_det_even(U, L)), e
 
 
 def _neumann_inverse(rows, L: int) -> List[List[Supernumber]]:

@@ -794,6 +794,23 @@ def test_gaussian_super_of_an_even_block_far_from_unit_scale(c):
     assert close(value.body / (TWO_PI / c), 1.0, tol=1e-13)
 
 
+@pytest.mark.parametrize("m, n, c, b, lam", [(2, 0, 1e300, 1.0, 2.5e307),
+                                             (2, 0, 1e300, 1.0, 1e308),
+                                             (2, 2, 1e300, 5e307, 1.0),
+                                             (4, 0, 1e300, 1.0, 1e300),
+                                             (0, 2, 1.0, 1e-300, 1e-320)])
+def test_gaussian_super_whose_factors_are_out_of_range_apart(m, n, c, b, lam):
+    # A = c I and B = b [[0, 1], [-1, 0]]: (2 pi lam)^(m/2), lam^(-n/2),
+    # det(A)^(-1/2) or Pf(B) is out of range, or near its edge, but the value
+    # (2 pi lam / c)^(m/2) lam^(-n/2) b is not
+    A = [[scalar(0, c if i == j else 0.0) for j in range(m)] for i in range(m)]
+    B = [[scalar(0, b * (j - i)) for j in range(n)] for i in range(n)]
+    zeros = [[zero(0)] * cols for cols in (n,) * m + (m,) * n]
+    value = gaussian_super(from_blocks(A, zeros[:m], zeros[m:], B), lam)
+    want = (TWO_PI * (lam / c)) ** (m / 2) * b / lam ** (n // 2)
+    assert close(value.body / want, 1.0, tol=1e-14)
+
+
 def odd_block_after_unit_even_block(m, b):
     """(m|2) matrix with even block I, no couplings and odd block b."""
     rows = np.zeros((m + 2, m + 2))

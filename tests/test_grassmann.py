@@ -525,6 +525,18 @@ def test_apply_analytic_whose_soul_coefficient_overflows_raises_domain_error():
 
 # products do not check for overflow; every exit does (module docstring)
 
+def test_is_finite_of_a_batch_whose_sum_of_squares_is_not_finite():
+    # the sum of squares of each batch decides where it is finite; where it
+    # is not, the values do: that of 1e308 is inf, those of inf and nan nan
+    big = np.array([1e308, 1e308])
+    with np.errstate(over="raise", invalid="raise"):  # as in the quadrature
+        assert gr._is_finite(Supernumber(1, {0: big, 1: 1j * big}))
+    with np.errstate(over="ignore"):
+        X = Supernumber(1, {0: big, 1: np.array([1.0, -1e308])}) * 10.0
+    assert not gr._is_finite(X)
+    assert not gr._is_finite(np.array([1.0, np.nan])) and not gr._is_finite(complex("nan"))
+
+
 @pytest.mark.parametrize("part", ["body", "soul"])
 def test_overflowed_operand_is_caught_by_inverse(part):
     x = overflowed(part)
