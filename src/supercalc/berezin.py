@@ -63,7 +63,9 @@ from .superlinalg import (
     _mat_sub,
     _negligible,
     _node_array,
+    _peaks,
     _pfaffian,
+    _row_exponents,
     _sdet,
     _scaled_rows,
     _split,
@@ -398,9 +400,10 @@ def integrate_odd(v: OddPolynomial,
 def _grid_point(q, n: int) -> SuperPoint:
     """Body coordinates q (one array of nodes per axis, or one node) with the
     n odd coordinates set to fresh generators.  The nodes are finite (_quad
-    checks the box), so the constants skip the constructor's checks."""
+    checks the box) and real, so the constants skip the constructor's checks,
+    and the point the checks of its bodies and parities."""
     L = max(n, 1)
-    return SuperPoint(
+    return SuperPoint._as_is(
         tuple(_as_super(c, L) for c in q),
         tuple(gen(L, s) for s in range(n)),
     )
@@ -600,6 +603,14 @@ def _gaussian_rows(rows, m: int, L: int, lam: float) -> Supernumber:
             raw = _mat_sub(B, _mat_mul(_mat_mul(D, Uinv), _scaled_rows(C, e)))
     # antisymmetrize exactly so roundoff cannot trip the Pfaffian's check
     pf_arg = [[0.5 * (raw[s][t] - raw[t][s]) for t in range(n)] for s in range(n)]
+    # Pf(S X S) = det(S) Pf(X) for S = 2^-H: entry (s, t) meets h_s and h_t,
+    # so h is half the row exponents, and 2^(h_0 + ...) meets the result last
+    h = _row_exponents(_peaks(_body_matrix(pf_arg))) // 2
+    if np.any(h):
+        with np.errstate(**_QUIET):
+            pf_arg = [[_times_two_to(x, -(hs + ht)) for x, ht in zip(r, h)]
+                      for r, hs in zip(pf_arg, h)]
+        g += int(h.sum())
     pf = _elements(_pfaffian(pf_arg, L)) if n else one(L)
     with np.errstate(**_QUIET):
         out = _times_two_to(even_factor * scalar(L, odd) * pf, g)

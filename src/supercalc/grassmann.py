@@ -37,6 +37,12 @@ the same coefficients up to the order of summation.
 * The dict loop visits every pair of terms, skips the overlapping ones and
   adds the rest with their sort sign, the parity of popcount(J & s) for one
   mask s per partner K (``_sign_mask``).  Its cost grows with len(X) * len(Y).
+  Under a first-order cut (see "Seeding"), a factor that is a seeded
+  constant, b + c sigma^M with M a slot mask, takes one pass over the other
+  factor per kind of pair instead (``_seeded_constant_product``): b times
+  each term the cut keeps, and c sigma^M times each seed-free term, its sign
+  from the one mask ``_sign_mask(M)``.  The sums, their order and the zeros
+  dropped are the loop's.
 
 The kernel takes a product when L <= 12 and its pair count is at least 512
 and at least 3^L / 4 (``_table_takes``); these are where the kernel over the
@@ -575,16 +581,69 @@ def _scaled(c, terms: Mapping[int, complex]) -> Dict[int, complex]:
             if (cv != 0 if type(cv := c * v) is complex else _nonzero(cv))}
 
 
-def _add_into(out: Dict[int, complex], terms: Mapping[int, complex]) -> None:
-    """Add terms into out in their order, deleting each sum that is 0: only a
-    mask present in both can cancel."""
-    for m, c in terms.items():
+def _add_into(out: Dict[int, complex], terms: Mapping[int, complex], c=None) -> None:
+    """Add terms, each times c when c is given, into out in their order,
+    skipping each product and deleting each sum that is 0: only a mask
+    present in both can cancel."""
+    for m, v in terms.items():
+        if c is not None and not (v != 0 if type(v := c * v) is complex else _nonzero(v)):
+            continue
         if m in out:
-            c = out[m] + c
-            if not (c != 0 if type(c) is complex else _nonzero(c)):
+            v = out[m] + v
+            if not (v != 0 if type(v) is complex else _nonzero(v)):
                 del out[m]
                 continue
-        out[m] = c
+        out[m] = v
+
+
+def _seeded_constant_product(x: Mapping[int, complex], y: Mapping[int, complex],
+                             cut: _Cut) -> Dict[int, complex] | None:
+    """The terms of the dict loop's product x * y under cut when x or y is a
+    seeded constant, exactly {0: b, M: c} with M a slot mask of cut (a
+    body-only slot value seeded first-order, times a number); else None.
+
+    The loop's pairs with such a factor are b times each term of the other
+    operand that the cut keeps, and sigma^M times each of its seed-free terms,
+    moved up by M.  So one pass over the other operand per kind of pair makes
+    the loop's sums in its order, with its signs and its zero drops."""
+    base, window, allowed = cut
+    fresh = window << base
+    for const in (y, x):
+        if len(const) == 2:
+            m0, M = const
+            if not m0 and M & fresh == M and M >> base in allowed:
+                break
+    else:
+        return None
+    b, c = const[0], const[M]
+    sign = _sign_mask(M)  # the sort sign of sigma^J sigma^M, for J disjoint from M
+    if const is x:
+        acc = {mk: b * ck for mk, ck in y.items() if (mk & fresh) >> base in allowed}
+        if M.bit_count() & 1:
+            # sigma^M sigma^K sorts with the sign of sigma^K sigma^M times (-1)^|K|
+            sign = ~sign
+        for mk, ck in y.items():
+            if not mk & fresh:
+                m, v = M | mk, c * ck
+                if (mk & sign).bit_count() & 1:
+                    acc[m] = acc[m] - v if m in acc else -v
+                else:
+                    acc[m] = acc[m] + v if m in acc else v
+    else:
+        acc = {}
+        for mj, cj in x.items():
+            fj = (mj & fresh) >> base
+            if not fj:  # only a shifted term, which holds M, can come before mj
+                acc[mj] = cj * b
+                m, v = mj | M, cj * c
+                if (mj & sign).bit_count() & 1:
+                    acc[m] = acc[m] - v if m in acc else -v
+                else:
+                    acc[m] = acc[m] + v if m in acc else v
+            elif fj in allowed:
+                v = cj * b
+                acc[mj] = acc[mj] + v if mj in acc else v
+    return {m: v for m, v in acc.items() if (v != 0 if type(v) is complex else _nonzero(v))}
 
 
 # Supernumber(L, terms, _AS_IS) stores a clean dict as given (see its docstring)
@@ -613,9 +672,10 @@ class Supernumber:
 
     * ``+`` and ``-`` between elements, and ``rk4_step``'s sums, test the
       masks both operands hold;
-    * the dict-loop product, the product with a body-only factor, a number or
-      array times an element and division by a number test each coefficient
-      they make, since a product can underflow to 0;
+    * the dict-loop product and its seeded-constant pass, the product with a
+      body-only factor, a number or array times an element and division by a
+      number test each coefficient they make, since a product can underflow
+      to 0;
     * ``_as_super``, which makes a number or array a constant, stores nothing
       for 0;
     * ``_taylor_sum``, ``_node_sum`` and ``_stack`` test each sum they make.
@@ -780,6 +840,10 @@ class Supernumber:
             return Supernumber(a.L, {m: vc for m, v in x.items()
                                      if (vc != 0 if type(vc := v * c) is complex
                                          else _nonzero(vc))}, _AS_IS, cut)
+        # a two-term operand never meets the table crossover (2 n < 3^L / 4
+        # wherever n <= 2^L and 2 n >= 512), so a seeded constant goes first
+        if cut is not None and (out := _seeded_constant_product(x, y, cut)) is not None:
+            return Supernumber(a.L, out, _AS_IS, cut)
         if _table_takes(len(x) * len(y), a.L):
             out = _table_product(a, b)
             if out is not None:
@@ -1343,7 +1407,8 @@ def rk4_step(field: Callable, t: float, y: Tuple[Supernumber, ...],
     tuple y of supernumbers; field returns a tuple of supernumbers of the same
     length, or ``GrassmannError`` is raised.  Each slot of a stage, a + c k,
     and of the step, a + (h/6) (((k1 + 2 k2) + 2 k3) + k4), is built once
-    (``_combined``) with the bytes, L and cut of that expression."""
+    (``_combined``) with the bytes, L and cut of that expression, in one pass
+    over the terms of each operand."""
     def shifted(c, *ks):
         if any(len(k) != len(y) for k in ks):
             raise GrassmannError(f"field must give {len(y)} slots, one per slot of y")
@@ -1372,11 +1437,11 @@ def _combined(c: complex, a: Supernumber, b: Supernumber, *more: Supernumber
     if more:
         b2, b3, b4 = more
         total = dict(total)
-        _add_into(total, _scaled(2.0 + 0j, b2._terms))
-        _add_into(total, _scaled(2.0 + 0j, b3._terms))
+        _add_into(total, b2._terms, 2.0 + 0j)
+        _add_into(total, b3._terms, 2.0 + 0j)
         _add_into(total, b4._terms)
     out = dict(a._terms)
-    _add_into(out, _scaled(c, total))
+    _add_into(out, total, c)
     return Supernumber(L, out, _AS_IS, cut)
 
 

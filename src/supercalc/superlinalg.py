@@ -393,14 +393,29 @@ def det_even(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
     pivots above that (entries commute, so ordinary row reduction is exact);
     Leibniz fallback up to size 6 when no body-invertible pivot exists.  A
     pivot counts as invertible when its body is not negligible against its
-    row (``_negligible``), at every node for a batch.  A result that is not
-    finite raises GrassmannDomainError.  Dense rows run on coefficient
-    vectors (``grassmann._on_vectors``).
+    row (``_negligible``), at every node for a batch.  Rows far from unit
+    scale are scaled apart by powers of two first, as ``sdet`` scales its
+    Schur rows, and the result meets the scaling last, so that a determinant
+    in range comes out in range.  A result that is not finite raises
+    GrassmannDomainError.  Dense rows run on coefficient vectors
+    (``grassmann._on_vectors``).
     """
     rows, L = _in_one_algebra(*rows)
     if any(len(r) != len(rows) for r in rows):
         raise GrassmannError("det_even needs a square matrix")
-    return _on_vectors(lambda rows: _det_even(rows, L), L, rows)
+    return _on_vectors(lambda rows: _det_even_scaled(rows, L), L, rows)
+
+
+def _det_even_scaled(rows, L: int):
+    """det_even of square rows, elements or ``_Dense``: 2^(s_0 + ...) times
+    ``_det_even`` of 2^-S rows, S from ``_row_exponents``."""
+    size = len(rows)
+    s = _row_exponents(_peaks(_node_array((x.body for r in rows for x in r), (size, size))))
+    with np.errstate(**_QUIET):
+        out = _times_two_to(_det_even(_scaled_rows(rows, s), L), s.sum(axis=0))
+    if not _is_finite(out):
+        raise GrassmannDomainError("det_even overflows: a coefficient is not finite")
+    return out
 
 
 def _det_even(rows, L: int):

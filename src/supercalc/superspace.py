@@ -608,6 +608,16 @@ class SuperPoint:
             if not (v.parity == "odd" or v.is_zero()):
                 raise GrassmannError("odd slot holds a non-odd value")
 
+    @classmethod
+    def _as_is(cls, x: Tuple[Supernumber, ...], theta: Tuple[Supernumber, ...]
+                 ) -> "SuperPoint":
+        """The point of the tuples x and theta without the checks, for values
+        whose parities and real bodies hold by construction."""
+        P = object.__new__(cls)
+        object.__setattr__(P, "x", x)
+        object.__setattr__(P, "theta", theta)
+        return P
+
     @property
     def shape(self) -> Tuple[int, int]:
         return (len(self.x), len(self.theta))
@@ -748,12 +758,13 @@ def _jet(F: SuperMap, P: SuperPoint) -> Tuple[SuperPoint, List[List[Supernumber]
     The value is the seed-free part of each output, bit for bit F.evaluate(P)
     where each product takes the same path at both generator counts."""
     L0 = max(P.L, 1)
+    # the seeded point has P's bodies and parities, and the value F(P)'s
     ex, th, masks = seed(P.x, P.theta, L0, first_order=True)
-    out = F.evaluate(SuperPoint(ex, th))
+    out = F.evaluate(SuperPoint._as_is(ex, th))
     parts = [seed_parts(v, L0) for v in out.x + out.theta]
     value = [p.get(0, zero(L0)) for p in parts]
     even = F.dst[0]
-    return (SuperPoint(tuple(value[:even]), tuple(value[even:])),
+    return (SuperPoint._as_is(tuple(value[:even]), tuple(value[even:])),
             [[p.get(mask, zero(L0)) for p in parts] for mask in masks])
 
 

@@ -811,6 +811,14 @@ def test_gaussian_super_whose_factors_are_out_of_range_apart(m, n, c, b, lam):
     assert close(value.body / want, 1.0, tol=1e-14)
 
 
+def test_gaussian_super_whose_pfaffian_is_out_of_range():
+    # Pf(B) = 1e400 for B = 1e200 (J + J) overflows, but lam^-2 Pf(B) = 1
+    J = np.array([[0, 1], [-1, 0]])
+    B = 1e200 * np.block([[J, 0 * J], [0 * J, J]])
+    rows = [[scalar(0, v) for v in r] for r in B]
+    assert gaussian_super(from_blocks([], [], [[]] * 4, rows), 1e200) == scalar(0, 1.0)
+
+
 def odd_block_after_unit_even_block(m, b):
     """(m|2) matrix with even block I, no couplings and odd block b."""
     rows = np.zeros((m + 2, m + 2))

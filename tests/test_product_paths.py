@@ -4,6 +4,10 @@ it stands in for.
 * A factor whose one term is the body scales the other factor term by term in
   ``Supernumber.__mul__``; checked against the per-term dict loop, written out
   here with its sort sign taken from the independent helper.
+* A seeded constant b + c sigma^M under a first-order cut takes one pass
+  over the other factor (``grassmann._seeded_constant_product``); checked
+  against the product at values seeded without a cut, filtered to the terms
+  the cut keeps.
 * A dense block product runs ``superlinalg._mat_mul`` on coefficient
   vectors after the one entry decision (``grassmann._dense_rows``), and sums
   each output entry as one vector; checked against the per-entry loop
@@ -12,6 +16,8 @@ it stands in for.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supercalc import grassmann as gr
 from supercalc import superlinalg as sl
@@ -150,6 +156,103 @@ def test_body_only_product_that_underflows_is_dropped(loop_pairs):
     assert list(some.terms) == [1]
     assert np.array_equal(some.coefficient(1), [0.0, 1e-200, 0.0, 2e-200])
     assert not loop_pairs
+
+
+# ---------------------------------------------------------------------------
+# seeded constants
+# ---------------------------------------------------------------------------
+
+def seeded_slots(base, bodies, first_order):
+    """The seeded values of body-only slots, two even and the rest odd."""
+    values = [Supernumber(base, {0: b}) for b in bodies]
+    even, odd, masks = gr.seed(values[:2], values[2:], base, first_order=first_order)
+    return even + odd, masks
+
+
+def first_order_oracle(full, base, masks):
+    """full, a product at values seeded without a cut, with only the terms a
+    first-order seeding keeps: fresh part 0 or one slot mask."""
+    window, allowed = sum(masks), {0, *masks}
+    return Supernumber(full.L, {m: c for m, c in full._terms.items()
+                                if (m >> base) & window in allowed}, gr._AS_IS)
+
+
+def other_operand(rng, base, masks, nested, batch, M):
+    """A cut-free element: 12 terms whose fresh parts are 0, one slot mask or
+    two, with generators above the window when nested, and some batch
+    coefficients when batch; the shift by M of its first seed-free term is
+    added before or after it, so that the two kinds of seeded pairs meet."""
+    fresh = [0, 0, *masks, masks[0] | masks[1], masks[1] | masks[2]]
+    top = base + sum(masks).bit_length()
+    pairs = [int(rng.integers(1 << base)) | fresh[rng.integers(len(fresh))] << base
+             | int(rng.integers(4 if nested else 1)) << top for _ in range(12)]
+    free = next(m for m in pairs + [0] if not (m >> base) & sum(masks))
+    pairs.insert(int(rng.integers(len(pairs) + 1)), free | M)
+    terms = {}
+    for i, m in enumerate(pairs):
+        terms.setdefault(m, rng.standard_normal(NODES) + 1j * rng.standard_normal(NODES)
+                         if batch and i % 3 == 1 else complex(*rng.standard_normal(2)))
+    return Supernumber(top + 2 * nested, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(slot=st.integers(0, 2), left=st.booleans(), batch=st.booleans(),
+       nested=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_seeded_constant_product_equals_the_first_order_oracle(slot, left, batch, nested, seed):
+    base = 3
+    rng = np.random.default_rng(seed)
+    body = rng.standard_normal(NODES) + 0j if batch and slot == 1 else complex(0.7, -0.2)
+    bodies = [complex(1.5, 0.5), body, complex(-0.4, 0.0)]
+    cut_vals, masks = seeded_slots(base, bodies, True)
+    full_vals, _ = seeded_slots(base, bodies, False)
+    k = complex(*rng.standard_normal(2))
+    const, const_full = k * cut_vals[slot], k * full_vals[slot]
+    # generators above the window belong to a seeding nested in this one
+    other = other_operand(rng, base, masks, nested, batch, masks[slot] << base)
+    pair = (const, other) if left else (other, const)
+    assert gr._seeded_constant_product(pair[0]._terms, pair[1]._terms, const._cut) is not None
+    got = pair[0] * pair[1]
+    full = const_full * other if left else other * const_full
+    assert got._cut == const._cut
+    assert same_bytes(got, first_order_oracle(full, base, masks))
+
+
+def test_odd_seeded_constant_signs_the_shift_of_a_nested_term():
+    # 0.5 + sigma_4 (odd slot, window {4}) times 2 + eta theta_0, with eta =
+    # sigma_5 nested above the window: sigma_4 eta theta_0 = +theta_0 sigma_4 eta
+    _, (const,), _ = gr.seed((), (gr.scalar(4, 0.5),), 4, first_order=True)
+    other = 2.0 + gr.gen(6, 5) * gr.gen(6, 0)
+    assert other.terms == {0: 2, 33: -1}
+    for got in (const * other, other * const):
+        assert got.coefficient(49) == 1
+    _, (full,), _ = gr.seed((), (gr.scalar(4, 0.5),), 4)
+    assert same_bytes(const * other, full * other)
+    assert same_bytes(other * const, other * full)
+
+
+def test_seeded_constant_drops_the_two_seed_terms_of_a_cut_free_operand():
+    base = 2
+    cut_vals, masks = seeded_slots(base, [0.7, 1.2, 0.5], True)
+    full_vals, _ = seeded_slots(base, [0.7, 1.2, 0.5], False)
+    two_seeds = full_vals[0] * full_vals[1]
+    both = (masks[0] | masks[1]) << base
+    assert both == 60 and both in two_seeds.terms and two_seeds._cut is None
+    for const, full in zip(cut_vals, full_vals):
+        for got, want in ((two_seeds * const, two_seeds * full),
+                          (const * two_seeds, full * two_seeds)):
+            assert both not in got.terms
+            assert same_bytes(got, first_order_oracle(want, base, masks))
+
+
+def test_seeded_constant_product_drops_sums_that_cancel_and_products_that_underflow():
+    (const, *_), masks = seeded_slots(3, [1.0, 1.0, 1.0], True)
+    M = masks[0] << 3
+    other = Supernumber(const.L, {0b001: 2.0, M | 0b001: -2.0, 0b010: 1e-320})
+    tiny = 1e-10 * const
+    for got in (const * other, other * const):
+        assert list(got.terms) == [0b001, 0b010, M | 0b010]
+    for got in (tiny * other, other * tiny):
+        assert 0b010 not in got.terms and M | 0b010 not in got.terms
 
 
 # ---------------------------------------------------------------------------

@@ -876,6 +876,41 @@ def test_sdet_scales_by_powers_of_two_across_the_range(m, n, a, b, L, seed):
         assert gr.max_coeff_diff(got, want) <= 1e-14 * gr.max_abs(want)
 
 
+@settings(max_examples=100, deadline=None)
+@given(a=st.lists(st.integers(-1000, 1000), min_size=1, max_size=4),
+       L=st.sampled_from([4, 6]), seed=st.integers(0, 2 ** 32 - 1))
+def test_det_even_scales_by_powers_of_two_across_the_range(a, L, seed):
+    # det_even(diag(2^a_i) M) = 2^(a_0 + ...) det_even(M), with the ranges
+    # and the left-out binades of the sdet property above; sizes up to 4,
+    # the Leibniz expansion, since from size 5 the pivot order follows the
+    # row scales and the rounding with it
+    rows = _dense_block(np.random.default_rng(seed), L, len(a))
+    scaled = [[2.0 ** ai * x for x in r] for ai, r in zip(a, rows)]
+    base, k = det_even(rows), sum(a)
+    top = k + np.log2(gr.max_abs(base))
+    assume(not 1023 <= top <= 1025)
+    if top > 1025:
+        with pytest.raises(GrassmannDomainError, match="overflows"):
+            det_even(scaled)
+        return
+    got = det_even(scaled)
+    assert all(np.isfinite(v) for v in got.terms.values())
+    if top > -1021:
+        with np.errstate(**sl._QUIET):
+            want = sl._times_two_to(base, k)
+        assert gr.max_coeff_diff(got, want) <= 1e-14 * gr.max_abs(want)
+
+
+def test_det_even_of_rows_out_of_range_apart_is_that_of_sdet():
+    # the Leibniz product 1e200 * 1e200 overflows, but the determinant is 1e100
+    L = 2
+    diag = (1e200, 1e200, 1e-300)
+    rows = [[gr.scalar(L, diag[i]) if i == j else gr.zero(L) for j in range(3)]
+            for i in range(3)]
+    assert det_even(rows) == gr.scalar(L, 1e100)
+    assert sdet(Supermatrix(3, 0, rows, L)) == gr.scalar(L, 1e100)
+
+
 def test_times_two_to_is_exact_across_the_range():
     # one k per node, each beyond one float step of 2^+-1000; the partial
     # products of the first two stay between X and the result

@@ -678,6 +678,32 @@ def test_superpoint_validation():
     assert P.shape == (1, 1)
 
 
+def test_a_non_real_body_raises_at_each_point_built_from_outside_or_by_a_map():
+    # a batch with one complex node
+    with pytest.raises(GrassmannError, match="real"):
+        SuperPoint((Supernumber(2, {0: np.array([1.0, 2.0 + 1e-3j])}),), ())
+    # a map's value is checked, also at the seeded arguments of its Jacobian
+    # and of _jet, which build their own points without the check
+    F = SuperMap((1, 1), (1, 1), [SuperFunction(1, 1, {0: expr_body("q1 + 1j", 1)}),
+                                  SuperFunction(1, 1, {0b1: const_body(1.0, 1)})])
+    P = SuperPoint((scalar(1, 0.5),), (gen(1, 0),))
+    for call in (F.evaluate, lambda P: map_super_jacobian(F, P),
+                 lambda P: superspace._jet(F, P)):
+        with pytest.raises(GrassmannError, match="real"):
+            call(P)
+
+
+def test_jet_checks_only_the_point_its_map_returns(monkeypatch):
+    checked = []
+    check = SuperPoint.__post_init__
+    monkeypatch.setattr(SuperPoint, "__post_init__", lambda P: checked.append(P) or check(P))
+    F, _ = lac_pair()
+    P = sample_point(np.random.default_rng(83), 2, 2, 4)
+    checked.clear()
+    superspace._jet(F, P)
+    assert len(checked) == 1
+
+
 def test_supermap_shape_checks():
     fwd, _ = lac_pair()
     rng = np.random.default_rng(67)
