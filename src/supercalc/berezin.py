@@ -37,11 +37,10 @@ from .grassmann import (
     GrassmannError,
     Supernumber,
     _as_super,
-    _elements,
     _in_one_algebra,
     _is_finite,
-    _on_vectors,
     _monomial,
+    _quietly,
     _node_sum,
     _stack,
     apply_analytic,
@@ -543,22 +542,12 @@ def gaussian_super(M: Supermatrix, lam: float) -> Supernumber:
     Pf([[0, 1], [-1, 0]]) = 1.  A^{-1} and det(A)^{-1} come from one
     range-keeping inverse (``superlinalg._adjugate_inverse``, as in
     ``sdet``).  A result that is not finite raises GrassmannDomainError.
-    Dense entries run on their coefficient vectors (``grassmann._on_vectors``):
-    the antisymmetry and coupling scans and their scales read vectors
-    (np.abs(v).max()), and only det(A)^{-1}, for its square root, and the
-    Pfaffian become elements.  The conversions to vectors are shared across
-    calls through the bounded memo of ``grassmann``: each element of the tail
-    (det(A)^{-1}, its square root and the products between) costs at most
-    one conversion, and M's entries none when an earlier call read them.
+    Dense entries hold their coefficient vectors, and the scans, products,
+    the square root and the Pfaffian run on them without building a dict.
     """
     if lam <= 0:
         raise GrassmannDomainError("scale must be positive")
-    return _on_vectors(lambda rows: _gaussian_rows(rows, M.m, M.L, lam), M.L, M.rows)
-
-
-def _gaussian_rows(rows, m: int, L: int, lam: float) -> Supernumber:
-    """gaussian_super of square rows, elements or ``_Dense``, the first m even."""
-    n = len(rows) - m
+    rows, m, n, L = M.rows, M.m, M.n, M.L
     A, C, D, B = _split(rows, m)
 
     body = _body_matrix(rows)
@@ -574,45 +563,44 @@ def _gaussian_rows(rows, m: int, L: int, lam: float) -> Supernumber:
             raise GrassmannDomainError("even block body must be symmetric")
         if np.min(np.linalg.eigvalsh(Ab.real)) <= 0:
             raise GrassmannDomainError("even block body must be positive definite")
-    b_scale = max((max_abs(e) for row in B for e in row), default=0.0)
-    if any(max_abs(B[s][t] + B[t][s]) > 1e-12 * b_scale for s in range(n) for t in range(n)):
-        raise GrassmannDomainError("odd block must be antisymmetric")
-    # couplings that should vanish have no scale of their own, so rounding
-    # noise in them is measured against the whole matrix
-    m_scale = max((max_abs(e) for row in rows for e in row), default=0.0)
-    if any(max_abs(C[j][s] + D[s][j]) > 1e-12 * m_scale for j in range(m) for s in range(n)):
-        raise GrassmannDomainError("couplings must satisfy C^T + D = 0")
+    with _quietly(), np.errstate(**_QUIET):
+        b_scale = max((max_abs(e) for row in B for e in row), default=0.0)
+        if any(max_abs(B[s][t] + B[t][s]) > 1e-12 * b_scale for s in range(n) for t in range(n)):
+            raise GrassmannDomainError("odd block must be antisymmetric")
+        # couplings that should vanish have no scale of their own, so rounding
+        # noise in them is measured against the whole matrix
+        m_scale = max((max_abs(e) for row in rows for e in row), default=0.0)
+        if any(max_abs(C[j][s] + D[s][j]) > 1e-12 * m_scale for j in range(m) for s in range(n)):
+            raise GrassmannDomainError("couplings must satisfy C^T + D = 0")
 
-    if n % 2 == 1:
-        # an antisymmetric odd-dimension block is always body-singular, so the
-        # zero value must take precedence over the regularity requirement
-        return zero(L)
-    if n and _negligible(body[m:, m:]):
-        raise GrassmannDomainError("odd block body must be regular")
+        if n % 2 == 1:
+            # an antisymmetric odd-dimension block is always body-singular, so the
+            # zero value must take precedence over the regularity requirement
+            return zero(L)
+        if n and _negligible(body[m:, m:]):
+            raise GrassmannDomainError("odd block body must be regular")
 
-    # (2 pi lam)^(m/2), lam^(-n/2) and det(A)^(-1/2) = sqrt(2^(k mod 2) delta)
-    # 2^(k // 2), k = -(e_0 + ...), meet the result's powers of two last
-    (even, g), (odd, g_odd) = _half_power(lam, m, (2 * math.pi) ** (m / 2)), _half_power(lam, -n)
-    even_factor, g, raw = scalar(L, even), g + g_odd, B
-    if m:
-        Uinv, delta, e = _adjugate_inverse(A, L)
-        k = -int(e.sum())
-        root = apply_analytic(AnalyticSpec.named("sqrt"), _elements(_times_two_to(delta, k % 2)))
-        even_factor, g = even_factor * root, g + k // 2
-        with np.errstate(**_QUIET):
+        # (2 pi lam)^(m/2), lam^(-n/2) and det(A)^(-1/2) = sqrt(2^(k mod 2) delta)
+        # 2^(k // 2), k = -(e_0 + ...), meet the result's powers of two last
+        (even, g) = _half_power(lam, m, (2 * math.pi) ** (m / 2))
+        (odd, g_odd) = _half_power(lam, -n)
+        even_factor, g, raw = scalar(L, even), g + g_odd, B
+        if m:
+            Uinv, delta, e = _adjugate_inverse(A, L)
+            k = -int(e.sum())
+            root = apply_analytic(AnalyticSpec.named("sqrt"), _times_two_to(delta, k % 2))
+            even_factor, g = even_factor * root, g + k // 2
             raw = _mat_sub(B, _mat_mul(_mat_mul(D, Uinv), _scaled_rows(C, e)))
-    # antisymmetrize exactly so roundoff cannot trip the Pfaffian's check
-    pf_arg = [[0.5 * (raw[s][t] - raw[t][s]) for t in range(n)] for s in range(n)]
-    # Pf(S X S) = det(S) Pf(X) for S = 2^-H: entry (s, t) meets h_s and h_t,
-    # so h is half the row exponents, and 2^(h_0 + ...) meets the result last
-    h = _row_exponents(_peaks(_body_matrix(pf_arg))) // 2
-    if np.any(h):
-        with np.errstate(**_QUIET):
+        # antisymmetrize exactly so roundoff cannot trip the Pfaffian's check
+        pf_arg = [[0.5 * (raw[s][t] - raw[t][s]) for t in range(n)] for s in range(n)]
+        # Pf(S X S) = det(S) Pf(X) for S = 2^-H: entry (s, t) meets h_s and h_t,
+        # so h is half the row exponents, and 2^(h_0 + ...) meets the result last
+        h = _row_exponents(_peaks(_body_matrix(pf_arg))) // 2
+        if np.any(h):
             pf_arg = [[_times_two_to(x, -(hs + ht)) for x, ht in zip(r, h)]
                       for r, hs in zip(pf_arg, h)]
-        g += int(h.sum())
-    pf = _elements(_pfaffian(pf_arg, L)) if n else one(L)
-    with np.errstate(**_QUIET):
+            g += int(h.sum())
+        pf = _pfaffian(pf_arg, L) if n else one(L)
         out = _times_two_to(even_factor * scalar(L, odd) * pf, g)
     if not _is_finite(out):
         raise GrassmannDomainError("gaussian_super overflows: a coefficient is not finite")

@@ -25,15 +25,15 @@ the same coefficients up to the order of summation.
   other term by term, c * v, as the dict loop would but without visiting
   pairs or signs.  An element times a number takes this path too; a number
   times an element scales the same way in ``__rmul__``.
-* The table kernel, ``_dense_product``, scatters both operands into
-  length-2^L vectors and takes their disjoint mask pairs (J, K) at once from
-  a per-L table, built on first use and cached: x[J] * y[K] * sign, summed
-  into J|K.  The table holds all 3^L pairs, and one block of it holds the
-  pairs of each parity pair (|J| mod 2, |K| mod 2), about 3^L / 4 of them.
-  A product of two homogeneous operands (each even or each odd, as every
-  entry of an even supermatrix is) takes the block of their parities, and
-  one with a mixed operand the whole table.  Its cost grows with the pairs
-  of its block or table, whatever the operands' density.
+* The table kernel, ``_dense_product``, multiplies the length-2^L
+  coefficient vectors of both operands and takes their disjoint mask pairs
+  (J, K) at once from a per-L table, built on first use and cached:
+  x[J] * y[K] * sign, summed into J|K.  The table holds all 3^L pairs, and
+  one block of it holds the pairs of each parity pair (|J| mod 2, |K| mod 2),
+  about 3^L / 4 of them.  A product of two homogeneous operands (each even
+  or each odd, as every entry of an even supermatrix is) takes the block of
+  their parities, and one with a mixed operand the whole table.  Its cost
+  grows with the pairs of its block or table, whatever the operands' density.
 * The dict loop visits every pair of terms, skips the overlapping ones and
   adds the rest with their sort sign, the parity of popcount(J & s) for one
   mask s per partner K (``_sign_mask``).  Its cost grows with len(X) * len(Y).
@@ -44,46 +44,42 @@ the same coefficients up to the order of summation.
   from the one mask ``_sign_mask(M)``.  The sums, their order and the zeros
   dropped are the loop's.
 
-The kernel takes a product when L <= 12 and its pair count is at least 512
-and at least 3^L / 4 (``_table_takes``); these are where the kernel over the
-whole table and the loop measured even.  The blocks leave that crossover in
-place, since moving it would send products down the other path and change
+Two term dicts go to the kernel when L <= 12 and their pair count is at least
+512 and at least 3^L / 4 (``_table_takes``); these are where the kernel over
+the whole table and the loop measured even.  The blocks leave that crossover
+in place, since moving it would send products down the other path and change
 their rounding.  Larger L never builds a table (it would hold 3^L pairs).
 Products with a batch coefficient or a non-finite one take the dict loop.
 
-``sdet``, ``det_even``, ``mat_inverse_even``, ``Supermatrix.__matmul__`` and
-``berezin.gaussian_super`` decide once, on entry (``_on_vectors``): rows of
-dense entries become ``_Dense`` vectors, every product, sum, scaling and
-check runs on them, and each result is built once.  Other rows run the same
-code on elements: the same bytes where their products all take the kernel.
-
-An element costs one conversion to its vector however many dense calls and
-kernel products read it: the conversions are shared across calls through a
-bounded memo (``_MEMO``), keyed by the element's identity, which each
-conversion fills and ``_from_dense`` fills too with the vector of every
-element it builds.  So ``sdet(M @ N)`` reads the vectors ``@`` built, and the
-elements ``gaussian_super`` forms last (det A, its square root and that
-root's inverse) cost at most one conversion each.  A hit gives the bytes and grade of
-a fresh conversion.  The memo keeps at most 64 elements and 1 MiB of
-vectors, the least recently used leaving first; it holds each element it
-keeps, and nothing else stores a vector on an element.
+Two forms
+---------
+An element holds its term dict or its coefficient vector (with the grade of
+its masks), whichever the operation that made it produced, and builds the
+other on first read and keeps it (see ``Supernumber``).  Dense input to the
+validating constructor, kernel products, and sums, differences, scalings,
+negations and continuations (``_taylor_sum``) with an operand that holds
+its vector give vectors; every other operation gives a term dict.  A product
+with a vector decides on the kernel once (``_vector_product``): a constant
+factor scales the vector, two vectors always meet in the kernel, and a
+vector and a term dict meet there where the crossover holds for the
+vector's nonzero count.  So the dense supermatrix algebra (``sdet``,
+``det_even``, ``mat_inverse_even``, ``Supermatrix.__matmul__`` and
+``berezin.gaussian_super``) runs on vectors from its inputs to its result
+without building a dict, and ``sdet(M @ N)`` reads the vectors ``@`` built.
+A vector's dict is built by a read of ``_terms`` (equality, hashing,
+``to_json``, the dict loop); ``body``, ``parity``, ``is_zero``, ``max_abs``,
+``soul`` and negation read the vector.  A sum of two vectors may differ from
+the dict sum only in the sign of a zero part of a coefficient that one
+operand alone holds.
 
 Construction
 ------------
 Every element keeps three invariants: masks lie in [0, 2^L), coefficients
 are exactly ``complex`` or 1-D complex arrays, and no coefficient is 0 (at
-every node, for a batch).  Input from outside is validated:
-``Supernumber(L, terms)``, ``make``, ``scalar``, ``gen`` and ``from_json``
-check the masks, convert the coefficients, reject NaN and inf (at any node,
-for a batch) with ``GrassmannError`` and drop zeros.  Results the package
-computes from elements that already keep the invariants are stored as given:
-each operation that can make a 0 drops it itself (``_nonzero``), a sum at
-the masks both operands hold, the only ones that can cancel, and a product or
-a scaling at each coefficient it makes, since one can underflow to 0.  The
-builders other modules call drop their own zeros too: the Taylor table and
-sum of the Grassmann continuation (``_taylor_terms``, ``_taylor_sum``), the
-ordered product ``_monomial`` and the quadrature's node sum and stack
-(``_node_sum``, ``_stack``).  No other module builds an element as is.
+every node, for a batch).  Input from outside is validated; results the
+package computes from elements that keep the invariants are stored as given,
+each operation dropping the zeros it can make (see ``Supernumber``).  No
+module but this one builds an element as is.
 
 One algebra
 -----------
@@ -108,7 +104,9 @@ quadratures of ``berezin`` (``quad_box`` and the mixed integrals) raise
 ``QuadratureError``.  ``inverse`` and ``apply_analytic`` test the body
 first, since 1/inf is 0 and would give a finite, wrong result.  On a batch,
 ``/``, ``inverse`` and ``apply_analytic`` overflow without numpy's warning
-before their check.
+before their check, and so does arithmetic on vectors (``_quietly``): the
+dense routines enter that context once, and a vector operation outside one
+enters it itself.
 
 Conventions
 -----------
@@ -158,12 +156,12 @@ ignore the cut.
 from __future__ import annotations
 
 import cmath
+import collections.abc
 import contextlib
+import contextvars
 import functools
 import json
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Sequence,
                     Tuple)
@@ -291,237 +289,205 @@ def _pair_block(L: int, pj: int | None, pk: int | None
     return _table_of(J[keep], K[keep], int(np.searchsorted(keep, positive)))
 
 
-class _Dense:
-    """An element as its length-2^L coefficient vector v and its grade: 0
-    when no odd coefficient is nonzero, 1 when no even one is, None when not
-    known.  source is the element v came from (``_on_vectors``).  The other
-    operand of ``*``, ``+``, ``-`` is a ``_Dense``, a number or a constant
-    element; a scaling forms its parts as Python's complex product does, and
-    a scaling by 0 is 0, as the zero element times an element is, also
-    where v holds inf."""
-
-    __slots__ = ("v", "grade", "L", "source")
-    __array_ufunc__ = None  # numpy scalars on the left defer to __rmul__
-
-    def __init__(self, v: np.ndarray, grade: int | None, L: int, source=None):
-        self.v, self.grade, self.L, self.source = v, grade, L, source
-
-    @property
-    def body(self) -> complex:
-        return complex(self.v[0])
-
-    @property
-    def parity(self) -> str:
-        """As ``Supernumber.parity``; a known grade answers without a scan."""
-        if self.grade == 0:
-            return "even"
-        if self.grade == 1:
-            return "odd" if self.v.any() else "even"
-        odd = np.bitwise_count(np.flatnonzero(self.v)) & 1
-        return "mixed" if 0 < odd.sum() < odd.size else "odd" if odd.any() else "even"
-
-    def is_zero(self) -> bool:
-        return not self.v.any()
-
-    def __mul__(self, other):
-        if isinstance(other, _Dense):
-            grade = None if None in (self.grade, other.grade) else self.grade ^ other.grade
-            return _Dense(_dense_product(self, other, self.L), grade, self.L)
-        if (c := _constant(other)) is None:
-            return NotImplemented
-        if c == 0:
-            return _Dense(np.zeros_like(self.v), 0, self.L)
-        x = self.v.view(np.float64).reshape(-1, 2)
-        out, swapped = x * c.real, x[:, ::-1] * c.imag
-        out[:, 0] -= swapped[:, 0]
-        out[:, 1] += swapped[:, 1]
-        return _Dense(out.view(complex).ravel(), self.grade, self.L)
-
-    def __add__(self, other):
-        if isinstance(other, _Dense):
-            return _Dense(self.v + other.v, self.grade if self.grade == other.grade else None,
-                          self.L)
-        if (c := _constant(other)) is None:
-            return NotImplemented
-        if c == 0:
-            return self
-        v = self.v.copy()
-        v[0] += c
-        return _Dense(v, 0 if self.grade == 0 else None, self.L)
-
-    __rmul__, __radd__ = __mul__, __add__
-
-    def __neg__(self):
-        return _Dense(-self.v, self.grade, self.L)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-
-def _constant(c) -> complex | None:
-    """c as a complex factor when it is a number or a constant element."""
-    if isinstance(c, (int, float, complex)):
-        return complex(c)
-    if isinstance(c, Supernumber) and c._terms.keys() <= {0}:
-        return complex(c._terms.get(0, 0j))
-    return None
-
-
 def _grade(masks: np.ndarray) -> int | None:
-    """The grade of a ``_Dense`` whose nonzero masks are masks."""
+    """The grade of a vector whose nonzero masks are masks: 0 when none is
+    odd, 1 when all are, None when both kinds occur."""
     odd = int(np.count_nonzero(np.bitwise_count(masks) & 1))
     return 0 if not odd else 1 if odd == masks.size else None
 
 
-class _VectorMemo:
-    """The ``_Dense`` vectors of dense elements lately converted or built from
-    a vector, keyed by the element's identity (see "Products").  An entry is a
-    hit only for its own source; it holds that source, so the id cannot pass
-    to another element while the entry stands, and elements are immutable, so
-    a hit is never stale.  Its vectors are read-only.  At most ``max_entries``
-    entries and ``max_nbytes`` bytes of vectors are kept, the least recently
-    used leaving first."""
-
-    def __init__(self, max_entries: int, max_nbytes: int):
-        self.max_entries, self.max_nbytes = max_entries, max_nbytes
-        self.entries: OrderedDict[int, _Dense] = OrderedDict()
-        self.nbytes = 0
-        self._lock = threading.Lock()
-
-    def get(self, X: Supernumber) -> _Dense | None:
-        key = id(X)
-        with self._lock:
-            d = self.entries.get(key)
-            if d is None or d.source is not X:
-                return None
-            self.entries.move_to_end(key)
-        return d
-
-    def put(self, d: _Dense) -> _Dense:
-        d.v.flags.writeable = False
-        key = id(d.source)
-        with self._lock:
-            old = self.entries.pop(key, None)
-            self.nbytes += d.v.nbytes - (0 if old is None else old.v.nbytes)
-            self.entries[key] = d
-            while len(self.entries) > self.max_entries or self.nbytes > self.max_nbytes:
-                self.nbytes -= self.entries.popitem(last=False)[1].v.nbytes
-        return d
+def _vector_from(terms: Mapping[int, complex], L: int) -> Tuple[np.ndarray, int | None]:
+    """(vector, grade) of a term dict of ``complex`` coefficients."""
+    n = len(terms)
+    masks = np.fromiter(terms, dtype=np.intp, count=n)
+    v = np.zeros(1 << L, dtype=complex)
+    v[masks] = np.fromiter(terms.values(), dtype=complex, count=n)
+    return v, _grade(masks)
 
 
-# 64 entries hold the 16 entries of each of M, N and M @ N for dense (2|2)
-# matrices, as sdet(M), sdet(N), sdet(M @ N) read them, with room for the
-# results between; 1 MiB is 256 vectors at L = 8 and 16 at L = 12, the
-# largest L the table kernel takes
-_MEMO = _VectorMemo(64, 1 << 20)
+def _vector_of(X: Supernumber) -> np.ndarray | None:
+    """X's coefficient vector: the one it holds, or one built from its terms
+    and kept on it, so that each element is converted at most once.  None,
+    and nothing kept, when a coefficient is a batch or not finite (inf times
+    an absent 0 would put NaN where the dict loop puts nothing)."""
+    v = X._vec
+    if v is None and {complex}.issuperset(map(type, X._terms.values())):
+        w, grade = _vector_from(X._terms, X.L)
+        if np.isfinite(w).all():
+            w.flags.writeable = False
+            X._grade, X._vec = grade, w
+            v = w
+    return v
 
 
-def _dense_coefficients(X: Supernumber) -> _Dense | None:
-    """X as a length-2^L vector with its grade, source X, or None when a
-    coefficient is a batch or not finite (inf times an absent 0 would put NaN
-    where the dict loop puts nothing).  Read from the memo (``_MEMO``) when X
-    was converted or built from a vector lately, else converted and
-    remembered."""
-    d = _MEMO.get(X)
-    if d is None and (d := _converted(X)) is not None:
-        _MEMO.put(d)
-    return d
-
-
-def _converted(X: Supernumber) -> _Dense | None:
-    """``_dense_coefficients`` of X, computed from its terms."""
-    values = X._terms.values()
-    if not {complex}.issuperset(map(type, values)):
-        return None
-    n = len(values)
-    masks = np.fromiter(X._terms, dtype=np.intp, count=n)
-    out = np.zeros(1 << X.L, dtype=complex)
-    out[masks] = np.fromiter(values, dtype=complex, count=n)
-    if not np.isfinite(out).all():
-        return None
-    return _Dense(out, _grade(masks), X.L, X)
-
-
-def _dense_product(x: _Dense, y: _Dense, L: int) -> np.ndarray:
-    """The product of two length-2^L coefficient vectors, as one: x[J] y[K]
-    times the sort sign, summed into J|K over the pair block of their grades
-    (``_pair_block``), in the table's order.  Overflow gives inf (and
-    inf - inf NaN), as in the dict loop; call it where numpy leaves that
-    quiet, as ``_table_product`` and ``_on_vectors`` do."""
-    J, K, bins, positive = _pair_block(L, x.grade, y.grade)
-    t = x.v.take(J)
-    t *= y.v.take(K)
-    t.view(np.float64)[2 * positive:] *= -1.0
-    return np.bincount(bins, weights=t.view(np.float64), minlength=2 << L).view(complex)
-
-
-def _from_dense(v: np.ndarray, L: int) -> Supernumber:
-    """The element whose length-2^L coefficient vector is v, zeros dropped.
-    When v is finite the memo (``_MEMO``) records the element's vector as a
-    conversion would give it, so that a later dense call reads it without
-    one: the nonzero entries of v on zeros (v may hold -0.0), with the grade
-    of their masks."""
+def _terms_of(v: np.ndarray) -> Dict[int, complex]:
+    """The term dict of a coefficient vector: its nonzero entries."""
     nonzero = np.flatnonzero(v)
-    values = v[nonzero]
-    X = Supernumber(L, dict(zip(nonzero.tolist(), values.tolist())), _AS_IS)
-    if np.isfinite(values).all():
-        w = np.zeros(1 << L, dtype=complex)
-        w[nonzero] = values
-        _MEMO.put(_Dense(w, _grade(nonzero), L, X))
-    return X
+    return dict(zip(nonzero.tolist(), v[nonzero].tolist()))
 
 
-def _dense_rows(L: int, *groups):
-    """The entry decision of ``_on_vectors``: the groups (lists of rows) with
-    each nonzero entry as its ``_Dense``, or None unless every entry has L
-    generators, no first-order cut and finite ``complex`` coefficients, and
-    the fewest-term nonzero entry times itself meets the table crossover.
-    Zero entries, which antisymmetric blocks hold, stay the zero element (a
-    constant to a ``_Dense``).  A batch or a small entry fails a cheap test."""
-    entries = [e for g in groups for r in g for e in r]
-    sizes = [len(e._terms) for e in entries if e._terms]
-    if not sizes or not _table_takes(min(sizes) ** 2, L):
-        return None
-    if any(e.L != L or e._cut is not None for e in entries):
-        return None
-    dense = tuple([[_dense_coefficients(e) if e._terms else e for e in r] for r in g]
-                  for g in groups)
-    return None if any(d is None for g in dense for r in g for d in r) else dense
+class _VectorTerms:
+    """The ``_terms`` of an element that holds its vector: a read-only
+    mapping that builds the term dict (``_terms_of``) on its first read and
+    keeps it.  (A ``__getattr__`` on the element would build it as well, but
+    it slows every attribute read of every element.)"""
+
+    __slots__ = ("vec", "built")
+    __hash__ = None
+
+    def __init__(self, vec: np.ndarray):
+        self.vec, self.built = vec, None
+
+    def _terms(self) -> Dict[int, complex]:
+        if self.built is None:
+            self.built = _terms_of(self.vec)
+        return self.built
+
+    def __getattr__(self, name):  # get, keys, items, values
+        return getattr(self._terms(), name)
+
+    def __getitem__(self, mask):
+        return self._terms()[mask]
+
+    def __iter__(self):
+        return iter(self._terms())
+
+    def __len__(self):
+        return len(self._terms())
+
+    def __contains__(self, mask):
+        return mask in self._terms()
+
+    def __eq__(self, other):
+        return self._terms() == other
 
 
-def _elements(x):
-    """x with each ``_Dense`` in it (nested in lists too) as its element: its
-    source, or one built with ``_from_dense``."""
-    if isinstance(x, _Dense):
-        return x.source if x.source is not None else _from_dense(x.v, x.L)
-    if isinstance(x, list):
-        return [_elements(e) for e in x]
-    return x
+# True inside ``_quietly``, where numpy's overflow warnings are already off
+_QUIET_NOW = contextvars.ContextVar("supercalc_quiet", default=False)
 
 
-def _on_vectors(fn: Callable, L: int, *groups):
-    """fn(*groups), run once: on the groups as ``_Dense`` vectors when they
-    pass ``_dense_rows`` (overflow quiet, as on elements), else as given; the
-    result comes back as elements.  fn is one code for both.  The entries'
-    vectors come from the memo (``_dense_coefficients``) where an earlier
-    call converted or built them, and the result's are recorded there."""
-    dense = _dense_rows(L, *groups)
-    if dense is None:
-        return fn(*groups)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _elements(fn(*dense))
+@contextlib.contextmanager
+def _quietly():
+    """A context in which vector and batch arithmetic overflows to inf (and
+    inf - inf to NaN) without numpy's warning, as Python's complex arithmetic
+    does, for the finite checks at the exits (see "Overflow")."""
+    if _QUIET_NOW.get():
+        yield
+        return
+    token = _QUIET_NOW.set(True)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    finally:
+        _QUIET_NOW.reset(token)
+
+
+def _quiet(fn: Callable, *args):
+    """fn(*args) in ``_quietly``, entered only when not already in it."""
+    if _QUIET_NOW.get():
+        return fn(*args)
+    with _quietly():
+        return fn(*args)
+
+
+def _from_vector(L: int, v: np.ndarray, grade: int | None, cut: _Cut | None) -> Supernumber:
+    """The element that holds the vector v, which has +0.0 where it is 0."""
+    return Supernumber(L, (v, grade), _VECTOR, cut)
+
+
+def _dense_product(a: Supernumber, b: Supernumber) -> np.ndarray:
+    """The coefficient vector of a * b, for a and b of one L that hold their
+    vectors: x[J] y[K] times the sort sign, summed from +0.0 into J|K over
+    the pair block of their grades (``_pair_block``), in the table's order.
+    Overflow gives inf (and inf - inf NaN), as in the dict loop; call it in
+    ``_quietly``."""
+    J, K, bins, positive = _pair_block(a.L, a._grade, b._grade)
+    t = a._vec.take(J)
+    t *= b._vec.take(K)
+    t.view(np.float64)[2 * positive:] *= -1.0
+    return np.bincount(bins, weights=t.view(np.float64), minlength=2 << a.L).view(complex)
 
 
 def _table_product(a: Supernumber, b: Supernumber) -> Supernumber | None:
-    """a * b (same L) over the pair block of their parities.  None when an
-    operand cannot be written as one dense vector."""
-    if (x := _dense_coefficients(a)) is None or (y := _dense_coefficients(b)) is None:
+    """a * b (same L) by the table kernel, carrying the cut of a or b; None
+    when an operand cannot be written as one vector (``_vector_of``)."""
+    if _vector_of(a) is None or _vector_of(b) is None:
         return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _from_dense(_dense_product(x, y, a.L), a.L)
+    ga, gb = a._grade, b._grade
+    return _from_vector(a.L, _quiet(_dense_product, a, b),
+                        None if ga is None or gb is None else ga ^ gb, a._cut or b._cut)
+
+
+def _times(c: complex, v: np.ndarray) -> np.ndarray:
+    """c * v entry by entry, each part formed as Python's complex product
+    forms it (numpy's own may round differently).  Call in ``_quietly``."""
+    x = v.view(np.float64).reshape(-1, 2)
+    out, swapped = x * c.real, x[:, ::-1] * c.imag
+    out[:, 0] -= swapped[:, 0]
+    out[:, 1] += swapped[:, 1]
+    return out.view(complex).ravel()
+
+
+def _scaled_vector(c: complex, X: Supernumber, cut: _Cut | None) -> Supernumber:
+    """c * X for X that holds its vector, or the zero element for c = 0, as
+    the dict loop's scaling drops every term (also where X holds inf).  0
+    times a negative real part is -0.0, which is set to +0.0."""
+    if c == 0:
+        return Supernumber(X.L, {}, _AS_IS, cut)
+    v = _quiet(_times, c, X._vec)
+    if math.copysign(1.0, c.real) < 0:
+        v[X._vec == 0] = 0
+    return _from_vector(X.L, v, X._grade, cut)
+
+
+def _vector_product(a: Supernumber, b: Supernumber, cut: _Cut | None) -> Supernumber | None:
+    """a * b (same L) when a or b holds its vector; None to send it to the
+    dict loop.  A constant factor scales the other's vector; two vectors meet
+    in the table kernel; a vector and a term dict meet there too when the
+    dict loop would send them (``_table_takes``).  A dict with a batch or a
+    coefficient that is not finite takes the dict loop."""
+    for x, y in ((a, b), (b, a)):
+        if x._vec is None and x._terms.keys() <= {0}:
+            c = x._terms.get(0, 0j)
+            return _scaled_vector(c, y, cut) if type(c) is complex and cmath.isfinite(c) else None
+    if a._vec is not None and b._vec is not None:
+        return _table_product(a, b) if a.L <= _TABLE_MAX_L else None
+    vector, terms = (a._vec, b._terms) if a._vec is not None else (b._vec, a._terms)
+    if _table_takes(int(np.count_nonzero(vector)) * len(terms), a.L):
+        return _table_product(a, b)
+    return None
+
+
+def _vector_sum(a: Supernumber, b: Supernumber, op=np.add) -> Supernumber | None:
+    """a + b (same L) when a or b holds its vector, or a - b (op np.subtract)
+    when both do; None when the other holds a batch or a coefficient that is
+    not finite.  Two vectors add entry by entry.  A term dict adds into a
+    copy of the other's vector as the dict sum does: its coefficient where
+    the vector is 0, else the sum."""
+    cut = a._cut or b._cut
+    if a._vec is not None and b._vec is not None:
+        return _from_vector(a.L, _quiet(op, a._vec, b._vec),
+                            a._grade if a._grade == b._grade else None, cut)
+    vector, other = (a, b) if a._vec is not None else (b, a)
+    terms = other._terms
+    if not terms and other._cut is None:
+        return vector
+    values = list(terms.values())
+    if not {complex}.issuperset(map(type, values)) or not all(map(cmath.isfinite, values)):
+        return None
+    masks = np.fromiter(terms, dtype=np.intp, count=len(terms))
+    v = vector._vec.copy()
+    _quiet(_add_at, v, masks, np.array(values))
+    grade = _grade(masks)
+    return _from_vector(a.L, v, grade if grade == vector._grade else None, cut)
+
+
+def _add_at(v: np.ndarray, masks: np.ndarray, values: np.ndarray) -> None:
+    """values added into v at the distinct masks: each as it is where v is
+    0, so that a -0.0 part is kept as a dict keeps it, else the sum.  Call in
+    ``_quietly``."""
+    old = v[masks]
+    v[masks] = np.where(old != 0, old + values, values)
 
 
 def _table_takes(pairs: int, L: int) -> bool:
@@ -646,24 +612,39 @@ def _seeded_constant_product(x: Mapping[int, complex], y: Mapping[int, complex],
     return {m: v for m, v in acc.items() if (v != 0 if type(v) is complex else _nonzero(v))}
 
 
-# Supernumber(L, terms, _AS_IS) stores a clean dict as given (see its docstring)
+# Supernumber(L, terms, _AS_IS) stores a clean dict as given, and
+# Supernumber(L, (vector, grade), _VECTOR) a coefficient vector (see its docstring)
 _AS_IS = True
+_VECTOR = 2
 
 
 class Supernumber:
-    """Immutable sparse element of the L-generator algebra.
+    """Immutable element of the L-generator algebra, held in one of two forms.
 
-    Do not mutate ``_terms`` after construction; all public operations return
-    new instances.  Every stored element keeps three invariants: each mask is
-    in [0, 2^L); each coefficient is exactly ``complex`` or a complex
-    ``ndarray`` (a batch); no coefficient is 0 (at every node, for a batch).
+    An element holds its term dict ``_terms``, {mask: coefficient}, or its
+    coefficient vector ``_vec`` of length 2^L with the grade ``_grade`` of its
+    nonzero masks (0 all even, 1 all odd, None unknown or both), whichever
+    the operation that made it produced (see "Two forms" in the module
+    docstring).  ``_vec`` is None on an element that has only its dict; on
+    one that holds its vector, ``_terms`` is a ``_VectorTerms``, which builds
+    the dict on its first read and keeps it, and a dict that meets a vector
+    keeps the vector ``_vector_of`` builds.  Vectors are read-only, and
+    neither form changes after construction.
+
+    Every stored element keeps three invariants: each mask is in [0, 2^L);
+    each coefficient is exactly ``complex`` or a complex ``ndarray`` (a
+    batch); no coefficient is 0 (at every node, for a batch).  A vector holds
+    +0.0, never -0.0, at every mask its element does not hold, so that it is
+    the vector its terms convert to; it holds no batch.
 
     ``Supernumber(L, terms)`` validates its input: it checks each mask's range,
     converts each coefficient to ``complex`` (a 1-D array, a batch, to a
     complex array; a 0-d array is a number, and more dimensions raise),
     raises ``GrassmannError`` on a NaN or inf coefficient (on any node of a
     batch) and drops zeros.  So do ``make``, ``scalar``, ``gen`` and
-    ``from_json``, which build through it.
+    ``from_json``, which build through it.  A dense input (finite numbers, no
+    batch, L <= ``_TABLE_MAX_L`` and n nonzero terms with
+    ``_table_takes(n * n, L)``) is stored as its vector only.
 
     Results the package computes itself from elements that already keep the
     invariants pass the private third argument ``_AS_IS`` and are stored as
@@ -680,25 +661,25 @@ class Supernumber:
       for 0;
     * ``_taylor_sum``, ``_node_sum`` and ``_stack`` test each sum they make.
 
-    ``-X``, ``embed`` to another L, the table kernel and the results of
-    dense supermatrix algebra (``_from_dense`` keeps the nonzero entries of a
-    vector, once per result of ``_on_vectors``), ``zero``, ``one``, ``soul``,
+    ``-X``, ``embed`` to another L, ``zero``, ``one``, ``soul``,
     ``degree_filter``, ``conjugate``, ``chop``, ``gen_left_derivative``,
-    ``seed`` and ``seed_parts`` make no 0.
+    ``seed`` and ``seed_parts`` make no 0.  A vector needs no such test: its
+    terms are its nonzero entries.  Vector results pass ``_VECTOR`` with the
+    pair (vector, grade) in place of the dict.
 
     The masks must be in range and the coefficients exactly ``complex`` or
     complex arrays: a ``np.complex128`` stored here would send later products
-    back to the dict loop (see ``_dense_coefficients``).  Arithmetic on clean
+    back to the dict loop (see ``_vector_of``).  Arithmetic on clean
     coefficients stays clean (complex op complex is complex; complex op
     complex array is a complex array); a value from numpy, such as ``np.dot``,
     is converted first.
 
-    The ``_AS_IS`` branch also takes a private fourth argument, the ``_cut``
-    of a first-order seeding the result carries (see "Seeding" in the module
-    docstring); a validated element has none.
+    The ``_AS_IS`` and ``_VECTOR`` branches also take a private fourth
+    argument, the ``_cut`` of a first-order seeding the result carries (see
+    "Seeding" in the module docstring); a validated element has none.
     """
 
-    __slots__ = ("L", "_terms", "_cut")
+    __slots__ = ("L", "_terms", "_cut", "_vec", "_grade")
 
     # numpy arrays and scalars on the left of + and * defer to __radd__ and
     # __rmul__ instead of broadcasting over this object
@@ -706,14 +687,23 @@ class Supernumber:
 
     def __init__(self, L: int, terms: Mapping[int, complex] | None = None,
                  _as_is: bool = False, _cut: _Cut | None = None):
-        if _as_is:
+        if _as_is is True:
             self.L = L
             self._terms = terms
+            self._cut = _cut
+            self._vec = None
+            return
+        if _as_is:  # _VECTOR: terms is (vector, grade); the vector is read-only from now
+            self.L = L
+            v, self._grade = terms
+            v.flags.writeable = False
+            self._vec, self._terms = v, _VectorTerms(v)
             self._cut = _cut
             return
         self.L = _generator_count(L)
         self._cut = None
         clean: Dict[int, complex] = {}
+        batch = False
         if terms:
             top = 1 << self.L
             for mask, c in terms.items():
@@ -736,13 +726,19 @@ class Supernumber:
                             )
                         if _nonzero(c):
                             clean[m] = c
+                            batch = True
                         continue
                     c = complex(c)
                 if not cmath.isfinite(c):
                     raise GrassmannError(f"coefficient {c} of mask {m} is not finite")
                 if c != 0:
                     clean[m] = c
-        self._terms = clean
+        if not batch and _table_takes(len(clean) ** 2, self.L):
+            v, self._grade = _vector_from(clean, self.L)
+            v.flags.writeable = False
+            self._vec, self._terms = v, _VectorTerms(v)
+        else:
+            self._vec, self._terms = None, clean
 
     # -- basic inspection -------------------------------------------------
 
@@ -753,17 +749,30 @@ class Supernumber:
 
     @property
     def body(self) -> complex:
+        if self._vec is not None:
+            return complex(self._vec[0])
         return self._terms.get(0, 0j)
 
     def coefficient(self, mask: int) -> complex:
         return self._terms.get(int(mask), 0j)
 
     def is_zero(self) -> bool:
+        if self._vec is not None:
+            return not self._vec.any()
         return not self._terms
 
     @property
     def parity(self) -> str:
-        """'even', 'odd', or 'mixed' (zero counts as even)."""
+        """'even', 'odd', or 'mixed' (zero counts as even); a vector's known
+        grade answers without a scan."""
+        v = self._vec
+        if v is not None:
+            if self._grade == 0:
+                return "even"
+            if self._grade == 1:
+                return "odd" if v.any() else "even"
+            odd = np.bitwise_count(np.flatnonzero(v)) & 1
+            return "mixed" if 0 < odd.sum() < odd.size else "odd" if odd.any() else "even"
         has_even = has_odd = False
         for m in self._terms:
             if m.bit_count() & 1:
@@ -800,13 +809,17 @@ class Supernumber:
             for m in self._terms:
                 if m >> L:
                     raise GrassmannError("cannot shrink below occupied generators")
-        return Supernumber(L, self._terms, _AS_IS, self._cut)
+        return Supernumber(L, dict(self._terms) if self._vec is not None else self._terms,
+                           _AS_IS, self._cut)
 
     def __add__(self, other):
         a, b = (self, other) if isinstance(other, Supernumber) and other.L == self.L \
             else self._promote(other)
         if b is NotImplemented:
             return NotImplemented
+        if (a._vec is not None or b._vec is not None) \
+                and (out := _vector_sum(a, b)) is not None:
+            return out
         out = dict(a._terms)
         _add_into(out, b._terms)
         return Supernumber(a.L, out, _AS_IS, a._cut or b._cut)
@@ -814,12 +827,19 @@ class Supernumber:
     __radd__ = __add__
 
     def __neg__(self):
+        v = self._vec
+        if v is not None:
+            w = -v
+            w[v == 0] = 0  # -(+0.0) is -0.0
+            return _from_vector(self.L, w, self._grade, self._cut)
         return Supernumber(self.L, {m: -c for m, c in self._terms.items()}, _AS_IS, self._cut)
 
     def __sub__(self, other):
         a, b = self._promote(other)
         if b is NotImplemented:
             return NotImplemented
+        if a._vec is not None and b._vec is not None:
+            return _vector_sum(a, b, np.subtract)
         return a + (-b)
 
     def __rsub__(self, other):
@@ -829,8 +849,12 @@ class Supernumber:
         a, b = self._promote(other)
         if b is NotImplemented:
             return NotImplemented
-        x, y = a._terms, b._terms
         cut = a._cut or b._cut
+        # a product with a vector decides on the table kernel once, here
+        vectors = a._vec is not None or b._vec is not None
+        if vectors and (out := _vector_product(a, b, cut)) is not None:
+            return out
+        x, y = a._terms, b._terms
         # a factor whose one term is the body scales the other term by term;
         # the factors keep the dict loop's order, so the values are its own
         if len(x) == 1 and 0 in x:
@@ -844,10 +868,9 @@ class Supernumber:
         # wherever n <= 2^L and 2 n >= 512), so a seeded constant goes first
         if cut is not None and (out := _seeded_constant_product(x, y, cut)) is not None:
             return Supernumber(a.L, out, _AS_IS, cut)
-        if _table_takes(len(x) * len(y), a.L):
-            out = _table_product(a, b)
-            if out is not None:
-                return out if cut is None else Supernumber(a.L, out._terms, _AS_IS, cut)
+        if not vectors and _table_takes(len(x) * len(y), a.L) \
+                and (out := _table_product(a, b)) is not None:
+            return out
         acc: Dict[int, complex] = {}
         signed = [(mk, ck, _sign_mask(mk)) for mk, ck in y.items()]
         if cut is not None:
@@ -884,6 +907,8 @@ class Supernumber:
         c = complex(other) if isinstance(other, (int, float, complex)) else _coefficient(other)
         if c is None:
             return NotImplemented
+        if self._vec is not None and type(c) is complex:
+            return _scaled_vector(c, self, self._cut)
         return Supernumber(self.L, _scaled(c, self._terms), _AS_IS, self._cut)
 
     def __truediv__(self, other):
@@ -1024,8 +1049,13 @@ def body(X: Supernumber) -> complex:
 
 
 def soul(X: Supernumber) -> Supernumber:
-    if isinstance(X, _Dense):
-        return X - X.body
+    v = X._vec
+    if v is not None:
+        if not v[0]:
+            return X
+        v = v.copy()
+        v[0] = 0
+        return _from_vector(X.L, v, X._grade, X._cut)
     return Supernumber(X.L, {m: c for m, c in X._terms.items() if m != 0}, _AS_IS, X._cut)
 
 
@@ -1039,10 +1069,10 @@ def degree_filter(X: Supernumber, k: int) -> Supernumber:
 
 
 def _holds_batch(*values: Supernumber) -> bool:
-    """True when a coefficient of one of the values (a ``_Dense`` has none) is
+    """True when a coefficient of one of the values (a vector holds none) is
     a batch of nodes."""
-    return not all(type(c) is complex for X in values if isinstance(X, Supernumber)
-                   for c in X._terms.values())
+    return not all(type(c) is complex for X in values
+                   if isinstance(X, Supernumber) and X._vec is None for c in X._terms.values())
 
 
 def _node_sum(weights: np.ndarray, X: Supernumber) -> Supernumber:
@@ -1067,12 +1097,13 @@ def _stack(values: Sequence) -> Supernumber:
 
 
 def _overflow_quietly(*values: Supernumber):
-    """A context in which arithmetic on a batch coefficient of the values
-    overflows to inf (or NaN) without numpy's warning, so that the finite
-    check after it raises GrassmannDomainError; a no-op when no value holds a
-    batch."""
-    if _holds_batch(*values):
-        return np.errstate(over="ignore", invalid="ignore")
+    """A context in which arithmetic on a batch or a vector of the values
+    overflows to inf (or NaN) without numpy's warning (``_quietly``), so that
+    the finite check after it raises GrassmannDomainError; a no-op when no
+    value holds either."""
+    for X in values:
+        if X._vec is not None or not {complex}.issuperset(map(type, X._terms.values())):
+            return _quietly()
     return contextlib.nullcontext()
 
 
@@ -1091,7 +1122,7 @@ def inverse(X: Supernumber) -> Supernumber:
     With d the fewest generators in a monomial of s, it stops at s^(L // d)
     or at a power that is 0, forming no product known to vanish.  A body that
     is not finite raises GrassmannDomainError (1/inf would give 0), and so
-    does a result that is not.  X may be a ``_Dense``.
+    does a result that is not.
     """
     b = X.body
     if not _is_finite(b):
@@ -1117,9 +1148,9 @@ def inverse(X: Supernumber) -> Supernumber:
 
 
 def _low_degree(X) -> int:
-    """The fewest generators in a monomial of X (or ``_Dense``), 0 for 0."""
-    if isinstance(X, _Dense):
-        masks = np.flatnonzero(X.v)
+    """The fewest generators in a monomial of X, 0 for 0."""
+    if X._vec is not None:
+        masks = np.flatnonzero(X._vec)
         return int(np.bitwise_count(masks).min()) if masks.size else 0
     return min((m.bit_count() for m in X._terms), default=0)
 
@@ -1231,18 +1262,21 @@ def _taylor_terms(xs: Sequence[Supernumber], L: int
 
     The monomial of alpha = 0 is 1.  Each soul power and each product of
     powers starts from its first factor, so no monomial is a copy made by
-    multiplying with 1.  The products run under the cut of the arguments, if
-    any (see "Seeding").
+    multiplying with 1.  With d the fewest generators in a monomial of a
+    soul s, s^k is 0 once k d > L, and is not formed, as in ``inverse``.  The
+    products run under the cut of the arguments, if any (see "Seeding").
     """
     unit = one(L)
     table = [((), 1.0, unit)]
     for x in xs:
         s = soul(x.embed(L))
         powers = []
-        p = s  # s^(L+1) = 0, so the loop ends
-        while not p.is_zero():
+        d = _low_degree(s)
+        for k in range(1, L // d + 1 if d else 1):
+            p = s if k == 1 else p * s
+            if p.is_zero():
+                break
             powers.append(p)
-            p = p * s
         grown = []
         for alpha, fact, mono in table:
             grown.append((alpha + (0,), fact, mono))
@@ -1260,21 +1294,46 @@ def _taylor_terms(xs: Sequence[Supernumber], L: int
 def _taylor_sum(deriv: Callable, q, terms, L: int, cut: _Cut | None) -> Supernumber:
     """The Grassmann continuation sum_alpha deriv(alpha, q) / alpha! *
     monomial_alpha over a Taylor table (``_taylor_terms``), summed into one
-    dict and built as one element that carries ``cut``.  A term is skipped
-    only when its derivative vanishes, at every node for a batch.  A division
-    by alpha! = 1 and a product with a monomial coefficient that is exactly 1
-    (the unit of alpha = 0, a first-order seed) are not made: the derivative
-    is used as it is, so a term may share its array with the caller's."""
-    out: Dict[int, complex] = {}
+    dict, or one vector where every monomial but the unit holds its vector
+    and no derivative is a batch, and built as one element that carries
+    ``cut``.  A term is skipped only when its derivative vanishes, at every
+    node for a batch.  A division by alpha! = 1 is not made, and in the dict
+    neither is a product with a monomial coefficient that is exactly 1 (the
+    unit of alpha = 0, a first-order seed): the derivative is used as it is,
+    so a term may share its array with the caller's."""
+    parts = []
     for alpha, fact, mono in terms:
         d = deriv(alpha, q)
         c = _coefficient(d if fact == 1 else d / fact)
-        if not _nonzero(c):
-            continue
+        if _nonzero(c):
+            parts.append((c, mono))
+    unit = terms[0][2]
+    if len(terms) > 1 and all(mono._vec is not None for _, _, mono in terms[1:]) \
+            and all(type(c) is complex for c, _ in parts):
+        return _from_vector(L, *_quiet(_vector_taylor_sum, parts, unit, L), cut)
+    out: Dict[int, complex] = {}
+    for c, mono in parts:
         for m, v in mono._terms.items():
             cv = c if type(v) is complex and v == 1 else c * v
             out[m] = out[m] + cv if m in out else cv
     return Supernumber(L, {m: c for m, c in out.items() if _nonzero(c)}, _AS_IS, cut)
+
+
+def _vector_taylor_sum(parts, unit: Supernumber, L: int) -> Tuple[np.ndarray, int | None]:
+    """(vector, grade) of sum c * mono over parts, (c, mono) pairs in the
+    order ``_taylor_sum`` adds them: c at the body for the unit, else c times
+    the monomial's vector (``_times``), added into one vector that starts at
+    +0.0.  Call in ``_quietly``."""
+    v = np.zeros(1 << L, dtype=complex)
+    grades = set()
+    for c, mono in parts:
+        if mono is unit:
+            v[0] += c
+            grades.add(0)
+        else:
+            v += _times(c, mono._vec)
+            grades.add(mono._grade)
+    return v, grades.pop() if len(grades) == 1 else None
 
 
 def apply_analytic(spec: AnalyticSpec, X: Supernumber) -> Supernumber:
@@ -1456,13 +1515,13 @@ def chop(X: Supernumber, tol: float) -> Supernumber:
 # ---------------------------------------------------------------------------
 
 def _is_finite(X) -> bool:
-    """True when every coefficient of X (a Supernumber, a ``_Dense`` or a
-    number) is finite, at every node for a batch.  A batch array is read
-    once: a finite sum of squares (``np.vdot``, a BLAS call that neither
-    warns nor raises) proves each value finite, and only one that is not,
-    as for values above 1e154, takes the test value by value."""
-    if isinstance(X, _Dense):
-        return bool(np.isfinite(X.v).all())
+    """True when every coefficient of X (a Supernumber or a number) is
+    finite, at every node for a batch.  A batch array is read once: a finite
+    sum of squares (``np.vdot``, a BLAS call that neither warns nor raises)
+    proves each value finite, and only one that is not, as for values above
+    1e154, takes the test value by value."""
+    if isinstance(X, Supernumber) and X._vec is not None:
+        return bool(np.isfinite(X._vec).all())
     coeffs = X._terms.values() if isinstance(X, Supernumber) else (X,)
     return all(cmath.isfinite(c) if type(c) is complex
                else cmath.isfinite(np.vdot(c, c)) or np.isfinite(c).all() for c in coeffs)
@@ -1475,8 +1534,8 @@ def _modulus(c) -> float:
 
 def max_abs(X: Supernumber) -> float:
     """Largest coefficient modulus, over all nodes for a batch."""
-    if isinstance(X, _Dense):
-        return float(np.abs(X.v).max())
+    if X._vec is not None:
+        return float(np.abs(X._vec).max())
     return max(map(_modulus, X._terms.values()), default=0.0)
 
 

@@ -40,7 +40,7 @@ from .grassmann import (
     _in_algebra,
     _in_one_algebra,
     _is_finite,
-    _on_vectors,
+    _quietly,
     apply_analytic,
     degree_filter,
     inverse,
@@ -274,7 +274,8 @@ class Supermatrix:
 
     def __matmul__(self, other: "Supermatrix") -> "Supermatrix":
         L = self._promote(other)
-        rows = _on_vectors(_mat_mul, L, self.rows, other.rows)
+        with _quietly():
+            rows = _mat_mul(self.rows, other.rows)
         return Supermatrix(self.m, self.n, rows, L)
 
     def scale(self, c) -> "Supermatrix":
@@ -292,8 +293,8 @@ class Supermatrix:
 
 
 def _grading(rows, m: int) -> str:
-    """The parity of square rows, elements or ``_Dense``, with respect to the
-    grading whose first m indices are even; zero entries fit either."""
+    """The parity of square rows with respect to the grading whose first m
+    indices are even; zero entries fit either."""
     want_even = want_odd = True
     for i, r in enumerate(rows):
         for j, e in enumerate(r):
@@ -310,7 +311,7 @@ def _grading(rows, m: int) -> str:
 
 
 def _body_matrix(rows) -> np.ndarray:
-    """``Supermatrix.body_matrix`` of square rows, elements or ``_Dense``."""
+    """``Supermatrix.body_matrix`` of square rows."""
     if _holds_batch(*(e for r in rows for e in r)):
         raise GrassmannError("body_matrix takes one node, not a batch of nodes")
     return np.array([[e.body for e in r] for r in rows], dtype=complex).reshape((len(rows),) * 2)
@@ -397,21 +398,15 @@ def det_even(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
     scale are scaled apart by powers of two first, as ``sdet`` scales its
     Schur rows, and the result meets the scaling last, so that a determinant
     in range comes out in range.  A result that is not finite raises
-    GrassmannDomainError.  Dense rows run on coefficient vectors
-    (``grassmann._on_vectors``).
+    GrassmannDomainError.
     """
     rows, L = _in_one_algebra(*rows)
-    if any(len(r) != len(rows) for r in rows):
-        raise GrassmannError("det_even needs a square matrix")
-    return _on_vectors(lambda rows: _det_even_scaled(rows, L), L, rows)
-
-
-def _det_even_scaled(rows, L: int):
-    """det_even of square rows, elements or ``_Dense``: 2^(s_0 + ...) times
-    ``_det_even`` of 2^-S rows, S from ``_row_exponents``."""
     size = len(rows)
+    if any(len(r) != size for r in rows):
+        raise GrassmannError("det_even needs a square matrix")
+    # 2^(s_0 + ...) times _det_even of 2^-S rows, S from _row_exponents
     s = _row_exponents(_peaks(_node_array((x.body for r in rows for x in r), (size, size))))
-    with np.errstate(**_QUIET):
+    with _quietly(), np.errstate(**_QUIET):
         out = _times_two_to(_det_even(_scaled_rows(rows, s), L), s.sum(axis=0))
     if not _is_finite(out):
         raise GrassmannDomainError("det_even overflows: a coefficient is not finite")
@@ -419,7 +414,7 @@ def _det_even_scaled(rows, L: int):
 
 
 def _det_even(rows, L: int):
-    """det_even of square rows, elements or ``_Dense``."""
+    """det_even of square rows, unscaled."""
     if any(e.parity != "even" for r in rows for e in r):
         raise GrassmannDomainError("det_even needs even entries")
     if not rows:
@@ -471,21 +466,15 @@ def mat_inverse_even(rows: Sequence[Sequence[Supernumber]]) -> List[List[Supernu
     terminating Neumann series (``_neumann_inverse``).  A matrix that is not
     square raises GrassmannError.  A body singular to working precision, at
     any node for a batch, raises GrassmannDomainError, and so does a body or
-    a result that is not finite.  Dense rows run on coefficient vectors
-    (``grassmann._on_vectors``).
+    a result that is not finite.
     """
     rows, L = _in_one_algebra(*rows)
     if any(len(r) != len(rows) for r in rows):
         raise GrassmannError("mat_inverse_even needs a square matrix")
-    return _on_vectors(lambda rows: _inverse_even(rows, L), L, rows)
-
-
-def _inverse_even(rows, L: int):
-    """mat_inverse_even of square rows, elements or ``_Dense``."""
-    if not all(e.parity == "even" for r in rows for e in r):
-        return _neumann_inverse(rows, L)
-    Uinv, _, e = _adjugate_inverse(rows, L)
-    with np.errstate(**_QUIET):
+    with _quietly(), np.errstate(**_QUIET):
+        if not all(e.parity == "even" for r in rows for e in r):
+            return _neumann_inverse(rows, L)
+        Uinv, _, e = _adjugate_inverse(rows, L)
         out = [[_times_two_to(x, -ej) for x, ej in zip(r, e)] for r in Uinv]
     if not _finite_rows(out):
         raise GrassmannDomainError("matrix inverse overflows: a coefficient is not finite")
@@ -566,10 +555,17 @@ def _adjugate_inverse(rows, L: int) -> Tuple[List[List[Supernumber]], Supernumbe
     that meets U^{-1} next, since either can be out of range where the other
     is not.  U^{-1} is delta for [[u]] and adj(U) delta for a 2 x 2 U; from
     size 3 it is the Neumann series, and delta that of ``_det_even(U)``.
-    The body checks are those of ``mat_inverse_even``.
+    The body checks are those of ``mat_inverse_even``, made once: on the
+    rows up to size 2, and from size 3 by the Neumann series on U, whose rows
+    are those of the body scaled by powers of two, so that the row exponents
+    come from the peaks alone.
     """
-    e = _row_exponents(_regular_body(rows)[2])
+    size = len(rows)
     with np.errstate(**_QUIET):
+        if size >= 3:
+            e = _row_exponents(_peaks(_node_array((x.body for r in rows for x in r), (size, size))))
+        else:
+            e = _row_exponents(_regular_body(rows)[2])
         U = _scaled_rows(rows, e)
         if len(U) == 1:
             delta = inverse(U[0][0])
@@ -594,7 +590,7 @@ def _neumann_inverse(rows, L: int) -> List[List[Supernumber]]:
     if not np.isfinite(binv).all():
         raise GrassmannDomainError("matrix body inverse overflows: the body is nearly singular")
 
-    def lift(a):  # constants, which a _Dense takes as operands too
+    def lift(a):
         return [[_as_super(a[i, j], L) for j in range(size)] for i in range(size)]
 
     # T = -R^{-1} S with S = rows - R, a matrix of soul-only entries
@@ -617,11 +613,10 @@ def _finite_rows(rows) -> bool:
 
 
 def _mat_mul(P, Q):
-    """Product of nested lists (P: r x k, Q: k x c) of elements or of
-    ``_Dense`` vectors (``grassmann._on_vectors``), entry by entry, each sum
-    from its first product: the one block product.  On vectors each product
-    is one kernel call and each sum one vector sum, in the order of the
-    products and sums on elements.
+    """Product of nested lists (P: r x k, Q: k x c) of elements, entry by
+    entry, each sum from its first product: the one block product.  For
+    entries that hold their vectors each product is one kernel call and each
+    sum one vector sum.
     """
     out = []
     for i in range(len(P)):
@@ -654,10 +649,9 @@ def sdet(M: Supermatrix) -> Supernumber:
     (``_adjugate_inverse``), the Schur determinant from its rows scaled apart
     too, and the result meets the scalings last, so that a result in range
     comes out in range however far from unit scale A and B are.  Dense
-    entries run on their coefficient vectors, and the result is built once
-    (``grassmann._on_vectors``); each check and step between is one code.
-    The conversions to vectors are shared across calls through the bounded
-    memo of ``grassmann``: ``sdet(M @ N)`` reads the vectors that ``@`` built.
+    entries hold their coefficient vectors, and every product, sum and
+    scaling between runs on them: ``sdet(M @ N)`` reads the vectors that
+    ``@`` built.
     """
     return _sdet(M)
 
@@ -665,16 +659,12 @@ def sdet(M: Supermatrix) -> Supernumber:
 def _sdet(M: Supermatrix) -> Supernumber:
     """sdet, also for entries that carry a batch of nodes; a B body singular
     at any node raises for the whole batch."""
-    return _on_vectors(lambda rows: _sdet_rows(rows, M.m, M.L), M.L, M.rows)
-
-
-def _sdet_rows(rows, m: int, L: int):
-    """sdet of square rows, elements or ``_Dense``, the first m even."""
-    if _grading(rows, m) != "even":
+    m, L = M.m, M.L
+    if _grading(M.rows, m) != "even":
         raise GrassmannDomainError("sdet is defined for even matrices")
-    A, C, D, B = _split(rows, m)
-    Uinv, delta, e = _adjugate_inverse(B, L)
-    with np.errstate(**_QUIET):
+    A, C, D, B = _split(M.rows, m)
+    with _quietly(), np.errstate(**_QUIET):
+        Uinv, delta, e = _adjugate_inverse(B, L)
         # C B^-1 D = (C U^-1) (2^-E D): B's row scales divide D's rows
         Schur = _mat_sub(A, _mat_mul(_mat_mul(C, Uinv), _scaled_rows(D, e))) if B else A
         # det(Schur) = 2^(s_0 + ...) det(2^-S Schur), with S as E: both
@@ -872,7 +862,7 @@ def pfaffian(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
 
 
 def _pfaffian(rows, L: int):
-    """pfaffian of square rows, elements or ``_Dense``."""
+    """pfaffian of square rows."""
     size = len(rows)
     scale = max((max_abs(e) for r in rows for e in r), default=0.0)
     for i in range(size):
@@ -893,7 +883,8 @@ def _pfaffian(rows, L: int):
             acc = term if pos == 1 else acc + term if pos % 2 else acc - term
         return acc
 
-    pf = rec(tuple(range(size))) if size else one(L)
+    with np.errstate(**_QUIET):
+        pf = rec(tuple(range(size))) if size else one(L)
     if not _is_finite(pf):
         raise GrassmannDomainError("pfaffian overflows: a coefficient is not finite")
     return pf

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import ast
 import cmath
+import contextlib
 import dataclasses
 import functools
 import struct
@@ -529,6 +530,20 @@ class _TaylorBasis:
         self.memo: Dict[int, tuple] = {}
         self.cut = cut
 
+    def quiet(self):
+        """A context in which numpy's overflow, invalid and divide warnings
+        are off for a batch, so that a value that is not finite at some node
+        (exp of a large body, log or a pole at 0) reaches the finite check of
+        the public call, which raises GrassmannDomainError; a no-op for one
+        node, where cmath raises.  Each public call enters it once.  Only a
+        warning is turned off: where the caller asked numpy to raise, as the
+        quadrature does to retry a chunk node by node, it still raises."""
+        if not self.batch:
+            return contextlib.nullcontext()
+        state = np.geterr()
+        return np.errstate(**{k: "ignore" for k in ("over", "invalid", "divide")
+                              if state[k] == "warn"})
+
     def continued(self, bf: BodyFunction) -> Supernumber:
         """The continuation of bf over this basis (``grassmann._taylor_sum``).
 
@@ -565,7 +580,9 @@ def continue_body(bf: BodyFunction, xs: Sequence[Supernumber]) -> Supernumber:
     """
     if len(xs) != bf.m:
         raise GrassmannError(f"expected {bf.m} even arguments, got {len(xs)}")
-    out = _taylor_basis(xs, max((x.L for x in xs), default=0)).continued(bf)
+    basis = _taylor_basis(xs, max((x.L for x in xs), default=0))
+    with basis.quiet():
+        out = basis.continued(bf)
     if not _is_finite(out):
         raise GrassmannDomainError("continuation overflows: a coefficient is not finite")
     return out
@@ -662,18 +679,19 @@ class SuperFunction:
         basis = P._basis()
         L = basis.L
         acc = zero(L)
-        for mask in sorted(self.coefficients):
-            cont = basis.continued(self.coefficients[mask])
-            if cont.is_zero():
-                continue
-            if mask:
-                mono = basis.thetas.get(mask)
-                if mono is None:
-                    mono = basis.thetas[mask] = _monomial(mask, P.theta, L)
-                if mono.is_zero():
+        with basis.quiet():
+            for mask in sorted(self.coefficients):
+                cont = basis.continued(self.coefficients[mask])
+                if cont.is_zero():
                     continue
-                cont = mono * cont
-            acc = acc + cont
+                if mask:
+                    mono = basis.thetas.get(mask)
+                    if mono is None:
+                        mono = basis.thetas[mask] = _monomial(mask, P.theta, L)
+                    if mono.is_zero():
+                        continue
+                    cont = mono * cont
+                acc = acc + cont
         if not _is_finite(acc):
             raise GrassmannDomainError("continuation overflows: a coefficient is not finite")
         return acc

@@ -179,6 +179,42 @@ def count_dense_products(monkeypatch) -> list:
     return calls
 
 
+def count_dict_builds(monkeypatch) -> list:
+    """A list that grows by one each time an element that holds its vector
+    builds its term dict (``grassmann._terms_of``), from now until the test
+    ends."""
+    builds = []
+    build = grassmann._terms_of
+    monkeypatch.setattr(grassmann, "_terms_of", lambda v: builds.append(1) or build(v))
+    return builds
+
+
+def holds_terms(X: Supernumber) -> bool:
+    """Whether X holds its term dict, read without building it: an element
+    built from its vector holds it once its terms were read."""
+    return not isinstance(X._terms, grassmann._VectorTerms) or X._terms.built is not None
+
+
+def dict_twin(X: Supernumber) -> Supernumber:
+    """X held as its term dict alone, with no vector: the twin that an
+    element holding its vector must agree with."""
+    return Supernumber(X.L, dict(X._terms), grassmann._AS_IS, X._cut)
+
+
+def twins(x):
+    """x with every element in it, in lists, tuples and supermatrices too, as
+    its dict twin (``dict_twin``); anything else as it is."""
+    from supercalc.superlinalg import Supermatrix
+
+    if isinstance(x, Supernumber):
+        return dict_twin(x)
+    if isinstance(x, Supermatrix):
+        return Supermatrix(x.m, x.n, twins(x.rows), x.L)
+    if isinstance(x, (list, tuple)):
+        return [twins(e) for e in x]
+    return x
+
+
 def rel_err(a: float, b: float) -> float:
     denom = max(abs(a), abs(b), 1e-300)
     return abs(a - b) / denom

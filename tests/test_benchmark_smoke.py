@@ -13,7 +13,7 @@ import pytest
 
 from supercalc import grassmann as gr
 
-from helpers import same_bytes
+from helpers import same_bytes, twins
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -44,14 +44,19 @@ def test_berezinian_outputs_do_not_depend_on_the_pair_blocks(monkeypatch):
 
 
 def test_berezinian_outputs_do_not_depend_on_the_pair_blocks_with_a_warm_memo(monkeypatch):
-    # the same, with every entry's vector read from the memo of dense vectors
-    # (grassmann._MEMO) that a first solve filled
+    # the same on the dict twins of the inputs: a first solve converts each
+    # entry and keeps its vector on it, and later solves read those vectors;
+    # all give the bytes of the inputs built as vectors
     workload = WORKLOADS["berezinian_dense"]
     case = workload.build(5)[0]
-    cold = workload.solve(case)
-    blocked = workload.solve(case)
+    built = workload.solve(case)
+    M, N, G, lam = case
+    twin_case = (twins(M), twins(N), twins(G), lam)
+    cold = workload.solve(twin_case)
+    blocked = workload.solve(twin_case)
     monkeypatch.setattr(gr, "_pair_block", lambda L, pj, pk: gr._pair_table(L))
-    whole = workload.solve(case)
+    whole = workload.solve(twin_case)
+    assert all(same_bytes(a, b) for a, b in zip(built, cold, strict=True))
     assert all(same_bytes(a, b) for a, b in zip(cold, blocked, strict=True))
     assert all(same_bytes(a, b) for a, b in zip(blocked, whole, strict=True))
 

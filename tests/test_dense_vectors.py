@@ -1,11 +1,11 @@
-"""Dense supermatrix algebra on coefficient vectors.
+"""Dense supermatrix algebra on elements that hold their coefficient vectors.
 
-``sdet``, ``det_even``, ``mat_inverse_even``, ``Supermatrix.__matmul__`` and
-``gaussian_super`` each make one entry decision (``grassmann._dense_rows``):
-dense rows are converted to coefficient vectors once and the routine runs on
-them, other rows run on the elements as given.  Forcing the decision to "no"
-runs the same routine on elements; both must give the same bytes, the same
-exceptions and the same kernel products.
+Dense input is stored as its vector, and ``sdet``, ``det_even``,
+``mat_inverse_even``, ``Supermatrix.__matmul__`` and ``gaussian_super`` run
+every product, sum and scaling on vectors without building a term dict.  The
+same routine on the dict twins of the inputs (``helpers.twins``: the same
+terms held as dicts, converted on first use) must give the same bytes, the
+same exceptions and the same kernel products.
 """
 
 import math
@@ -23,7 +23,7 @@ from supercalc.berezin import gaussian_super
 from supercalc.grassmann import GrassmannDomainError, Supernumber
 from supercalc.superlinalg import det_even, from_blocks, mat_inverse_even, sdet
 
-from helpers import count_dense_products, same_bytes
+from helpers import count_dense_products, count_dict_builds, same_bytes, twins
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -78,25 +78,14 @@ def gaussian_matrix(rng, m, n, L=L):
 
 
 @pytest.fixture
-def decisions(monkeypatch):
-    """For each entry decision, whether it took the vector path."""
-    taken = []
-    decide = gr._dense_rows
-
-    def spy(L, *groups):
-        out = decide(L, *groups)
-        taken.append(out is not None)
-        return out
-
-    monkeypatch.setattr(gr, "_dense_rows", spy)
-    return taken
+def dict_builds(monkeypatch):
+    """One entry per term dict built from a vector (``helpers.count_dict_builds``)."""
+    return count_dict_builds(monkeypatch)
 
 
 def on_elements(fn, *args):
-    """fn(*args) with the entry decision forced to "no"."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gr, "_dense_rows", lambda L, *groups: None)
-        return fn(*args)
+    """fn on the dict twins of args: elements that hold their terms only."""
+    return fn(*twins(args))
 
 
 def flat(x):
@@ -115,7 +104,7 @@ def assert_same_on_both_paths(fn, *args):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("m, n", SHAPES)
-def test_each_routine_gives_the_same_bytes_on_both_paths(m, n, decisions):
+def test_each_routine_gives_the_same_bytes_on_both_paths(m, n, dict_builds):
     rng = np.random.default_rng([m, n, 61])
     M, N, G = dense_matrix(rng, m, n), dense_matrix(rng, m, n), gaussian_matrix(rng, m, n)
     runs = [
@@ -128,33 +117,35 @@ def test_each_routine_gives_the_same_bytes_on_both_paths(m, n, decisions):
         (gaussian_super, G, 0.8),
     ]
     for fn, *args in runs:
-        decisions.clear()
+        assert all(e._vec is not None or e.is_zero() for x in args if not isinstance(x, float)
+                   for r in (x.rows if isinstance(x, sl.Supermatrix) else x) for e in r)
+        dict_builds.clear()
+        out = flat(fn(*args))
+        assert dict_builds == [], fn
+        assert all(e._vec is not None or e.is_zero() for e in out), fn
         assert_same_on_both_paths(fn, *args)
-        assert decisions and all(decisions), fn
 
 
-def test_each_berezinian_operation_takes_the_vector_path(decisions):
+def test_each_berezinian_operation_takes_the_vector_path(dict_builds):
     M, N, G, lam = WORKLOADS["berezinian_dense"].build(5)[0]
-    for fn in (lambda: sdet(M), lambda: sdet(N), lambda: M @ N, lambda: gaussian_super(G, lam)):
-        decisions.clear()
-        fn()
-        assert decisions == [True]
+    for fn in (lambda: sdet(M), lambda: sdet(N), lambda: gaussian_super(G, lam)):
+        assert fn()._vec is not None
     MN = M @ N
-    decisions.clear()
-    sdet(MN)
-    assert decisions == [True]
+    assert all(e._vec is not None for r in MN.rows for e in r)
+    assert sdet(MN)._vec is not None
+    assert dict_builds == []
 
 
-def test_batches_and_small_algebras_keep_the_element_path(decisions):
-    # a 5-node batch fails at the crossover (its L=2 entries hold 4 terms at
-    # most), as does any L=2 matrix
+def test_batches_and_small_algebras_keep_the_element_path():
+    # a 5-node batch has no vector, and L=2 entries hold 4 terms at most,
+    # too few for the table kernel
     s0, s1 = gr.gen(2, 0), gr.gen(2, 1)
     batch = from_blocks([[Supernumber(2, {0: np.arange(1.0, 6.0), 0b11: 0.5})]], [[s0]], [[s1]],
                         [[Supernumber(2, {0: np.full(5, 2.0)})]], L=2)
     small = from_blocks([[2.0 + s0 * s1]], [[s0]], [[s1]], [[3.0]], L=2)
-    sl._sdet(batch)
-    sdet(small)
-    assert decisions == [False, False]
+    for M in (batch, small):
+        assert sl._sdet(M)._vec is None
+        assert all(e._vec is None for r in M.rows for e in r)
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +188,12 @@ def sdet_failures():
 
 
 @pytest.mark.parametrize("case", range(4))
-def test_sdet_raises_as_on_elements(case, decisions):
+def test_sdet_raises_as_on_elements(case, dict_builds):
     M, message = sdet_failures()[case]
+    assert all(e._vec is not None for r in M.rows for e in r)
     error = assert_same_error(sdet, M)
     assert isinstance(error, GrassmannDomainError)
     assert message in str(error)
-    assert decisions[0] is True
 
 
 def gaussian_failures():
@@ -220,18 +211,18 @@ def gaussian_failures():
 
 
 @pytest.mark.parametrize("case", range(4))
-def test_gaussian_super_raises_as_on_elements(case, decisions):
+def test_gaussian_super_raises_as_on_elements(case):
     G, message = gaussian_failures()[case]
+    assert all(e._vec is not None for r in G.rows for e in r if not e.is_zero())
     error = assert_same_error(gaussian_super, G, 0.8)
     assert isinstance(error, GrassmannDomainError)
     assert str(error) == message
-    assert decisions[0] is True
 
 
 @pytest.mark.parametrize("rows", [(1e200, 1e200, 1e200, 1e200), (1e-200, 1e-200, 1e-200, 1e-200),
                                   (1.0, 1.0, 1e200, 1e-200), (1.0, 1.0, 1e200, 1.0),
                                   (1e-150, 1e-150, 1e150, 1e-200), (1e200, 1.0, 1e200, 1e-200)])
-def test_rows_far_apart_take_the_scaling_on_vectors(rows, decisions, monkeypatch):
+def test_rows_far_apart_take_the_scaling_on_vectors(rows, monkeypatch):
     # row i times rows[i] scales sdet by rows[0] rows[1] / (rows[2] rows[3]),
     # which is in range here, although det B or det A may not be; each case
     # scales some vector by a power of two
@@ -240,23 +231,22 @@ def test_rows_far_apart_take_the_scaling_on_vectors(rows, decisions, monkeypatch
     vector_scalings = []
     times_two_to = sl._times_two_to
     monkeypatch.setattr(sl, "_times_two_to", lambda X, k: vector_scalings.append(
-        isinstance(X, gr._Dense) and bool(np.any(k))) or times_two_to(X, k))
+        X._vec is not None and bool(np.any(k))) or times_two_to(X, k))
     assert_same_on_both_paths(sdet, scaled)
-    assert decisions[0] is True
     assert any(vector_scalings)
     factor = (rows[0] / rows[2]) * (rows[1] / rows[3])
     want = sdet(M) * factor
     assert gr.max_coeff_diff(sdet(scaled), want) <= 1e-14 * gr.max_abs(want)
 
 
-def test_sdet_past_a_b_inverse_out_of_range_on_both_paths(decisions):
+def test_sdet_past_a_b_inverse_out_of_range_on_both_paths():
     # B^-1 is about 1e310 and overflows, but C and D are 0, so sdet = A / B
     # is about 1e300; the zero entries times B^-1 are 0 on vectors too
     rng = np.random.default_rng(97)
     A, B = dense(rng, L, "even", 1.0), dense(rng, L, "even", 1.0)
     M = from_blocks([[1e-10 * A]], [[gr.zero(L)]], [[gr.zero(L)]], [[1e-310 * B]], L=L)
+    assert M.entry(0, 0)._vec is not None and M.entry(1, 1)._vec is not None
     assert_same_on_both_paths(sdet, M)
-    assert decisions[0] is True
     want = (A * gr.inverse(B)).body * 1e300
     assert abs(sdet(M).body - want) <= 1e-12 * abs(want)
 
@@ -295,12 +285,12 @@ def test_sdet_is_multiplicative_on_both_paths(m, n, L, seed):
     rng = np.random.default_rng(seed)
     M, N = dense_matrix(rng, m, n, L), dense_matrix(rng, m, n, L)
 
-    def check():
+    def check(M, N):
         product = sdet(M) * sdet(N)
         assert gr.max_coeff_diff(sdet(M @ N), product) <= 1e-12 * gr.max_abs(product)
 
-    check()
-    on_elements(check)
+    check(M, N)
+    on_elements(check, M, N)
 
 
 def test_gaussian_super_of_a_dense_matrix_squares_to_its_closed_form():

@@ -8,10 +8,11 @@ it stands in for.
   over the other factor (``grassmann._seeded_constant_product``); checked
   against the product at values seeded without a cut, filtered to the terms
   the cut keeps.
-* A dense block product runs ``superlinalg._mat_mul`` on coefficient
-  vectors after the one entry decision (``grassmann._dense_rows``), and sums
-  each output entry as one vector; checked against the per-entry loop
-  sum_k P[i][k] * Q[k][j].
+* A dense block product runs ``superlinalg._mat_mul`` on entries that hold
+  their coefficient vectors: each product is one kernel call and each output
+  entry is summed as one vector; checked against the per-entry loop
+  sum_k P[i][k] * Q[k][j].  An entry the kernel cannot take sends its own
+  products to the dict loop.
 """
 
 import numpy as np
@@ -24,7 +25,8 @@ from supercalc import superlinalg as sl
 from supercalc.grassmann import Supernumber
 from supercalc.superlinalg import from_blocks, sdet
 
-from helpers import bits_of, perm_sign_by_sort, same_bytes
+from helpers import (bits_of, count_dense_products, count_dict_builds, perm_sign_by_sort,
+                     same_bytes, twins)
 
 PARITIES = ("even", "odd", "mixed")
 NODES = 4
@@ -269,35 +271,24 @@ def entry_loop(P, Q):
 
 
 def block_product(P, Q):
-    """P Q as ``Supermatrix.__matmul__`` forms it, for blocks of any shape:
-    one entry decision, then ``_mat_mul`` on vectors or on the elements."""
-    return gr._on_vectors(sl._mat_mul, L, P, Q)
-
-
-@pytest.fixture
-def block_paths(monkeypatch):
-    """For each entry decision, whether it took the vector path."""
-    taken = []
-    decide = gr._dense_rows
-
-    def spy(L, *groups):
-        out = decide(L, *groups)
-        taken.append(out is not None)
-        return out
-
-    monkeypatch.setattr(gr, "_dense_rows", spy)
-    return taken
+    """P Q as ``Supermatrix.__matmul__`` forms it, for blocks of any shape."""
+    with gr._quietly():
+        return sl._mat_mul(P, Q)
 
 
 @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 1, 2), (1, 2, 1)])
-def test_dense_block_product_matches_the_per_entry_loop(shape, block_paths):
+def test_dense_block_product_matches_the_per_entry_loop(shape, monkeypatch):
     r, k, c = shape
     rng = np.random.default_rng(list(shape))
     for left in PARITIES:
         for right in PARITIES:
             P = [[dense(rng, L, left) for _ in range(k)] for _ in range(r)]
             Q = [[dense(rng, L, right) for _ in range(c)] for _ in range(k)]
+            builds = count_dict_builds(monkeypatch)
             got = block_product(P, Q)
+            # every product and sum on vectors, and no term dict built
+            assert builds == []
+            assert all(e._vec is not None for row in got for e in row)
             want = entry_loop(P, Q)
             assert (len(got), len(got[0])) == (r, c)
             for i in range(r):
@@ -305,7 +296,6 @@ def test_dense_block_product_matches_the_per_entry_loop(shape, block_paths):
                     scale = gr.max_abs(want[i][j])
                     assert got[i][j].L == L
                     assert gr.max_coeff_diff(got[i][j], want[i][j]) <= 1e-14 * scale
-    assert block_paths == [True] * len(PARITIES) ** 2
 
 
 def spoil(case, P, Q, rng):
@@ -321,13 +311,16 @@ def spoil(case, P, Q, rng):
 
 
 @pytest.mark.parametrize("case", ["batch", "inf", "sparse", "mixed_L"])
-def test_block_the_dense_path_cannot_take_gives_the_loops_answer(case, block_paths):
+def test_block_the_dense_path_cannot_take_gives_the_loops_answer(case, monkeypatch):
+    # the two products with the spoiled entry take the dict loop, except an
+    # entry with fewer generators, which is embedded and then dense enough
     rng = np.random.default_rng(len(case))
     P = [[dense(rng, L, "even") for _ in range(2)] for _ in range(2)]
     Q = [[dense(rng, L, "odd") for _ in range(2)] for _ in range(2)]
     spoil(case, P, Q, rng)
+    calls = count_dense_products(monkeypatch)
     got = block_product(P, Q)
-    assert block_paths == [False]
+    assert len(calls) == (8 if case == "mixed_L" else 6)
     want = entry_loop(P, Q)
     for i in range(2):
         for j in range(2):
@@ -345,27 +338,34 @@ def dense_even_matrix(rng):
                        block("even", 2.0), L=L)
 
 
-def test_zero_entries_take_the_vector_path_with_the_loops_bytes(block_paths):
-    # an antisymmetric block has zeros on its diagonal, so zero entries pass
-    # the entry decision; they stay the zero element and cost no kernel call
+def test_zero_entries_take_the_vector_path_with_the_loops_bytes(monkeypatch):
+    # an antisymmetric block has zeros on its diagonal; a zero entry stays the
+    # zero element, its products are 0 and cost no kernel call, and the sums
+    # they meet stay vectors
     rng = np.random.default_rng(4)
     P = [[dense(rng, L, "even") for _ in range(2)] for _ in range(2)]
     Q = [[dense(rng, L, "odd") for _ in range(2)] for _ in range(2)]
     Q[1][1] = gr.zero(L)
+    calls = count_dense_products(monkeypatch)
     got = block_product(P, Q)
-    assert block_paths == [True]
+    assert len(calls) == 6
+    assert all(e._vec is not None for row in got for e in row)
     want = entry_loop(P, Q)
     for i in range(2):
         for j in range(2):
             assert same_bytes(got[i][j], want[i][j]), (i, j)
 
 
-def test_sdet_of_a_dense_product_equals_the_per_entry_loop_bit_for_bit(monkeypatch,
-                                                                         block_paths):
+def test_sdet_of_a_dense_product_equals_the_per_entry_loop_bit_for_bit(monkeypatch):
+    # the entries of M @ N hold their vectors, and sdet reads them without a
+    # term dict; the dict twins of M and N, converted on first use, give the
+    # same bytes
     rng = np.random.default_rng(88)
     M, N = dense_even_matrix(rng), dense_even_matrix(rng)
-    fast = sdet(M @ N)
-    assert block_paths and all(block_paths[:1]) and any(block_paths[1:])
-    monkeypatch.setattr(gr, "_dense_rows", lambda L, *groups: None)
-    slow = sdet(M @ N)
+    builds = count_dict_builds(monkeypatch)
+    MN = M @ N
+    fast = sdet(MN)
+    assert builds == []
+    assert all(e._vec is not None for row in MN.rows for e in row)
+    slow = sdet(twins(M) @ twins(N))
     assert same_bytes(fast, slow)

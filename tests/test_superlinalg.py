@@ -38,6 +38,7 @@ from helpers import (
     random_supermatrix,
     random_supernumber,
     supernumbers,
+    twins,
 )
 
 
@@ -575,6 +576,21 @@ def test_pfaffian_that_overflows_raises():
         pfaffian([[z, big, z, z], [-big, z, z, z], [z, z, z, big], [z, z, -big, z]])
 
 
+def test_pfaffian_of_a_batch_that_overflows_raises_without_a_numpy_warning():
+    # node 0 overflows in the expansion, node 1 does not; under the suite's
+    # filterwarnings = error a numpy warning would raise before the check
+    L = 2
+    z = gr.zero(L)
+    big = Supernumber(L, {0: np.array([1e200, 1.0])})
+    rows = [[z, big, big, big], [-big, z, big, big], [-big, -big, z, big],
+            [-big, -big, -big, z]]
+    with pytest.raises(GrassmannDomainError, match="pfaffian overflows"):
+        pfaffian(rows)
+    # the same matrix at node 1 alone has a finite Pfaffian, 1 - 1 + 1
+    one_node = [[z if e.is_zero() else gr.scalar(L, e.body[1]) for e in r] for r in rows]
+    assert pfaffian(one_node) == gr.one(L)
+
+
 def test_mat_inverse_even_of_a_body_far_from_unit_scale():
     # det(1e200 I) is inf and det(1e-200 I) is 0 in floating point, but both
     # bodies are far from singular: the test runs on the body scaled to 1
@@ -687,6 +703,26 @@ def test_small_bodies_make_no_numpy_linalg_call(n, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("nodes", [None, 3])
+def test_a_block_of_size_three_checks_its_body_once(nodes, monkeypatch):
+    # the row exponents come from the body's peaks, and the Neumann series on
+    # the scaled rows makes the one check: one numpy determinant and one
+    # inverse of the body (stacked over the nodes of a batch), for sdet and
+    # mat_inverse_even alike
+    M = _dense_even_matrix(np.random.default_rng([nodes or 0, 67]), 4, 1, 3, nodes)
+    calls = count_linalg_calls(monkeypatch)
+    mat_inverse_even(M.block("B"))
+    assert calls == ["det", "inv"]
+    calls.clear()
+    sdet(M)
+    assert calls == ["det", "inv"]
+    # the messages stay those of the check
+    singular = [[Supernumber(4, {0: 1.0, 0b11: 0.1 * (i + j)}) for j in range(3)]
+                for i in range(3)]
+    with pytest.raises(GrassmannDomainError, match="singular to working precision"):
+        mat_inverse_even(singular)
+
+
 def test_body_matrix_of_a_batch_raises():
     s0, s1 = gr.gen(2, 0), gr.gen(2, 1)
     batch = Supermatrix(1, 1, [[Supernumber(2, {0: np.array([1.0, 2.0])}), s0],
@@ -747,10 +783,9 @@ def test_adjugate_and_neumann_inverses_agree(n, nodes, L):
     want_det_inv = gr.inverse(det_even(rows))
     assert gr.max_coeff_diff(delta, want_det_inv) <= 1e-14 * gr.max_abs(want_det_inv)
     # mat_inverse_even is U^-1 with its columns scaled by 2^-e_j, here by 1,
-    # on the representation its entry decision picks (dense rows run on
-    # coefficient vectors)
-    assert mat_inverse_even(rows) == gr._on_vectors(
-        lambda rows: sl._adjugate_inverse(rows, L)[0], L, rows)
+    # on the vectors that dense entries hold and on their dict twins alike
+    assert mat_inverse_even(rows) == got
+    assert mat_inverse_even(twins(rows)) == got
 
 
 @pytest.mark.parametrize("p", [(1e200, 1e150), (1e-200, 1e-150), (1e-300,),

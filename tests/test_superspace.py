@@ -935,3 +935,38 @@ def test_jet_value_is_the_plain_evaluation_bit_for_bit(nodes):
         plain = F.evaluate(P)
         assert all(same_bytes(a, b) for a, b in zip(value.x + value.theta,
                                                      plain.x + plain.theta))
+
+
+# ---------------------------------------------------------------------------
+# a batch that fails at one node raises without a numpy warning
+# ---------------------------------------------------------------------------
+
+# each fails at node 0 and not at node 1; under the suite's filterwarnings =
+# error, a numpy warning from an expression node would raise before the
+# finite check of the public call
+BATCH_FAILURES = {
+    "exp": ("exp(q1)", [800.0, 1.0]),
+    "log": ("log(q1)", [0.0, 1.0]),
+    "reciprocal": ("1/q1", [0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_FAILURES))
+def test_continue_body_on_a_batch_raises_without_a_numpy_warning(name):
+    text, bodies = BATCH_FAILURES[name]
+    x = Supernumber(1, {0: np.array(bodies)})
+    with pytest.raises(GrassmannDomainError, match="continuation overflows"):
+        continue_body(expr_body(text, 1), [x])
+    # one node raises too, from cmath
+    with pytest.raises(GrassmannDomainError):
+        continue_body(expr_body(text, 1), [scalar(1, bodies[0])])
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_FAILURES))
+def test_evaluate_on_a_batch_raises_without_a_numpy_warning(name):
+    text, bodies = BATCH_FAILURES[name]
+    theta = gen(2, 1)
+    f = SuperFunction(1, 1, {0: expr_body(text, 1), 0b1: expr_body(text, 1)})
+    point = SuperPoint((Supernumber(2, {0: np.array(bodies), 0b01: 0.0}),), (theta,))
+    with pytest.raises(GrassmannDomainError, match="continuation overflows"):
+        f.evaluate(point)

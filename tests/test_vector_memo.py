@@ -1,13 +1,13 @@
-"""The memo of dense coefficient vectors (``grassmann._MEMO``).
+"""Elements that hold their coefficient vectors.
 
-Each dense element is converted to its ``_Dense`` vector once, however many
-dense calls read it: ``_dense_coefficients`` reads the memo first, and
-``_from_dense`` records the vector of each element it builds.  A hit must
-give the bytes and grade of a fresh conversion, and the memo must stay
-within its bounds.
+An element holds its term dict or its length-2^L coefficient vector, the form
+the operation that made it produced, and builds the other on first read and
+keeps it: each element is converted at most once, by ``_vector_of``, and
+builds its dict at most once, by ``_terms_of``.  Its vector is read-only and
+is the vector its terms give, with +0.0 and never -0.0 where it holds no
+term, and the element agrees with its dict twin on every query and product.
 """
 
-import gc
 import sys
 import threading
 from pathlib import Path
@@ -19,6 +19,8 @@ from supercalc import grassmann as gr
 from supercalc.grassmann import Supernumber
 from supercalc.superlinalg import sdet
 
+from helpers import count_dict_builds, dict_twin, holds_terms, same_bytes, twins
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from workloads import WORKLOADS  # noqa: E402
@@ -27,123 +29,188 @@ L = 8
 
 
 @pytest.fixture
-def memo(monkeypatch):
-    """A cold memo with the module's bounds, in place of the module's one."""
-    fresh = gr._VectorMemo(gr._MEMO.max_entries, gr._MEMO.max_nbytes)
-    monkeypatch.setattr(gr, "_MEMO", fresh)
-    return fresh
-
-
-@pytest.fixture
 def conversions(monkeypatch):
-    """The elements converted from their terms, in order."""
+    """The elements converted from their terms to a vector, in order."""
     seen = []
-    convert = gr._converted
+    vector_of = gr._vector_of
 
     def spy(X):
-        seen.append(X)
-        return convert(X)
+        had = X._vec is not None
+        v = vector_of(X)
+        if not had and v is not None:
+            seen.append(X)
+        return v
 
-    monkeypatch.setattr(gr, "_converted", spy)
+    monkeypatch.setattr(gr, "_vector_of", spy)
     return seen
 
 
 def dense(rng, L=L, parity="even"):
-    masks = [m for m in range(1 << L) if m.bit_count() % 2 == (parity == "odd")]
+    masks = [m for m in range(1 << L) if parity == "mixed" or m.bit_count() % 2 == (parity == "odd")]
     coeffs = rng.uniform(-1, 1, len(masks)) + 1j * rng.uniform(-1, 1, len(masks))
     return Supernumber(L, dict(zip(masks, coeffs.tolist())))
 
 
-def assert_as_converted(d, X):
-    """d is X's vector as a fresh conversion gives it."""
-    fresh = gr._converted(X)
-    assert d.source is X
-    assert d.grade == fresh.grade
-    assert d.v.tobytes() == fresh.v.tobytes()
+def assert_as_converted(X):
+    """X's vector is the one a conversion of its terms gives, and its grade,
+    where known, is that of its terms."""
+    twin = dict_twin(X)
+    assert gr._vector_of(twin) is not None
+    assert X._vec.tobytes() == twin._vec.tobytes()
+    odd = [m.bit_count() & 1 for m in X._terms]
+    assert X._grade is None or not any(p != X._grade for p in odd)
+
+
+def same_coefficients(a, b):
+    """Same L and the same bytes at each mask, in any order of the masks (a
+    dict sum appends a new mask where a vector's terms ascend)."""
+    return a.L == b.L and a._terms.keys() == b._terms.keys() and all(
+        np.asarray(c).tobytes() == np.asarray(b._terms[m]).tobytes() for m, c in a._terms.items())
+
+
+def assert_no_minus_zero(X):
+    zeros = X._vec == 0
+    assert not np.signbit(X._vec.real[zeros]).any()
+    assert not np.signbit(X._vec.imag[zeros]).any()
 
 
 # ---------------------------------------------------------------------------
 # one conversion per element
 # ---------------------------------------------------------------------------
 
-def test_a_berezinian_solve_converts_each_element_once(memo, conversions):
-    # 108 conversions before the memo: M's and N's entries again in M @ N,
-    # and each table product of gaussian_super's tail converted both operands
+def test_a_berezinian_solve_converts_each_element_once(conversions, monkeypatch):
+    # the workload's inputs are built as vectors, so no solve over its pool
+    # converts or builds a dict, neither the first pass nor the second
     workload = WORKLOADS["berezinian_dense"]
-    case = workload.build(5)[0]
-    workload.solve(case)
-    assert len(conversions) <= 51
-    assert len({id(X) for X in conversions}) == len(conversions)
+    cases = workload.build(5)
+    builds = count_dict_builds(monkeypatch)
+    for _ in range(2):
+        for case in cases:
+            workload.solve(case)
+        assert conversions == []
+        assert builds == []
+    # the same case held as dicts converts each entry at most once
+    M, N, G, lam = workload.build(5)[0]
+    twin_case = (twins(M), twins(N), twins(G), lam)
+    workload.solve(twin_case)
+    assert 0 < len(conversions) == len({id(X) for X in conversions})
+    first = len(conversions)
+    workload.solve(twin_case)
+    assert len(conversions) == first
 
 
-def test_sdet_of_a_product_reads_the_vectors_the_product_built(memo, conversions):
+def test_sdet_of_a_product_reads_the_vectors_the_product_built(conversions, monkeypatch):
     M, N, _, _ = WORKLOADS["berezinian_dense"].build(5)[0]
+    builds = count_dict_builds(monkeypatch)
     MN = M @ N
-    assert len(conversions) == 32
-    conversions.clear()
     sdet(MN)
     sdet(M)
+    assert conversions == [] and builds == []
+    assert all(e._vec is not None and not holds_terms(e) for r in MN.rows for e in r)
+
+
+# ---------------------------------------------------------------------------
+# the vector form
+# ---------------------------------------------------------------------------
+
+def test_memo_vectors_are_read_only():
+    rng = np.random.default_rng(109)
+    X = dense(rng)
+    converted = dict_twin(dense(rng))
+    gr._vector_of(converted)
+    for Y in (X, X * X, X + X, -X, 2.0 * X, gr.soul(X), converted):
+        assert Y._vec is not None
+        with pytest.raises(ValueError):
+            Y._vec[0] = 1.0
+
+
+def test_dense_input_is_stored_as_its_vector_only():
+    rng = np.random.default_rng(111)
+    X = dense(rng)
+    assert X._vec is not None and not holds_terms(X)
+    # parity, is_zero, body, max_abs and negation read the vector
+    assert (X.parity, X.is_zero(), gr.max_abs(X) > 0) == ("even", False, True)
+    assert X.body == X._vec[0]
+    assert (-X)._vec is not None
+    assert not holds_terms(X)
+    # sparse, batch and large-L input keeps its dict
+    for Y in (gr.gen(L, 0), Supernumber(2, {0: np.arange(3.0)}), dense(rng, 4),
+              Supernumber(14, {m: 1.0 for m in range(0, 1 << 14, 7)})):
+        assert Y._vec is None and holds_terms(Y)
+
+
+def test_an_element_freed_and_rebuilt_gets_its_own_vector():
+    # each element holds its own vector: elements of one term dict hold equal
+    # vectors, never one shared array
+    rng = np.random.default_rng(113)
+    terms = dict(dense(rng)._terms)
+    X, Y = Supernumber(L, terms), Supernumber(L, terms)
+    twin = dict_twin(X)
+    gr._vector_of(twin)
+    assert X._vec is not Y._vec and X._vec is not twin._vec
+    assert X._vec.tobytes() == Y._vec.tobytes() == twin._vec.tobytes()
+    del X
+    Z = Supernumber(L, terms)
+    assert Z._vec.tobytes() == Y._vec.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["even", "odd", "mixed", "zero"])
+def test_a_built_element_reads_back_as_converted(kind):
+    # operations that meet +0.0 with a minus sign (negation, scaling by a
+    # negative number, a dict minus a vector) must leave +0.0 where an element
+    # holds no term, and their terms are the vector's nonzero entries
+    rng = np.random.default_rng([127, len(kind)])
+    X = dense(rng, parity="even" if kind == "zero" else kind)
+    c = Supernumber(L, {0: 1.5, 0b11: complex(-0.0, 0.0)})
+    built = [-X, -2.0 * X, (-0.5 + 0.25j) * X, c - X, X - X, X * X, gr.soul(X)]
+    if kind == "zero":
+        built = [X - X, -(X - X), 0.0 - (X - X), X * gr.zero(L) + (X - X)]
+    for Y in built:
+        if Y._vec is None:
+            assert Y.is_zero()
+            continue
+        assert_as_converted(Y)
+        assert_no_minus_zero(Y)
+        assert all(v != 0 for v in Y._terms.values())
+        assert Y.parity == dict_twin(Y).parity
+
+
+def test_a_built_element_that_is_not_finite_is_not_recorded(conversions):
+    # a dict with inf is not converted, and products with it take the dict
+    # loop; a kernel product that overflows keeps its vector, and the exits
+    # still raise
+    rng = np.random.default_rng(131)
+    X = dense(rng, 6)
+    inf = X + 1e200 * Supernumber(6, {0b11: 1e200})
+    assert inf._vec is None and gr._vector_of(inf) is None and inf._vec is None
     assert conversions == []
+    assert (inf * X)._vec is None
+    big = 1e200 * X
+    over = big * big
+    assert over._vec is not None and not gr._is_finite(over)
+    with pytest.raises(gr.GrassmannDomainError):
+        gr.inverse(over)
 
 
-# ---------------------------------------------------------------------------
-# bounds
-# ---------------------------------------------------------------------------
-
-def test_the_memo_keeps_at_most_64_entries_and_1_mib():
-    assert (gr._MEMO.max_entries, gr._MEMO.max_nbytes) == (64, 1 << 20)
-    rng = np.random.default_rng(101)
-    for _ in range(1000):
-        gr._dense_coefficients(dense(rng))
-    entries = gr._MEMO.entries
-    assert len(entries) <= 64
-    assert gr._MEMO.nbytes == sum(d.v.nbytes for d in entries.values()) <= 1 << 20
-
-
-def test_the_byte_bound_holds_for_large_vectors(memo):
-    # a dense L=12 vector is 64 KiB, so 1 MiB holds 16 of them
-    rng = np.random.default_rng(103)
-    kept = [dense(rng, 12) for _ in range(20)]
-    for X in kept:
-        gr._dense_coefficients(X)
-    assert len(memo.entries) == 16
-    assert memo.nbytes == 1 << 20
-    # the least recently used left first
-    sources = [d.source for d in memo.entries.values()]
-    assert all(a is b for a, b in zip(sources, kept[4:], strict=True))
-
-
-def test_a_hit_moves_its_entry_to_the_back(memo):
-    rng = np.random.default_rng(107)
-    first, *rest = [dense(rng) for _ in range(64)]
-    for X in (first, *rest):
-        gr._dense_coefficients(X)
-    gr._dense_coefficients(first)
-    gr._dense_coefficients(dense(rng))
-    sources = [id(d.source) for d in memo.entries.values()]
-    assert id(first) in sources and id(rest[0]) not in sources
-
-
-def test_memo_vectors_are_read_only(memo):
-    d = gr._dense_coefficients(dense(np.random.default_rng(109)))
-    with pytest.raises(ValueError):
-        d.v[0] = 1.0
-
-
-def test_threads_sharing_the_memo_keep_its_count_and_bounds(memo):
-    # more threads than cores, switching often: a lost update of the byte
-    # count or of the order would break the sums below
+def test_threads_reading_one_element_get_the_same_forms():
+    # more threads than cores, switching often: each reads the lazily built
+    # dict and the converted vector of shared elements, and every read gives
+    # the bytes of a fresh build
     rng = np.random.default_rng(139)
-    pool = [dense(rng) for _ in range(96)]
+    pool = [dense(rng) for _ in range(24)] + [dict_twin(dense(rng)) for _ in range(24)]
+    want = [(dict(X._terms), gr._vector_of(dict_twin(X)).tobytes()) for X in pool]
+    pool = [Supernumber(L, dict(X._terms)) if i < 24 else dict_twin(X)
+            for i, X in enumerate(pool)]
     wrong = []
 
     def work(seed):
         pick = np.random.default_rng(seed)
         for _ in range(300):
-            X = pool[pick.integers(len(pool))]
-            d = gr._dense_coefficients(X)
-            if d.source is not X or d.v.tobytes() != gr._converted(X).v.tobytes():
-                wrong.append(X)
+            i = int(pick.integers(len(pool)))
+            X = pool[i]
+            terms, vector = want[i]
+            if X._terms != terms or gr._vector_of(X).tobytes() != vector:
+                wrong.append(i)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -157,82 +224,49 @@ def test_threads_sharing_the_memo_keep_its_count_and_bounds(memo):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert len(memo.entries) == memo.max_entries
-    assert memo.nbytes == sum(d.v.nbytes for d in memo.entries.values())
-    assert all(id(d.source) == key for key, d in memo.entries.items())
 
 
 # ---------------------------------------------------------------------------
-# a hit is never stale
+# an element and its dict twin
 # ---------------------------------------------------------------------------
 
-def test_an_element_freed_and_rebuilt_gets_its_own_vector(memo, conversions):
-    rng = np.random.default_rng(113)
-    X = dense(rng)
-    terms = dict(X._terms)
-    gr._dense_coefficients(X)
-    del X
-    gc.collect()
-    Y = Supernumber(L, terms)
-    assert_as_converted(gr._dense_coefficients(Y), Y)
-    # once the entries are pushed out and their elements freed, new elements
-    # may take their ids; each still gets its own vector
-    for _ in range(2 * memo.max_entries):
-        gr._dense_coefficients(dense(rng))
-    gc.collect()
-    for _ in range(200):
-        Z = Supernumber(L, terms) if rng.integers(2) else dense(rng, parity="odd")
-        assert_as_converted(gr._dense_coefficients(Z), Z)
+@pytest.mark.parametrize("parity", ["even", "odd", "mixed"])
+def test_an_element_and_its_dict_twin_agree(parity):
+    rng = np.random.default_rng([151, len(parity)])
+    X = dense(rng, parity=parity)
+    twin = dict_twin(X)
+    assert twin._vec is None
+    assert X._terms == twin._terms and list(X._terms) == sorted(X._terms)
+    assert X.body == twin.body and X.parity == twin.parity
+    assert X == twin and hash(X) == hash(twin)
+    assert gr.to_json(X) == gr.to_json(twin)
+    assert gr.max_abs(X) == gr.max_abs(twin) and gr._low_degree(X) == gr._low_degree(twin)
+    Y = dense(rng, parity="odd")
+    others = [2.5, -1.5j, gr.scalar(L, 0.5 - 2j), gr.zero(L), Y, dict_twin(Y), gr.gen(L, 3),
+              Supernumber(L, {0: np.arange(1.0, 4.0)}), gr.one(L) + gr.gen(L, 0) * gr.gen(L, 5)]
+    for other in others:
+        for a, b in ((X, other), (other, X)):
+            ta, tb = (twin if a is X else a), (twin if b is X else b)
+            assert same_coefficients(a * b, ta * tb), (parity, other)
+            assert same_coefficients(a + b, ta + tb), (parity, other)
+            assert same_coefficients(a - b, ta - tb), (parity, other)
+    assert same_bytes(-X, -twin) and same_bytes(gr.soul(X), gr.soul(twin))
+    # a seeded constant under a first-order cut takes its one pass either way
+    seeded = gr.seed([gr.scalar(L - 2, 0.5)], [], L - 2, first_order=True)[0][0]
+    assert seeded.L == L and seeded._cut is not None
+    assert same_bytes(X * seeded, twin * seeded) and same_bytes(seeded * X, seeded * twin)
 
-
-def _vector(rng, masks, zeros=()):
-    v = np.zeros(1 << L, dtype=complex)
-    v[masks] = rng.uniform(-1, 1, len(masks)) + 1j * rng.uniform(-1, 1, len(masks))
-    for m, z in zeros:
-        v[m] = z
-    return v
-
-
-@pytest.mark.parametrize("kind", ["even", "odd", "mixed", "zero"])
-def test_a_built_element_reads_back_as_converted(kind, memo, conversions):
-    # zeros inside the masks, -0.0 among them, are dropped from the element
-    # and must not reach its recorded vector
-    rng = np.random.default_rng([127, len(kind)])
-    even = [m for m in range(1 << L) if m.bit_count() % 2 == 0]
-    odd = [m for m in range(1 << L) if m.bit_count() % 2 == 1]
-    masks = {"even": even, "odd": odd, "mixed": even + odd, "zero": []}[kind]
-    zeros = [(m, z) for m, z in zip(masks[::7], (0j, complex(-0.0, 0.0), complex(0.0, -0.0)))]
-    v = _vector(rng, masks, zeros)
-    X = gr._from_dense(v, L)
-    assert len(X._terms) == len(masks) - len(zeros)
-    d = gr._dense_coefficients(X)
-    assert conversions == []
-    assert_as_converted(d, X)
-    assert d.grade == {"even": 0, "odd": 1, "mixed": None, "zero": 0}[kind]
-    assert d.parity == X.parity
-
-
-def test_a_built_element_that_is_not_finite_is_not_recorded(memo):
-    v = _vector(np.random.default_rng(131), list(range(1, 1 << L, 3)))
-    v[5] = np.inf
-    X = gr._from_dense(v, L)
-    assert not memo.entries
-    assert gr._dense_coefficients(X) is None
-
-
-# ---------------------------------------------------------------------------
-# grade-driven answers on vectors
-# ---------------------------------------------------------------------------
 
 def test_dense_parity_and_low_degree():
     rng = np.random.default_rng(137)
     for parity in ("even", "odd"):
         X = dense(rng, parity=parity)
-        d = gr._converted(X)
-        assert d.parity == X.parity == parity
-        assert gr._low_degree(d) == gr._low_degree(X) == (parity == "odd")
+        assert X.parity == dict_twin(X).parity == parity
+        assert gr._low_degree(X) == gr._low_degree(dict_twin(X)) == (parity == "odd")
     # a zero vector counts as even whatever its grade says
-    assert gr._Dense(np.zeros(1 << L, dtype=complex), 1, L).parity == "even"
-    assert gr._low_degree(gr._Dense(np.zeros(1 << L, dtype=complex), 0, L)) == 0
+    zero = np.zeros(1 << L, dtype=complex)
+    assert Supernumber(L, (zero, 1), gr._VECTOR).parity == "even"
+    assert gr._low_degree(Supernumber(L, (zero.copy(), 0), gr._VECTOR)) == 0
     s = gr.soul(dense(rng))
-    assert gr._low_degree(gr._converted(s)) == gr._low_degree(s) == 2
+    assert s._vec is not None
+    assert gr._low_degree(s) == gr._low_degree(dict_twin(s)) == 2
