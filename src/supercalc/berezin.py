@@ -40,8 +40,8 @@ from .grassmann import (
     _in_one_algebra,
     _is_finite,
     _monomial,
-    _quietly,
     _node_sum,
+    _quietly,
     _stack,
     apply_analytic,
     gen,
@@ -54,7 +54,6 @@ from .grassmann import (
 )
 from .superlinalg import (
     Supermatrix,
-    _QUIET,
     _adjugate_inverse,
     _body_matrix,
     _half_power,
@@ -70,7 +69,7 @@ from .superlinalg import (
     _split,
     _times_two_to,
 )
-from .superspace import SuperMap, SuperPoint, _super_jet, compose
+from .superspace import _RAISING, SuperMap, SuperPoint, _super_jet, compose
 
 __all__ = [
     "QuadratureError",
@@ -165,11 +164,14 @@ def _per_chunk(integrand):
     that of the first failing node in the chunk, whichever grid it is on.
     """
     def on_chunk(q):
+        token = _RAISING.set(True)
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 return integrand(q)
         except (ArithmeticError, TypeError, ValueError):
             pass
+        finally:
+            _RAISING.reset(token)
         return _on_nodes(integrand, q)
 
     return on_chunk
@@ -563,7 +565,7 @@ def gaussian_super(M: Supermatrix, lam: float) -> Supernumber:
             raise GrassmannDomainError("even block body must be symmetric")
         if np.min(np.linalg.eigvalsh(Ab.real)) <= 0:
             raise GrassmannDomainError("even block body must be positive definite")
-    with _quietly(), np.errstate(**_QUIET):
+    with _quietly():
         b_scale = max((max_abs(e) for row in B for e in row), default=0.0)
         if any(max_abs(B[s][t] + B[t][s]) > 1e-12 * b_scale for s in range(n) for t in range(n)):
             raise GrassmannDomainError("odd block must be antisymmetric")

@@ -53,24 +53,23 @@ Products with a batch coefficient or a non-finite one take the dict loop.
 
 Two forms
 ---------
-An element holds its term dict or its coefficient vector (with the grade of
-its masks), whichever the operation that made it produced, and builds the
-other on first read and keeps it (see ``Supernumber``).  Dense input to the
-validating constructor, kernel products, and sums, differences, scalings,
-negations and continuations (``_taylor_sum``) with an operand that holds
-its vector give vectors; every other operation gives a term dict.  A product
-with a vector decides on the kernel once (``_vector_product``): a constant
-factor scales the vector, two vectors always meet in the kernel, and a
-vector and a term dict meet there where the crossover holds for the
-vector's nonzero count.  So the dense supermatrix algebra (``sdet``,
+An element holds its term dict or its length-2^L coefficient vector with the
+grade of its masks, whichever form the operation that made it produced, and
+builds the other on first read and keeps it (see ``Supernumber``).  Dense
+validated input, kernel products, and the sums, differences, scalings,
+negations, souls and continuations (``_taylor_sum``) of vectors give
+vectors; every other operation gives a dict.  A product with a vector
+decides on the kernel once (``_vector_product``): a constant scales the
+vector, and a vector meets another vector, or a dict where the crossover
+holds for the vector's nonzero count, in the kernel.  So ``sdet``,
 ``det_even``, ``mat_inverse_even``, ``Supermatrix.__matmul__`` and
-``berezin.gaussian_super``) runs on vectors from its inputs to its result
-without building a dict, and ``sdet(M @ N)`` reads the vectors ``@`` built.
-A vector's dict is built by a read of ``_terms`` (equality, hashing,
-``to_json``, the dict loop); ``body``, ``parity``, ``is_zero``, ``max_abs``,
-``soul`` and negation read the vector.  A sum of two vectors may differ from
-the dict sum only in the sign of a zero part of a coefficient that one
-operand alone holds.
+``berezin.gaussian_super`` run from dense inputs to their results on
+vectors, converting nothing and building no dict: ``sdet(M @ N)`` reads the
+vectors ``@`` built.  ``body``, ``parity``, ``is_zero``, ``max_abs``,
+``soul`` and negation read the vector; equality, hashing, ``to_json`` and
+the dict loop read the dict.  A sum of two vectors may differ from the dict
+sum only in the sign of a zero part of a coefficient that one operand alone
+holds.
 
 Construction
 ------------
@@ -156,7 +155,6 @@ ignore the cut.
 from __future__ import annotations
 
 import cmath
-import collections.abc
 import contextlib
 import contextvars
 import functools
@@ -236,6 +234,9 @@ def _reorder_sign(mj: int, mk: int) -> int:
 _TABLE_MAX_L = 12
 _TABLE_MIN_PAIRS = 512
 _TABLE_ENTRIES_PER_PAIR = 4
+# the fewest terms n with n * n >= _TABLE_MIN_PAIRS: a cheap first test of
+# the validating constructor for dense input
+_DENSE_MIN_TERMS = math.isqrt(_TABLE_MIN_PAIRS - 1) + 1
 
 
 @functools.cache
@@ -305,6 +306,27 @@ def _vector_from(terms: Mapping[int, complex], L: int) -> Tuple[np.ndarray, int 
     return v, _grade(masks)
 
 
+def _dense_input(terms: Mapping, L: int) -> Tuple[np.ndarray, int | None] | None:
+    """(vector, grade) of input to the validating constructor that is dense
+    (n nonzero terms with ``_table_takes(n * n, L)``), with masks in range
+    and finite numbers only; None for anything else, which the validating
+    loop stores as a dict or rejects with its message."""
+    if not _table_takes(len(terms) ** 2, L):
+        return None
+    try:
+        masks = np.fromiter(terms, dtype=np.intp, count=len(terms))
+        values = np.fromiter(terms.values(), dtype=complex, count=len(terms))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    nonzero = values != 0  # zeros, -0.0 among them, are dropped as the loop drops them
+    if masks.min() < 0 or masks.max() >> L or not np.isfinite(values).all() \
+            or not _table_takes(int(np.count_nonzero(nonzero)) ** 2, L):
+        return None
+    v = np.zeros(1 << L, dtype=complex)
+    v[masks[nonzero]] = values[nonzero]
+    return v, _grade(masks[nonzero])
+
+
 def _vector_of(X: Supernumber) -> np.ndarray | None:
     """X's coefficient vector: the one it holds, or one built from its terms
     and kept on it, so that each element is converted at most once.  None,
@@ -362,24 +384,32 @@ class _VectorTerms:
         return self._terms() == other
 
 
-# True inside ``_quietly``, where numpy's overflow warnings are already off
+# numpy's error state inside ``_quietly``: overflow gives inf and inf - inf
+# NaN, as in Python's complex arithmetic, and the finite checks at the exits
+# raise (see "Overflow")
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
+# True inside ``_quietly``, where numpy's errors are already ignored
 _QUIET_NOW = contextvars.ContextVar("supercalc_quiet", default=False)
 
 
-@contextlib.contextmanager
-def _quietly():
+class _quietly:
     """A context in which vector and batch arithmetic overflows to inf (and
     inf - inf to NaN) without numpy's warning, as Python's complex arithmetic
-    does, for the finite checks at the exits (see "Overflow")."""
-    if _QUIET_NOW.get():
-        yield
-        return
-    token = _QUIET_NOW.set(True)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            yield
-    finally:
-        _QUIET_NOW.reset(token)
+    does, for the finite checks at the exits (see "Overflow").  A class, as
+    it is cheaper to enter than a generator's context."""
+
+    __slots__ = ("token", "state")
+
+    def __enter__(self):
+        self.token = None if _QUIET_NOW.get() else _QUIET_NOW.set(True)
+        if self.token is not None:
+            self.state = np.errstate(**_QUIET)
+            self.state.__enter__()
+
+    def __exit__(self, *exc):
+        if self.token is not None:
+            self.state.__exit__(*exc)
+            _QUIET_NOW.reset(self.token)
 
 
 def _quiet(fn: Callable, *args):
@@ -613,23 +643,20 @@ def _seeded_constant_product(x: Mapping[int, complex], y: Mapping[int, complex],
 
 
 # Supernumber(L, terms, _AS_IS) stores a clean dict as given, and
-# Supernumber(L, (vector, grade), _VECTOR) a coefficient vector (see its docstring)
+# Supernumber(L, (vector, grade), _VECTOR) a coefficient vector (see its
+# docstring); _VECTOR is falsy, so that the hot _AS_IS branch takes one test
 _AS_IS = True
-_VECTOR = 2
+_VECTOR = None
 
 
 class Supernumber:
-    """Immutable element of the L-generator algebra, held in one of two forms.
-
-    An element holds its term dict ``_terms``, {mask: coefficient}, or its
-    coefficient vector ``_vec`` of length 2^L with the grade ``_grade`` of its
-    nonzero masks (0 all even, 1 all odd, None unknown or both), whichever
-    the operation that made it produced (see "Two forms" in the module
-    docstring).  ``_vec`` is None on an element that has only its dict; on
-    one that holds its vector, ``_terms`` is a ``_VectorTerms``, which builds
-    the dict on its first read and keeps it, and a dict that meets a vector
-    keeps the vector ``_vector_of`` builds.  Vectors are read-only, and
-    neither form changes after construction.
+    """Immutable element of the L-generator algebra, in one of two forms (see
+    "Two forms" in the module docstring).  Either ``_vec`` is None and
+    ``_terms`` is the term dict {mask: coefficient}, or ``_vec`` is the
+    read-only coefficient vector, ``_grade`` the grade of its nonzero masks
+    (0 all even, 1 all odd, None unknown or both) and ``_terms`` a
+    ``_VectorTerms``, which builds the dict on its first read and keeps it.
+    A dict that meets a vector keeps the vector ``_vector_of`` builds.
 
     Every stored element keeps three invariants: each mask is in [0, 2^L);
     each coefficient is exactly ``complex`` or a complex ``ndarray`` (a
@@ -687,13 +714,13 @@ class Supernumber:
 
     def __init__(self, L: int, terms: Mapping[int, complex] | None = None,
                  _as_is: bool = False, _cut: _Cut | None = None):
-        if _as_is is True:
+        if _as_is:
             self.L = L
             self._terms = terms
             self._cut = _cut
             self._vec = None
             return
-        if _as_is:  # _VECTOR: terms is (vector, grade); the vector is read-only from now
+        if _as_is is None:  # _VECTOR: terms is (vector, grade); the vector is read-only from now
             self.L = L
             v, self._grade = terms
             v.flags.writeable = False
@@ -702,8 +729,13 @@ class Supernumber:
             return
         self.L = _generator_count(L)
         self._cut = None
+        if terms and len(terms) >= _DENSE_MIN_TERMS \
+                and (dense := _dense_input(terms, self.L)) is not None:
+            v, self._grade = dense
+            v.flags.writeable = False
+            self._vec, self._terms = v, _VectorTerms(v)
+            return
         clean: Dict[int, complex] = {}
-        batch = False
         if terms:
             top = 1 << self.L
             for mask, c in terms.items():
@@ -726,19 +758,13 @@ class Supernumber:
                             )
                         if _nonzero(c):
                             clean[m] = c
-                            batch = True
                         continue
                     c = complex(c)
                 if not cmath.isfinite(c):
                     raise GrassmannError(f"coefficient {c} of mask {m} is not finite")
                 if c != 0:
                     clean[m] = c
-        if not batch and _table_takes(len(clean) ** 2, self.L):
-            v, self._grade = _vector_from(clean, self.L)
-            v.flags.writeable = False
-            self._vec, self._terms = v, _VectorTerms(v)
-        else:
-            self._vec, self._terms = None, clean
+        self._vec, self._terms = None, clean
 
     # -- basic inspection -------------------------------------------------
 
@@ -1152,7 +1178,7 @@ def _low_degree(X) -> int:
     if X._vec is not None:
         masks = np.flatnonzero(X._vec)
         return int(np.bitwise_count(masks).min()) if masks.size else 0
-    return min((m.bit_count() for m in X._terms), default=0)
+    return min(map(int.bit_count, X._terms), default=0)
 
 
 def conjugate(X: Supernumber) -> Supernumber:
@@ -1271,11 +1297,12 @@ def _taylor_terms(xs: Sequence[Supernumber], L: int
     for x in xs:
         s = soul(x.embed(L))
         powers = []
-        d = _low_degree(s)
-        for k in range(1, L // d + 1 if d else 1):
-            p = s if k == 1 else p * s
-            if p.is_zero():
-                break
+        p, d = s, _low_degree(s)
+        for k in range(L // d if d else 0):
+            if k:
+                p = p * s
+                if p.is_zero():
+                    break
             powers.append(p)
         grown = []
         for alpha, fact, mono in table:
@@ -1307,10 +1334,10 @@ def _taylor_sum(deriv: Callable, q, terms, L: int, cut: _Cut | None) -> Supernum
         c = _coefficient(d if fact == 1 else d / fact)
         if _nonzero(c):
             parts.append((c, mono))
-    unit = terms[0][2]
-    if len(terms) > 1 and all(mono._vec is not None for _, _, mono in terms[1:]) \
+    # the unit comes first and holds a dict, so a table of it alone stops here
+    if terms[-1][2]._vec is not None and all(mono._vec is not None for _, _, mono in terms[1:]) \
             and all(type(c) is complex for c, _ in parts):
-        return _from_vector(L, *_quiet(_vector_taylor_sum, parts, unit, L), cut)
+        return _from_vector(L, *_quiet(_vector_taylor_sum, parts, terms[0][2], L), cut)
     out: Dict[int, complex] = {}
     for c, mono in parts:
         for m, v in mono._terms.items():

@@ -35,6 +35,7 @@ from .grassmann import (
     GrassmannDomainError,
     GrassmannError,
     Supernumber,
+    _QUIET,
     _as_super,
     _holds_batch,
     _in_algebra,
@@ -90,11 +91,6 @@ def _per_node(linalg_fn, a: np.ndarray) -> np.ndarray:
     if a.ndim == 2:
         return linalg_fn(a)
     return np.moveaxis(linalg_fn(np.moveaxis(a, -1, 0)), 0, -1)
-
-
-# numpy would warn, or raise under the quadrature's errstate, where the finite
-# checks after these helpers are the ones that raise
-_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _peaks(rows: np.ndarray) -> np.ndarray:
@@ -406,7 +402,7 @@ def det_even(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
         raise GrassmannError("det_even needs a square matrix")
     # 2^(s_0 + ...) times _det_even of 2^-S rows, S from _row_exponents
     s = _row_exponents(_peaks(_node_array((x.body for r in rows for x in r), (size, size))))
-    with _quietly(), np.errstate(**_QUIET):
+    with _quietly():
         out = _times_two_to(_det_even(_scaled_rows(rows, s), L), s.sum(axis=0))
     if not _is_finite(out):
         raise GrassmannDomainError("det_even overflows: a coefficient is not finite")
@@ -471,7 +467,7 @@ def mat_inverse_even(rows: Sequence[Sequence[Supernumber]]) -> List[List[Supernu
     rows, L = _in_one_algebra(*rows)
     if any(len(r) != len(rows) for r in rows):
         raise GrassmannError("mat_inverse_even needs a square matrix")
-    with _quietly(), np.errstate(**_QUIET):
+    with _quietly():
         if not all(e.parity == "even" for r in rows for e in r):
             return _neumann_inverse(rows, L)
         Uinv, _, e = _adjugate_inverse(rows, L)
@@ -663,7 +659,7 @@ def _sdet(M: Supermatrix) -> Supernumber:
     if _grading(M.rows, m) != "even":
         raise GrassmannDomainError("sdet is defined for even matrices")
     A, C, D, B = _split(M.rows, m)
-    with _quietly(), np.errstate(**_QUIET):
+    with _quietly():
         Uinv, delta, e = _adjugate_inverse(B, L)
         # C B^-1 D = (C U^-1) (2^-E D): B's row scales divide D's rows
         Schur = _mat_sub(A, _mat_mul(_mat_mul(C, Uinv), _scaled_rows(D, e))) if B else A
@@ -883,7 +879,7 @@ def _pfaffian(rows, L: int):
             acc = term if pos == 1 else acc + term if pos % 2 else acc - term
         return acc
 
-    with np.errstate(**_QUIET):
+    with _quietly():
         pf = rec(tuple(range(size))) if size else one(L)
     if not _is_finite(pf):
         raise GrassmannDomainError("pfaffian overflows: a coefficient is not finite")

@@ -42,6 +42,7 @@ from __future__ import annotations
 import ast
 import cmath
 import contextlib
+import contextvars
 import dataclasses
 import functools
 import struct
@@ -55,6 +56,7 @@ from .grassmann import (
     GrassmannDomainError,
     GrassmannError,
     Supernumber,
+    _QUIET,
     _cut_of,
     _is_finite,
     _monomial,
@@ -504,6 +506,11 @@ class _ScaledBody(BodyFunction):
 # Grassmann continuation
 # ---------------------------------------------------------------------------
 
+# True while berezin's quadrature evaluates a chunk with numpy raising on
+# overflow, invalid and divide, which sends a failing chunk node by node
+_RAISING = contextvars.ContextVar("supercalc_raising", default=False)
+
+
 class _TaylorBasis:
     """Everything of a Taylor continuation that depends on the point alone.
 
@@ -531,18 +538,14 @@ class _TaylorBasis:
         self.cut = cut
 
     def quiet(self):
-        """A context in which numpy's overflow, invalid and divide warnings
-        are off for a batch, so that a value that is not finite at some node
-        (exp of a large body, log or a pole at 0) reaches the finite check of
-        the public call, which raises GrassmannDomainError; a no-op for one
-        node, where cmath raises.  Each public call enters it once.  Only a
-        warning is turned off: where the caller asked numpy to raise, as the
-        quadrature does to retry a chunk node by node, it still raises."""
-        if not self.batch:
+        """A context in which numpy's overflow, invalid and divide errors are
+        ignored for a batch, so that a value not finite at some node reaches
+        the finite check of the public call, which enters this once, and
+        raises GrassmannDomainError as one node does.  Inside the quadrature's
+        chunks (``_RAISING``) numpy's errors still raise."""
+        if not self.batch or _RAISING.get():
             return contextlib.nullcontext()
-        state = np.geterr()
-        return np.errstate(**{k: "ignore" for k in ("over", "invalid", "divide")
-                              if state[k] == "warn"})
+        return np.errstate(**_QUIET)
 
     def continued(self, bf: BodyFunction) -> Supernumber:
         """The continuation of bf over this basis (``grassmann._taylor_sum``).

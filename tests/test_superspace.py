@@ -970,3 +970,21 @@ def test_evaluate_on_a_batch_raises_without_a_numpy_warning(name):
     point = SuperPoint((Supernumber(2, {0: np.array(bodies), 0b01: 0.0}),), (theta,))
     with pytest.raises(GrassmannDomainError, match="continuation overflows"):
         f.evaluate(point)
+
+
+def test_a_batch_in_the_quadratures_chunks_keeps_numpy_raising():
+    # inside a chunk of berezin's quadrature numpy raises, so that a failing
+    # chunk is evaluated again node by node: exp(-exp(q1)) at 800 raises
+    # there, as at one node, where ignoring the overflow would give 0
+    x = Supernumber(1, {0: np.array([800.0, 1.0])})
+    bf = expr_body("exp(-exp(q1))", 1)
+    token = superspace._RAISING.set(True)
+    try:
+        with np.errstate(over="raise"), pytest.raises(GrassmannDomainError, match="overflow"):
+            continue_body(bf, [x])
+    finally:
+        superspace._RAISING.reset(token)
+    with pytest.raises(GrassmannDomainError):
+        continue_body(bf, [scalar(1, 800.0)])
+    # outside a chunk the overflow is ignored, and the value is finite
+    assert continue_body(bf, [x]).body[0] == 0
