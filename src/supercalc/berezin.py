@@ -69,7 +69,7 @@ from .superlinalg import (
     _split,
     _times_two_to,
 )
-from .superspace import _RAISING, SuperMap, SuperPoint, _super_jet, compose
+from .superspace import SuperMap, SuperPoint, _super_jet, compose
 
 __all__ = [
     "QuadratureError",
@@ -164,14 +164,11 @@ def _per_chunk(integrand):
     that of the first failing node in the chunk, whichever grid it is on.
     """
     def on_chunk(q):
-        token = _RAISING.set(True)
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 return integrand(q)
         except (ArithmeticError, TypeError, ValueError):
             pass
-        finally:
-            _RAISING.reset(token)
         return _on_nodes(integrand, q)
 
     return on_chunk

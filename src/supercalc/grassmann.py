@@ -54,22 +54,26 @@ Products with a batch coefficient or a non-finite one take the dict loop.
 Two forms
 ---------
 An element holds its term dict or its length-2^L coefficient vector with the
-grade of its masks, whichever form the operation that made it produced, and
-builds the other on first read and keeps it (see ``Supernumber``).  Dense
-validated input, kernel products, and the sums, differences, scalings,
-negations, souls and continuations (``_taylor_sum``) of vectors give
-vectors; every other operation gives a dict.  A product with a vector
-decides on the kernel once (``_vector_product``): a constant scales the
-vector, and a vector meets another vector, or a dict where the crossover
-holds for the vector's nonzero count, in the kernel.  So ``sdet``,
-``det_even``, ``mat_inverse_even``, ``Supermatrix.__matmul__`` and
-``berezin.gaussian_super`` run from dense inputs to their results on
+grade of its masks, whichever form the operation that made it produced (see
+``Supernumber``).  Dense validated input, kernel products, and the sums,
+differences, scalings, negations, souls and continuations (``_taylor_sum``)
+of vectors give vectors; every other operation gives a dict.  A vector
+element builds its dict on first read and keeps it; a dict element that
+meets a vector in the kernel is converted for that one use (``_vector_of``),
+so that no result depends on what an element met before.  In a product with
+a vector (``_vector_product``) a constant scales the vector, and a vector
+meets another vector, or a dict where the crossover holds for the vector's
+nonzero count, in the kernel, unless one holds a value that is not finite.
+So ``sdet``, ``det_even``, ``mat_inverse_even``, ``Supermatrix.__matmul__``
+and ``berezin.gaussian_super`` run from dense inputs to their results on
 vectors, converting nothing and building no dict: ``sdet(M @ N)`` reads the
 vectors ``@`` built.  ``body``, ``parity``, ``is_zero``, ``max_abs``,
 ``soul`` and negation read the vector; equality, hashing, ``to_json`` and
-the dict loop read the dict.  A sum of two vectors may differ from the dict
-sum only in the sign of a zero part of a coefficient that one operand alone
-holds.
+the dict loop read the dict.  A vector and its dict twin agree on every
+query, and on products up to the order of summation (two sparse vectors
+meet in the kernel, their dicts in the loop); a sum of two vectors may
+differ from the dict sum in the sign of a zero part of a coefficient that
+one operand alone holds.
 
 Construction
 ------------
@@ -297,49 +301,42 @@ def _grade(masks: np.ndarray) -> int | None:
     return 0 if not odd else 1 if odd == masks.size else None
 
 
-def _vector_from(terms: Mapping[int, complex], L: int) -> Tuple[np.ndarray, int | None]:
-    """(vector, grade) of a term dict of ``complex`` coefficients."""
-    n = len(terms)
-    masks = np.fromiter(terms, dtype=np.intp, count=n)
-    v = np.zeros(1 << L, dtype=complex)
-    v[masks] = np.fromiter(terms.values(), dtype=complex, count=n)
-    return v, _grade(masks)
-
-
-def _dense_input(terms: Mapping, L: int) -> Tuple[np.ndarray, int | None] | None:
-    """(vector, grade) of input to the validating constructor that is dense
-    (n nonzero terms with ``_table_takes(n * n, L)``), with masks in range
-    and finite numbers only; None for anything else, which the validating
-    loop stores as a dict or rejects with its message."""
-    if not _table_takes(len(terms) ** 2, L):
-        return None
+def _vector_from(terms: Mapping, L: int) -> Tuple[np.ndarray, int | None] | None:
+    """(vector, grade) of a term dict, without its zeros (-0.0 among them);
+    None unless every mask is in range and every value a finite number (a
+    batch, inf and NaN are not), for a use of a dict element in the kernel
+    (``_vector_of``) or dense input (``_dense_input``)."""
     try:
         masks = np.fromiter(terms, dtype=np.intp, count=len(terms))
         values = np.fromiter(terms.values(), dtype=complex, count=len(terms))
     except (TypeError, ValueError, OverflowError):
         return None
-    nonzero = values != 0  # zeros, -0.0 among them, are dropped as the loop drops them
-    if masks.min() < 0 or masks.max() >> L or not np.isfinite(values).all() \
-            or not _table_takes(int(np.count_nonzero(nonzero)) ** 2, L):
+    nonzero = values != 0
+    masks = masks[nonzero]
+    if masks.size and (masks.min() < 0 or masks.max() >> L) or not _finite_array(values):
         return None
     v = np.zeros(1 << L, dtype=complex)
-    v[masks[nonzero]] = values[nonzero]
-    return v, _grade(masks[nonzero])
+    v[masks] = values[nonzero]
+    return v, _grade(masks)
 
 
-def _vector_of(X: Supernumber) -> np.ndarray | None:
-    """X's coefficient vector: the one it holds, or one built from its terms
-    and kept on it, so that each element is converted at most once.  None,
-    and nothing kept, when a coefficient is a batch or not finite (inf times
-    an absent 0 would put NaN where the dict loop puts nothing)."""
-    v = X._vec
-    if v is None and {complex}.issuperset(map(type, X._terms.values())):
-        w, grade = _vector_from(X._terms, X.L)
-        if np.isfinite(w).all():
-            w.flags.writeable = False
-            X._grade, X._vec = grade, w
-            v = w
-    return v
+def _dense_input(terms: Mapping, L: int) -> Tuple[np.ndarray, int | None] | None:
+    """``_vector_from`` of input to the validating constructor that is dense
+    (n nonzero terms with ``_table_takes(n * n, L)``); None for anything
+    else, which the validating loop stores as a dict or rejects."""
+    if not _table_takes(len(terms) ** 2, L) or (out := _vector_from(terms, L)) is None:
+        return None
+    return out if _table_takes(int(np.count_nonzero(out[0])) ** 2, L) else None
+
+
+def _vector_of(X: Supernumber) -> Tuple[np.ndarray, int | None] | None:
+    """(vector, grade) of X: the ones it holds, or ones built from its terms
+    for this one use, so that a dict element stays a dict whatever it meets.
+    None when a coefficient is a batch or not finite (inf times an absent 0
+    would put NaN where the dict loop puts nothing)."""
+    if X._vec is not None:
+        return (X._vec, X._grade) if _holds_finite(X) else None
+    return _vector_from(X._terms, X.L)
 
 
 def _terms_of(v: np.ndarray) -> Dict[int, complex]:
@@ -366,6 +363,8 @@ class _VectorTerms:
         return self.built
 
     def __getattr__(self, name):  # get, keys, items, values
+        if name in _VectorTerms.__slots__ or name.startswith("__"):
+            raise AttributeError(name)  # unset on a bare copy (copy, pickle)
         return getattr(self._terms(), name)
 
     def __getitem__(self, mask):
@@ -425,27 +424,35 @@ def _from_vector(L: int, v: np.ndarray, grade: int | None, cut: _Cut | None) -> 
     return Supernumber(L, (v, grade), _VECTOR, cut)
 
 
-def _dense_product(a: Supernumber, b: Supernumber) -> np.ndarray:
-    """The coefficient vector of a * b, for a and b of one L that hold their
-    vectors: x[J] y[K] times the sort sign, summed from +0.0 into J|K over
-    the pair block of their grades (``_pair_block``), in the table's order.
-    Overflow gives inf (and inf - inf NaN), as in the dict loop; call it in
-    ``_quietly``."""
-    J, K, bins, positive = _pair_block(a.L, a._grade, b._grade)
-    t = a._vec.take(J)
-    t *= b._vec.take(K)
+def _holds_finite(X: Supernumber) -> bool:
+    """Whether the vector X holds is finite: tested on the first ask (a
+    vector that overflowed takes the dict loop, not the kernel) and kept."""
+    if X._finite is None:
+        X._finite = _finite_array(X._vec)
+    return X._finite
+
+
+def _dense_product(x: Tuple[np.ndarray, int | None], y: Tuple[np.ndarray, int | None],
+                   L: int) -> np.ndarray:
+    """The coefficient vector of the product of two (vector, grade) pairs at
+    L generators: x[J] y[K] times the sort sign, summed from +0.0 into J|K
+    over the pair block of their grades (``_pair_block``), in the table's
+    order.  Overflow gives inf (and inf - inf NaN), as in the dict loop;
+    call it in ``_quietly``."""
+    J, K, bins, positive = _pair_block(L, x[1], y[1])
+    t = x[0].take(J)
+    t *= y[0].take(K)
     t.view(np.float64)[2 * positive:] *= -1.0
-    return np.bincount(bins, weights=t.view(np.float64), minlength=2 << a.L).view(complex)
+    return np.bincount(bins, weights=t.view(np.float64), minlength=2 << L).view(complex)
 
 
 def _table_product(a: Supernumber, b: Supernumber) -> Supernumber | None:
     """a * b (same L) by the table kernel, carrying the cut of a or b; None
     when an operand cannot be written as one vector (``_vector_of``)."""
-    if _vector_of(a) is None or _vector_of(b) is None:
+    if (x := _vector_of(a)) is None or (y := _vector_of(b)) is None:
         return None
-    ga, gb = a._grade, b._grade
-    return _from_vector(a.L, _quiet(_dense_product, a, b),
-                        None if ga is None or gb is None else ga ^ gb, a._cut or b._cut)
+    return _from_vector(a.L, _quiet(_dense_product, x, y, a.L),
+                        None if x[1] is None or y[1] is None else x[1] ^ y[1], a._cut or b._cut)
 
 
 def _times(c: complex, v: np.ndarray) -> np.ndarray:
@@ -654,15 +661,15 @@ class Supernumber:
     "Two forms" in the module docstring).  Either ``_vec`` is None and
     ``_terms`` is the term dict {mask: coefficient}, or ``_vec`` is the
     read-only coefficient vector, ``_grade`` the grade of its nonzero masks
-    (0 all even, 1 all odd, None unknown or both) and ``_terms`` a
+    (0 all even, 1 all odd, None unknown or both), ``_finite`` whether it is
+    finite (None until first asked, ``_holds_finite``) and ``_terms`` a
     ``_VectorTerms``, which builds the dict on its first read and keeps it.
-    A dict that meets a vector keeps the vector ``_vector_of`` builds.
 
     Every stored element keeps three invariants: each mask is in [0, 2^L);
     each coefficient is exactly ``complex`` or a complex ``ndarray`` (a
     batch); no coefficient is 0 (at every node, for a batch).  A vector holds
-    +0.0, never -0.0, at every mask its element does not hold, so that it is
-    the vector its terms convert to; it holds no batch.
+    no batch, and +0.0, never -0.0, at every mask its element does not hold,
+    so that it is the vector its terms convert to.
 
     ``Supernumber(L, terms)`` validates its input: it checks each mask's range,
     converts each coefficient to ``complex`` (a 1-D array, a batch, to a
@@ -670,13 +677,14 @@ class Supernumber:
     raises ``GrassmannError`` on a NaN or inf coefficient (on any node of a
     batch) and drops zeros.  So do ``make``, ``scalar``, ``gen`` and
     ``from_json``, which build through it.  A dense input (finite numbers, no
-    batch, L <= ``_TABLE_MAX_L`` and n nonzero terms with
-    ``_table_takes(n * n, L)``) is stored as its vector only.
+    batch, n nonzero terms with ``_table_takes(n * n, L)``) is stored as its
+    vector only.
 
     Results the package computes itself from elements that already keep the
-    invariants pass the private third argument ``_AS_IS`` and are stored as
-    given, so each operation that can make a 0 drops it (a batch only when it
-    is 0 at every node) with ``_nonzero``, or inline for a ``complex``:
+    invariants pass the private third argument ``_AS_IS`` (a dict) or
+    ``_VECTOR`` (the pair (vector, grade)) and are stored as given, so each
+    operation that can make a 0 in a dict drops it (a batch only when it is
+    0 at every node) with ``_nonzero``, or inline for a ``complex``:
 
     * ``+`` and ``-`` between elements, and ``rk4_step``'s sums, test the
       masks both operands hold;
@@ -690,23 +698,16 @@ class Supernumber:
 
     ``-X``, ``embed`` to another L, ``zero``, ``one``, ``soul``,
     ``degree_filter``, ``conjugate``, ``chop``, ``gen_left_derivative``,
-    ``seed`` and ``seed_parts`` make no 0.  A vector needs no such test: its
-    terms are its nonzero entries.  Vector results pass ``_VECTOR`` with the
-    pair (vector, grade) in place of the dict.
-
-    The masks must be in range and the coefficients exactly ``complex`` or
-    complex arrays: a ``np.complex128`` stored here would send later products
-    back to the dict loop (see ``_vector_of``).  Arithmetic on clean
-    coefficients stays clean (complex op complex is complex; complex op
-    complex array is a complex array); a value from numpy, such as ``np.dot``,
-    is converted first.
-
-    The ``_AS_IS`` and ``_VECTOR`` branches also take a private fourth
-    argument, the ``_cut`` of a first-order seeding the result carries (see
-    "Seeding" in the module docstring); a validated element has none.
+    ``seed`` and ``seed_parts`` make no 0, and a vector's terms are its
+    nonzero entries.  A ``np.complex128`` stored as a coefficient would send
+    later products to the dict loop (see ``_vector_of``), so a value from
+    numpy, such as ``np.dot``, is converted first; arithmetic on clean
+    coefficients stays clean.  Both private branches take a fourth argument,
+    the ``_cut`` of a first-order seeding the result carries (see "Seeding"
+    in the module docstring); a validated element has none.
     """
 
-    __slots__ = ("L", "_terms", "_cut", "_vec", "_grade")
+    __slots__ = ("L", "_terms", "_cut", "_vec", "_grade", "_finite")
 
     # numpy arrays and scalars on the left of + and * defer to __radd__ and
     # __rmul__ instead of broadcasting over this object
@@ -725,7 +726,7 @@ class Supernumber:
             v, self._grade = terms
             v.flags.writeable = False
             self._vec, self._terms = v, _VectorTerms(v)
-            self._cut = _cut
+            self._cut, self._finite = _cut, None
             return
         self.L = _generator_count(L)
         self._cut = None
@@ -733,7 +734,7 @@ class Supernumber:
                 and (dense := _dense_input(terms, self.L)) is not None:
             v, self._grade = dense
             v.flags.writeable = False
-            self._vec, self._terms = v, _VectorTerms(v)
+            self._vec, self._terms, self._finite = v, _VectorTerms(v), True
             return
         clean: Dict[int, complex] = {}
         if terms:
@@ -933,7 +934,7 @@ class Supernumber:
         c = complex(other) if isinstance(other, (int, float, complex)) else _coefficient(other)
         if c is None:
             return NotImplemented
-        if self._vec is not None and type(c) is complex:
+        if self._vec is not None and type(c) is complex and cmath.isfinite(c):
             return _scaled_vector(c, self, self._cut)
         return Supernumber(self.L, _scaled(c, self._terms), _AS_IS, self._cut)
 
@@ -954,6 +955,12 @@ class Supernumber:
         if not _is_finite(out):
             raise GrassmannDomainError("quotient overflows: a coefficient is not finite")
         return out
+
+    def __reduce__(self):
+        # copy and pickle keep the form and the cut, and a vector read-only
+        if self._vec is not None:
+            return _from_vector, (self.L, self._vec, self._grade, self._cut)
+        return Supernumber, (self.L, self._terms, _AS_IS, self._cut)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -1541,17 +1548,21 @@ def chop(X: Supernumber, tol: float) -> Supernumber:
 # diagnostics and comparison
 # ---------------------------------------------------------------------------
 
-def _is_finite(X) -> bool:
-    """True when every coefficient of X (a Supernumber or a number) is
-    finite, at every node for a batch.  A batch array is read once: a finite
-    sum of squares (``np.vdot``, a BLAS call that neither warns nor raises)
+def _finite_array(a: np.ndarray) -> bool:
+    """True when every value of a is finite.  a is read once: a finite sum
+    of squares (``np.vdot``, a BLAS call that neither warns nor raises)
     proves each value finite, and only one that is not, as for values above
     1e154, takes the test value by value."""
+    return cmath.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
+def _is_finite(X) -> bool:
+    """True when every coefficient of X (a Supernumber or a number) is
+    finite, at every node for a batch."""
     if isinstance(X, Supernumber) and X._vec is not None:
-        return bool(np.isfinite(X._vec).all())
+        return _holds_finite(X)
     coeffs = X._terms.values() if isinstance(X, Supernumber) else (X,)
-    return all(cmath.isfinite(c) if type(c) is complex
-               else cmath.isfinite(np.vdot(c, c)) or np.isfinite(c).all() for c in coeffs)
+    return all(cmath.isfinite(c) if type(c) is complex else _finite_array(c) for c in coeffs)
 
 
 def _modulus(c) -> float:

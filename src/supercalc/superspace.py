@@ -42,7 +42,6 @@ from __future__ import annotations
 import ast
 import cmath
 import contextlib
-import contextvars
 import dataclasses
 import functools
 import struct
@@ -56,7 +55,6 @@ from .grassmann import (
     GrassmannDomainError,
     GrassmannError,
     Supernumber,
-    _QUIET,
     _cut_of,
     _is_finite,
     _monomial,
@@ -506,11 +504,6 @@ class _ScaledBody(BodyFunction):
 # Grassmann continuation
 # ---------------------------------------------------------------------------
 
-# True while berezin's quadrature evaluates a chunk with numpy raising on
-# overflow, invalid and divide, which sends a failing chunk node by node
-_RAISING = contextvars.ContextVar("supercalc_raising", default=False)
-
-
 class _TaylorBasis:
     """Everything of a Taylor continuation that depends on the point alone.
 
@@ -537,15 +530,22 @@ class _TaylorBasis:
         self.memo: Dict[int, tuple] = {}
         self.cut = cut
 
-    def quiet(self):
-        """A context in which numpy's overflow, invalid and divide errors are
-        ignored for a batch, so that a value not finite at some node reaches
-        the finite check of the public call, which enters this once, and
-        raises GrassmannDomainError as one node does.  Inside the quadrature's
-        chunks (``_RAISING``) numpy's errors still raise."""
-        if not self.batch or _RAISING.get():
-            return contextlib.nullcontext()
-        return np.errstate(**_QUIET)
+    @contextlib.contextmanager
+    def raising(self):
+        """A context for one public call over this basis.  On a batch numpy's
+        overflow, invalid and divide errors are recorded in place of its
+        warning, and one raises GrassmannDomainError at the end, as the call
+        raises at a node where it occurs; so a chunk of berezin's quadrature
+        is retried node by node (a ValueError) as under its own errstate."""
+        if not self.batch:
+            yield
+            return
+        errors = []
+        with np.errstate(over="call", invalid="call", divide="call",
+                         call=lambda kind, flag: errors.append(kind)):
+            yield
+        if errors:
+            raise GrassmannDomainError(f"continuation overflows: {errors[0]} at some node")
 
     def continued(self, bf: BodyFunction) -> Supernumber:
         """The continuation of bf over this basis (``grassmann._taylor_sum``).
@@ -584,7 +584,7 @@ def continue_body(bf: BodyFunction, xs: Sequence[Supernumber]) -> Supernumber:
     if len(xs) != bf.m:
         raise GrassmannError(f"expected {bf.m} even arguments, got {len(xs)}")
     basis = _taylor_basis(xs, max((x.L for x in xs), default=0))
-    with basis.quiet():
+    with basis.raising():
         out = basis.continued(bf)
     if not _is_finite(out):
         raise GrassmannDomainError("continuation overflows: a coefficient is not finite")
@@ -682,7 +682,7 @@ class SuperFunction:
         basis = P._basis()
         L = basis.L
         acc = zero(L)
-        with basis.quiet():
+        with basis.raising():
             for mask in sorted(self.coefficients):
                 cont = basis.continued(self.coefficients[mask])
                 if cont.is_zero():

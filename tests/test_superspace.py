@@ -972,19 +972,18 @@ def test_evaluate_on_a_batch_raises_without_a_numpy_warning(name):
         f.evaluate(point)
 
 
-def test_a_batch_in_the_quadratures_chunks_keeps_numpy_raising():
-    # inside a chunk of berezin's quadrature numpy raises, so that a failing
-    # chunk is evaluated again node by node: exp(-exp(q1)) at 800 raises
-    # there, as at one node, where ignoring the overflow would give 0
+def test_a_batch_whose_value_overflows_inside_raises_as_one_node_does():
+    # exp(-exp(q1)) at 800 overflows in exp(q1) and would come out 0 if the
+    # overflow were ignored; it raises on the batch as at one node, also
+    # inside a chunk of berezin's quadrature, where numpy raises
     x = Supernumber(1, {0: np.array([800.0, 1.0])})
     bf = expr_body("exp(-exp(q1))", 1)
-    token = superspace._RAISING.set(True)
-    try:
-        with np.errstate(over="raise"), pytest.raises(GrassmannDomainError, match="overflow"):
-            continue_body(bf, [x])
-    finally:
-        superspace._RAISING.reset(token)
     with pytest.raises(GrassmannDomainError):
         continue_body(bf, [scalar(1, 800.0)])
-    # outside a chunk the overflow is ignored, and the value is finite
-    assert continue_body(bf, [x]).body[0] == 0
+    with pytest.raises(GrassmannDomainError, match="overflow"):
+        continue_body(bf, [x])
+    with np.errstate(over="raise"), pytest.raises(GrassmannDomainError, match="overflow"):
+        continue_body(bf, [x])
+    # an underflow is no error, at one node or on a batch
+    tiny = Supernumber(1, {0: np.array([-800.0, 1.0])})
+    assert continue_body(expr_body("exp(q1)", 1), [tiny]).body[0] == 0

@@ -1,13 +1,16 @@
 """Elements that hold their coefficient vectors.
 
 An element holds its term dict or its length-2^L coefficient vector, the form
-the operation that made it produced, and builds the other on first read and
-keeps it: each element is converted at most once, by ``_vector_of``, and
-builds its dict at most once, by ``_terms_of``.  Its vector is read-only and
-is the vector its terms give, with +0.0 and never -0.0 where it holds no
-term, and the element agrees with its dict twin on every query and product.
+the operation that made it produced.  An element that holds its vector builds
+its dict at most once, by ``_terms_of``, and keeps it; a dict element is
+converted by ``_vector_of`` for one use and stays a dict.  A vector is
+read-only, finite, and the vector its terms give, with +0.0 and never -0.0
+where it holds no term, and the element agrees with its dict twin on every
+query and product.
 """
 
+import copy
+import pickle
 import sys
 import threading
 from pathlib import Path
@@ -35,11 +38,10 @@ def conversions(monkeypatch):
     vector_of = gr._vector_of
 
     def spy(X):
-        had = X._vec is not None
-        v = vector_of(X)
-        if not had and v is not None:
+        out = vector_of(X)
+        if X._vec is None and out is not None:
             seen.append(X)
-        return v
+        return out
 
     monkeypatch.setattr(gr, "_vector_of", spy)
     return seen
@@ -54,9 +56,8 @@ def dense(rng, L=L, parity="even"):
 def assert_as_converted(X):
     """X's vector is the one a conversion of its terms gives, and its grade,
     where known, is that of its terms."""
-    twin = dict_twin(X)
-    assert gr._vector_of(twin) is not None
-    assert X._vec.tobytes() == twin._vec.tobytes()
+    v, _ = gr._vector_of(dict_twin(X))
+    assert X._vec.tobytes() == v.tobytes()
     odd = [m.bit_count() & 1 for m in X._terms]
     assert X._grade is None or not any(p != X._grade for p in odd)
 
@@ -89,14 +90,16 @@ def test_a_berezinian_solve_converts_each_element_once(conversions, monkeypatch)
             workload.solve(case)
         assert conversions == []
         assert builds == []
-    # the same case held as dicts converts each entry at most once
-    M, N, G, lam = workload.build(5)[0]
+    # the same case held as dicts converts its entries for each use and
+    # keeps no vector on them, so every solve of it gives the same bytes
+    case = workload.build(5)[0]
+    M, N, G, lam = case
     twin_case = (twins(M), twins(N), twins(G), lam)
-    workload.solve(twin_case)
-    assert 0 < len(conversions) == len({id(X) for X in conversions})
-    first = len(conversions)
-    workload.solve(twin_case)
-    assert len(conversions) == first
+    first = workload.solve(twin_case)
+    assert conversions
+    assert all(e._vec is None for S in twin_case[:3] for r in S.rows for e in r)
+    for out in (workload.solve(twin_case), workload.solve(case)):
+        assert all(same_bytes(a, b) for a, b in zip(first, out, strict=True))
 
 
 def test_sdet_of_a_product_reads_the_vectors_the_product_built(conversions, monkeypatch):
@@ -116,12 +119,14 @@ def test_sdet_of_a_product_reads_the_vectors_the_product_built(conversions, monk
 def test_memo_vectors_are_read_only():
     rng = np.random.default_rng(109)
     X = dense(rng)
-    converted = dict_twin(dense(rng))
-    gr._vector_of(converted)
-    for Y in (X, X * X, X + X, -X, 2.0 * X, gr.soul(X), converted):
+    for Y in (X, X * X, X + X, -X, 2.0 * X, gr.soul(X), copy.deepcopy(X),
+              pickle.loads(pickle.dumps(X))):
         assert Y._vec is not None
         with pytest.raises(ValueError):
             Y._vec[0] = 1.0
+    # a conversion is for its one use: the dict element keeps no vector
+    converted = dict_twin(dense(rng))
+    assert gr._vector_of(converted) is not None and converted._vec is None
 
 
 def test_dense_input_is_stored_as_its_vector_only():
@@ -145,10 +150,9 @@ def test_an_element_freed_and_rebuilt_gets_its_own_vector():
     rng = np.random.default_rng(113)
     terms = dict(dense(rng)._terms)
     X, Y = Supernumber(L, terms), Supernumber(L, terms)
-    twin = dict_twin(X)
-    gr._vector_of(twin)
-    assert X._vec is not Y._vec and X._vec is not twin._vec
-    assert X._vec.tobytes() == Y._vec.tobytes() == twin._vec.tobytes()
+    converted, _ = gr._vector_of(dict_twin(X))
+    assert X._vec is not Y._vec and X._vec is not converted
+    assert X._vec.tobytes() == Y._vec.tobytes() == converted.tobytes()
     del X
     Z = Supernumber(L, terms)
     assert Z._vec.tobytes() == Y._vec.tobytes()
@@ -177,19 +181,28 @@ def test_a_built_element_reads_back_as_converted(kind):
 
 def test_a_built_element_that_is_not_finite_is_not_recorded(conversions):
     # a dict with inf is not converted, and products with it take the dict
-    # loop; a kernel product that overflows keeps its vector, and the exits
-    # still raise
+    # loop; so do products with a kernel product, sum or scaling that
+    # overflows, which never takes the kernel again (inf times an absent 0
+    # would put NaN where the dict loop puts nothing); the exits still raise
     rng = np.random.default_rng(131)
     X = dense(rng, 6)
     inf = X + 1e200 * Supernumber(6, {0b11: 1e200})
-    assert inf._vec is None and gr._vector_of(inf) is None and inf._vec is None
+    assert inf._vec is None and gr._vector_of(inf) is None
     assert conversions == []
     assert (inf * X)._vec is None
     big = 1e200 * X
-    over = big * big
-    assert over._vec is not None and not gr._is_finite(over)
+    for over in (big * big, big * 1e200 + big, 1e300 * big):
+        assert gr._vector_of(over) is None and not gr._is_finite(over)
+        assert over._terms.keys() <= set(X._terms)
+        for Y in (X, big, over):
+            assert (over * Y)._vec is None and (Y * over)._vec is None
+            assert same_coefficients(over * Y, dict_twin(over) * dict_twin(Y))
     with pytest.raises(gr.GrassmannDomainError):
-        gr.inverse(over)
+        gr.inverse(big * big)
+    # a scaling by inf takes the dict loop too: NaN only where X holds a term
+    for c in (np.inf, complex(np.inf, 1.0), np.nan):
+        assert same_coefficients(c * X, c * dict_twin(X))
+        assert (c * X)._terms.keys() == X._terms.keys()
 
 
 def test_threads_reading_one_element_get_the_same_forms():
@@ -198,7 +211,7 @@ def test_threads_reading_one_element_get_the_same_forms():
     # the bytes of a fresh build
     rng = np.random.default_rng(139)
     pool = [dense(rng) for _ in range(24)] + [dict_twin(dense(rng)) for _ in range(24)]
-    want = [(dict(X._terms), gr._vector_of(dict_twin(X)).tobytes()) for X in pool]
+    want = [(dict(X._terms), gr._vector_of(dict_twin(X))[0].tobytes()) for X in pool]
     pool = [Supernumber(L, dict(X._terms)) if i < 24 else dict_twin(X)
             for i, X in enumerate(pool)]
     wrong = []
@@ -209,7 +222,7 @@ def test_threads_reading_one_element_get_the_same_forms():
             i = int(pick.integers(len(pool)))
             X = pool[i]
             terms, vector = want[i]
-            if X._terms != terms or gr._vector_of(X).tobytes() != vector:
+            if X._terms != terms or gr._vector_of(X)[0].tobytes() != vector:
                 wrong.append(i)
 
     interval = sys.getswitchinterval()
@@ -255,6 +268,38 @@ def test_an_element_and_its_dict_twin_agree(parity):
     seeded = gr.seed([gr.scalar(L - 2, 0.5)], [], L - 2, first_order=True)[0][0]
     assert seeded.L == L and seeded._cut is not None
     assert same_bytes(X * seeded, twin * seeded) and same_bytes(seeded * X, seeded * twin)
+
+
+def test_a_dict_element_sums_the_same_before_and_after_a_kernel_product():
+    # a conversion keeps no vector on the dict element, so its sums take the
+    # dict code after it met a vector as before: 1 - 0j where the other
+    # operand holds nothing stays 1 - 0j, where a vector sum gives 1 + 0j
+    rng = np.random.default_rng(157)
+    X, Y = dense(rng), dense(rng, parity="odd")
+    terms = dict(X._terms)
+    terms[0b11] = complex(1.0, -0.0)  # Y is odd and holds nothing at 0b11
+    twin = Supernumber(L, terms, gr._AS_IS)
+    before = [twin + Y, Y + twin, twin - Y, Y - twin]
+    product = twin * Y
+    assert product._vec is not None and twin._vec is None
+    after = [twin + Y, Y + twin, twin - Y, Y - twin]
+    assert all(same_coefficients(a, b) for a, b in zip(before, after, strict=True))
+    assert all(np.signbit(Z._terms[0b11].imag) for Z in after[:3])
+
+
+@pytest.mark.parametrize("form", ["vector", "dict", "batch", "cut"])
+def test_an_element_copies_and_pickles_in_its_form(form):
+    rng = np.random.default_rng(163)
+    X = {"vector": dense(rng), "dict": dict_twin(dense(rng)),
+         "batch": Supernumber(3, {0: np.arange(1.0, 4.0), 0b101: 2.0}),
+         "cut": gr.seed([gr.scalar(2, 0.5)], [], 2, first_order=True)[0][0]}[form]
+    for Y in (copy.copy(X), copy.deepcopy(X), pickle.loads(pickle.dumps(X))):
+        assert same_coefficients(Y, X) and Y._cut == X._cut
+        assert (Y._vec is None) == (X._vec is None)
+        if Y._vec is not None:
+            assert not Y._vec.flags.writeable and Y._grade == X._grade
+    # the lazy term mapping of a vector element copies too
+    assert dict(copy.deepcopy(dense(rng)._terms).items())
 
 
 def test_dense_parity_and_low_degree():
