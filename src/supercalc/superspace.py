@@ -504,6 +504,30 @@ class _ScaledBody(BodyFunction):
 # Grassmann continuation
 # ---------------------------------------------------------------------------
 
+class _Raising:
+    """A context in which numpy's overflow, invalid and divide errors on a
+    batch are recorded in place of its warning, and one raises
+    GrassmannDomainError at the end, as the same call raises at a node where
+    it occurs; so a chunk of berezin's quadrature is retried node by node (a
+    ValueError) as under its own errstate.  A class, as it is cheaper to
+    enter than a generator's context."""
+
+    __slots__ = ("errors", "state")
+
+    def __enter__(self):
+        self.errors = []
+        self.state = np.errstate(over="call", invalid="call", divide="call", call=self._record)
+        self.state.__enter__()
+
+    def _record(self, kind, flag):
+        self.errors.append(kind)
+
+    def __exit__(self, kind, *exc):
+        self.state.__exit__(kind, *exc)
+        if self.errors and kind is None:
+            raise GrassmannDomainError(f"continuation overflows: {self.errors[0]} at some node")
+
+
 class _TaylorBasis:
     """Everything of a Taylor continuation that depends on the point alone.
 
@@ -530,22 +554,10 @@ class _TaylorBasis:
         self.memo: Dict[int, tuple] = {}
         self.cut = cut
 
-    @contextlib.contextmanager
     def raising(self):
-        """A context for one public call over this basis.  On a batch numpy's
-        overflow, invalid and divide errors are recorded in place of its
-        warning, and one raises GrassmannDomainError at the end, as the call
-        raises at a node where it occurs; so a chunk of berezin's quadrature
-        is retried node by node (a ValueError) as under its own errstate."""
-        if not self.batch:
-            yield
-            return
-        errors = []
-        with np.errstate(over="call", invalid="call", divide="call",
-                         call=lambda kind, flag: errors.append(kind)):
-            yield
-        if errors:
-            raise GrassmannDomainError(f"continuation overflows: {errors[0]} at some node")
+        """A context for one public call over this basis (``_Raising`` for a
+        batch)."""
+        return _Raising() if self.batch else contextlib.nullcontext()
 
     def continued(self, bf: BodyFunction) -> Supernumber:
         """The continuation of bf over this basis (``grassmann._taylor_sum``).
