@@ -828,10 +828,18 @@ class Supernumber:
     def embed(self, L: int) -> "Supernumber":
         """Reinterpret in an algebra with L generators; L below self.L only when
         the generators above it are unoccupied.  At L == self.L this is self,
-        which is immutable, so the hot paths embed without building a copy."""
+        which is immutable, so the hot paths embed without building a copy.
+        An element that holds its vector keeps it, padded with +0.0, up to
+        ``_TABLE_MAX_L`` generators; above that it becomes its term dict."""
         L = _generator_count(L)
         if L == self.L:
             return self
+        if self._vec is not None and self.L < L <= _TABLE_MAX_L:
+            v = np.zeros(1 << L, dtype=complex)
+            v[:self._vec.size] = self._vec
+            out = _from_vector(L, v, self._grade, self._cut)
+            out._finite = self._finite
+            return out
         if L < self.L:
             for m in self._terms:
                 if m >> L:

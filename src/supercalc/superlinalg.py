@@ -24,7 +24,6 @@ has the body of B, so it exists nowhere the B side does not.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, List, Sequence, Tuple
 
@@ -112,9 +111,9 @@ def _unit_rows(rows: np.ndarray):
 
 
 def _below_rounding(value, unit: np.ndarray) -> np.ndarray:
-    """Node by node, |value| <= n eps prod_i ||unit[i]||: whether a
-    determinant or a pivot of the scaled rows unit is 0 to working precision.
-    A value that is not finite of finite rows went through a pivot whose
+    """Node by node, |value| <= n eps prod_i ||unit[i]||: whether the
+    determinant value of the scaled rows unit is 0 to working precision.  A
+    value that is not finite of finite rows went through an LU pivot whose
     square underflows, and is negligible; an entry that is not finite makes
     its node not negligible, and leaves the caller's finite checks to raise."""
     value = np.abs(value)
@@ -176,18 +175,11 @@ def _body(rows: np.ndarray, invert: bool = False, scaled=None):
         return negligible, inv.real / col + 1j * (inv.imag / col)
 
 
-def _negligible(rows: np.ndarray, pivot: int | None = None) -> np.ndarray:
-    """Where the body determinant of the square rows (``_body``), or with
-    ``pivot`` the entry rows[0, pivot] of one row, is 0 to working precision
-    at the scale of the rows, node by node: |value| <= n eps prod_i ||rows[i]||
-    on the rows each scaled to parts of at most 1, which is the same test for
-    any multiple of each row.  rows is (k, n), or (k, n, nodes) for a batch.
-    """
-    if pivot is None:
-        return _body(rows)[0]
-    with np.errstate(**_QUIET):
-        unit, _ = _unit_rows(rows)
-        return _below_rounding(unit[0, pivot], unit)
+def _negligible(rows: np.ndarray) -> np.ndarray:
+    """Where the body determinant of the square rows, (n, n) or (n, n, nodes)
+    for a batch, is 0 to working precision at the scale of the rows, node by
+    node (``_body``): the same test for any multiple of each row."""
+    return _body(rows)[0]
 
 
 class Supermatrix:
@@ -364,37 +356,14 @@ def str_super(M: Supermatrix) -> Supernumber:
 # determinants of even-entry matrices
 # ---------------------------------------------------------------------------
 
-def _det_leibniz(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
-    """Leibniz expansion of a nonempty square matrix: each term starts from
-    its first factor, and the sum from the identity's term; a term of an odd
-    permutation (odd count of inversions) is subtracted."""
-    size = len(rows)
-    acc = None
-    for perm in itertools.permutations(range(size)):
-        term = rows[0][perm[0]]
-        for i in range(1, size):
-            term = term * rows[i][perm[i]]
-        if acc is None:
-            acc = term
-        elif sum(a > b for a, b in itertools.combinations(perm, 2)) & 1:
-            acc = acc - term
-        else:
-            acc = acc + term
-    return acc
-
-
 def det_even(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
-    """Determinant of a square matrix with commuting (even) entries.
-
-    Leibniz expansion for size <= 4; Gaussian elimination with body-invertible
-    pivots above that (entries commute, so ordinary row reduction is exact);
-    Leibniz fallback up to size 6 when no body-invertible pivot exists.  A
-    pivot counts as invertible when its body is not negligible against its
-    row (``_negligible``), at every node for a batch.  Rows far from unit
-    scale are scaled apart by powers of two first, as ``sdet`` scales its
-    Schur rows, and the result meets the scaling last, so that a determinant
-    in range comes out in range.  A result that is not finite raises
-    GrassmannDomainError.
+    """Determinant of a square matrix with commuting (even) entries, by the
+    cofactor expansion of ``_det_even``: no pivot and no division at any
+    size, so a body singular to working precision gives its nilpotent
+    determinant.  Rows far from unit scale are scaled apart by powers of two
+    first, as ``sdet`` scales its Schur rows, and the result meets the
+    scaling last, so that a determinant in range comes out in range.  A
+    result that is not finite raises GrassmannDomainError.
     """
     rows, L = _in_one_algebra(*rows)
     size = len(rows)
@@ -410,59 +379,53 @@ def det_even(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
 
 
 def _det_even(rows, L: int):
-    """det_even of square rows, unscaled."""
+    """det_even of square rows, unscaled: the minor of all rows and columns
+    (``_minor``), so a*d - b*c at size 2."""
     if any(e.parity != "even" for r in rows for e in r):
         raise GrassmannDomainError("det_even needs even entries")
-    if not rows:
-        return one(L)
-    det = _det_leibniz(rows) if len(rows) <= 4 else _det_eliminate(rows)
+    every = tuple(range(len(rows)))
+    det = _minor(rows, L, {}, every, every)
     if not _is_finite(det):
         raise GrassmannDomainError("det_even overflows: a coefficient is not finite")
     return det
 
 
-def _det_eliminate(rows: Sequence[Sequence[Supernumber]]) -> Supernumber:
-    """Gaussian elimination for det_even, with its Leibniz fallback.
-
-    The product starts from the first pivot and is negated at the end after
-    an odd number of row swaps, so a zero real or imaginary part of the result
-    carries the sign that negation gives it.
-    """
-    size = len(rows)
-    work = list(rows)
-    det, negate = None, False
-    for col in range(size):
-        pivot_row = max(range(col, size), key=lambda r: np.min(np.abs(work[r][col].body)))
-        row = _node_array((e.body for e in work[pivot_row]), (1, size))
-        if np.any(_negligible(row, pivot=col)):
-            if size <= 6:
-                return _det_leibniz(rows)
-            raise GrassmannDomainError(
-                "no body-invertible pivot; Leibniz fallback only up to size 6"
-            )
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            negate = not negate
-        piv = work[col][col]
-        det = piv if det is None else det * piv
-        piv_inv = inverse(piv)
-        for r in range(col + 1, size):
-            factor = work[r][col] * piv_inv
-            if factor.is_zero():
-                continue
-            work[r] = [work[r][j] - factor * work[col][j] for j in range(size)]
-    return -det if negate else det
+def _minor(rows, L: int, memo: dict, R, C):
+    """The determinant of rows R and columns C (index tuples of one length)
+    of square rows of commuting entries in L generators, by Laplace expansion
+    along the first row of R: each term is an entry of that row times its
+    minor, the sum starts from the first term, and a term at an odd position
+    of C is subtracted.  Size 0 is one(L) and size 1 the entry; each minor of
+    size 2 or more is formed once and kept in memo, so the calls that share
+    a memo (a determinant and the cofactors of its adjugate) share their
+    minors.  Size k costs k products, and nothing is divided.  memo is an
+    argument, not a closure's cell: a closure that calls itself is a
+    reference cycle, which would keep the minors (arrays over the nodes of a
+    batch) alive until the cyclic garbage collector runs."""
+    if len(R) <= 1:
+        return rows[R[0]][C[0]] if R else one(L)
+    got = memo.get((R, C))
+    if got is None:
+        top, rest = rows[R[0]], R[1:]
+        for k, c in enumerate(C):
+            term = top[c] * _minor(rows, L, memo, rest, C[:k] + C[k + 1:])
+            got = term if k == 0 else got - term if k & 1 else got + term
+        memo[R, C] = got
+    return got
 
 
 def mat_inverse_even(rows: Sequence[Sequence[Supernumber]]) -> List[List[Supernumber]]:
     """Inverse of a square matrix with invertible body.
 
-    A block of even entries, which commute, takes the range-keeping inverse
-    (``_adjugate_inverse``) and scales its columns back; any other takes the
-    terminating Neumann series (``_neumann_inverse``).  A matrix that is not
-    square raises GrassmannError.  A body singular to working precision, at
-    any node for a batch, raises GrassmannDomainError, and so does a body or
-    a result that is not finite.
+    A block of even entries, which commute, is adj(U) det(U)^{-1} at every
+    size, for U its rows scaled apart by powers of two, with the columns
+    scaled back (``_adjugate_inverse``): the cofactors and the determinant
+    are minors of one expansion, and no inverse of the body is formed.  A
+    block with entries of other parities takes the terminating Neumann
+    series (``_neumann_inverse``).  A matrix that is not square raises
+    GrassmannError.  A body singular to working precision, at any node for a
+    batch, raises GrassmannDomainError, and so does a body or a result that
+    is not finite.
     """
     rows, L = _in_one_algebra(*rows)
     if any(len(r) != len(rows) for r in rows):
@@ -536,7 +499,10 @@ def _half_power(x: float, j: int, c: float = 1.0) -> Tuple[float, int]:
 
 
 def _scaled_rows(rows, e):
-    """rows with row i times 2^-e_i.  Call under ``_QUIET``."""
+    """rows with row i times 2^-e_i, the rows themselves where every e_i is
+    0.  Call under ``_QUIET``."""
+    if not np.any(e):
+        return rows
     return [[_times_two_to(x, -ei) for x in r] for r, ei in zip(rows, e)]
 
 
@@ -549,28 +515,27 @@ def _adjugate_inverse(rows, L: int) -> Tuple[List[List[Supernumber]], Supernumbe
     underflows, and delta = det(U)^{-1}.  Then rows^{-1} = U^{-1} 2^-E and
     det(rows)^{-1} = 2^-(e_0 + ...) delta: the caller puts 2^-E on the factor
     that meets U^{-1} next, since either can be out of range where the other
-    is not.  U^{-1} is delta for [[u]] and adj(U) delta for a 2 x 2 U; from
-    size 3 it is the Neumann series, and delta that of ``_det_even(U)``.
-    The body checks are those of ``mat_inverse_even``, made once: on the
-    rows up to size 2, and from size 3 by the Neumann series on U, whose rows
-    are those of the body scaled by powers of two, so that the row exponents
-    come from the peaks alone.
+    is not.  U^{-1} = adj(U) delta at every size, from the minors of U
+    (``_minor``, one memo): entry (i, j) is the minor without row j and column i
+    times delta, negated after the product where i + j is odd, so size 2 gives
+    [[d delta, -(b delta)], [-(c delta), a delta]] and size 1 [[delta]].  The
+    body checks are those of ``mat_inverse_even``, made once on the rows.
     """
     size = len(rows)
+    every = tuple(range(size))
+    drop = [every[:k] + every[k + 1:] for k in every]
     with np.errstate(**_QUIET):
-        if size >= 3:
-            e = _row_exponents(_peaks(_node_array((x.body for r in rows for x in r), (size, size))))
-        else:
-            e = _row_exponents(_regular_body(rows)[2])
-        U = _scaled_rows(rows, e)
-        if len(U) == 1:
-            delta = inverse(U[0][0])
+        e = _row_exponents(_regular_body(rows)[2])
+        U, memo = _scaled_rows(rows, e), {}
+        delta = inverse(_minor(U, L, memo, every, every))
+        if size == 1:
             return [[delta]], delta, e
-        if len(U) == 2:
-            (a, b), (c, d) = U
-            delta = inverse(a * d - b * c)
-            return [[d * delta, -(b * delta)], [-(c * delta), a * delta]], delta, e
-        return _neumann_inverse(U, L), inverse(_det_even(U, L)), e
+
+        def cofactor(i, j):
+            x = _minor(U, L, memo, drop[j], drop[i]) * delta
+            return -x if (i + j) & 1 else x
+
+        return [[cofactor(i, j) for j in every] for i in every], delta, e
 
 
 def _neumann_inverse(rows, L: int) -> List[List[Supernumber]]:

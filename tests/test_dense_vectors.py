@@ -23,7 +23,7 @@ from supercalc.berezin import gaussian_super
 from supercalc.grassmann import GrassmannDomainError, Supernumber
 from supercalc.superlinalg import det_even, from_blocks, mat_inverse_even, sdet
 
-from helpers import count_dense_products, count_dict_builds, same_bytes, twins
+from helpers import count_dense_products, count_dict_builds, dict_twin, same_bytes, twins
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -146,6 +146,24 @@ def test_batches_and_small_algebras_keep_the_element_path():
     for M in (batch, small):
         assert sl._sdet(M)._vec is None
         assert all(e._vec is None for r in M.rows for e in r)
+
+
+def test_embed_to_a_larger_algebra_keeps_the_vector(dict_builds):
+    rng = np.random.default_rng(83)
+    X, Y = dense(rng, 6, "even", 1.5), dense(rng, 8, "odd")
+    wide = X.embed(8)
+    assert wide._vec.size == 256 and (wide._grade, wide._finite) == (X._grade, X._finite)
+    # a product across generator counts embeds its narrower factor, and
+    # stays on the vectors
+    for out in (X * Y, Y * X, X + Y):
+        assert out._vec is not None
+    assert dict_builds == []
+    assert same_bytes(X * Y, wide * Y)
+    twin = dict_twin(X).embed(8)
+    assert wide == twin and gr.to_json(wide) == gr.to_json(twin)
+    assert gr.max_coeff_diff(X * Y, twin * dict_twin(Y)) <= 1e-14 * gr.max_abs(X * Y)
+    # above the table kernel's limit no 2^L vector is made
+    assert X.embed(gr._TABLE_MAX_L + 1)._vec is None
 
 
 # ---------------------------------------------------------------------------
