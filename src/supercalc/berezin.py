@@ -345,9 +345,10 @@ def odd_expand(fn: Callable[[Tuple[Supernumber, ...]], Supernumber],
 
     Evaluates once at fresh generators placed above the ambient algebra
     (grassmann.seed) and reads the theta-monomial coefficients back with
-    grassmann.seed_parts.  Every monomial is read, so this seeding does not
-    truncate; inside a first-order seeded evaluation its values keep the
-    outer cut, whose window lies below the generators seeded here.
+    grassmann.seed_parts.  Every monomial is read, so this seeding is full,
+    not first order.  Inside a first-order seeded evaluation the ambient
+    algebra holds the outer seeding's generators, and the polynomial's
+    coefficients are values there, seeded like any other.
 
     When fn returns a tuple of elements, the result is a tuple with one
     OddPolynomial per element, all read from that one evaluation: functions

@@ -37,12 +37,6 @@ the same coefficients up to the order of summation.
 * The dict loop visits every pair of terms, skips the overlapping ones and
   adds the rest with their sort sign, the parity of popcount(J & s) for one
   mask s per partner K (``_sign_mask``).  Its cost grows with len(X) * len(Y).
-  Under a first-order cut (see "Seeding"), a factor that is a seeded
-  constant, b + c sigma^M with M a slot mask, takes one pass over the other
-  factor per kind of pair instead (``_seeded_constant_product``): b times
-  each term the cut keeps, and c sigma^M times each seed-free term, its sign
-  from the one mask ``_sign_mask(M)``.  The sums, their order and the zeros
-  dropped are the loop's.
 
 Two term dicts go to the kernel when L <= 12 and their pair count is at least
 512 and at least 3^L / 4 (``_table_takes``); these are where the kernel over
@@ -126,34 +120,20 @@ Seeding
 (its slot mask) per slot, and ``seed_parts`` reads a value computed from them
 back by its fresh part: the part at a slot mask is the derivative along that
 slot, and the seed-free part (at 0) is the value at the unseeded slot values,
-so one evaluation gives both (``superspace._jet``).  A caller that reads
-first derivatives only (``seed(..., first_order=True)``) never needs a term
-whose fresh part is not one slot mask, and every product spends most of its
-pairs on such terms.  So a first-order seeding attaches a cut to the seeded
-values: the window of the seeding (its base L and its width) and the fresh
-parts it allows, 0 and each slot mask.  The dict-loop product skips a pair
-whose union has a fresh part ``(mask >> base) & window`` that is not allowed.
-The test reads the window only, so the generators of a seeding nested above
-it are never dropped by the outer cut.  Every result computed from a value
-with a cut carries it on: ``+``, ``-``, negation, number or array times
-element, ``/`` by a number, ``embed``, ``soul``, the Taylor continuation
-(``_taylor_sum``, ``apply_analytic`` too), and through its products
-``inverse``.  When both operands carry different cuts either one is kept,
-since each is valid alone.  ``seed_parts`` clears the cut of the window it
-reads back.
+so one evaluation gives both (``superspace._jet``).
 
-A cut is a permission to drop terms, never a duty: the table kernel and any
-result built through the validating constructor keep every term, which costs
-time and nothing else.  Products only ever add mask bits, so a dropped term
-never feeds a kept coefficient, and every kept coefficient sums the same
-pairs in the same order as without the cut: the derivatives read back are
-the same bit for bit.  (A product whose operands the cut has thinned may
-fall below the table kernel's crossover and take the dict loop; its kept
-coefficients then agree up to the order of summation.)  All of this holds
-only while fresh parts stay unions of slot masks, so an evaluation at
-first-order seeded values must not differentiate by a fresh generator
-(``gen_left_derivative``) or integrate over one.  Equality and hashing
-ignore the cut.
+A caller that reads first derivatives only (``seed(..., first_order=True)``)
+never needs a term with two or more seeds, and the algebra drops them: every
+slot monomial of such a seeding holds one generator tau shared by all its
+slots, so a product of two seeds holds tau twice and is 0.  The dict loop
+skips those pairs in its overlap test, and the parts at 0 and at each slot
+mask sum the same pairs in the same order as under a seeding without tau:
+the derivatives read back are the full seeding's bit for bit wherever a
+product takes the same path under both (their generator and term counts
+differ).  Nothing rides on the seeded values, so no caller rule is needed: a
+value computed from them may be differentiated by a fresh generator,
+integrated over one or seeded again, a nested seeding putting its own tau
+above.
 """
 
 from __future__ import annotations
@@ -165,8 +145,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Sequence,
-                    Tuple)
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -419,9 +398,9 @@ def _quiet(fn: Callable, *args):
         return fn(*args)
 
 
-def _from_vector(L: int, v: np.ndarray, grade: int | None, cut: _Cut | None) -> Supernumber:
+def _from_vector(L: int, v: np.ndarray, grade: int | None) -> Supernumber:
     """The element that holds the vector v, which has +0.0 where it is 0."""
-    return Supernumber(L, (v, grade), _VECTOR, cut)
+    return Supernumber(L, (v, grade), _VECTOR)
 
 
 def _holds_finite(X: Supernumber) -> bool:
@@ -447,12 +426,12 @@ def _dense_product(x: Tuple[np.ndarray, int | None], y: Tuple[np.ndarray, int | 
 
 
 def _table_product(a: Supernumber, b: Supernumber) -> Supernumber | None:
-    """a * b (same L) by the table kernel, carrying the cut of a or b; None
-    when an operand cannot be written as one vector (``_vector_of``)."""
+    """a * b (same L) by the table kernel; None when an operand cannot be
+    written as one vector (``_vector_of``)."""
     if (x := _vector_of(a)) is None or (y := _vector_of(b)) is None:
         return None
     return _from_vector(a.L, _quiet(_dense_product, x, y, a.L),
-                        None if x[1] is None or y[1] is None else x[1] ^ y[1], a._cut or b._cut)
+                        None if x[1] is None or y[1] is None else x[1] ^ y[1])
 
 
 def _times(c: complex, v: np.ndarray) -> np.ndarray:
@@ -465,19 +444,19 @@ def _times(c: complex, v: np.ndarray) -> np.ndarray:
     return out.view(complex).ravel()
 
 
-def _scaled_vector(c: complex, X: Supernumber, cut: _Cut | None) -> Supernumber:
+def _scaled_vector(c: complex, X: Supernumber) -> Supernumber:
     """c * X for X that holds its vector, or the zero element for c = 0, as
     the dict loop's scaling drops every term (also where X holds inf).  0
     times a negative real part is -0.0, which is set to +0.0."""
     if c == 0:
-        return Supernumber(X.L, {}, _AS_IS, cut)
+        return Supernumber(X.L, {}, _AS_IS)
     v = _quiet(_times, c, X._vec)
     if math.copysign(1.0, c.real) < 0:
         v[X._vec == 0] = 0
-    return _from_vector(X.L, v, X._grade, cut)
+    return _from_vector(X.L, v, X._grade)
 
 
-def _vector_product(a: Supernumber, b: Supernumber, cut: _Cut | None) -> Supernumber | None:
+def _vector_product(a: Supernumber, b: Supernumber) -> Supernumber | None:
     """a * b (same L) when a or b holds its vector; None to send it to the
     dict loop.  A constant factor scales the other's vector; two vectors meet
     in the table kernel; a vector and a term dict meet there too when the
@@ -486,7 +465,7 @@ def _vector_product(a: Supernumber, b: Supernumber, cut: _Cut | None) -> Supernu
     for x, y in ((a, b), (b, a)):
         if x._vec is None and x._terms.keys() <= {0}:
             c = x._terms.get(0, 0j)
-            return _scaled_vector(c, y, cut) if type(c) is complex and cmath.isfinite(c) else None
+            return _scaled_vector(c, y) if type(c) is complex and cmath.isfinite(c) else None
     if a._vec is not None and b._vec is not None:
         return _table_product(a, b) if a.L <= _TABLE_MAX_L else None
     vector, terms = (a._vec, b._terms) if a._vec is not None else (b._vec, a._terms)
@@ -501,13 +480,12 @@ def _vector_sum(a: Supernumber, b: Supernumber, op=np.add) -> Supernumber | None
     not finite.  Two vectors add entry by entry.  A term dict adds into a
     copy of the other's vector as the dict sum does: its coefficient where
     the vector is 0, else the sum."""
-    cut = a._cut or b._cut
     if a._vec is not None and b._vec is not None:
         return _from_vector(a.L, _quiet(op, a._vec, b._vec),
-                            a._grade if a._grade == b._grade else None, cut)
+                            a._grade if a._grade == b._grade else None)
     vector, other = (a, b) if a._vec is not None else (b, a)
     terms = other._terms
-    if not terms and other._cut is None:
+    if not terms:
         return vector
     values = list(terms.values())
     if not {complex}.issuperset(map(type, values)) or not all(map(cmath.isfinite, values)):
@@ -516,7 +494,7 @@ def _vector_sum(a: Supernumber, b: Supernumber, op=np.add) -> Supernumber | None
     v = vector._vec.copy()
     _quiet(_add_at, v, masks, np.array(values))
     grade = _grade(masks)
-    return _from_vector(a.L, v, grade if grade == vector._grade else None, cut)
+    return _from_vector(a.L, v, grade if grade == vector._grade else None)
 
 
 def _add_at(v: np.ndarray, masks: np.ndarray, values: np.ndarray) -> None:
@@ -551,21 +529,6 @@ def _coefficient(x):
     return None
 
 
-class _Cut(NamedTuple):
-    """The window of one first-order seeding (see "Seeding" above): terms
-    whose fresh part ``(mask >> base) & window`` is not in ``allowed`` may be
-    dropped."""
-
-    base: int
-    window: int
-    allowed: FrozenSet[int]
-
-
-def _cut_of(values: Iterable[Supernumber]) -> _Cut | None:
-    """The first cut carried by one of values, or None."""
-    return next((v._cut for v in values if v._cut is not None), None)
-
-
 def _nonzero(c) -> bool:
     """True when the clean coefficient c is not 0, at some node for a batch.
 
@@ -597,56 +560,6 @@ def _add_into(out: Dict[int, complex], terms: Mapping[int, complex], c=None) -> 
                 del out[m]
                 continue
         out[m] = v
-
-
-def _seeded_constant_product(x: Mapping[int, complex], y: Mapping[int, complex],
-                             cut: _Cut) -> Dict[int, complex] | None:
-    """The terms of the dict loop's product x * y under cut when x or y is a
-    seeded constant, exactly {0: b, M: c} with M a slot mask of cut (a
-    body-only slot value seeded first-order, times a number); else None.
-
-    The loop's pairs with such a factor are b times each term of the other
-    operand that the cut keeps, and sigma^M times each of its seed-free terms,
-    moved up by M.  So one pass over the other operand per kind of pair makes
-    the loop's sums in its order, with its signs and its zero drops."""
-    base, window, allowed = cut
-    fresh = window << base
-    for const in (y, x):
-        if len(const) == 2:
-            m0, M = const
-            if not m0 and M & fresh == M and M >> base in allowed:
-                break
-    else:
-        return None
-    b, c = const[0], const[M]
-    sign = _sign_mask(M)  # the sort sign of sigma^J sigma^M, for J disjoint from M
-    if const is x:
-        acc = {mk: b * ck for mk, ck in y.items() if (mk & fresh) >> base in allowed}
-        if M.bit_count() & 1:
-            # sigma^M sigma^K sorts with the sign of sigma^K sigma^M times (-1)^|K|
-            sign = ~sign
-        for mk, ck in y.items():
-            if not mk & fresh:
-                m, v = M | mk, c * ck
-                if (mk & sign).bit_count() & 1:
-                    acc[m] = acc[m] - v if m in acc else -v
-                else:
-                    acc[m] = acc[m] + v if m in acc else v
-    else:
-        acc = {}
-        for mj, cj in x.items():
-            fj = (mj & fresh) >> base
-            if not fj:  # only a shifted term, which holds M, can come before mj
-                acc[mj] = cj * b
-                m, v = mj | M, cj * c
-                if (mj & sign).bit_count() & 1:
-                    acc[m] = acc[m] - v if m in acc else -v
-                else:
-                    acc[m] = acc[m] + v if m in acc else v
-            elif fj in allowed:
-                v = cj * b
-                acc[mj] = acc[mj] + v if mj in acc else v
-    return {m: v for m, v in acc.items() if (v != 0 if type(v) is complex else _nonzero(v))}
 
 
 # Supernumber(L, terms, _AS_IS) stores a clean dict as given, and
@@ -688,10 +601,9 @@ class Supernumber:
 
     * ``+`` and ``-`` between elements, and ``rk4_step``'s sums, test the
       masks both operands hold;
-    * the dict-loop product and its seeded-constant pass, the product with a
-      body-only factor, a number or array times an element and division by a
-      number test each coefficient they make, since a product can underflow
-      to 0;
+    * the dict-loop product, the product with a body-only factor, a number
+      or array times an element and division by a number test each
+      coefficient they make, since a product can underflow to 0;
     * ``_as_super``, which makes a number or array a constant, stores nothing
       for 0;
     * ``_taylor_sum``, ``_node_sum`` and ``_stack`` test each sum they make.
@@ -702,23 +614,20 @@ class Supernumber:
     nonzero entries.  A ``np.complex128`` stored as a coefficient would send
     later products to the dict loop (see ``_vector_of``), so a value from
     numpy, such as ``np.dot``, is converted first; arithmetic on clean
-    coefficients stays clean.  Both private branches take a fourth argument,
-    the ``_cut`` of a first-order seeding the result carries (see "Seeding"
-    in the module docstring); a validated element has none.
+    coefficients stays clean.
     """
 
-    __slots__ = ("L", "_terms", "_cut", "_vec", "_grade", "_finite")
+    __slots__ = ("L", "_terms", "_vec", "_grade", "_finite")
 
     # numpy arrays and scalars on the left of + and * defer to __radd__ and
     # __rmul__ instead of broadcasting over this object
     __array_ufunc__ = None
 
     def __init__(self, L: int, terms: Mapping[int, complex] | None = None,
-                 _as_is: bool = False, _cut: _Cut | None = None):
+                 _as_is: bool = False):
         if _as_is:
             self.L = L
             self._terms = terms
-            self._cut = _cut
             self._vec = None
             return
         if _as_is is None:  # _VECTOR: terms is (vector, grade); the vector is read-only from now
@@ -726,10 +635,9 @@ class Supernumber:
             v, self._grade = terms
             v.flags.writeable = False
             self._vec, self._terms = v, _VectorTerms(v)
-            self._cut, self._finite = _cut, None
+            self._finite = None
             return
         self.L = _generator_count(L)
-        self._cut = None
         if terms and len(terms) >= _DENSE_MIN_TERMS \
                 and (dense := _dense_input(terms, self.L)) is not None:
             v, self._grade = dense
@@ -837,7 +745,7 @@ class Supernumber:
         if self._vec is not None and self.L < L <= _TABLE_MAX_L:
             v = np.zeros(1 << L, dtype=complex)
             v[:self._vec.size] = self._vec
-            out = _from_vector(L, v, self._grade, self._cut)
+            out = _from_vector(L, v, self._grade)
             out._finite = self._finite
             return out
         if L < self.L:
@@ -845,7 +753,7 @@ class Supernumber:
                 if m >> L:
                     raise GrassmannError("cannot shrink below occupied generators")
         return Supernumber(L, dict(self._terms) if self._vec is not None else self._terms,
-                           _AS_IS, self._cut)
+                           _AS_IS)
 
     def __add__(self, other):
         a, b = (self, other) if isinstance(other, Supernumber) and other.L == self.L \
@@ -857,7 +765,7 @@ class Supernumber:
             return out
         out = dict(a._terms)
         _add_into(out, b._terms)
-        return Supernumber(a.L, out, _AS_IS, a._cut or b._cut)
+        return Supernumber(a.L, out, _AS_IS)
 
     __radd__ = __add__
 
@@ -866,8 +774,8 @@ class Supernumber:
         if v is not None:
             w = -v
             w[v == 0] = 0  # -(+0.0) is -0.0
-            return _from_vector(self.L, w, self._grade, self._cut)
-        return Supernumber(self.L, {m: -c for m, c in self._terms.items()}, _AS_IS, self._cut)
+            return _from_vector(self.L, w, self._grade)
+        return Supernumber(self.L, {m: -c for m, c in self._terms.items()}, _AS_IS)
 
     def __sub__(self, other):
         a, b = self._promote(other)
@@ -884,48 +792,28 @@ class Supernumber:
         a, b = self._promote(other)
         if b is NotImplemented:
             return NotImplemented
-        cut = a._cut or b._cut
         # a product with a vector decides on the table kernel once, here
         vectors = a._vec is not None or b._vec is not None
-        if vectors and (out := _vector_product(a, b, cut)) is not None:
+        if vectors and (out := _vector_product(a, b)) is not None:
             return out
         x, y = a._terms, b._terms
         # a factor whose one term is the body scales the other term by term;
         # the factors keep the dict loop's order, so the values are its own
         if len(x) == 1 and 0 in x:
-            return Supernumber(a.L, _scaled(x[0], y), _AS_IS, cut)
+            return Supernumber(a.L, _scaled(x[0], y), _AS_IS)
         if len(y) == 1 and 0 in y:
             c = y[0]
             return Supernumber(a.L, {m: vc for m, v in x.items()
                                      if (vc != 0 if type(vc := v * c) is complex
-                                         else _nonzero(vc))}, _AS_IS, cut)
-        # a two-term operand never meets the table crossover (2 n < 3^L / 4
-        # wherever n <= 2^L and 2 n >= 512), so a seeded constant goes first
-        if cut is not None and (out := _seeded_constant_product(x, y, cut)) is not None:
-            return Supernumber(a.L, out, _AS_IS, cut)
+                                         else _nonzero(vc))}, _AS_IS)
         if not vectors and _table_takes(len(x) * len(y), a.L) \
                 and (out := _table_product(a, b)) is not None:
             return out
         acc: Dict[int, complex] = {}
         signed = [(mk, ck, _sign_mask(mk)) for mk, ck in y.items()]
-        if cut is not None:
-            base, window, allowed = cut
-            fresh = window << base
-            kept = [p for p in signed if (p[0] & fresh) >> base in allowed]
         for mj, cj in x.items():
-            # block: the bits a partner of mj must not have
-            block, partners = mj, signed
-            if cut is not None:
-                # the pair's fresh part must be allowed: 0 or one slot mask
-                fj = (mj & fresh) >> base
-                if not fj:
-                    partners = kept
-                elif fj in allowed:
-                    block = mj | fresh  # slot masks are disjoint: no other fresh bit
-                else:
-                    continue  # two or more slot masks, and so every union with it
-            for mk, ck, sk in partners:
-                if block & mk:
+            for mk, ck, sk in signed:
+                if mj & mk:
                     continue
                 m = mj | mk
                 v = cj * ck
@@ -935,7 +823,7 @@ class Supernumber:
                     acc[m] = acc[m] + v if m in acc else v
         return Supernumber(a.L, {m: v for m, v in acc.items()
                                  if (v != 0 if type(v) is complex else _nonzero(v))},
-                           _AS_IS, cut)
+                           _AS_IS)
 
     def __rmul__(self, other):
         # numbers inline: this is a hot path, and a call costs more than the test
@@ -943,8 +831,8 @@ class Supernumber:
         if c is None:
             return NotImplemented
         if self._vec is not None and type(c) is complex and cmath.isfinite(c):
-            return _scaled_vector(c, self, self._cut)
-        return Supernumber(self.L, _scaled(c, self._terms), _AS_IS, self._cut)
+            return _scaled_vector(c, self)
+        return Supernumber(self.L, _scaled(c, self._terms), _AS_IS)
 
     def __truediv__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -953,7 +841,7 @@ class Supernumber:
                 raise GrassmannDomainError("division by zero")
             with _overflow_quietly(self):
                 out = Supernumber(self.L, {m: q for m, v in self._terms.items()
-                                           if _nonzero(q := v / c)}, _AS_IS, self._cut)
+                                           if _nonzero(q := v / c)}, _AS_IS)
         elif isinstance(other, Supernumber):
             reciprocal = inverse(other)
             with _overflow_quietly(self, reciprocal):
@@ -965,10 +853,10 @@ class Supernumber:
         return out
 
     def __reduce__(self):
-        # copy and pickle keep the form and the cut, and a vector read-only
+        # copy and pickle keep the form, and a vector read-only
         if self._vec is not None:
-            return _from_vector, (self.L, self._vec, self._grade, self._cut)
-        return Supernumber, (self.L, self._terms, _AS_IS, self._cut)
+            return _from_vector, (self.L, self._vec, self._grade)
+        return Supernumber, (self.L, self._terms, _AS_IS)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -1096,8 +984,8 @@ def soul(X: Supernumber) -> Supernumber:
             return X
         v = v.copy()
         v[0] = 0
-        return _from_vector(X.L, v, X._grade, X._cut)
-    return Supernumber(X.L, {m: c for m, c in X._terms.items() if m != 0}, _AS_IS, X._cut)
+        return _from_vector(X.L, v, X._grade)
+    return Supernumber(X.L, {m: c for m, c in X._terms.items() if m != 0}, _AS_IS)
 
 
 def parity(X: Supernumber) -> str:
@@ -1304,8 +1192,7 @@ def _taylor_terms(xs: Sequence[Supernumber], L: int
     The monomial of alpha = 0 is 1.  Each soul power and each product of
     powers starts from its first factor, so no monomial is a copy made by
     multiplying with 1.  With d the fewest generators in a monomial of a
-    soul s, s^k is 0 once k d > L, and is not formed, as in ``inverse``.  The
-    products run under the cut of the arguments, if any (see "Seeding").
+    soul s, s^k is 0 once k d > L, and is not formed, as in ``inverse``.
     """
     unit = one(L)
     table = [((), 1.0, unit)]
@@ -1333,16 +1220,16 @@ def _taylor_terms(xs: Sequence[Supernumber], L: int
     return table
 
 
-def _taylor_sum(deriv: Callable, q, terms, L: int, cut: _Cut | None) -> Supernumber:
+def _taylor_sum(deriv: Callable, q, terms, L: int) -> Supernumber:
     """The Grassmann continuation sum_alpha deriv(alpha, q) / alpha! *
     monomial_alpha over a Taylor table (``_taylor_terms``), summed into one
     dict, or one vector where every monomial but the unit holds its vector
-    and no derivative is a batch, and built as one element that carries
-    ``cut``.  A term is skipped only when its derivative vanishes, at every
-    node for a batch.  A division by alpha! = 1 is not made, and in the dict
-    neither is a product with a monomial coefficient that is exactly 1 (the
-    unit of alpha = 0, a first-order seed): the derivative is used as it is,
-    so a term may share its array with the caller's."""
+    and no derivative is a batch, and built as one element.  A term is
+    skipped only when its derivative vanishes, at every node for a batch.  A
+    division by alpha! = 1 is not made, and in the dict neither is a product
+    with a monomial coefficient that is exactly 1 (the unit of alpha = 0, a
+    first-order seed): the derivative is used as it is, so a term may share
+    its array with the caller's."""
     parts = []
     for alpha, fact, mono in terms:
         d = deriv(alpha, q)
@@ -1352,13 +1239,13 @@ def _taylor_sum(deriv: Callable, q, terms, L: int, cut: _Cut | None) -> Supernum
     # the unit comes first and holds a dict, so a table of it alone stops here
     if terms[-1][2]._vec is not None and all(mono._vec is not None for _, _, mono in terms[1:]) \
             and all(type(c) is complex for c, _ in parts):
-        return _from_vector(L, *_quiet(_vector_taylor_sum, parts, terms[0][2], L), cut)
+        return _from_vector(L, *_quiet(_vector_taylor_sum, parts, terms[0][2], L))
     out: Dict[int, complex] = {}
     for c, mono in parts:
         for m, v in mono._terms.items():
             cv = c if type(v) is complex and v == 1 else c * v
             out[m] = out[m] + cv if m in out else cv
-    return Supernumber(L, {m: c for m, c in out.items() if _nonzero(c)}, _AS_IS, cut)
+    return Supernumber(L, {m: c for m, c in out.items() if _nonzero(c)}, _AS_IS)
 
 
 def _vector_taylor_sum(parts, unit: Supernumber, L: int) -> Tuple[np.ndarray, int | None]:
@@ -1411,7 +1298,7 @@ def apply_analytic(spec: AnalyticSpec, X: Supernumber) -> Supernumber:
                 f"derivative {k} of {spec.kind} overflows at the body") from exc
 
     with _overflow_quietly(X):
-        out = _taylor_sum(derivative, b, _taylor_terms((X,), X.L), X.L, X._cut)
+        out = _taylor_sum(derivative, b, _taylor_terms((X,), X.L), X.L)
     if not _is_finite(out):
         raise GrassmannDomainError(f"{spec.kind} overflows: a coefficient is not finite")
     return out
@@ -1436,7 +1323,10 @@ def gen_left_derivative(X: Supernumber, i: int) -> Supernumber:
 
 
 def shift_generators(X: Supernumber, offset: int, L: int) -> Supernumber:
-    """Relabel sigma_i -> sigma_{i+offset} inside an algebra of L generators."""
+    """Relabel sigma_i -> sigma_{i+offset} inside an algebra of L generators;
+    a negative offset raises ``GrassmannError``."""
+    if offset < 0:
+        raise GrassmannError(f"generator offset {offset} is negative")
     return Supernumber(L, {m << offset: c for m, c in X._terms.items()})
 
 
@@ -1445,33 +1335,33 @@ def seed(even: Sequence[Supernumber], odd: Sequence[Supernumber], L: int, *,
          ) -> Tuple[Tuple[Supernumber, ...], Tuple[Supernumber, ...], List[int]]:
     """Put fresh generators above L on slot values: the place half of seeding.
 
-    Even slot j gets the nilpotent pair sigma_{L+2j} sigma_{L+2j+1} and odd
-    slot s the generator sigma_{L+2m+s}, m = len(even), in an algebra of
-    L + 2m + n generators.  Returns the seeded even and odd values and, per
-    slot, its fresh monomial as a mask relative to L.  In ``seed_parts`` of a
-    function evaluated once at the seeded values, the part at a slot's mask is
-    the derivative along that slot (the left derivative for an odd slot).
+    Returns the seeded even and odd values, in an algebra of L + w generators
+    (w the bit length of the largest slot mask), and per slot its fresh
+    monomial, of the slot's parity, as a mask relative to L.  In
+    ``seed_parts`` of a function evaluated once at the seeded values, the
+    part at a slot's mask is the derivative along that slot (the left
+    derivative for an odd slot).
 
-    Seeding: with ``first_order`` the seeded values carry the cut of this
-    window (base L, width 2m + n, allowed fresh parts 0 and each slot mask),
-    so products computed from them may drop every term whose fresh part is not
-    allowed, the terms with two or more seeds among them (see "Seeding" in the
-    module docstring).  The parts at 0 and at each slot mask come out the same
-    bit for bit; the others may be missing.  The function evaluated there must
-    not differentiate by a fresh generator or integrate over one.  Without it
-    every monomial is kept, and each value keeps the cut, if any, of the value
-    it was placed on.
-    Each value is built once, with the terms and cut of ``v.embed(Lw) +
-    fresh``; a value with more than L generators raises ``GrassmannError``.
+    Without ``first_order``, even slot j gets sigma_{L+2j} sigma_{L+2j+1} and
+    odd slot s gets sigma_{L+2m+s}, m = len(even), and every monomial is kept.
+    With it, each slot gets tau = sigma_L, shared by the seeding, times a
+    generator of its own, and an odd slot tau' = sigma_{L+1} as well, so the
+    product of any two seeds is 0 and only the parts at 0 and at the slot
+    masks are left (see "Seeding" in the module docstring).  Each value is
+    built once, with the terms of ``v.embed(L + w) + fresh``; a value with
+    more than L generators raises ``GrassmannError``.
     """
-    m = len(even)
-    Lw = L + 2 * m + len(odd)
-    masks = [0b11 << 2 * j for j in range(m)] + [1 << 2 * m + s for s in range(len(odd))]
-    cut = _Cut(L, (1 << (Lw - L)) - 1, frozenset([0, *masks])) if first_order else None
+    m, n = len(even), len(odd)
+    if first_order:
+        k = 2 if n else 1
+        masks = [1 | 1 << k + j for j in range(m)] + [0b11 | 1 << k + m + s for s in range(n)]
+    else:
+        masks = [0b11 << 2 * j for j in range(m)] + [1 << 2 * m + s for s in range(n)]
+    Lw = L + max(masks, default=0).bit_length()
     values = (*even, *odd)
     if any(v.L > L for v in values):
         raise GrassmannError(f"a slot value has more generators than the base L={L}")
-    lifted = [Supernumber(Lw, {**v._terms, mask << L: 1.0 + 0j}, _AS_IS, cut or v._cut)
+    lifted = [Supernumber(Lw, {**v._terms, mask << L: 1.0 + 0j}, _AS_IS)
               for v, mask in zip(values, masks)]
     return tuple(lifted[:m]), tuple(lifted[m:]), masks
 
@@ -1481,17 +1371,10 @@ def seed_parts(X: Supernumber, L: int) -> Dict[int, Supernumber]:
 
     Returns {high: X_high} with X = sum_high sigma^(high << L) X_high and each
     X_high in the L-generator algebra.  Moving the fresh monomial left of the
-    rest costs the sign (-1)^{|high| |low|}.
-
-    Seeding: the parts keep a cut of X only when its window lies below L (a
-    seeding the one read back here is nested in); the cut of the window read
-    back here, or of one above it, is cleared.  When X was computed at
-    first-order seeded values, only the parts at 0 and at each slot mask are
-    complete.
+    rest costs the sign (-1)^{|high| |low|}.  For X computed at values seeded
+    first-order, the parts are the value at 0 and a derivative at each slot
+    mask, and no other part is there.
     """
-    cut = X._cut
-    if cut is not None and cut.base + cut.window.bit_length() > L:
-        cut = None
     parts: Dict[int, Dict[int, complex]] = {}
     below = (1 << L) - 1
     for mask, c in X._terms.items():
@@ -1499,7 +1382,7 @@ def seed_parts(X: Supernumber, L: int) -> Dict[int, Supernumber]:
         if (high.bit_count() * low.bit_count()) & 1:
             c = -c
         parts.setdefault(high, {})[low] = c
-    return {high: Supernumber(L, d, _AS_IS, cut) for high, d in parts.items()}
+    return {high: Supernumber(L, d, _AS_IS) for high, d in parts.items()}
 
 
 def rk4_step(field: Callable, t: float, y: Tuple[Supernumber, ...],
@@ -1508,7 +1391,7 @@ def rk4_step(field: Callable, t: float, y: Tuple[Supernumber, ...],
     tuple y of supernumbers; field returns a tuple of supernumbers of the same
     length, or ``GrassmannError`` is raised.  Each slot of a stage, a + c k,
     and of the step, a + (h/6) (((k1 + 2 k2) + 2 k3) + k4), is built once
-    (``_combined``) with the bytes, L and cut of that expression, in one pass
+    (``_combined``) with the bytes and L of that expression, in one pass
     over the terms of each operand."""
     def shifted(c, *ks):
         if any(len(k) != len(y) for k in ks):
@@ -1526,14 +1409,11 @@ def _combined(c: complex, a: Supernumber, b: Supernumber, *more: Supernumber
               ) -> Supernumber:
     """a + c * b, or with more = (b2, b3, b4) a + c * (((b + 2 b2) + 2 b3) + b4),
     as one element: the scalings and sums of ``*`` and ``+`` in their order,
-    with their zero drops, and the L and cut those would give: the largest L,
-    and the first cut in the order a, b, more."""
-    L, cut = a.L, a._cut
+    with their zero drops, and the L those would give: the largest L."""
+    L = a.L
     for v in (b, *more):
         if v.L > L:
             L = v.L
-        if cut is None:
-            cut = v._cut
     total = b._terms
     if more:
         b2, b3, b4 = more
@@ -1543,12 +1423,15 @@ def _combined(c: complex, a: Supernumber, b: Supernumber, *more: Supernumber
         _add_into(total, b4._terms)
     out = dict(a._terms)
     _add_into(out, total, c)
-    return Supernumber(L, out, _AS_IS, cut)
+    return Supernumber(L, out, _AS_IS)
 
 
 def chop(X: Supernumber, tol: float) -> Supernumber:
     """Drop coefficients with |c| <= tol, at every node for a batch (for long
-    numerically-driven runs)."""
+    numerically-driven runs).  A NaN tol, which would drop every coefficient,
+    raises ``GrassmannError``."""
+    if math.isnan(tol):
+        raise GrassmannError("chop tolerance is NaN")
     return Supernumber(X.L, {m: c for m, c in X._terms.items() if _modulus(c) > tol}, _AS_IS)
 
 

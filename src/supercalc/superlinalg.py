@@ -834,18 +834,22 @@ def _pfaffian(rows, L: int):
                 raise GrassmannDomainError("pfaffian needs even entries")
     if size % 2:
         return zero(L)
-
-    def rec(idx: Tuple[int, ...]) -> Supernumber:
-        # each term starts from its first factor, and the sum from its first
-        # term; expansion sign (-1)^(pos+1) for the pos-th column after idx[0]
-        for pos in range(1, len(idx)):
-            rest = idx[1:pos] + idx[pos + 1:]
-            term = rows[idx[0]][idx[pos]] * rec(rest) if rest else rows[idx[0]][idx[pos]]
-            acc = term if pos == 1 else acc + term if pos % 2 else acc - term
-        return acc
-
     with _quietly():
-        pf = rec(tuple(range(size))) if size else one(L)
+        pf = _pfaffian_expansion(rows, tuple(range(size))) if size else one(L)
     if not _is_finite(pf):
         raise GrassmannDomainError("pfaffian overflows: a coefficient is not finite")
     return pf
+
+
+def _pfaffian_expansion(rows, idx: Tuple[int, ...]) -> Supernumber:
+    """The pfaffian of rows and columns idx (a tuple of even length, at least
+    2) of antisymmetric rows, by expansion along row idx[0]: each term starts
+    from its first factor, the sum starts from its first term, and the term
+    of the pos-th column after idx[0] has the sign (-1)^(pos+1).  A module
+    function, as ``_minor`` is, so that a call leaves no reference cycle."""
+    first = rows[idx[0]]
+    for pos in range(1, len(idx)):
+        rest = idx[1:pos] + idx[pos + 1:]
+        term = first[idx[pos]] * _pfaffian_expansion(rows, rest) if rest else first[idx[pos]]
+        acc = term if pos == 1 else acc + term if pos % 2 else acc - term
+    return acc

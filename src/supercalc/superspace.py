@@ -55,7 +55,6 @@ from .grassmann import (
     GrassmannDomainError,
     GrassmannError,
     Supernumber,
-    _cut_of,
     _is_finite,
     _monomial,
     _taylor_sum,
@@ -538,21 +537,18 @@ class _TaylorBasis:
     has built it.  ``memo`` holds the value at q of each expression node
     evaluated so far (see ``Expr.value``), so that a subexpression shared by
     derivatives and by functions continued here is evaluated once; its
-    arrays are read-only, and it lives as long as the basis.  ``cut`` is the
-    seeding cut the arguments carry, if any (see "Seeding" in grassmann): the
-    monomials were built under it, and a continuation over them carries it on.
+    arrays are read-only, and it lives as long as the basis.
     """
 
-    __slots__ = ("L", "q", "batch", "terms", "thetas", "memo", "cut")
+    __slots__ = ("L", "q", "batch", "terms", "thetas", "memo")
 
-    def __init__(self, L, q, terms, cut):
+    def __init__(self, L, q, terms):
         self.L = L
         self.q = q
         self.batch = any(isinstance(v, np.ndarray) for v in q)
         self.terms = terms
         self.thetas: Dict[int, Supernumber] = {}
         self.memo: Dict[int, tuple] = {}
-        self.cut = cut
 
     def raising(self):
         """A context for one public call over this basis (``_Raising`` for a
@@ -568,7 +564,7 @@ class _TaylorBasis:
         deriv = functools.partial(bf.deriv_batch if self.batch else bf.deriv_value,
                                   memo=self.memo)
         try:
-            return _taylor_sum(deriv, self.q, self.terms, self.L, self.cut)
+            return _taylor_sum(deriv, self.q, self.terms, self.L)
         except GrassmannError:
             raise
         except (ArithmeticError, ValueError) as exc:
@@ -577,7 +573,7 @@ class _TaylorBasis:
 
 def _taylor_basis(xs: Sequence[Supernumber], L: int) -> _TaylorBasis:
     """The Taylor basis of even arguments xs in the L-generator algebra."""
-    return _TaylorBasis(L, tuple(x.body for x in xs), _taylor_terms(xs, L), _cut_of(xs))
+    return _TaylorBasis(L, tuple(x.body for x in xs), _taylor_terms(xs, L))
 
 
 def continue_body(bf: BodyFunction, xs: Sequence[Supernumber]) -> Supernumber:
@@ -806,7 +802,11 @@ def map_body_jacobian(F: SuperMap, P: SuperPoint) -> np.ndarray:
     = source slots.  Exact up to the float arithmetic of F itself.  For a
     batch of nodes the node axis comes last.
     """
-    _, J = _jet(F, P)
+    return _body_rows(F, _jet(F, P)[1])
+
+
+def _body_rows(F: SuperMap, J: List[List[Supernumber]]) -> np.ndarray:
+    """The body Jacobian of F from its derivative rows J (``_jet``)."""
     rows, cols = sum(F.dst), sum(F.src)
     return _node_array((J[c][r].body for r in range(rows) for c in range(cols)),
                        (rows, cols))
@@ -821,12 +821,12 @@ def map_super_jacobian(F: SuperMap, P: SuperPoint):
     in P's algebra, read from one evaluation at nilpotently seeded arguments.
     Requires a square map.
 
-    The seeding is first order (see "Seeding" in grassmann): the evaluation
-    of F drops the terms that carry two or more seeds, which no entry reads,
-    and the entries equal those of a full seeded evaluation bit for bit.  So
-    F must not differentiate by the seeded generators or integrate over them;
-    seeding of its own above them (``odd_expand``,
-    ``SuperHamiltonian.gradient``) is fine.  The seed-free part of the same
+    The seeding is first order (see "Seeding" in grassmann): every seed
+    holds one shared fresh generator, so the algebra makes each term with two
+    or more seeds 0, and the entries equal those of a full seeded evaluation
+    bit for bit.  F may do anything with the values it is given, including a
+    seeding of its own above them (``odd_expand``, ``invert_map``'s Newton
+    steps, ``SuperHamiltonian.gradient``).  The seed-free part of the same
     evaluation is the value F(P), which ``_jet`` returns beside the entries.
     """
     return _super_jet(F, P)[1]
@@ -902,12 +902,12 @@ def invert_map(F: SuperMap, body_inverse: Callable[[np.ndarray], Sequence[float]
             tuple(zero(L) for _ in range(n)),
         )
         for _ in range(L + 4):
-            FY = F.evaluate(Y)
+            FY, rows = _jet(F, Y)
             resid = [p - f for p, f in zip(target, FY.x + FY.theta)]
             solved = _within(resid, tol)
             if np.all(solved):
                 break
-            J = map_body_jacobian(F, Y)
+            J = _body_rows(F, rows)
             even_singular, Je = _body(J[:m, :m], invert=True)
             odd_singular, Jo = _body(J[m:, m:], invert=True)
             if np.any(even_singular) or np.any(odd_singular):

@@ -419,11 +419,11 @@ class SuperHamiltonian:
     generators (grassmann.seed); odd-slot derivatives follow the left
     convention.
 
-    That seeding is first order (see "Seeding" in grassmann): ``fn`` runs on
-    values whose products drop the terms with two or more seeds, which no
-    gradient entry reads, and the gradient equals that of a full seeded
-    evaluation bit for bit.  So ``fn`` must not differentiate by the seeded
-    generators or integrate over them.
+    That seeding is first order (see "Seeding" in grassmann): every seed
+    holds one shared fresh generator, so the algebra makes each term with two
+    or more seeds 0, which no gradient entry reads, and the gradient equals
+    that of a full seeded evaluation bit for bit.  ``fn`` must return a value
+    of the seeded algebra, and may otherwise compute as it likes.
     """
 
     def __init__(self, fn: Callable, even_count: int, odd_count: int):
@@ -459,7 +459,7 @@ class SuperHamiltonian:
         k, o = self.even_count, self.odd_count
         even, odd, masks = seed(xs + xis, ths + pis, L, first_order=True)
         val = _as_super(self.fn(t, even[:k], even[k:], odd[:o], odd[o:]))
-        if val.L > L + 4 * k + 2 * o:
+        if val.L > L + max(masks, default=0).bit_length():
             raise GrassmannError("Hamiltonian escaped the seeded algebra")
         parts = seed_parts(val, L)
         d = [parts[mask] if mask in parts else zero(L) for mask in masks]

@@ -198,7 +198,7 @@ def holds_terms(X: Supernumber) -> bool:
 def dict_twin(X: Supernumber) -> Supernumber:
     """X held as its term dict alone, with no vector: the twin that an
     element holding its vector must agree with."""
-    return Supernumber(X.L, dict(X._terms), grassmann._AS_IS, X._cut)
+    return Supernumber(X.L, dict(X._terms), grassmann._AS_IS)
 
 
 def twins(x):

@@ -23,6 +23,7 @@ from helpers import (
     dense_mul_oracle,
     identical,
     overflowed,
+    same_bytes,
     supernumbers,
 )
 
@@ -298,6 +299,14 @@ def test_embedding_and_promotion():
     assert shifted == gr.gen(6, 2)
 
 
+def test_shift_by_a_negative_offset_raises_grassmann_error():
+    # not the bare ValueError of a negative shift count
+    with pytest.raises(GrassmannError, match="negative"):
+        gr.shift_generators(gr.gen(3, 1), -1, 3)
+    with pytest.raises(GrassmannError):
+        gr.shift_generators(gr.zero(3), -1, 3)
+
+
 def test_embed_at_the_same_L_is_the_element_itself():
     X = Supernumber(3, {0: 1.0, 0b101: 2.0})
     assert X.embed(3) is X
@@ -346,6 +355,16 @@ def test_chop_and_diagnostics():
     # weighted diagnostic: term at mask m carries weight 2^-m * |c|/(1+|c|)
     expect = 0.5 + (1e-15 / (1 + 1e-15)) / 2 + (3.0 / 4.0) / 8
     assert abs(gr.weighted_dist(x) - expect) < 1e-16
+
+
+def test_chop_by_a_nan_tolerance_raises_grassmann_error():
+    # every comparison with NaN is false, which would drop every coefficient
+    x = Supernumber(2, {0: 1.0, 0b11: 3.0})
+    for tol in (math.nan, float("nan"), np.float64("nan")):
+        with pytest.raises(GrassmannError, match="NaN"):
+            gr.chop(x, tol)
+    with pytest.raises(GrassmannError):
+        gr.chop(_batch([1.0, 2.0], [1e-20, 3.0]), math.nan)
 
 
 def _batch(c0, c1):
@@ -593,8 +612,22 @@ def test_batch_inverse_that_overflows_raises_domain_error():
 
 
 # ---------------------------------------------------------------------------
-# first-order seeding: the cut
+# first-order seeding: one shared generator
 # ---------------------------------------------------------------------------
+
+def test_first_order_seed_puts_the_shared_generators_in_every_slot_monomial():
+    even, odd, masks = gr.seed((gr.scalar(1, 0.5),), (gr.gen(1, 0),), 1, first_order=True)
+    # tau = sigma_1, tau' = sigma_2; even slot tau sigma_3, odd slot tau tau' sigma_4
+    assert masks == [0b0101, 0b1011]
+    assert even == (Supernumber(5, {0: 0.5, 0b01010: 1.0}),)
+    assert odd == (Supernumber(5, {0b00001: 1.0, 0b10110: 1.0}),)
+    # a product of two seeds holds tau twice, and a seed's square is 0 too
+    seeds = [gr.soul(even[0]), odd[0] - gr.gen(5, 0)]
+    assert all((a * b).is_zero() for a in seeds for b in seeds)
+    # without odd slots there is no tau'; without slots, no fresh generator
+    assert gr.seed((gr.zero(2),) * 2, (), 2, first_order=True)[2] == [0b011, 0b101]
+    assert gr.seed((), (), 2, first_order=True) == ((), (), [])
+
 
 def _slot_values(L):
     rng = np.random.default_rng(1049)
@@ -608,52 +641,60 @@ def _slot_values(L):
     return even, odd
 
 
+def _slot_parts(X, L, masks):
+    """seed_parts of X keyed by slot: None for the seed-free part and i for
+    the part at slot i's mask; parts at any other fresh part are left out."""
+    slot = {0: None, **{M: i for i, M in enumerate(masks)}}
+    return {slot[high]: part for high, part in gr.seed_parts(X, L).items() if high in slot}
+
+
 def test_first_order_products_drop_exactly_the_terms_with_two_or_more_seeds():
     L = 3
     even, odd = _slot_values(L)
-    cut_even, cut_odd, masks = gr.seed(even, odd, L, first_order=True)
+    fo_even, fo_odd, masks = gr.seed(even, odd, L, first_order=True)
     full_even, full_odd, full_masks = gr.seed(even, odd, L)
-    assert masks == full_masks
-    allowed = {0, *masks}
+    fo, full = fo_even + fo_odd, full_even + full_odd
+    exp = AnalyticSpec.named("exp")
 
-    def fresh(mask):
-        return mask >> L
+    def expressions(v):
+        return [v[0] * v[1], v[1] * v[0], v[0] * v[2], v[2] * v[1],
+                # a chain of products, sums and scalings, and a continuation
+                2.0 * (v[0] * v[1] - v[2] * v[2]) * v[0],
+                gr.apply_analytic(exp, v[0] * v[1] + v[2] * gr.gen(v[2].L, 0)),
+                # a seed's square, 0 under both seedings
+                v[1] * v[1]]
 
-    cut_vals, full_vals = cut_even + cut_odd, full_even + full_odd
-    for a, b in [(0, 1), (1, 0), (0, 2), (2, 1), (1, 1)]:
-        got = cut_vals[a] * cut_vals[b]
-        want = full_vals[a] * full_vals[b]
-        if a != b:
-            assert any(fresh(m) not in allowed for m in want.terms)
-        assert all(fresh(m) in allowed for m in got.terms)
-        kept = Supernumber(want.L, {m: c for m, c in want.terms.items() if fresh(m) in allowed})
-        assert identical(got, kept)
-    # a chain of products, sums and scalings keeps the rule; so does a product
-    # with an operand that has no cut and holds terms with two seeds
-    two_seeds = full_vals[0] * full_vals[1]
-    for got, want in [
-        (2.0 * (cut_vals[0] * cut_vals[1] - cut_vals[2] * cut_vals[2]) * cut_vals[0],
-         2.0 * (full_vals[0] * full_vals[1] - full_vals[2] * full_vals[2]) * full_vals[0]),
-        (two_seeds * cut_vals[2], two_seeds * full_vals[2]),
-        (cut_vals[2] * two_seeds, full_vals[2] * two_seeds),
-    ]:
-        kept = Supernumber(want.L, {m: c for m, c in want.terms.items() if fresh(m) in allowed})
-        assert identical(got, kept)
+    wanted = expressions(full)
+    for got, want in zip(expressions(fo), wanted):
+        assert set(gr.seed_parts(got, L)) <= {0, *masks}
+        got_parts, want_parts = _slot_parts(got, L, masks), _slot_parts(want, L, full_masks)
+        assert list(got_parts) == list(want_parts)
+        assert all(same_bytes(got_parts[k], want_parts[k]) for k in want_parts)
+    # the full seeding holds parts with two seeds, which first order drops
+    assert all(set(gr.seed_parts(want, L)) - {0, *full_masks} for want in wanted[:-1])
 
 
-def test_seed_parts_clears_the_cut_it_reads_back_and_keeps_an_outer_one():
+def test_a_seeding_nested_in_a_first_order_one_keeps_the_terms_of_both():
     L = 3
     even, odd = _slot_values(L)
-    cut_even, cut_odd, masks = gr.seed(even, odd, L, first_order=True)
-    X = cut_even[0] * cut_even[1] * cut_odd[0]
-    assert X._cut is not None
-    assert all(p._cut is None for p in gr.seed_parts(X, L).values())
-    # an untruncated seeding nested above the window (as odd_expand seeds):
-    # the outer cut rides on, leaves the nested generators alone (the part
-    # with both of them survives), and outlives the nested read-back
+    fo_even, fo_odd, masks = gr.seed(even, odd, L, first_order=True)
+    X = fo_even[0] * fo_even[1] * fo_odd[0]
+    # a full seeding above it (as odd_expand seeds): the part with both of
+    # its generators is X itself
     Lw = X.L
     _, inner, _ = gr.seed((), (gr.zero(Lw),) * 2, Lw)
-    Y = X * inner[0] * inner[1]
-    parts = gr.seed_parts(Y, Lw)
-    assert parts[0b11]._cut is X._cut
+    parts = gr.seed_parts(X * inner[0] * inner[1], Lw)
+    assert list(parts) == [0b11]
     assert identical(parts[0b11], X)
+    # a first-order seeding nested in another keeps the product of an outer
+    # and an inner seed: d/dx d/dy of x y is 1 and of x x is 2, while the
+    # square of either seed alone is 0
+    (x, y), _, inner_masks = gr.seed(fo_even[:2], (), Lw, first_order=True)
+    for value, want in ((x * y, {masks[0]: 0.0, masks[1]: 1.0}),
+                        (x * x, {masks[0]: 2.0, masks[1]: 0.0})):
+        inner_parts = gr.seed_parts(value, Lw)
+        assert set(inner_parts) <= {0, *inner_masks}
+        outer = gr.seed_parts(inner_parts[inner_masks[0]], L)
+        assert set(outer) <= {0, *masks}
+        for mask, d in want.items():
+            assert outer.get(mask, gr.zero(L)) == gr.scalar(L, d)

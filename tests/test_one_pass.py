@@ -4,8 +4,8 @@ stand in for, bit for bit.
 * ``rk4_step`` forms each slot of a stage, a + c k, and of the step,
   a + (h/6) (((k1 + 2 k2) + 2 k3) + k4), as one element; the oracle is the
   stepper written with ``+`` and ``*`` on elements.
-* ``seed`` builds each seeded value at once; the oracle embeds the slot value,
-  adds its fresh monomial and re-wraps the sum with the cut.
+* ``seed`` builds each seeded value at once; the oracle embeds the slot value
+  and adds its fresh monomial, a product of generators.
 * The dict loop signs its pairs with one mask per partner
   (``grassmann._sign_mask``); the oracles are the loop over the partner's bits
   that ``_reorder_sign`` ran before and an explicit insertion sort.
@@ -29,12 +29,6 @@ from helpers import bits_of, perm_sign_by_sort, same_bytes
 NODES = 3
 
 
-def same(got, want):
-    """Same L, masks in the same order, same coefficient types and bytes,
-    and the same cut."""
-    return same_bytes(got, want) and got._cut == want._cut
-
-
 # ---------------------------------------------------------------------------
 # oracles: the expressions the one-pass builders replace
 # ---------------------------------------------------------------------------
@@ -52,14 +46,23 @@ def rk4_by_operators(field, t, y, h):
 
 
 def seed_by_operators(even, odd, L, first_order=False):
-    m = len(even)
-    Lw = L + 2 * m + len(odd)
-    masks = [0b11 << 2 * j for j in range(m)] + [1 << 2 * m + s for s in range(len(odd))]
-    lifted = [v.embed(Lw) + Supernumber(Lw, {mask << L: 1.0 + 0j}, gr._AS_IS)
-              for v, mask in zip((*even, *odd), masks)]
+    """Each slot value embedded and added to its fresh monomial, a product of
+    the generators above L that the seeding's layout gives the slot: a pair
+    per even slot and one per odd slot, or with first_order tau = sigma_L in
+    each, tau' = sigma_{L+1} too in an odd slot's, and one more per slot."""
+    m, n = len(even), len(odd)
     if first_order:
-        cut = gr._Cut(L, (1 << (Lw - L)) - 1, frozenset([0, *masks]))
-        lifted = [Supernumber(Lw, v._terms, gr._AS_IS, cut) for v in lifted]
+        k = 2 if n else 1
+        Lw = L + (k + m + n if m + n else 0)
+        fresh = [(L, L + k + j) for j in range(m)] + [(L, L + 1, L + k + m + s) for s in range(n)]
+    else:
+        Lw = L + 2 * m + n
+        fresh = ([(L + 2 * j, L + 2 * j + 1) for j in range(m)]
+                 + [(L + 2 * m + s,) for s in range(n)])
+    monomials = [gr._monomial(sum(1 << i for i in f), [gen(Lw, i) for i in range(Lw)], Lw)
+                 for f in fresh]
+    masks = [next(iter(mono.terms)) >> L for mono in monomials]
+    lifted = [v.embed(Lw) + mono for v, mono in zip((*even, *odd), monomials)]
     return tuple(lifted[:m]), tuple(lifted[m:]), masks
 
 
@@ -83,18 +86,12 @@ def sign_by_bit_loop(mj, mk):
 
 
 # ---------------------------------------------------------------------------
-# random elements: batches, a carried cut, mixed L, cancellations
+# random elements: batches, mixed L, cancellations
 # ---------------------------------------------------------------------------
 
-# the cuts of two first-order seedings, over 1 and 2 generators; they fit L >= 3
-CUTS = tuple(seed((), (gr.zero(L),), L, first_order=True)[1][0]._cut for L in (1, 2))
-
-
-def element(rng, L, batch=False, cut_share=0.0, terms=4):
+def element(rng, L, batch=False, terms=4):
     """Random element with up to `terms` terms; with batch set, about half
-    the coefficients carry NODES nodes, and from L = 3 up it carries one of
-    CUTS with probability cut_share."""
-    cut = CUTS[int(rng.integers(0, 2))] if L >= 3 and rng.random() < cut_share else None
+    the coefficients carry NODES nodes."""
     masks = rng.choice(1 << L, size=int(rng.integers(0, min(terms, 1 << L) + 1)), replace=False)
     out = {}
     for m in masks.tolist():
@@ -102,8 +99,7 @@ def element(rng, L, batch=False, cut_share=0.0, terms=4):
             out[m] = rng.standard_normal(NODES) + 1j * rng.standard_normal(NODES)
         else:
             out[m] = complex(rng.standard_normal(), rng.standard_normal())
-    X = Supernumber(L, out)
-    return X if cut is None else Supernumber(L, X._terms, gr._AS_IS, cut)
+    return Supernumber(L, out)
 
 
 def tiny(L):
@@ -112,9 +108,8 @@ def tiny(L):
 
 
 def draw_state(rng):
-    """A few slots of L 3 to 5, some batched, some carrying a cut."""
-    return tuple(element(rng, int(rng.integers(3, 6)), batch=rng.random() < 0.5,
-                         cut_share=0.3)
+    """A few slots of L 3 to 5, some batched."""
+    return tuple(element(rng, int(rng.integers(3, 6)), batch=rng.random() < 0.5)
                  for _ in range(int(rng.integers(1, 5))))
 
 
@@ -134,8 +129,7 @@ def draw_slopes(rng, y, h):
             elif pick == 2:
                 k.append(tiny(a.L))
             else:
-                k.append(element(rng, int(rng.integers(2, 6)), batch=rng.random() < 0.5,
-                                 cut_share=0.2))
+                k.append(element(rng, int(rng.integers(2, 6)), batch=rng.random() < 0.5))
         ks.append(tuple(k))
     return ks
 
@@ -160,7 +154,7 @@ def test_one_pass_rk4_step_equals_the_operator_expressions(key):
     got = rk4_step(replay(ks), 0.0, y, h)
     want = rk4_by_operators(replay(ks), 0.0, y, h)
     assert len(got) == len(want)
-    assert all(same(a, b) for a, b in zip(got, want))
+    assert all(same_bytes(a, b) for a, b in zip(got, want))
 
 
 def test_the_rk4_cases_reach_the_zero_drops():
@@ -178,18 +172,17 @@ def test_the_rk4_cases_reach_the_zero_drops():
 
 @settings(max_examples=150)
 @given(st.integers(0, 2 ** 32 - 1), st.booleans())
-def test_one_pass_seed_equals_embed_add_and_cut(key, first_order):
+def test_one_pass_seed_equals_embed_and_add(key, first_order):
     rng = np.random.default_rng(key)
     L = int(rng.integers(3, 6))
-    even, odd = ([element(rng, int(rng.integers(0, L + 1)), batch=rng.random() < 0.5,
-                          cut_share=0.3)
+    even, odd = ([element(rng, int(rng.integers(0, L + 1)), batch=rng.random() < 0.5)
                   for _ in range(int(rng.integers(0, 3)))] for _ in range(2))
     got = seed(even, odd, L, first_order=first_order)
     want = seed_by_operators(even, odd, L, first_order=first_order)
     assert got[2] == want[2]
     for g, w in zip(got[:2], want[:2]):
         assert len(g) == len(w)
-        assert all(same(a, b) for a, b in zip(g, w))
+        assert all(same_bytes(a, b) for a, b in zip(g, w))
 
 
 def test_seed_rejects_a_slot_value_wider_than_its_base():
@@ -224,26 +217,20 @@ def test_the_partner_mask_gives_the_sort_sign(masks):
 
 
 # ---------------------------------------------------------------------------
-# _combined: the L and the cut of the expression
+# _combined: the L of the expression
 # ---------------------------------------------------------------------------
 
-def test_combined_takes_the_largest_L_and_the_first_cut_on_b():
-    a, b = element(np.random.default_rng(1), 3), Supernumber(5, {0b10001: 2.0})
-    b = Supernumber(5, b._terms, gr._AS_IS, CUTS[0])
-    got = gr._combined(0.5 + 0j, a, b)
-    assert got.L == 5 and got._cut == CUTS[0]
-    assert same(got, a + 0.5 * b)
-
-
-def test_combined_takes_the_first_cut_on_a_later_operand():
+def test_combined_takes_the_largest_L():
     rng = np.random.default_rng(2)
-    a, b, b2 = (element(rng, L) for L in (4, 3, 5))
-    b3, b4 = (Supernumber(L, element(rng, L)._terms, gr._AS_IS, cut)
-              for L, cut in ((6, CUTS[1]), (3, CUTS[0])))
-    for more, L, cut in (((b2, b3, b4), 6, CUTS[1]), ((b2, b2, b4), 5, CUTS[0])):
+    a, b = element(rng, 3), Supernumber(5, {0b10001: 2.0})
+    got = gr._combined(0.5 + 0j, a, b)
+    assert got.L == 5
+    assert same_bytes(got, a + 0.5 * b)
+    a, b, b2, b3, b4 = (element(rng, L) for L in (4, 3, 5, 6, 3))
+    for more, L in (((b2, b3, b4), 6), ((b2, b2, b4), 5)):
         got = gr._combined(0.25 + 0j, a, b, *more)
-        assert got.L == L and got._cut == cut
-        assert same(got, a + 0.25 * (((b + 2.0 * more[0]) + 2.0 * more[1]) + more[2]))
+        assert got.L == L
+        assert same_bytes(got, a + 0.25 * (((b + 2.0 * more[0]) + 2.0 * more[1]) + more[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +247,7 @@ def draw_entry(rng, L):
         return scalar(L, np.array([complex(rng.standard_normal(), 1.0)]))
     if pick == 2:
         return [1, -2.5, 3j, np.float64(0.5), 0.0][int(rng.integers(0, 5))]
-    return element(rng, L, batch=rng.random() < 0.3, cut_share=0.2)
+    return element(rng, L, batch=rng.random() < 0.3)
 
 
 def draw_groups(rng):
@@ -281,7 +268,7 @@ def test_in_one_algebra_equals_the_entry_by_entry_path(key):
     for g_got, g_want, g in zip(got, want, groups):
         assert type(g_got) is tuple and len(g_got) == len(g_want)
         for a, b, v in zip(g_got, g_want, g):
-            assert same(a, b)
+            assert same_bytes(a, b)
             assert (a is v) == (b is v)
 
 
@@ -321,7 +308,8 @@ def test_a_tuple_valued_expansion_gives_the_parts_of_one_call_per_element(n, L):
         want = odd_expand(f, n, L)
         assert (got.n, got.L) == (want.n, want.L)
         assert list(got.coefficients) == list(want.coefficients)
-        assert all(same(got.coefficients[a], want.coefficients[a]) for a in want.coefficients)
+        assert all(same_bytes(got.coefficients[a], want.coefficients[a])
+                   for a in want.coefficients)
     (alone,) = odd_expand(lambda th: (fns[0](th),), n, L)
     assert list(alone.coefficients) == list(together[0].coefficients)
 

@@ -4,10 +4,10 @@ it stands in for.
 * A factor whose one term is the body scales the other factor term by term in
   ``Supernumber.__mul__``; checked against the per-term dict loop, written out
   here with its sort sign taken from the independent helper.
-* A seeded constant b + c sigma^M under a first-order cut takes one pass
-  over the other factor (``grassmann._seeded_constant_product``); checked
-  against the product at values seeded without a cut, filtered to the terms
-  the cut keeps.
+* A seeded constant b + c epsilon, with epsilon the fresh monomial of a
+  first-order seeding, takes the dict loop like any two-term factor; its
+  parts at 0 and at each slot mask (``grassmann.seed_parts``) are checked
+  against those of the product at values seeded in full.
 * A dense block product runs ``superlinalg._mat_mul`` on entries that hold
   their coefficient vectors: each product is one kernel call and each output
   entry is summed as one vector; checked against the per-entry loop
@@ -171,82 +171,105 @@ def seeded_slots(base, bodies, first_order):
     return even + odd, masks
 
 
+def slot_parts(X, base, masks):
+    """The parts of X (``seed_parts``), a value computed at values seeded
+    over base with the slot masks masks, keyed by (slot, nested): slot None
+    for the seed-free part and i for slot i's mask, nested the generators
+    above the seeding.  Parts at any other fresh part are left out."""
+    width = max(masks).bit_length()
+    slot = {0: None, **{M: i for i, M in enumerate(masks)}}
+    window = (1 << width) - 1
+    return {(slot[high & window], high >> width): part
+            for high, part in gr.seed_parts(X, base).items() if high & window in slot}
+
+
 def first_order_oracle(full, base, masks):
-    """full, a product at values seeded without a cut, with only the terms a
-    first-order seeding keeps: fresh part 0 or one slot mask."""
-    window, allowed = sum(masks), {0, *masks}
-    return Supernumber(full.L, {m: c for m, c in full._terms.items()
-                                if (m >> base) & window in allowed}, gr._AS_IS)
+    """full, a product at values seeded in full, as a first-order seeding
+    reads it: its parts at fresh part 0 and at each slot mask."""
+    return slot_parts(full, base, masks)
 
 
-def other_operand(rng, base, masks, nested, batch, M):
-    """A cut-free element: 12 terms whose fresh parts are 0, one slot mask or
-    two, with generators above the window when nested, and some batch
-    coefficients when batch; the shift by M of its first seed-free term is
-    added before or after it, so that the two kinds of seeded pairs meet."""
-    fresh = [0, 0, *masks, masks[0] | masks[1], masks[1] | masks[2]]
-    top = base + sum(masks).bit_length()
-    pairs = [int(rng.integers(1 << base)) | fresh[rng.integers(len(fresh))] << base
-             | int(rng.integers(4 if nested else 1)) << top for _ in range(12)]
-    free = next(m for m in pairs + [0] if not (m >> base) & sum(masks))
-    pairs.insert(int(rng.integers(len(pairs) + 1)), free | M)
-    terms = {}
-    for i, m in enumerate(pairs):
-        terms.setdefault(m, rng.standard_normal(NODES) + 1j * rng.standard_normal(NODES)
-                         if batch and i % 3 == 1 else complex(*rng.standard_normal(2)))
-    return Supernumber(top + 2 * nested, terms)
+def other_operand(rng, base, masks, nested, batch, slot):
+    """A description of an element: 12 terms whose fresh parts are none, one
+    slot or two, with generators above the seeding when nested, and some
+    batch coefficients when batch; the shift by slot's seed of its first
+    seed-free term is added before or after it, so that the two kinds of
+    seeded pairs meet.  Each term is (low mask, slots, nested bits, value)."""
+    fresh = [(), (), *((i,) for i in range(len(masks))), (0, 1), (1, 2)]
+    terms = [(int(rng.integers(1 << base)), fresh[rng.integers(len(fresh))],
+              int(rng.integers(4 if nested else 1))) for _ in range(12)]
+    low = next((t[0] for t in terms if not t[1]), 0)
+    terms.insert(int(rng.integers(len(terms) + 1)), (low, (slot,), 0))
+    return [(*t, rng.standard_normal(NODES) + 1j * rng.standard_normal(NODES)
+             if batch and i % 3 == 1 else complex(*rng.standard_normal(2)))
+            for i, t in enumerate(terms)]
+
+
+def build_operand(description, base, seeds, masks, nested):
+    """The element of a description (``other_operand``) at the seeds of one
+    seeding: each term sigma^low times the product of its slots' seeds times
+    its nested generators, which sit above the seeding.  A term whose slots'
+    seeds multiply to 0 (two seeds under first order) is left out."""
+    top = base + max(masks).bit_length()
+    L = top + 2 * nested
+    epsilon = [gr.soul(v).embed(L) for v in seeds]
+    out = gr.zero(L)
+    for low, slots, high, value in description:
+        term = Supernumber(L, {low: 1.0})
+        for i in slots:
+            term = term * epsilon[i]
+        if not term.is_zero():
+            out = out + value * (term * Supernumber(L, {high << top: 1.0}))
+    return out
 
 
 @settings(max_examples=80, deadline=None)
 @given(slot=st.integers(0, 2), left=st.booleans(), batch=st.booleans(),
        nested=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-def test_seeded_constant_product_equals_the_first_order_oracle(slot, left, batch, nested, seed):
+def test_a_seeded_constant_times_an_element_equals_the_first_order_oracle(slot, left, batch,
+                                                                          nested, seed):
     base = 3
     rng = np.random.default_rng(seed)
     body = rng.standard_normal(NODES) + 0j if batch and slot == 1 else complex(0.7, -0.2)
     bodies = [complex(1.5, 0.5), body, complex(-0.4, 0.0)]
-    cut_vals, masks = seeded_slots(base, bodies, True)
-    full_vals, _ = seeded_slots(base, bodies, False)
+    fo_vals, masks = seeded_slots(base, bodies, True)
+    full_vals, full_masks = seeded_slots(base, bodies, False)
     k = complex(*rng.standard_normal(2))
-    const, const_full = k * cut_vals[slot], k * full_vals[slot]
-    # generators above the window belong to a seeding nested in this one
-    other = other_operand(rng, base, masks, nested, batch, masks[slot] << base)
-    pair = (const, other) if left else (other, const)
-    assert gr._seeded_constant_product(pair[0]._terms, pair[1]._terms, const._cut) is not None
-    got = pair[0] * pair[1]
-    full = const_full * other if left else other * const_full
-    assert got._cut == const._cut
-    assert same_bytes(got, first_order_oracle(full, base, masks))
+    const, const_full = k * fo_vals[slot], k * full_vals[slot]
+    assert len(const.terms) == 2
+    # generators above the seeding belong to a seeding nested in this one
+    description = other_operand(rng, base, masks, nested, batch, slot)
+    other = build_operand(description, base, fo_vals, masks, nested)
+    other_full = build_operand(description, base, full_vals, full_masks, nested)
+    got = const * other if left else other * const
+    full = const_full * other_full if left else other_full * const_full
+    assert all(high & ((1 << max(masks).bit_length()) - 1) in {0, *masks}
+               for high in gr.seed_parts(got, base))
+    got_parts, want_parts = slot_parts(got, base, masks), first_order_oracle(full, base,
+                                                                            full_masks)
+    assert list(got_parts) == list(want_parts)
+    assert all(same_bytes(got_parts[key], want_parts[key]) for key in want_parts)
 
 
 def test_odd_seeded_constant_signs_the_shift_of_a_nested_term():
-    # 0.5 + sigma_4 (odd slot, window {4}) times 2 + eta theta_0, with eta =
-    # sigma_5 nested above the window: sigma_4 eta theta_0 = +theta_0 sigma_4 eta
-    _, (const,), _ = gr.seed((), (gr.scalar(4, 0.5),), 4, first_order=True)
-    other = 2.0 + gr.gen(6, 5) * gr.gen(6, 0)
-    assert other.terms == {0: 2, 33: -1}
-    for got in (const * other, other * const):
-        assert got.coefficient(49) == 1
-    _, (full,), _ = gr.seed((), (gr.scalar(4, 0.5),), 4)
-    assert same_bytes(const * other, full * other)
-    assert same_bytes(other * const, other * full)
+    # 0.5 + epsilon (odd slot) times 2 + eta theta_0, with eta nested just
+    # above the seeding: epsilon eta theta_0 = +theta_0 epsilon eta
+    parts = {}
+    for first_order in (True, False):
+        _, (const,), masks = gr.seed((), (gr.scalar(4, 0.5),), 4, first_order=first_order)
+        eta = gr.gen(const.L + 1, const.L)
+        other = 2.0 + eta * gr.gen(eta.L, 0)
+        products = (const * other, other * const)
+        for got in products:
+            assert got.coefficient(1 | masks[0] << 4 | 1 << const.L) == 1
+        read = slot_parts if first_order else first_order_oracle
+        parts[first_order] = [read(p, 4, masks) for p in products]
+    for got, want in zip(parts[True], parts[False]):
+        assert list(got) == list(want)
+        assert all(same_bytes(got[key], want[key]) for key in want)
 
 
-def test_seeded_constant_drops_the_two_seed_terms_of_a_cut_free_operand():
-    base = 2
-    cut_vals, masks = seeded_slots(base, [0.7, 1.2, 0.5], True)
-    full_vals, _ = seeded_slots(base, [0.7, 1.2, 0.5], False)
-    two_seeds = full_vals[0] * full_vals[1]
-    both = (masks[0] | masks[1]) << base
-    assert both == 60 and both in two_seeds.terms and two_seeds._cut is None
-    for const, full in zip(cut_vals, full_vals):
-        for got, want in ((two_seeds * const, two_seeds * full),
-                          (const * two_seeds, full * two_seeds)):
-            assert both not in got.terms
-            assert same_bytes(got, first_order_oracle(want, base, masks))
-
-
-def test_seeded_constant_product_drops_sums_that_cancel_and_products_that_underflow():
+def test_a_seeded_constant_times_an_element_drops_sums_that_cancel_and_products_that_underflow():
     (const, *_), masks = seeded_slots(3, [1.0, 1.0, 1.0], True)
     M = masks[0] << 3
     other = Supernumber(const.L, {0b001: 2.0, M | 0b001: -2.0, 0b010: 1e-320})

@@ -1,5 +1,6 @@
 """Supermatrices: supertrace, super-determinant, inverse, diagonalization, Pfaffian."""
 
+import gc
 import itertools
 
 import numpy as np
@@ -583,6 +584,25 @@ def test_pfaffian_of_a_batch_that_overflows_raises_without_a_numpy_warning():
     # the same matrix at node 1 alone has a finite Pfaffian, 1 - 1 + 1
     one_node = [[z if e.is_zero() else gr.scalar(L, e.body[1]) for e in r] for r in rows]
     assert pfaffian(one_node) == gr.one(L)
+
+
+def test_pfaffian_and_det_even_of_a_batch_leave_no_reference_cycle():
+    # a cycle would keep the rows and the per-node arrays of the expansion
+    # alive until the cyclic garbage collector runs
+    L = 2
+    z = gr.zero(L)
+    a = Supernumber(L, {0: np.arange(1.0, 5.0), 0b11: 0.5})
+    b, c = gr.scalar(L, np.full(4, 0.3)), gr.scalar(L, -2.0)
+    rows = [[z, a, b, c], [-a, z, c, b], [-b, -c, z, a], [-c, -b, -a, z]]
+    square = [[a, b, c], [c, a, b], [b, c, a + 2.0]]
+    gc.collect()
+    gc.disable()
+    try:
+        pfaffian(rows)
+        det_even(square)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_mat_inverse_even_of_a_body_far_from_unit_scale():

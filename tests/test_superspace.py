@@ -17,6 +17,7 @@ from supercalc.grassmann import (
     gen,
     make,
     max_abs,
+    max_coeff_diff,
     one,
     scalar,
     seed,
@@ -452,6 +453,69 @@ def test_seeding_nested_inside_a_seeded_evaluation():
     assert J.entry(0, 0) == scalar(1, 3.0)
 
 
+class _Component:
+    """A map component given as one function of the whole point."""
+
+    def __init__(self, fn):
+        self.evaluate = fn
+
+
+def test_odd_expand_inside_a_seeded_evaluation_of_a_point_with_souls():
+    # components that expand in fresh odd generators (odd_expand) functions
+    # of the outer seeded slots, and integrate them out, have the Jacobian of
+    # the same components written without the expansion
+    sign = integrate_odd(odd_expand(lambda eta: eta[0] * eta[1], 2, 0)).body
+
+    def nested(P):
+        x, (t0, t1) = P.x[0], P.theta
+        polys = odd_expand(lambda eta: ((x + t0 * eta[0]) * (x + t1 * eta[1]) * x
+                                        + x * x * eta[0] * eta[1],
+                                        t0 * x * eta[0] * eta[1] + t0 * eta[0],
+                                        t1 * x * eta[0] * eta[1] + t1 * eta[0]), 2, P.L)
+        return tuple(integrate_odd(p) for p in polys)
+
+    def direct(P):
+        x, (t0, t1) = P.x[0], P.theta
+        return sign * (x * x - t0 * t1 * x), sign * (t0 * x), sign * (t1 * x)
+
+    maps = [SuperMap((1, 2), (1, 2), [_Component(lambda P, k=k, f=f: f(P)[k]) for k in range(3)])
+            for f in (nested, direct)]
+    for key in range(3):
+        P = sample_point(np.random.default_rng(key), 1, 2, 3)
+        got, want = (map_super_jacobian(F, P) for F in maps)
+        scale = max(max_abs(e) for row in want.rows for e in row)
+        assert scale > 0
+        for r in range(3):
+            for c in range(3):
+                assert max_coeff_diff(got.rows[r][c], want.rows[r][c]) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("which", ["lac", "cubic"])
+def test_jacobian_of_an_inverse_map_inverts_the_jacobian_of_the_map(which):
+    # invert_map seeds the Jacobian of each Newton step inside the evaluation
+    # that map_super_jacobian seeds: J(F^-1)(P) J(F)(F^-1(P)) = I
+    if which == "lac":
+        F, body_inverse, m, n = lac_pair()[0], (lambda q: q), 2, 2
+    else:
+        E1 = lambda s: expr_body(s, 1)
+        F = SuperMap((1, 2), (1, 2), [
+            SuperFunction(1, 2, {0: E1("q1**3 + q1"), 0b11: E1("cos(q1)")}),
+            SuperFunction(1, 2, {0b01: E1("1 + q1^2")}),
+            SuperFunction(1, 2, {0b10: const_body(1.0, 1)}),
+        ])
+        body_inverse, m, n = (lambda q: [cubic_root(float(v)) for v in q]), 1, 2
+    inv = invert_map(F, body_inverse)
+    rng = np.random.default_rng(97)
+    for _ in range(3):
+        P = sample_point(rng, m, n, 4)
+        product = map_super_jacobian(inv, P) @ map_super_jacobian(F, inv.evaluate(P))
+        unit = identity_sm(m, n, P.L)
+        assert product.L == P.L
+        for r in range(m + n):
+            for c in range(m + n):
+                assert max_coeff_diff(product.rows[r][c], unit.rows[r][c]) <= 1e-14
+
+
 def test_compose_evaluates_each_map_once_per_call(monkeypatch):
     # four SuperFunction components in each map, each evaluated once
     calls = []
@@ -884,7 +948,7 @@ def gradient_map():
 
 
 def test_jacobian_of_a_map_whose_components_seed_their_own_gradients():
-    # two first-order windows interleave: map_super_jacobian seeds above P's
+    # two first-order seedings nest: map_super_jacobian seeds above P's
     # generators, and each component seeds again above those
     F, body_jacobian = gradient_map()
     rng = np.random.default_rng(61)
@@ -905,8 +969,8 @@ def test_jacobian_of_a_map_whose_components_seed_their_own_gradients():
 def test_invert_map_keeps_a_truncated_solution_apart_from_a_full_one():
     # y = (th1 - th1 th2 th3, th2, th3) inverts F = (th1 + th1 th2 th3, th2, th3).
     # Seeding the Jacobian at zero odd slots and expanding in three fresh odd
-    # generators build equal points; the first solves under a cut, which drops
-    # the three-seed term the expansion reads.
+    # generators build equal points; the first solves at first-order seeds,
+    # which make the three-seed term the expansion reads 0.
     one_ = const_body(1.0, 0)
     F = SuperMap((0, 3), (0, 3), [
         SuperFunction(0, 3, {0b001: one_, 0b111: one_}),

@@ -264,9 +264,9 @@ def test_an_element_and_its_dict_twin_agree(parity):
             assert same_coefficients(a + b, ta + tb), (parity, other)
             assert same_coefficients(a - b, ta - tb), (parity, other)
     assert same_bytes(-X, -twin) and same_bytes(gr.soul(X), gr.soul(twin))
-    # a seeded constant under a first-order cut takes its one pass either way
+    # a first-order seeded constant gives the same bytes either way
     seeded = gr.seed([gr.scalar(L - 2, 0.5)], [], L - 2, first_order=True)[0][0]
-    assert seeded.L == L and seeded._cut is not None
+    assert seeded.L == L
     assert same_bytes(X * seeded, twin * seeded) and same_bytes(seeded * X, seeded * twin)
 
 
@@ -287,14 +287,14 @@ def test_a_dict_element_sums_the_same_before_and_after_a_kernel_product():
     assert all(np.signbit(Z._terms[0b11].imag) for Z in after[:3])
 
 
-@pytest.mark.parametrize("form", ["vector", "dict", "batch", "cut"])
+@pytest.mark.parametrize("form", ["vector", "dict", "batch", "seeded"])
 def test_an_element_copies_and_pickles_in_its_form(form):
     rng = np.random.default_rng(163)
     X = {"vector": dense(rng), "dict": dict_twin(dense(rng)),
          "batch": Supernumber(3, {0: np.arange(1.0, 4.0), 0b101: 2.0}),
-         "cut": gr.seed([gr.scalar(2, 0.5)], [], 2, first_order=True)[0][0]}[form]
+         "seeded": gr.seed([gr.scalar(2, 0.5)], [], 2, first_order=True)[0][0]}[form]
     for Y in (copy.copy(X), copy.deepcopy(X), pickle.loads(pickle.dumps(X))):
-        assert same_coefficients(Y, X) and Y._cut == X._cut
+        assert same_coefficients(Y, X) and Y.L == X.L
         assert (Y._vec is None) == (X._vec is None)
         if Y._vec is not None:
             assert not Y._vec.flags.writeable and Y._grade == X._grade

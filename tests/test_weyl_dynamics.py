@@ -1160,8 +1160,9 @@ def test_pauli_odd_symbols_scale_the_pi_pair_once_with_the_bytes_of_two_scalings
 
 @pytest.mark.parametrize("potential", sorted(SPIN_POTENTIALS))
 def test_truncation_reaches_the_seeded_hamiltonian_value(monkeypatch, potential):
-    # every term of the value read back has a fresh part that one slot at most
-    # contributes to
+    # the value read back holds the seed-free part and one part per slot, the
+    # parts of a full seeded evaluation bit for bit, which holds parts with
+    # two or more seeds besides
     ham = em_weyl_hamiltonian(WeylSymbolParams(), 0.9, **SPIN_POTENTIALS[potential])
     st = spin_state(ham)
     read = []
@@ -1169,10 +1170,15 @@ def test_truncation_reaches_the_seeded_hamiltonian_value(monkeypatch, potential)
                         lambda X, L: read.append(X) or seed_parts(X, L))
     ham.gradient(st.t, st.x, st.xi, st.theta, st.pi)
     (value,) = read
-    even, odd, masks = seed(st.x + st.xi, st.theta + st.pi, 4)
-    assert {m >> 4 for m in value.terms} <= {0, *masks}
+    masks = seed(st.x + st.xi, st.theta + st.pi, 4, first_order=True)[2]
+    even, odd, full_masks = seed(st.x + st.xi, st.theta + st.pi, 4)
     full = ham.fn(st.t, even[:3], even[3:], odd[:2], odd[2:])
-    assert not {m >> 4 for m in full.terms} <= {0, *masks}
+    got, want = seed_parts(value, 4), seed_parts(full, 4)
+    assert set(got) <= {0, *masks}
+    assert not set(want) <= {0, *full_masks}
+    for mine, theirs in zip([0, *masks], [0, *full_masks]):
+        assert (mine in got) == (theirs in want)
+        assert mine not in got or same_bytes(got[mine], want[theirs])
 
 
 # ---------------------------------------------------------------------------
