@@ -220,12 +220,15 @@ def test_the_partner_mask_gives_the_sort_sign(masks):
 # _combined: the L of the expression
 # ---------------------------------------------------------------------------
 
-def test_combined_takes_the_largest_L():
-    rng = np.random.default_rng(2)
-    a, b = element(rng, 3), Supernumber(5, {0b10001: 2.0})
+def test_combined_takes_the_largest_L_of_b():
+    a, b = element(np.random.default_rng(1), 3), Supernumber(5, {0b10001: 2.0})
     got = gr._combined(0.5 + 0j, a, b)
     assert got.L == 5
     assert same_bytes(got, a + 0.5 * b)
+
+
+def test_combined_takes_the_largest_L_of_a_later_operand():
+    rng = np.random.default_rng(2)
     a, b, b2, b3, b4 = (element(rng, L) for L in (4, 3, 5, 6, 3))
     for more, L in (((b2, b3, b4), 6), ((b2, b2, b4), 5)):
         got = gr._combined(0.25 + 0j, a, b, *more)
